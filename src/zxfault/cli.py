@@ -20,9 +20,10 @@ from importlib import resources
 from .circuit import Circuit
 from .diagram import ZxDiagram
 from .extract import ExtractionError, extract_circuit
-from .feq import EquivalenceSpec, Side, check_w_fault_equivalence, circuit_distance
+from .feq import (ClassKeyError, EquivalenceSpec, Side,
+                  check_w_fault_equivalence, circuit_distance)
 from .noise import ABOVE_CAP, edge_flip_atoms, x_flip_atoms
-from .oracle import DEFAULT_BUDGET, OutcomeMap, evaluate
+from .oracle import DEFAULT_BUDGET, OracleBudgetError, OutcomeMap, evaluate
 from .pauli import PauliString
 from .rewrite import ScriptError, resolve_ref, run_proof_script
 from .translate import to_zx
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, ScriptError, ExtractionError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, OracleBudgetError, ClassKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,17 +4,25 @@ verdicts and circuit distance.
 Two noisy diagrams are w-fault-equivalent when every fault of weight below w
 on either side is detectable there, or is matched by a fault of no greater
 weight on the other side whose faulted diagram is equal (up to a global
-magnitude and per-outcome phase, under the outcome correspondence).  Everything here is brute force
-against the tensor oracle; detectability uses the exact web criterion.
+magnitude and per-outcome phase, under the outcome correspondence).
+
+Every match is a query on one engine, :class:`FaultTable`.  A table holds
+one side's enumerated faults; each fault's faulted diagram is contracted by
+the dense tensor oracle at most once and reduced to a canonical class key,
+and a lazy scan in nondecreasing weight order records the first fault of
+each key.  Detectability uses the exact web criterion.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .diagram import ZxDiagram, apply_fault
-from .noise import ABOVE_CAP, NoiseModel, enumerate_faults
+from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
 from .oracle import (DEFAULT_BUDGET, OutcomeMap, OutcomeTensor,
                      equal_up_to_scalar, evaluate)
 from .pauli import PauliString
@@ -85,73 +93,156 @@ def is_trivial(d: ZxDiagram, f: PauliString, base: OutcomeTensor | None = None,
     return equal_up_to_scalar(base, evaluate(apply_fault(d, f), budget))
 
 
-class _SideCache:
-    """Per-side fault list (nondecreasing weight, lex within weight) and
-    faulted-tensor cache."""
+def _branch_canons(t: OutcomeTensor, tol: float = 1e-9) -> dict:
+    """Per-assignment canonical branch bytes, normalised by the family's
+    global max magnitude and each branch's leading phase; b"Z" marks a zero
+    branch."""
+    m = t.max_abs()
+    out = {}
+    for b in t.assignments():
+        if m < tol:
+            out[b] = b"Z"
+            continue
+        sub = np.asarray(t.array[b]).ravel() / m
+        mags = np.abs(sub)
+        mx = mags.max() if sub.size else 0.0
+        if mx <= tol:
+            out[b] = b"Z"
+            continue
+        idx = int(np.argmax(mags > 0.5 * mx))
+        phase = sub[idx] / abs(sub[idx])
+        # + 0.0 turns -0.0 into +0.0 so byte comparison is well defined
+        out[b] = (np.round(sub / phase, 6) + 0.0).tobytes()
+    return out
 
-    def __init__(self, side: Side, max_weight: int, budget: int):
-        self.side = side
+
+class ClassKeyError(Exception):
+    """Class keys and the tensor oracle disagree.  Not a ValueError, so that
+    no caller can mistake it for a negative verdict or a failed step."""
+
+
+class FaultTable:
+    """One diagram's faults up to a weight, in enumeration order
+    (nondecreasing weight, lex within weight), each with a class key.
+
+    ``key`` maps a faulted diagram's tensor to bytes; faults are in one class
+    exactly when their keys are equal.  Keys are computed on first use and
+    cached; no tensor is kept.  The map from each key to its first fault is
+    filled by a scan that goes only as far as a query needs."""
+
+    def __init__(self, diagram: ZxDiagram, noise: NoiseModel, max_weight: int,
+                 key, budget: int = DEFAULT_BUDGET):
+        self.diagram = diagram
         self.budget = budget
-        self.faults = list(enumerate_faults(side.noise, max_weight))
-        self._tensors: dict[PauliString, OutcomeTensor] = {}
+        self.faults = list(enumerate_faults(noise, max_weight))
+        self.weight = dict(self.faults)
+        self._key_of_tensor = key
+        self._keys: dict[PauliString, bytes] = {}
+        self._first: dict[bytes, tuple[PauliString, int]] = {}
+        self._scanned = 0
 
-    def tensor(self, f: PauliString) -> OutcomeTensor:
-        if f not in self._tensors:
-            self._tensors[f] = evaluate(apply_fault(self.side.diagram, f),
-                                        self.budget)
-        return self._tensors[f]
+    def noise_free(self) -> OutcomeTensor:
+        """The noise-free diagram's tensor; its key is cached as the empty
+        fault's, the tensor itself is not kept."""
+        t = evaluate(self.diagram, self.budget)
+        self._keys.setdefault(PauliString(), self._key_of_tensor(t))
+        return t
+
+    def key(self, f: PauliString) -> bytes:
+        k = self._keys.get(f)
+        if k is None:
+            k = self._keys[f] = self._key_of_tensor(
+                evaluate(apply_fault(self.diagram, f), self.budget))
+        return k
+
+    def first(self, key: bytes, max_weight: int):
+        """(fault, weight) of the first enumerated fault with this key, or
+        None if no fault of weight <= max_weight has it."""
+        while key not in self._first and self._scanned < len(self.faults):
+            g, w = self.faults[self._scanned]
+            if w > max_weight:
+                break
+            self._scanned += 1
+            self._first.setdefault(self.key(g), (g, w))
+        hit = self._first.get(key)
+        return hit if hit is not None and hit[1] <= max_weight else None
 
 
-def _matches(spec: EquivalenceSpec, t_a: OutcomeTensor, t_b: OutcomeTensor) -> bool:
-    return equal_up_to_scalar(t_b, t_a, spec.corr())
+def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
+    """Both sides' fault tables, keyed so that a side-a and a side-b fault
+    share a key exactly when their faulted diagrams are equal under the
+    correspondence.  The side-a key folds the correspondence in: per side-b
+    assignment, the nonzero side-a branches mapping onto it must agree, and
+    an assignment that no nonzero branch reaches must be zero on side b."""
+    da, db = spec.side_a.diagram, spec.side_b.diagram
+    if (len(da.inputs), len(da.outputs)) != (len(db.inputs), len(db.outputs)):
+        raise ValueError("incompatible boundary shapes")
+    corr = spec.corr()
+    if corr.source_vars != da.variables or corr.target_vars != db.variables:
+        raise ValueError("correspondence registries do not match the sides")
+    b_assigns = list(itertools.product((0, 1), repeat=len(db.variables)))
+    preimage = {y: [] for y in b_assigns}
+    for a in itertools.product((0, 1), repeat=len(da.variables)):
+        preimage[corr(a)].append(a)
+
+    def class_key(pre: dict):
+        def key(t: OutcomeTensor) -> bytes:
+            canon = _branch_canons(t)
+            parts = []
+            for y in b_assigns:
+                cs = sorted({canon[a] for a in pre[y]} - {b"Z"})
+                parts.append(cs[0] if len(cs) == 1 else b",".join(cs) or b"Z")
+            return b"|".join(parts)
+        return key
+
+    return {"a": FaultTable(da, spec.side_a.noise, max_weight,
+                            class_key(preimage), spec.budget),
+            "b": FaultTable(db, spec.side_b.noise, max_weight,
+                            class_key({y: [y] for y in b_assigns}),
+                            spec.budget)}
 
 
 def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
-                          _caches: dict | None = None,
+                          tables: dict | None = None,
                           max_weight: int | None = None):
     """First fault on the other side, in nondecreasing weight then lex order,
     whose faulted diagram equals the faulted source diagram under the
-    correspondence; None if none exists up to the weight of ``f`` (or the
-    explicit ``max_weight``)."""
-    if _caches is None:
-        bound = f.weight() if max_weight is None else max_weight
-        _caches = {"a": _SideCache(spec.side_a, bound, spec.budget),
-                   "b": _SideCache(spec.side_b, bound, spec.budget)}
+    correspondence; None if none exists up to ``max_weight``, which defaults
+    to the weight of ``f`` in its side's noise model."""
     if max_weight is None:
-        max_weight = f.weight()
-    other = "b" if side == "a" else "a"
-    src = _caches[side].tensor(f)
-    for g, w in _caches[other].faults:
-        if w > max_weight:
-            break
-        cand = _caches[other].tensor(g)
-        if side == "a":
-            ok = _matches(spec, src, cand)
-        else:
-            ok = _matches(spec, cand, src)
-        if ok:
-            return g
-    return None
+        noise = (spec.side_a if side == "a" else spec.side_b).noise
+        max_weight = fault_weight(f, noise, len(noise.atoms))
+        if max_weight == ABOVE_CAP:
+            raise ValueError(f"fault {f.to_text()} is not generated by the"
+                             f" side's noise model")
+    if tables is None:
+        tables = fault_tables(spec, max_weight)
+    hit = tables["b" if side == "a" else "a"].first(tables[side].key(f),
+                                                   max_weight)
+    return None if hit is None else hit[0]
 
 
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
-    caches = {"a": _SideCache(spec.side_a, spec.w - 1, spec.budget),
-              "b": _SideCache(spec.side_b, spec.w - 1, spec.budget)}
-    regions = {s: detecting_region_basis(caches[s].side.diagram) for s in "ab"}
-    counterexamples = []
-    checked = 0
+    tables = fault_tables(spec, spec.w - 1)
+    # the keys must say what the oracle says about the noise-free diagrams
+    t_a, t_b = tables["a"].noise_free(), tables["b"].noise_free()
+    if (tables["a"].key(PauliString()) == tables["b"].key(PauliString())) \
+            != equal_up_to_scalar(t_b, t_a, spec.corr()):
+        raise ClassKeyError("class keys and the tensor oracle disagree on the"
+                            " noise-free diagrams")
+    del t_a, t_b  # no tensor is kept while the tables are scanned
+    regions = {s: detecting_region_basis(t.diagram) for s, t in tables.items()}
+    counterexamples, checked = [], 0
     for side in ("a", "b"):
-        for f, w in caches[side].faults:
+        table, other = tables[side], tables["b" if side == "a" else "a"]
+        for f, w in table.faults:
             checked += 1
-            if f and is_detectable(caches[side].side.diagram, f, regions[side]):
+            if f and is_detectable(table.diagram, f, regions[side]):
                 continue
-            g = find_equivalent_fault(spec, side, f, _caches=caches)
-            if g is not None:
+            g = find_equivalent_fault(spec, side, f, tables, spec.w - 1)
+            if g is not None and other.weight[g] <= w:
                 continue
-            # distinguish "a heavier match exists within the enumerated range"
-            heavier = find_equivalent_fault(spec, side, f, _caches=caches,
-                                            max_weight=spec.w - 1)
-            reason = "match-heavier" if heavier is not None else "no-match-found"
+            reason = "match-heavier" if g is not None else "no-match-found"
             counterexamples.append(Counterexample(side, f, w, reason))
     counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
     return Verdict(not counterexamples, counterexamples, checked)
@@ -171,11 +262,3 @@ def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
         if not is_trivial(d, f, base, budget):
             return w
     return ABOVE_CAP
-
-
-def idealised(d: ZxDiagram) -> ZxDiagram:
-    """Copy of the diagram with every edge marked fault-free."""
-    out = d.copy()
-    for eid in out.edges:
-        out.set_ideal(eid, True)
-    return out

@@ -12,26 +12,24 @@ of boundary ports, together with a guarantee:
 the lhs shape and returns the rewritten diagram plus a :class:`StepLog` that
 records the matched region, the created region and the outcome-variable
 bookkeeping.  ``verify_step`` checks the two regions for w-fault-equivalence
-against the tensor oracle, with a fingerprint fast path for regions without
-outcome variables.  ``run_proof_script`` replays a textual derivation and
-produces a deterministic JSON report.
+under edge-flip noise with :func:`~zxfault.feq.check_w_fault_equivalence`,
+and ``check_boundary_pushout`` matches internal against boundary faults with
+two :class:`~zxfault.feq.FaultTable` objects.  ``run_proof_script`` replays a
+textual derivation and produces a deterministic JSON report.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import samples
-from .diagram import Edge, Phase, Spider, ZxDiagram, apply_fault
-from .feq import (Counterexample, EquivalenceSpec, Side, Verdict,
+from .diagram import Edge, Phase, Spider, ZxDiagram
+from .feq import (EquivalenceSpec, FaultTable, Side, Verdict, _branch_canons,
                   check_w_fault_equivalence)
-from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
+from .noise import AtomicFault, NoiseModel, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, OutcomeMap, equal_up_to_scalar, evaluate,
                      is_total)
 from .pauli import LETTERS, PauliString
@@ -822,88 +820,6 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
 # -- verification ---------------------------------------------------------------
 
 
-def _branch_canons(t, tol: float = 1e-9) -> dict:
-    """Per-assignment canonical branch bytes, normalised by the family's
-    global max magnitude and each branch's leading phase."""
-    m = t.max_abs()
-    out = {}
-    for b in t.assignments():
-        if m < tol:
-            out[b] = b"Z"
-            continue
-        sub = np.asarray(t.array[b]).ravel() / m
-        mags = np.abs(sub)
-        mx = mags.max() if sub.size else 0.0
-        if mx <= tol:
-            out[b] = b"Z"
-            continue
-        idx = int(np.argmax(mags > 0.5 * mx))
-        phase = sub[idx] / abs(sub[idx])
-        # + 0.0 turns -0.0 into +0.0 so byte comparison is well defined
-        out[b] = (np.round(sub / phase, 6) + 0.0).tobytes()
-    return out
-
-
-def _verdict_by_fingerprint(spec: EquivalenceSpec) -> Verdict:
-    """check_w_fault_equivalence with per-fault tensors replaced by canonical
-    fingerprints: one pass per side, flat memory, same verdict semantics.
-
-    The correspondence is folded into the side-a fingerprint: per spec-side
-    assignment, the nonzero implementation branches mapping onto it must agree
-    (zero branches impose nothing), and assignments reached by no nonzero
-    branch must be zero on the spec side."""
-    sides = {"a": spec.side_a, "b": spec.side_b}
-    da, db = sides["a"].diagram, sides["b"].diagram
-    if (len(da.inputs), len(da.outputs)) != (len(db.inputs), len(db.outputs)):
-        raise ValueError("incompatible boundary shapes")
-    corr = spec.corr()
-    if corr.source_vars != da.variables or corr.target_vars != db.variables:
-        raise ValueError("correspondence registries do not match the sides")
-    a_assigns = list(itertools.product((0, 1), repeat=len(da.variables)))
-    b_assigns = list(itertools.product((0, 1), repeat=len(db.variables)))
-    preimage = {y: [] for y in b_assigns}
-    for a in a_assigns:
-        preimage[corr(a)].append(a)
-
-    def fingerprint(side: str, f: PauliString) -> bytes:
-        t = evaluate(apply_fault(sides[side].diagram, f), spec.budget)
-        canon = _branch_canons(t)
-        if side == "b":
-            return b"|".join(canon[y] for y in b_assigns)
-        parts = []
-        for y in b_assigns:
-            cs = sorted({canon[a] for a in preimage[y]} - {b"Z"})
-            parts.append(cs[0] if len(cs) == 1 else b",".join(cs) or b"Z")
-        return b"|".join(parts)
-
-    faults = {s: list(enumerate_faults(sides[s].noise, spec.w - 1))
-              for s in "ab"}
-    regions = {s: detecting_region_basis(sides[s].diagram) for s in "ab"}
-    fps, best = {}, {}
-    for s in "ab":
-        lst, bm = [], {}
-        for f, wt in faults[s]:
-            fp = fingerprint(s, f)
-            lst.append(fp)
-            if fp not in bm:
-                bm[fp] = wt  # nondecreasing enumeration: first hit is minimal
-        fps[s], best[s] = lst, bm
-    counterexamples, checked = [], 0
-    for s in "ab":
-        o = "b" if s == "a" else "a"
-        for (f, wt), fp in zip(faults[s], fps[s]):
-            checked += 1
-            if f and is_detectable(sides[s].diagram, f, regions[s]):
-                continue
-            mw = best[o].get(fp)
-            if mw is not None and mw <= wt:
-                continue
-            reason = "match-heavier" if mw is not None else "no-match-found"
-            counterexamples.append(Counterexample(s, f, wt, reason))
-    counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
-    return Verdict(not counterexamples, counterexamples, checked)
-
-
 def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
                 corr_exprs: dict | None = None,
                 budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -911,9 +827,8 @@ def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
     after side playing the implementation.  ``corr_exprs`` maps each before
     variable to an XOR expression in after variables (identity by default).
 
-    Faulted diagrams are compared through cached tensor fingerprints instead
-    of pairwise tensor comparisons, which keeps memory flat for large
-    regions."""
+    The check is :func:`~zxfault.feq.check_w_fault_equivalence`, which
+    compares faulted diagrams by cached class keys, never by kept tensors."""
     corr_exprs = dict(corr_exprs or {})
     rows = {}
     for v in before.variables:
@@ -927,7 +842,7 @@ def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
     spec = EquivalenceSpec(Side(after, edge_flip_atoms(after)),
                            Side(before, edge_flip_atoms(before)),
                            corr, w, budget)
-    return _verdict_by_fingerprint(spec)
+    return check_w_fault_equivalence(spec)
 
 
 _CERT_CACHE: dict = {}
@@ -978,26 +893,21 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     if not internal:
         return PushoutReport(True, [], 0)
 
-    def model(eids, label):
-        return NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
-                           for eid in eids for l in LETTERS], label)
+    def table(eids, label):
+        m = NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
+                        for eid in eids for l in LETTERS], label)
+        return FaultTable(d, m, max_weight, _offset_fingerprint, budget)
 
+    inner, outer = table(internal, "internal"), table(boundary, "boundary")
     regions = detecting_region_basis(d)
-    bmap = {}
-    for g, wt in enumerate_faults(model(boundary, "boundary"), max_weight):
-        fp = _offset_fingerprint(evaluate(apply_fault(d, g), budget))
-        if fp not in bmap:
-            bmap[fp] = wt
     violations, checked = [], 0
-    for f, wt in enumerate_faults(model(internal, "internal"), max_weight):
+    for f, wt in inner.faults:
         if not f:
             continue
         checked += 1
         if is_detectable(d, f, regions):
             continue
-        fp = _offset_fingerprint(evaluate(apply_fault(d, f), budget))
-        mw = bmap.get(fp)
-        if mw is None or mw > wt:
+        if outer.first(inner.key(f), wt) is None:
             violations.append((f, wt))
     return PushoutReport(not violations, violations, checked)
 

@@ -111,3 +111,17 @@ def test_output_file_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "regions", "two-zz", "-o", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-feq", "--a", "naive-cat4", "--b", "ideal-cat4", "--w", "2",
+     "--budget", "2"],
+    ["distance", "--in", "rep3-sandwich", "--cap", "2", "--budget", "2"],
+    ["prove", "truncated-cat.fzx", "--budget", "2"],
+])
+def test_oracle_budget_exceeded_is_exit_2(capsys, argv):
+    argv = [script_path(a) if a.endswith(".fzx") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

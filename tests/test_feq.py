@@ -1,14 +1,24 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zxfault import samples
-from zxfault.diagram import compose
-from zxfault.feq import (Counterexample, EquivalenceSpec, Side, Verdict,
-                         check_w_fault_equivalence, circuit_distance,
-                         find_equivalent_fault, idealised, is_trivial)
+from zxfault import feq, samples
+from zxfault.diagram import apply_fault, compose
+from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
+                         Verdict, check_w_fault_equivalence, circuit_distance,
+                         find_equivalent_fault, is_trivial)
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
-                           edge_flip_atoms)
-from zxfault.oracle import OutcomeMap
+                           edge_flip_atoms, enumerate_faults)
+from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate
 from zxfault.pauli import PauliString
+from zxfault.webs import detecting_region_basis, is_detectable
+
+
+def idealised(d):
+    """Copy of the diagram with every edge marked fault-free."""
+    out = d.copy()
+    for eid in out.edges:
+        out.set_ideal(eid, True)
+    return out
 
 
 def spec_of(da, db, corr=None, w=2) -> EquivalenceSpec:
@@ -128,6 +138,120 @@ def test_verdict_json():
     assert j["equivalent"] is False
     assert all(set(c) == {"side", "fault", "weight", "reason"}
                for c in j["counterexamples"])
+
+
+def parallel_wires_with_xx() -> EquivalenceSpec:
+    """Side a: edge flips plus one X(x)X atom across both wires; side b:
+    plain edge flips, which need two faults to make X(x)X."""
+    d = compose(samples.wire(), samples.wire(), mode="parallel")
+    m = edge_flip_atoms(d)
+    xx = AtomicFault(PauliString({0: "X", 1: "X"}), "gate-fault")
+    return EquivalenceSpec(Side(d, NoiseModel(m.atoms + [xx], "edge-flip+xx")),
+                           Side(d, m), None, 3)
+
+
+def test_correlated_atom_match_is_weighed_in_the_noise_model():
+    s = parallel_wires_with_xx()
+    v = check_w_fault_equivalence(s)
+    assert [(c.side, c.fault.to_text(), c.weight, c.reason)
+            for c in v.counterexamples] == [("a", "0:X;1:X", 1,
+                                             "match-heavier")]
+    xx = PauliString({0: "X", 1: "X"})
+    assert find_equivalent_fault(s, "a", xx) is None  # bound: weight 1
+    assert find_equivalent_fault(s, "a", xx, max_weight=2) == xx
+
+
+def test_key_oracle_disagreement_is_an_error(monkeypatch):
+    # keys that call every branch equal, on two wires the oracle tells apart
+    monkeypatch.setattr(feq, "_branch_canons",
+                        lambda t: {b: b"" for b in t.assignments()})
+    with pytest.raises(ClassKeyError):
+        check_w_fault_equivalence(spec_of(samples.wire(),
+                                          samples.wire(had=True)))
+
+
+# -- the engine against the pairwise reference -----------------------------------
+
+def pairwise_verdict(spec: EquivalenceSpec) -> Verdict:
+    """Reference checker: each undetectable fault is compared with every
+    fault on the other side, one tensor pair at a time, by
+    ``equal_up_to_scalar``; a match counts when its noise-model weight is no
+    greater than the fault's."""
+    sides = {"a": spec.side_a, "b": spec.side_b}
+    faults = {s: list(enumerate_faults(sides[s].noise, spec.w - 1))
+              for s in "ab"}
+    tensors = {}
+
+    def tensor(s, f):
+        if (s, f) not in tensors:
+            tensors[s, f] = evaluate(apply_fault(sides[s].diagram, f))
+        return tensors[s, f]
+
+    def least_match_weight(s, f):
+        o = "b" if s == "a" else "a"
+        for g, wg in faults[o]:
+            t_a, t_b = ((tensor(s, f), tensor(o, g)) if s == "a"
+                        else (tensor(o, g), tensor(s, f)))
+            if equal_up_to_scalar(t_b, t_a, spec.corr()):
+                return wg
+        return None
+
+    counterexamples, checked = [], 0
+    for s in "ab":
+        regions = detecting_region_basis(sides[s].diagram)
+        for f, w in faults[s]:
+            checked += 1
+            if f and is_detectable(sides[s].diagram, f, regions):
+                continue
+            wg = least_match_weight(s, f)
+            if wg is not None and wg <= w:
+                continue
+            reason = "match-heavier" if wg is not None else "no-match-found"
+            counterexamples.append(Counterexample(s, f, w, reason))
+    counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
+    return Verdict(not counterexamples, counterexamples, checked)
+
+
+# criterion 13's wire pool
+WIRE_POOL = [
+    samples.wire, lambda: samples.wire(had=True),
+    lambda: samples.green_chain(2), lambda: samples.green_chain(3),
+    lambda: samples.pauli_spider_on_wire("X", 0),
+    lambda: samples.pauli_spider_on_wire("Z", 2),
+    lambda: samples.pauli_spider_on_wire("X", 2),
+    lambda: samples.pauli_spider_on_wire("Z", 1),
+]
+# side-b outcome -> expression in side-a outcomes, for two_zz_measurements
+TWO_ZZ_CORRS = [{"k1": "k1", "k2": "k2"}, {"k1": "k2", "k2": "k1"},
+                {"k1": "k1^1", "k2": "k2"}, {"k1": "k1^k2", "k2": "k2"},
+                {"k1": "k1", "k2": "k1"}, {"k1": "0", "k2": "k2"}]
+
+def _pool_spec(t):
+    single, first, second, swap = t
+    a, b = single(), compose(first(), second())
+    return spec_of(b, a) if swap else spec_of(a, b)
+
+
+def _two_zz_spec(t):
+    corr, ideal_a, ideal_b = t
+    return spec_of(samples.two_zz_measurements(ideal_a),
+                   samples.two_zz_measurements(ideal_b),
+                   OutcomeMap.parse(["k1", "k2"], ["k1", "k2"], corr))
+
+
+pool_specs = st.tuples(st.sampled_from(WIRE_POOL), st.sampled_from(WIRE_POOL),
+                       st.sampled_from(WIRE_POOL), st.booleans()).map(_pool_spec)
+two_zz_specs = st.tuples(st.sampled_from(TWO_ZZ_CORRS), st.booleans(),
+                         st.booleans()).map(_two_zz_spec)
+cat_specs = st.booleans().map(
+    lambda swap: naive_vs_spec(2).swapped() if swap else naive_vs_spec(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(pool_specs, two_zz_specs, cat_specs))
+def test_engine_verdict_matches_pairwise_reference(spec):
+    assert check_w_fault_equivalence(spec).dumps() == \
+        pairwise_verdict(spec).dumps()
 
 
 # -- circuit distance ------------------------------------------------------------------
