@@ -6,15 +6,17 @@ on either side is detectable there, or is matched by a fault of no greater
 weight on the other side whose faulted diagram is equal (up to a global
 magnitude and per-outcome phase, under the outcome correspondence).
 
-Every match is a query on one engine, :class:`FaultTable`.  A table holds
-one side's enumerated faults; each fault's faulted diagram is contracted by
-the dense tensor oracle at most once and reduced to a canonical class key,
+Every match, and the circuit distance, is a query on one engine,
+:class:`FaultTable`.  A table holds one side's enumerated faults and the
+side's contraction, compiled once; each fault's tensor is one replay of it
+with the fault's Paulis on the leaves, reduced to a canonical class key,
 and a lazy scan in nondecreasing weight order records the first fault of
 each key.  Detectability uses the exact web criterion.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ import numpy as np
 
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
-from .oracle import (DEFAULT_BUDGET, OutcomeMap, OutcomeTensor,
+from .oracle import (DEFAULT_BUDGET, Contraction, OutcomeMap, OutcomeTensor,
                      equal_up_to_scalar, evaluate)
 from .pauli import PauliString
 from .webs import detecting_region_basis, is_detectable
@@ -117,8 +119,9 @@ def _branch_canons(t: OutcomeTensor, tol: float = 1e-9) -> dict:
 
 
 class ClassKeyError(Exception):
-    """Class keys and the tensor oracle disagree.  Not a ValueError, so that
-    no caller can mistake it for a negative verdict or a failed step."""
+    """Class keys, the replayed contraction and the dense tensor oracle
+    disagree.  Not a ValueError, so that no caller can mistake it for a
+    negative verdict or a failed step."""
 
 
 class FaultTable:
@@ -126,33 +129,49 @@ class FaultTable:
     (nondecreasing weight, lex within weight), each with a class key.
 
     ``key`` maps a faulted diagram's tensor to bytes; faults are in one class
-    exactly when their keys are equal.  Keys are computed on first use and
-    cached; no tensor is kept.  The map from each key to its first fault is
-    filled by a scan that goes only as far as a query needs."""
+    exactly when their keys are equal.  Each tensor comes from one replay of
+    the diagram's compiled :class:`~zxfault.oracle.Contraction`, which
+    tables over one diagram may share.  Keys are computed on first use and
+    cached as 32-byte digests; no tensor is kept.  The map from each key to
+    its first fault is filled by a scan that goes only as far as a query
+    needs.  The first non-empty fault a table keys is also contracted
+    densely, from its faulted diagram, as a check on the replay."""
 
-    def __init__(self, diagram: ZxDiagram, noise: NoiseModel, max_weight: int,
-                 key, budget: int = DEFAULT_BUDGET):
-        self.diagram = diagram
-        self.budget = budget
+    def __init__(self, contraction: Contraction, noise: NoiseModel,
+                 max_weight: int, key):
+        self.contraction = contraction
+        self.diagram = contraction.diagram
         self.faults = list(enumerate_faults(noise, max_weight))
         self.weight = dict(self.faults)
         self._key_of_tensor = key
         self._keys: dict[PauliString, bytes] = {}
         self._first: dict[bytes, tuple[PauliString, int]] = {}
         self._scanned = 0
+        self._replay_checked = False
+
+    def _digest(self, t: OutcomeTensor) -> bytes:
+        return hashlib.blake2b(self._key_of_tensor(t), digest_size=32).digest()
 
     def noise_free(self) -> OutcomeTensor:
         """The noise-free diagram's tensor; its key is cached as the empty
         fault's, the tensor itself is not kept."""
-        t = evaluate(self.diagram, self.budget)
-        self._keys.setdefault(PauliString(), self._key_of_tensor(t))
+        t = self.contraction.evaluate()
+        self._keys.setdefault(PauliString(), self._digest(t))
         return t
 
     def key(self, f: PauliString) -> bytes:
         k = self._keys.get(f)
         if k is None:
-            k = self._keys[f] = self._key_of_tensor(
-                evaluate(apply_fault(self.diagram, f), self.budget))
+            t = self.contraction.evaluate(f)
+            if f and not self._replay_checked:
+                self._replay_checked = True
+                dense = evaluate(apply_fault(self.diagram, f),
+                                 self.contraction.budget)
+                if not equal_up_to_scalar(dense, t):
+                    raise ClassKeyError(
+                        f"replayed contraction and dense oracle disagree on"
+                        f" fault {f.to_text()}")
+            k = self._keys[f] = self._digest(t)
         return k
 
     def first(self, key: bytes, max_weight: int):
@@ -168,38 +187,47 @@ class FaultTable:
         return hit if hit is not None and hit[1] <= max_weight else None
 
 
+def _assignments(variables: list) -> list:
+    return list(itertools.product((0, 1), repeat=len(variables)))
+
+
+def _class_key(b_assigns: list, preimage: dict):
+    """Key of a tensor read through a correspondence: per target assignment,
+    the nonzero source branches mapping onto it must agree, and a target
+    assignment that no nonzero branch reaches is zero."""
+    def key(t: OutcomeTensor) -> bytes:
+        canon = _branch_canons(t)
+        parts = []
+        for y in b_assigns:
+            cs = sorted({canon[a] for a in preimage[y]} - {b"Z"})
+            parts.append(cs[0] if len(cs) == 1 else b",".join(cs) or b"Z")
+        return b"|".join(parts)
+    return key
+
+
+def _identity_key(variables: list):
+    assigns = _assignments(variables)
+    return _class_key(assigns, {y: [y] for y in assigns})
+
+
 def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
     """Both sides' fault tables, keyed so that a side-a and a side-b fault
     share a key exactly when their faulted diagrams are equal under the
-    correspondence.  The side-a key folds the correspondence in: per side-b
-    assignment, the nonzero side-a branches mapping onto it must agree, and
-    an assignment that no nonzero branch reaches must be zero on side b."""
+    correspondence.  The side-a key folds the correspondence in."""
     da, db = spec.side_a.diagram, spec.side_b.diagram
     if (len(da.inputs), len(da.outputs)) != (len(db.inputs), len(db.outputs)):
         raise ValueError("incompatible boundary shapes")
     corr = spec.corr()
     if corr.source_vars != da.variables or corr.target_vars != db.variables:
         raise ValueError("correspondence registries do not match the sides")
-    b_assigns = list(itertools.product((0, 1), repeat=len(db.variables)))
+    b_assigns = _assignments(db.variables)
     preimage = {y: [] for y in b_assigns}
-    for a in itertools.product((0, 1), repeat=len(da.variables)):
+    for a in _assignments(da.variables):
         preimage[corr(a)].append(a)
-
-    def class_key(pre: dict):
-        def key(t: OutcomeTensor) -> bytes:
-            canon = _branch_canons(t)
-            parts = []
-            for y in b_assigns:
-                cs = sorted({canon[a] for a in pre[y]} - {b"Z"})
-                parts.append(cs[0] if len(cs) == 1 else b",".join(cs) or b"Z")
-            return b"|".join(parts)
-        return key
-
-    return {"a": FaultTable(da, spec.side_a.noise, max_weight,
-                            class_key(preimage), spec.budget),
-            "b": FaultTable(db, spec.side_b.noise, max_weight,
-                            class_key({y: [y] for y in b_assigns}),
-                            spec.budget)}
+    return {"a": FaultTable(Contraction(da, spec.budget), spec.side_a.noise,
+                            max_weight, _class_key(b_assigns, preimage)),
+            "b": FaultTable(Contraction(db, spec.budget), spec.side_b.noise,
+                            max_weight, _identity_key(db.variables))}
 
 
 def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
@@ -250,15 +278,14 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
 
 def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
                      budget: int = DEFAULT_BUDGET):
-    """Minimum weight of a non-trivial undetectable fault; ABOVE_CAP if none
-    of weight <= cap exists."""
+    """Minimum weight of an undetectable fault that changes the diagram: its
+    identity-correspondence class key differs from the empty fault's.
+    ABOVE_CAP if none of weight <= cap exists."""
     regions = detecting_region_basis(d)
-    base = evaluate(d, budget)
-    for f, w in enumerate_faults(m, cap):
-        if not f:
-            continue
-        if is_detectable(d, f, regions):
-            continue
-        if not is_trivial(d, f, base, budget):
+    table = FaultTable(Contraction(d, budget), m, cap,
+                       _identity_key(d.variables))
+    empty = table.key(PauliString())
+    for f, w in table.faults:
+        if f and not is_detectable(d, f, regions) and table.key(f) != empty:
             return w
     return ABOVE_CAP

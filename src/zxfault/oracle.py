@@ -4,6 +4,11 @@ Ground truth for equality up to a global scalar, fault triviality, and
 totality.  Outcome variables are handled exactly: every variable becomes an
 extra binary tensor leg (tied across its occurrences by a copy tensor), so one
 contraction yields the full outcome-indexed family.
+
+There is one contraction path, :class:`Contraction`: it builds a diagram's
+leaf tensors and plans its pairwise contraction order once, and replays the
+plan for the diagram itself or for any fault on it, with the fault's Paulis
+applied to the leaves.  :func:`evaluate` is a compile and one replay.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 import numpy as np
 
 from .diagram import ZxDiagram
+from .pauli import PauliString
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -39,29 +45,10 @@ def _apply_on_leg(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, -1, axis)
 
 
-class _Node:
-    __slots__ = ("tensor", "labels")
-
-    def __init__(self, tensor: np.ndarray, labels: list):
-        self.tensor = tensor
-        self.labels = labels
-
-
-def _contract_pair(a: _Node, b: _Node, budget: int) -> _Node:
-    shared = [l for l in a.labels if l in b.labels]
-    ax_a = [a.labels.index(l) for l in shared]
-    ax_b = [b.labels.index(l) for l in shared]
-    out_labels = [l for i, l in enumerate(a.labels) if i not in ax_a] + \
-                 [l for i, l in enumerate(b.labels) if i not in ax_b]
-    if 2 ** len(out_labels) > budget:
-        raise OracleBudgetError(
-            f"contraction intermediate of {len(out_labels)} open legs exceeds budget")
-    t = np.tensordot(a.tensor, b.tensor, axes=(ax_a, ax_b))
-    return _Node(t, out_labels)
-
-
-def _dedup_legs(t: np.ndarray, labels: list) -> _Node:
-    """Trace out repeated labels on a single tensor (self-loops)."""
+def _self_loops(labels: list) -> tuple[list, list]:
+    """The axis pairs that trace out repeated labels on one tensor
+    (self-loops), in tracing order, and the labels left after them."""
+    traces = []
     while True:
         seen: dict = {}
         dup = None
@@ -71,10 +58,15 @@ def _dedup_legs(t: np.ndarray, labels: list) -> _Node:
                 break
             seen[l] = i
         if dup is None:
-            return _Node(t, labels)
-        i, j = dup
+            return traces, labels
+        traces.append(dup)
+        labels = [l for k, l in enumerate(labels) if k not in dup]
+
+
+def _trace(t: np.ndarray, traces: list) -> np.ndarray:
+    for i, j in traces:
         t = np.trace(t, axis1=i, axis2=j)
-        labels = [l for k, l in enumerate(labels) if k not in (i, j)]
+    return t
 
 
 class OutcomeTensor:
@@ -109,90 +101,195 @@ def _port_label(d: ZxDiagram, eid: int, port: tuple):
     return ("e", eid) if e.a == port else ("e", eid, "b")
 
 
+# A faulted edge's Pauli as the matrix of the pi-spider chain that
+# apply_fault inserts at its a-end, indexed [a-end, b-end]: Y is X then Z.
+_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+_PAULI["Y"] = _PAULI["X"] @ _PAULI["Z"]
+# The same Pauli as a matrix on the leg of the leaf that holds the edge's
+# a-end: "P" when the a-end is a port (the leg is the port's), "Pt" at a
+# spider, "HPtH" at a spider that absorbed the edge's Hadamard.
+_FAULT_MATRIX = {(kind, letter): m for letter, p in _PAULI.items()
+                 for kind, m in (("P", p), ("Pt", p.T), ("HPtH", H @ p.T @ H))}
+
+
+class Contraction:
+    """A diagram's contraction, compiled once and replayed per fault.
+
+    Compiling builds one leaf tensor per spider, bare wire and outcome
+    variable, and plans the greedy pairwise order (smallest node first, with
+    its cheapest partner) on the leaves' labels alone, so one plan serves
+    every fault of the diagram.  :meth:`evaluate` applies a fault's Paulis
+    to the leaves and replays the planned tensordots; no intermediate is
+    kept between replays."""
+
+    def __init__(self, d: ZxDiagram, budget: int = DEFAULT_BUDGET):
+        self.diagram = d
+        self.budget = budget
+        total_budget = budget * (2 ** len(d.variables))
+        self._raw: list = []     # leaf tensors before their self-loop traces
+        self._loops: list = []   # each leaf's self-loop traces
+        self._leaves: list = []  # leaf tensors as the fault-free replay uses them
+        self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_MATRIX kind)
+        labels_of: list = []
+
+        def add_leaf(t: np.ndarray, labels: list) -> None:
+            loops, labels = _self_loops(labels)
+            self._raw.append(t)
+            self._loops.append(loops)
+            self._leaves.append(_trace(t, loops))
+            labels_of.append(labels)
+
+        inc = d.incidence()
+        var_occurrences: dict[str, int] = {v: 0 for v in d.variables}
+        for sid, s in sorted(d.spiders.items()):
+            legs: list = []
+            had_legs: list[int] = []
+            # a self-loop appears twice; its first leg is its a-end
+            for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
+                e = d.edges[eid]
+                at_a = e.a == ("s", sid) and ("e", eid) not in legs
+                if at_a:
+                    kind = "HPtH" if e.had else "Pt"
+                    self._site[eid] = (len(self._raw), len(legs), kind)
+                elif e.a[0] != "s":
+                    self._site[eid] = (len(self._raw), len(legs), "P")
+                # absorb the H of a hadamard edge exactly once, at the
+                # a-side endpoint if that is a spider, else here
+                if e.had and (at_a or e.a[0] != "s"):
+                    had_legs.append(len(legs))
+                legs.append(("e", eid))
+            vlegs = sorted(s.phase.pivars)
+            deg = len(legs)
+            if 2 ** (deg + len(vlegs)) > total_budget:
+                raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
+            if vlegs:
+                sub = []
+                for bits in itertools.product((0, 1), repeat=len(vlegs)):
+                    qt = (s.phase.qturns + 2 * sum(bits)) % 4
+                    sub.append(_z_core(deg, qt))
+                t = np.stack(sub).reshape((2,) * len(vlegs) + (2,) * deg)
+                t = np.moveaxis(t, list(range(len(vlegs))),
+                                list(range(deg, deg + len(vlegs))))
+            else:
+                t = _z_core(deg, s.phase.qturns)
+            if s.colour == "X":
+                for ax in range(deg):
+                    t = _apply_on_leg(t, H, ax)
+            for ax in had_legs:
+                t = _apply_on_leg(t, H, ax)
+            labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
+            for v in vlegs:
+                var_occurrences[v] += 1
+            add_leaf(t, labels)
+
+        # bare wires (both endpoints are ports)
+        for eid, e in sorted(d.edges.items()):
+            if all(ep[0] != "s" for ep in e.ends()):
+                self._site[eid] = (len(self._raw), 0, "P")
+                add_leaf(H.copy() if e.had else np.eye(2, dtype=complex),
+                         [("e", eid), ("e", eid, "b")])
+
+        # copy tensor per variable ties its occurrences and exposes one open leg
+        for v in d.variables:
+            occ = var_occurrences[v]
+            add_leaf(_z_core(occ + 1, 0),
+                     [("v", v, i) for i in range(occ)] + [("var", v)])
+
+        # greedy plan: smallest node first, with its cheapest partner; a node
+        # is (sort key, slot, labels, label set), and each step's result takes
+        # the next slot after the leaves
+        strs: dict = {}
+
+        def node(slot: int, labels: list) -> tuple:
+            key = []
+            for l in labels:
+                s = strs.get(l)
+                if s is None:
+                    s = strs[l] = str(l)
+                key.append(s)
+            return ((len(labels), key), slot, labels, set(labels))
+
+        nodes = [node(i, labels) for i, labels in enumerate(labels_of)]
+        self._steps: list = []   # (slot a, slot b, tensordot axes, loops)
+        while len(nodes) > 1:
+            nodes.sort(key=lambda n: n[0])
+            a = nodes[0]
+            partner = None
+            best = None
+            for other in nodes[1:]:
+                shared = len(a[3] & other[3])
+                if shared:
+                    cost = len(a[2]) + len(other[2]) - 2 * shared
+                    if best is None or cost < best:
+                        best, partner = cost, other
+            if partner is None:
+                partner = nodes[1]  # disconnected component: outer product
+            nodes.remove(a)
+            nodes.remove(partner)
+            la, lb = a[2], partner[2]
+            shared = [l for l in la if l in partner[3]]
+            ax_a = [la.index(l) for l in shared]
+            ax_b = [lb.index(l) for l in shared]
+            out = [l for l in la if l not in partner[3]] + \
+                  [l for l in lb if l not in a[3]]
+            if 2 ** len(out) > total_budget:
+                raise OracleBudgetError(
+                    f"contraction intermediate of {len(out)} open legs"
+                    f" exceeds budget")
+            loops, out = _self_loops(out)
+            self._steps.append((a[1], partner[1], (ax_a, ax_b), loops))
+            nodes.append(node(len(labels_of) + len(self._steps) - 1, out))
+
+        self._final = nodes[0][1] if nodes else None
+        final_labels = nodes[0][2] if nodes else []
+        in_labels = [_port_label(d, eid, ("b", "in", i))
+                     for i, eid in enumerate(d.inputs)]
+        out_labels = [_port_label(d, eid, ("b", "out", i))
+                      for i, eid in enumerate(d.outputs)]
+        wanted = [("var", v) for v in d.variables] + in_labels + out_labels
+        if sorted(map(str, wanted)) != sorted(map(str, final_labels)):
+            raise ValueError(f"contraction label mismatch: wanted {wanted},"
+                             f" got {final_labels}")
+        self._perm = [final_labels.index(l) for l in wanted]
+        nv, self._n_in, self._n_out = (len(d.variables), len(d.inputs),
+                                       len(d.outputs))
+        self._shape = (2,) * nv + (2**self._n_in, 2**self._n_out)
+
+    def evaluate(self, fault: PauliString | None = None) -> OutcomeTensor:
+        """The outcome-indexed tensor family of the diagram with the fault's
+        Paulis on their edges, as ``evaluate(apply_fault(d, fault))`` gives
+        it, by one replay of the compiled plan."""
+        tensors = list(self._leaves)
+        if fault:
+            faulted: dict = {}
+            for eid, letter in fault.entries.items():
+                if self.diagram.edges[eid].ideal:
+                    raise ValueError(f"fault touches ideal edge {eid}")
+                leaf, axis, kind = self._site[eid]
+                t = faulted.get(leaf, self._raw[leaf])
+                faulted[leaf] = _apply_on_leg(t, _FAULT_MATRIX[kind, letter],
+                                              axis)
+            for leaf, t in faulted.items():
+                tensors[leaf] = _trace(t, self._loops[leaf])
+        for a, b, axes, loops in self._steps:
+            t = np.tensordot(tensors[a], tensors[b], axes=axes)
+            tensors[a] = tensors[b] = None
+            tensors.append(_trace(t, loops))
+        if self._final is None:
+            final = np.array(1, dtype=complex)
+        else:
+            # a copy, so that no caller can write into a compiled leaf
+            final = tensors[self._final] if self._steps \
+                else tensors[self._final].copy()
+        t = np.transpose(final, self._perm).reshape(self._shape)
+        return OutcomeTensor(self.diagram.variables, self._n_in, self._n_out,
+                             t)
+
+
 def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
     """Contract the diagram into its outcome-indexed tensor family."""
-    total_budget = budget * (2 ** len(d.variables))
-    nodes: list[_Node] = []
-    var_occurrences: dict[str, int] = {v: 0 for v in d.variables}
-
-    for sid, s in sorted(d.spiders.items()):
-        legs: list = []
-        had_legs: list[int] = []
-        for eid, e in sorted(d.edges.items()):
-            a_is_spider = e.a[0] == "s"
-            for side, ep in enumerate(e.ends()):
-                if ep == ("s", sid):
-                    legs.append(("e", eid))
-                    # absorb the H of a hadamard edge exactly once, at the
-                    # a-side endpoint if that is a spider, else here
-                    if e.had and (side == 0 or not a_is_spider):
-                        had_legs.append(len(legs) - 1)
-        vlegs = sorted(s.phase.pivars)
-        deg = len(legs)
-        if 2 ** (deg + len(vlegs)) > total_budget:
-            raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
-        if vlegs:
-            sub = []
-            for bits in itertools.product((0, 1), repeat=len(vlegs)):
-                qt = (s.phase.qturns + 2 * sum(bits)) % 4
-                sub.append(_z_core(deg, qt))
-            t = np.stack(sub).reshape((2,) * len(vlegs) + (2,) * deg)
-            t = np.moveaxis(t, list(range(len(vlegs))), list(range(deg, deg + len(vlegs))))
-        else:
-            t = _z_core(deg, s.phase.qturns)
-        if s.colour == "X":
-            for ax in range(deg):
-                t = _apply_on_leg(t, H, ax)
-        for ax in had_legs:
-            t = _apply_on_leg(t, H, ax)
-        labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
-        for v in vlegs:
-            var_occurrences[v] += 1
-        nodes.append(_dedup_legs(t, labels))
-
-    # bare wires (both endpoints are ports)
-    for eid, e in sorted(d.edges.items()):
-        if all(ep[0] != "s" for ep in e.ends()):
-            t = H.copy() if e.had else np.eye(2, dtype=complex)
-            nodes.append(_Node(t, [("e", eid), ("e", eid, "b")]))
-
-    # copy tensor per variable ties its occurrences and exposes one open leg
-    for v in d.variables:
-        occ = var_occurrences[v]
-        t = _z_core(occ + 1, 0)
-        nodes.append(_Node(t, [("v", v, i) for i in range(occ)] + [("var", v)]))
-
-    # greedy contraction: smallest node first, with its cheapest partner
-    while len(nodes) > 1:
-        nodes.sort(key=lambda n: (len(n.labels), [str(l) for l in n.labels]))
-        a = nodes[0]
-        partner = None
-        best = None
-        for other in nodes[1:]:
-            shared = sum(1 for l in a.labels if l in other.labels)
-            if shared:
-                cost = len(a.labels) + len(other.labels) - 2 * shared
-                if best is None or cost < best:
-                    best, partner = cost, other
-        if partner is None:
-            partner = nodes[1]  # disconnected component: outer product
-        nodes.remove(a)
-        nodes.remove(partner)
-        merged = _contract_pair(a, partner, total_budget)
-        nodes.append(_dedup_legs(merged.tensor, merged.labels))
-
-    final = nodes[0] if nodes else _Node(np.array(1, dtype=complex), [])
-
-    in_labels = [_port_label(d, eid, ("b", "in", i)) for i, eid in enumerate(d.inputs)]
-    out_labels = [_port_label(d, eid, ("b", "out", i)) for i, eid in enumerate(d.outputs)]
-    wanted = [("var", v) for v in d.variables] + in_labels + out_labels
-    if sorted(map(str, wanted)) != sorted(map(str, final.labels)):
-        raise ValueError(f"contraction label mismatch: wanted {wanted}, got {final.labels}")
-    perm = [final.labels.index(l) for l in wanted]
-    t = np.transpose(final.tensor, perm)
-    nv, ni, no = len(d.variables), len(d.inputs), len(d.outputs)
-    t = t.reshape((2,) * nv + (2**ni, 2**no))
-    return OutcomeTensor(d.variables, ni, no, t)
+    return Contraction(d, budget).evaluate()
 
 
 class OutcomeMap:

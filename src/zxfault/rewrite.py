@@ -14,8 +14,9 @@ records the matched region, the created region and the outcome-variable
 bookkeeping.  ``verify_step`` checks the two regions for w-fault-equivalence
 under edge-flip noise with :func:`~zxfault.feq.check_w_fault_equivalence`,
 and ``check_boundary_pushout`` matches internal against boundary faults with
-two :class:`~zxfault.feq.FaultTable` objects.  ``run_proof_script`` replays a
-textual derivation and produces a deterministic JSON report.
+two :class:`~zxfault.feq.FaultTable` objects over one compiled contraction.
+``run_proof_script`` replays a textual derivation and produces a
+deterministic JSON report.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import (EquivalenceSpec, FaultTable, Side, Verdict, _branch_canons,
                   check_w_fault_equivalence)
 from .noise import AtomicFault, NoiseModel, edge_flip_atoms
-from .oracle import (DEFAULT_BUDGET, OutcomeMap, equal_up_to_scalar, evaluate,
-                     is_total)
+from .oracle import (DEFAULT_BUDGET, Contraction, OutcomeMap,
+                     equal_up_to_scalar, evaluate, is_total)
 from .pauli import LETTERS, PauliString
 from .webs import detecting_region_basis, is_detectable
 
@@ -893,10 +894,12 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     if not internal:
         return PushoutReport(True, [], 0)
 
+    contraction = Contraction(d, budget)
+
     def table(eids, label):
         m = NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
                         for eid in eids for l in LETTERS], label)
-        return FaultTable(d, m, max_weight, _offset_fingerprint, budget)
+        return FaultTable(contraction, m, max_weight, _offset_fingerprint)
 
     inner, outer = table(internal, "internal"), table(boundary, "boundary")
     regions = detecting_region_basis(d)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxfault import feq, samples
+from zxfault import feq, oracle, samples
 from zxfault.diagram import apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          Verdict, check_w_fault_equivalence, circuit_distance,
@@ -170,6 +171,26 @@ def test_key_oracle_disagreement_is_an_error(monkeypatch):
                                           samples.wire(had=True)))
 
 
+def test_cached_keys_are_32_byte_digests():
+    tables = feq.fault_tables(naive_vs_spec(3), 2)
+    for t in tables.values():
+        t.first(b"no such key", 2)  # keys every fault
+        assert len(t._keys) == len(t.faults)
+        assert {len(k) for k in t._keys.values()} == {32}
+        assert {len(k) for k in t._first} == {32}
+
+
+def test_replay_oracle_disagreement_is_an_error(monkeypatch):
+    # a replay that drops every fault's Pauli, on faults the oracle sees
+    monkeypatch.setattr(oracle, "_FAULT_MATRIX",
+                        {k: np.eye(2) for k in oracle._FAULT_MATRIX})
+    with pytest.raises(ClassKeyError):
+        check_w_fault_equivalence(naive_vs_spec(2))
+    d = samples.wire()
+    with pytest.raises(ClassKeyError):
+        circuit_distance(d, edge_flip_atoms(d), 2)
+
+
 # -- the engine against the pairwise reference -----------------------------------
 
 def pairwise_verdict(spec: EquivalenceSpec) -> Verdict:
@@ -289,3 +310,32 @@ def test_distance_agrees_with_equivalence_ladder():
         if check_w_fault_equivalence(s).equivalent:
             best = w
     assert best == circuit_distance(d, m, cap) == 3
+
+
+def reference_distance(d, m, cap):
+    """The loop ``circuit_distance`` replaced: the first undetectable fault
+    the dense oracle calls non-trivial."""
+    regions = detecting_region_basis(d)
+    base = evaluate(d)
+    for f, w in enumerate_faults(m, cap):
+        if f and not is_detectable(d, f, regions) and \
+                not is_trivial(d, f, base):
+            return w
+    return ABOVE_CAP
+
+
+DISTANCE_CASES = [
+    ("wire", lambda: samples.wire(), edge_flip_atoms, 2),
+    ("ideal-wire", lambda: idealised(samples.wire()), edge_flip_atoms, 3),
+    ("repetition-sandwich", samples.repetition_sandwich, x_only_model, 4),
+    ("two-zz", samples.two_zz_measurements, edge_flip_atoms, 2),
+    ("naive-cat4", lambda: samples.naive_cat(4), edge_flip_atoms, 2),
+]
+
+
+@pytest.mark.parametrize("name,make,model,cap", DISTANCE_CASES,
+                         ids=[c[0] for c in DISTANCE_CASES])
+def test_distance_matches_reference_loop(name, make, model, cap):
+    d = make()
+    m = model(d)
+    assert circuit_distance(d, m, cap) == reference_distance(d, m, cap)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zxfault import samples
-from zxfault.diagram import ZxDiagram, compose
-from zxfault.oracle import (OracleBudgetError, OutcomeMap, equal_up_to_scalar,
-                            evaluate, is_total)
+from zxfault.diagram import ZxDiagram, apply_fault, compose
+from zxfault.feq import _branch_canons
+from zxfault.oracle import (Contraction, OracleBudgetError, OutcomeMap,
+                            equal_up_to_scalar, evaluate, is_total)
+from zxfault.pauli import LETTERS, PauliString
 
 
 def up_to_scalar(a, b, tol=1e-9):
@@ -199,3 +202,91 @@ def test_evaluate_deterministic():
     d = samples.two_zz_measurements()
     t1, t2 = evaluate(d), evaluate(d)
     assert np.array_equal(t1.array, t2.array)
+
+
+# -- the compiled contraction against the dense path --------------------------
+
+
+def mixed_diagram() -> ZxDiagram:
+    """Hadamard edges with a port and with a spider at the a-end, X spiders,
+    and a plain and a Hadamard self-loop, all fault-prone; one ideal edge."""
+    d = ZxDiagram()
+    z = d.add_spider("Z", 1)
+    x = d.add_spider("X", 2)
+    y = d.add_spider("X", 1)
+    d.add_edge(("b", "in", 0), ("s", z), had=True)  # port at the a-end
+    d.add_edge(("s", z), ("s", x), had=True)        # spider at the a-end
+    d.add_edge(("s", x), ("s", y))
+    d.add_edge(("s", y), ("b", "out", 0), had=True)
+    d.add_edge(("s", x), ("b", "out", 1))
+    d.add_edge(("s", z), ("s", z))                  # self-loop
+    d.add_edge(("s", y), ("s", y), had=True)        # Hadamard self-loop
+    d.add_edge(("b", "in", 1), ("s", y), ideal=True)
+    return d
+
+
+REPLAY_DIAGRAMS = [
+    ("mixed", mixed_diagram),
+    ("hadamard-wire", lambda: samples.wire(had=True)),  # both ends ports
+    ("x-pi", lambda: samples.pauli_spider_on_wire("X", 2)),
+    ("two-zz", samples.two_zz_measurements),           # outcome variables
+    ("naive-cat4", lambda: samples.naive_cat(4)),
+]
+
+
+def assert_replay_is_dense(c: Contraction, f: PauliString):
+    replayed = c.evaluate(f)
+    dense = evaluate(apply_fault(c.diagram, f))
+    assert replayed.variables == dense.variables
+    assert replayed.array.shape == dense.array.shape
+    assert np.max(np.abs(replayed.array - dense.array), initial=0.0) <= 1e-12
+    assert _branch_canons(replayed) == _branch_canons(dense)
+
+
+def test_mixed_diagram_is_not_zero():
+    assert evaluate(mixed_diagram()).max_abs() > 1e-9
+
+
+@pytest.mark.parametrize("name,make", REPLAY_DIAGRAMS,
+                         ids=[n for n, _ in REPLAY_DIAGRAMS])
+def test_replay_matches_dense_on_every_single_edge_fault(name, make):
+    d = make()
+    c = Contraction(d)
+    for eid in d.non_ideal_edges():
+        for letter in LETTERS:
+            assert_replay_is_dense(c, PauliString({eid: letter}))
+    # the replays left the compiled leaves as they were
+    assert np.array_equal(c.evaluate().array, evaluate(d).array)
+
+
+@st.composite
+def diagram_and_fault(draw):
+    _, make = draw(st.sampled_from(REPLAY_DIAGRAMS))
+    d = make()
+    eids = draw(st.lists(st.sampled_from(d.non_ideal_edges()), unique=True,
+                         max_size=4))
+    letters = draw(st.lists(st.sampled_from(LETTERS), min_size=len(eids),
+                            max_size=len(eids)))
+    return d, PauliString(dict(zip(eids, letters)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagram_and_fault())
+def test_replay_matches_dense(df):
+    d, f = df
+    assert_replay_is_dense(Contraction(d), f)
+
+
+def test_replay_rejects_a_fault_on_an_ideal_edge():
+    d = mixed_diagram()
+    ideal = [eid for eid, e in d.edges.items() if e.ideal][0]
+    with pytest.raises(ValueError):
+        Contraction(d).evaluate(PauliString({ideal: "X"}))
+
+
+def test_budget_error_is_raised_at_compile_time():
+    d = samples.naive_cat(4)
+    with pytest.raises(OracleBudgetError):
+        Contraction(d, budget=2)
+    with pytest.raises(OracleBudgetError):
+        evaluate(d, budget=2)
