@@ -97,9 +97,6 @@ class Circuit:
             for op in moment:
                 yield t, op
 
-    def outcome_variables(self) -> list[str]:
-        return [op.var for _, op in self.operations() if op.is_measurement()]
-
     def intervals(self, q: int) -> list[tuple[int, int]]:
         """Existing wire-segment stretches for qubit q as (first, last) pairs,
         segments running t = first..last inclusive.  A qubit may live through

@@ -33,11 +33,6 @@ class Phase:
     def __add__(self, other: "Phase") -> "Phase":
         return Phase((self.qturns + other.qturns) % 4, self.pivars ^ other.pivars)
 
-    def eval_qturns(self, assignment: dict) -> int:
-        """Concrete quarter turns under a boolean assignment of the variables."""
-        k = sum(assignment[v] for v in self.pivars) % 2
-        return (self.qturns + 2 * k) % 4
-
     def is_pauli(self) -> bool:
         return self.qturns in (0, 2)
 
@@ -96,9 +91,6 @@ class ZxDiagram:
     def add_constraint(self, vars: Iterable[str], rhs: int) -> None:
         self.constraints.append((frozenset(vars), rhs % 2))
 
-    def set_phase(self, sid: int, qturns: int, pivars: Iterable[str] = ()) -> None:
-        self.spiders[sid] = Spider(self.spiders[sid].colour, Phase(qturns, frozenset(pivars)))
-
     def set_ideal(self, eid: int, ideal: bool = True) -> None:
         e = self.edges[eid]
         self.edges[eid] = Edge(e.a, e.b, e.had, ideal)
@@ -130,13 +122,6 @@ class ZxDiagram:
     @property
     def outputs(self) -> list[int]:
         return self._boundary("out")
-
-    @staticmethod
-    def _port_of(e: Edge, kind: str):
-        for ep in e.ends():
-            if ep[0] == "b" and ep[1] == kind:
-                return ep
-        return None
 
     def boundary_edges(self) -> set[int]:
         return {eid for eid, e in self.edges.items()

@@ -11,7 +11,9 @@ Every match, and the circuit distance, is a query on one engine,
 side's contraction, compiled once; each fault's tensor is one replay of it
 with the fault's Paulis on the leaves, reduced to a canonical class key,
 and a lazy scan in nondecreasing weight order records the first fault of
-each key.  Detectability uses the exact web criterion.
+each key.  One key builder, :func:`_class_key`, reads a tensor through one
+or more outcome relabellings; :meth:`FaultTable.undetectable` is the one
+place that decides detectability, by the exact web criterion.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
-from .oracle import (DEFAULT_BUDGET, Contraction, OutcomeMap, OutcomeTensor,
-                     equal_up_to_scalar, evaluate)
+from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
+                     OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
 from .webs import detecting_region_basis, is_detectable
 
@@ -95,20 +97,20 @@ def is_trivial(d: ZxDiagram, f: PauliString, base: OutcomeTensor | None = None,
     return equal_up_to_scalar(base, evaluate(apply_fault(d, f), budget))
 
 
-def _branch_canons(t: OutcomeTensor, tol: float = 1e-9) -> dict:
+def _branch_canons(t: OutcomeTensor) -> dict:
     """Per-assignment canonical branch bytes, normalised by the family's
     global max magnitude and each branch's leading phase; b"Z" marks a zero
     branch."""
     m = t.max_abs()
     out = {}
     for b in t.assignments():
-        if m < tol:
+        if m < TOL:
             out[b] = b"Z"
             continue
         sub = np.asarray(t.array[b]).ravel() / m
         mags = np.abs(sub)
         mx = mags.max() if sub.size else 0.0
-        if mx <= tol:
+        if mx <= TOL:
             out[b] = b"Z"
             continue
         idx = int(np.argmax(mags > 0.5 * mx))
@@ -186,28 +188,49 @@ class FaultTable:
         hit = self._first.get(key)
         return hit if hit is not None and hit[1] <= max_weight else None
 
+    def undetectable(self):
+        """Yield (fault, weight) in enumeration order for the empty fault and
+        every fault that no detecting region of the diagram detects.  The
+        region basis is solved once per scan."""
+        regions = detecting_region_basis(self.diagram)
+        for f, w in self.faults:
+            if not f or not is_detectable(self.diagram, f, regions):
+                yield f, w
+
 
 def _assignments(variables: list) -> list:
     return list(itertools.product((0, 1), repeat=len(variables)))
 
 
-def _class_key(b_assigns: list, preimage: dict):
-    """Key of a tensor read through a correspondence: per target assignment,
-    the nonzero source branches mapping onto it must agree, and a target
-    assignment that no nonzero branch reaches is zero."""
+def _read(canon: dict, sources: list) -> bytes:
+    """One target assignment's part of a key: the nonzero source branches
+    mapping onto it must agree; none at all reads as zero."""
+    cs = sorted({canon[a] for a in sources} - {b"Z"})
+    return cs[0] if len(cs) == 1 else b",".join(cs) or b"Z"
+
+
+def _class_key(b_assigns: list, readings: list):
+    """Key of a tensor read through each of the given preimage maps (target
+    assignment -> source assignments); the key is the least reading."""
     def key(t: OutcomeTensor) -> bytes:
         canon = _branch_canons(t)
-        parts = []
-        for y in b_assigns:
-            cs = sorted({canon[a] for a in preimage[y]} - {b"Z"})
-            parts.append(cs[0] if len(cs) == 1 else b",".join(cs) or b"Z")
-        return b"|".join(parts)
+        return min(b"|".join(_read(canon, preimage[y]) for y in b_assigns)
+                   for preimage in readings)
     return key
 
 
 def _identity_key(variables: list):
     assigns = _assignments(variables)
-    return _class_key(assigns, {y: [y] for y in assigns})
+    return _class_key(assigns, [{y: [y] for y in assigns}])
+
+
+def outcome_flip_key(variables: list):
+    """Identity key up to a constant flip of any subset of the outcome
+    variables: one reading per flip."""
+    assigns = _assignments(variables)
+    return _class_key(assigns, [
+        {y: [tuple(a ^ b for a, b in zip(y, c))] for y in assigns}
+        for c in assigns])
 
 
 def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
@@ -225,7 +248,7 @@ def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
     for a in _assignments(da.variables):
         preimage[corr(a)].append(a)
     return {"a": FaultTable(Contraction(da, spec.budget), spec.side_a.noise,
-                            max_weight, _class_key(b_assigns, preimage)),
+                            max_weight, _class_key(b_assigns, [preimage])),
             "b": FaultTable(Contraction(db, spec.budget), spec.side_b.noise,
                             max_weight, _identity_key(db.variables))}
 
@@ -251,6 +274,8 @@ def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
 
 
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
+    if spec.w < 1:
+        raise ValueError(f"w must be at least 1, got {spec.w}")
     tables = fault_tables(spec, spec.w - 1)
     # the keys must say what the oracle says about the noise-free diagrams
     t_a, t_b = tables["a"].noise_free(), tables["b"].noise_free()
@@ -259,20 +284,17 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
         raise ClassKeyError("class keys and the tensor oracle disagree on the"
                             " noise-free diagrams")
     del t_a, t_b  # no tensor is kept while the tables are scanned
-    regions = {s: detecting_region_basis(t.diagram) for s, t in tables.items()}
-    counterexamples, checked = [], 0
+    counterexamples = []
     for side in ("a", "b"):
-        table, other = tables[side], tables["b" if side == "a" else "a"]
-        for f, w in table.faults:
-            checked += 1
-            if f and is_detectable(table.diagram, f, regions[side]):
-                continue
+        other = tables["b" if side == "a" else "a"]
+        for f, w in tables[side].undetectable():
             g = find_equivalent_fault(spec, side, f, tables, spec.w - 1)
             if g is not None and other.weight[g] <= w:
                 continue
             reason = "match-heavier" if g is not None else "no-match-found"
             counterexamples.append(Counterexample(side, f, w, reason))
     counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
+    checked = sum(len(t.faults) for t in tables.values())
     return Verdict(not counterexamples, counterexamples, checked)
 
 
@@ -281,11 +303,10 @@ def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
     """Minimum weight of an undetectable fault that changes the diagram: its
     identity-correspondence class key differs from the empty fault's.
     ABOVE_CAP if none of weight <= cap exists."""
-    regions = detecting_region_basis(d)
     table = FaultTable(Contraction(d, budget), m, cap,
                        _identity_key(d.variables))
     empty = table.key(PauliString())
-    for f, w in table.faults:
-        if f and not is_detectable(d, f, regions) and table.key(f) != empty:
+    for f, w in table.undetectable():
+        if f and table.key(f) != empty:
             return w
     return ABOVE_CAP

@@ -12,6 +12,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import gf2
 from .circuit import Circuit, PREPS
 from .diagram import ZxDiagram
 from .pauli import LETTERS, PauliString
@@ -120,14 +123,38 @@ def circuit_level_atoms(c: Circuit) -> NoiseModel:
     return NoiseModel(atoms, "circuit-level")
 
 
+def _generates(atoms: list[PauliString], f: PauliString) -> bool:
+    """Whether f is a product of atoms: the phase-free group is the GF(2)
+    span of the atoms' symplectic (x, z) vectors."""
+    index: dict = {}
+    for p in atoms:
+        for loc in p.support:
+            index.setdefault(loc, len(index))
+    if not f.support <= index.keys():
+        return False
+
+    def vec(p: PauliString) -> np.ndarray:
+        v = np.zeros(2 * len(index), dtype=np.uint8)
+        for loc, letter in p.entries.items():
+            v[2 * index[loc]] = letter != "Z"
+            v[2 * index[loc] + 1] = letter != "X"
+        return v
+
+    return gf2.in_span(np.array([vec(p) for p in atoms]), vec(f))
+
+
 def fault_weight(f: PauliString, m: NoiseModel, cap: int):
     """Exact minimal generator count if <= cap, else ABOVE_CAP.
 
-    Breadth-first product search over the fault group with visited-set dedup.
+    A fault outside the generated group is rejected by one GF(2) membership
+    test; otherwise a breadth-first product search over the fault group with
+    visited-set dedup finds its weight.
     """
     if not f:
         return 0
     atoms = m.paulis()
+    if not _generates(atoms, f):
+        return ABOVE_CAP
     seen = {PauliString()}
     frontier = [PauliString()]
     for w in range(1, cap + 1):

@@ -24,6 +24,9 @@ from .pauli import PauliString
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 DEFAULT_BUDGET = 2**22
+# Absolute tolerance of every float comparison of tensor entries: zero tests,
+# scalar-equality checks and the class keys' zero branches.
+TOL = 1e-9
 
 
 class OracleBudgetError(Exception):
@@ -322,9 +325,6 @@ class OutcomeMap:
                      for t in self.target_vars
                      for vs, c in [self.rows[t]])
 
-    def image(self) -> set[tuple]:
-        return {self(a) for a in itertools.product((0, 1), repeat=len(self.source_vars))}
-
     @classmethod
     def parse(cls, source_vars: list[str], target_vars: list[str],
               exprs: dict[str, str]) -> "OutcomeMap":
@@ -375,18 +375,9 @@ class OutcomeMap:
             rows[s] = (vs, c)
         return OutcomeMap(self.target_vars, self.source_vars, rows)
 
-    def to_exprs(self) -> dict[str, str]:
-        out = {}
-        for t in self.target_vars:
-            vs, c = self.rows[t]
-            parts = sorted(vs) + (["1"] if c else [])
-            out[t] = "^".join(parts) if parts else "0"
-        return out
-
 
 def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
-                       correspondence: OutcomeMap | None = None,
-                       tol: float = 1e-9) -> bool:
+                       correspondence: OutcomeMap | None = None) -> bool:
     """True iff scalars c_b of one common magnitude satisfy
     t2[b] = c_b*t1[corr(b)] for every assignment b, and every t1 assignment
     outside the correspondence image is the zero tensor.
@@ -408,9 +399,9 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
             raise ValueError("correspondence registries do not match the tensors")
 
     m1, m2 = t1.max_abs(), t2.max_abs()
-    if m1 < tol and m2 < tol:
+    if m1 < TOL and m2 < TOL:
         return True  # two zero families
-    if m1 < tol or m2 < tol:
+    if m1 < TOL or m2 < TOL:
         return False
     a1 = t1.array / m1
     a2 = t2.array / m2
@@ -423,30 +414,30 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
     hit: set[tuple] = set()
     for b in t2.assignments():
         tb = a2[b]
-        if tb.size == 0 or np.max(np.abs(tb)) <= tol:
+        if tb.size == 0 or np.max(np.abs(tb)) <= TOL:
             continue
         target = correspondence(b)
         hit.add(target)
         ta = a1[target]
         idx = np.unravel_index(np.argmax(np.abs(tb)), tb.shape)
-        if abs(ta[idx]) <= tol:
+        if abs(ta[idx]) <= TOL:
             return False
         c = tb[idx] / ta[idx]
-        if not np.allclose(tb, c * ta, atol=tol, rtol=0):
+        if not np.allclose(tb, c * ta, atol=TOL, rtol=0):
             return False
         if mag is None:
             mag = abs(c)
-        elif abs(abs(c) - mag) > tol:
+        elif abs(abs(c) - mag) > TOL:
             return False
     if mag is None:
-        return False  # t2 entirely zero but t1 nonzero somewhere (m1 >= tol)
+        return False  # t2 entirely zero but t1 nonzero somewhere (m1 >= TOL)
     for a in t1.assignments():
-        if a not in hit and np.max(np.abs(a1[a])) > tol:
+        if a not in hit and np.max(np.abs(a1[a])) > TOL:
             return False
     return True
 
 
-def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> bool:
+def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> bool:
     """Tensor nonzero exactly on constraint-satisfying outcome assignments."""
     t = evaluate(d, budget)
     m = t.max_abs()
@@ -456,7 +447,7 @@ def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET, tol: float = 1e-9) -> b
     for b in t.assignments():
         vals = dict(zip(d.variables, b))
         sat = all(sum(vals[v] for v in vs) % 2 == rhs for vs, rhs in d.constraints)
-        nz = bool(np.max(np.abs(arr[b])) > tol)
+        nz = bool(np.max(np.abs(arr[b])) > TOL)
         if nz != sat:
             return False
     return True

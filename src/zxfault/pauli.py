@@ -76,10 +76,6 @@ class PauliString:
         """Support size (number of non-identity entries)."""
         return len(self._entries)
 
-    def restrict(self, locs) -> "PauliString":
-        locs = set(locs)
-        return PauliString({l: p for l, p in self._entries if l in locs})
-
     def __bool__(self) -> bool:
         return bool(self._entries)
 

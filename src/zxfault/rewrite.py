@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 
 from . import samples
 from .diagram import Edge, Phase, Spider, ZxDiagram
-from .feq import (EquivalenceSpec, FaultTable, Side, Verdict, _branch_canons,
-                  check_w_fault_equivalence)
+from .feq import (EquivalenceSpec, FaultTable, Side, Verdict,
+                  check_w_fault_equivalence, outcome_flip_key)
 from .noise import AtomicFault, NoiseModel, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, Contraction, OutcomeMap,
                      equal_up_to_scalar, evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import detecting_region_basis, is_detectable
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -859,22 +858,6 @@ def rule_certificate(rule: RewriteRule, w: int,
     return _CERT_CACHE[key]
 
 
-def _offset_fingerprint(t, tol: float = 1e-9) -> bytes:
-    """Canonical family fingerprint that additionally quotients by a constant
-    flip of any subset of outcome variables (a fault next to an outcome spider
-    relabels the outcome, which logical equivalence of faults on one diagram
-    absorbs)."""
-    branch = _branch_canons(t, tol)
-    assigns = list(t.assignments())
-    best = None
-    for c in assigns:
-        fp = b"|".join(branch[tuple(x ^ y for x, y in zip(b, c))]
-                       for b in assigns)
-        if best is None or fp < best:
-            best = fp
-    return best
-
-
 @dataclass
 class PushoutReport:
     ok: bool
@@ -895,24 +878,18 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
         return PushoutReport(True, [], 0)
 
     contraction = Contraction(d, budget)
+    key = outcome_flip_key(d.variables)
 
     def table(eids, label):
         m = NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
                         for eid in eids for l in LETTERS], label)
-        return FaultTable(contraction, m, max_weight, _offset_fingerprint)
+        return FaultTable(contraction, m, max_weight, key)
 
     inner, outer = table(internal, "internal"), table(boundary, "boundary")
-    regions = detecting_region_basis(d)
-    violations, checked = [], 0
-    for f, wt in inner.faults:
-        if not f:
-            continue
-        checked += 1
-        if is_detectable(d, f, regions):
-            continue
-        if outer.first(inner.key(f), wt) is None:
-            violations.append((f, wt))
-    return PushoutReport(not violations, violations, checked)
+    violations = [(f, wt) for f, wt in inner.undetectable()
+                  if f and outer.first(inner.key(f), wt) is None]
+    # every non-empty internal fault counts, detectable or not
+    return PushoutReport(not violations, violations, len(inner.faults) - 1)
 
 
 # -- graph isomorphism (ports fixed) --------------------------------------------
@@ -1148,6 +1125,11 @@ def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
     raise ScriptError(f"unknown reference kind {kind!r}")
 
 
+# Largest fault-count-times-tensor-entries product for which a script's claim
+# is checked end to end rather than carried by the chain of step guarantees.
+E2E_COST_CAP = 2 ** 26
+
+
 def _e2e_cost(d: ZxDiagram, w: int) -> int:
     atoms = 3 * len(d.non_ideal_edges())
     n_faults = sum(math.comb(atoms, k) for k in range(w))
@@ -1157,7 +1139,6 @@ def _e2e_cost(d: ZxDiagram, w: int) -> int:
 
 def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
                      budget: int = DEFAULT_BUDGET,
-                     e2e_cost_cap: int = 2 ** 26,
                      return_final: bool = False) -> dict:
     """Replay a derivation and report per-step and claim-level verdicts.
 
@@ -1223,7 +1204,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
     try:
         rows = {v: script.claim_corr.get(v, v) for v in src.variables}
         cost = _e2e_cost(src, script.claim_w) + _e2e_cost(d, script.claim_w)
-        if cost <= e2e_cost_cap:
+        if cost <= E2E_COST_CAP:
             verdict = verify_step(src, d, script.claim_w, rows, budget)
             claim["mode"] = "end-to-end"
             claim["verified"] = verdict.equivalent

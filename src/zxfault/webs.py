@@ -37,10 +37,6 @@ class PauliWeb:
     def edges(self) -> dict:
         return dict(self.highlight)
 
-    @property
-    def spider_indicator(self) -> dict:
-        return dict(self.indicators)
-
     def letter(self, eid) -> str:
         h = self.edges.get(eid)
         return {"green": "Z", "red": "X", "both": "Y", None: "I"}[h]

@@ -125,3 +125,12 @@ def test_oracle_budget_exceeded_is_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("w", ["0", "-1"])
+def test_check_feq_weight_below_one_is_exit_2(capsys, w):
+    code, out, err = run(capsys, "check-feq", "--a", "two-zz",
+                         "--b", "two-zz", "--w", w)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zxfault import feq, oracle, samples
 from zxfault.diagram import apply_fault, compose
@@ -11,6 +11,7 @@ from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            edge_flip_atoms, enumerate_faults)
 from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate
 from zxfault.pauli import PauliString
+from zxfault.rewrite import make_rule
 from zxfault.webs import detecting_region_basis, is_detectable
 
 
@@ -104,6 +105,13 @@ def test_counterexample_reason_match_heavier():
     v = check_w_fault_equivalence(naive_vs_spec(3))
     assert not v.equivalent
     assert any(c.reason == "match-heavier" for c in v.counterexamples)
+
+
+@pytest.mark.parametrize("w", [0, -1, -3])
+def test_weight_below_one_is_an_error(w):
+    d = samples.two_zz_measurements()
+    with pytest.raises(ValueError, match="w must be at least 1"):
+        check_w_fault_equivalence(spec_of(d, d, w=w))
 
 
 def test_symmetry():
@@ -268,8 +276,24 @@ cat_specs = st.booleans().map(
     lambda swap: naive_vs_spec(2).swapped() if swap else naive_vs_spec(2))
 
 
+def rule_spec(name, **params) -> EquivalenceSpec:
+    """A rule's rhs against its lhs under the rule's own correspondence."""
+    rule = make_rule(name, **params)
+    return spec_of(rule.rhs, rule.lhs,
+                   OutcomeMap.parse(rule.rhs.variables, rule.lhs.variables,
+                                    rule.corr_exprs))
+
+
+# mutated-fuse-4 is a negative; split-meas maps one outcome to an XOR of two
+rule_specs = st.sampled_from([("mutated-fuse-4", {}),
+                              ("split-meas", {"m": 2})]).map(
+    lambda t: rule_spec(t[0], **t[1]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(pool_specs, two_zz_specs, cat_specs))
+@given(st.one_of(pool_specs, two_zz_specs, cat_specs, rule_specs))
+@example(rule_spec("mutated-fuse-4"))
+@example(rule_spec("split-meas", m=2))
 def test_engine_verdict_matches_pairwise_reference(spec):
     assert check_w_fault_equivalence(spec).dumps() == \
         pairwise_verdict(spec).dumps()

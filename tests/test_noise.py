@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from zxfault import samples
 from zxfault.circuit import Circuit
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            circuit_level_atoms, edge_flip_atoms,
-                           enumerate_faults, fault_weight)
+                           enumerate_faults, fault_weight, x_flip_atoms)
 from zxfault.pauli import PauliString
 
 
@@ -162,6 +163,16 @@ def test_weight_above_cap_and_outside_group():
     assert fault_weight(f, m, 2) == ABOVE_CAP
     outside = PauliString({99: "X"})
     assert fault_weight(outside, m, 4) == ABOVE_CAP
+
+
+def test_fault_outside_the_group_is_rejected_without_a_search():
+    # a Z on a chain whose model generates only X flips: 2^17 group elements
+    d = samples.green_chain(16)
+    m = x_flip_atoms(d)
+    z = PauliString({sorted(d.non_ideal_edges())[0]: "Z"})
+    t0 = time.perf_counter()
+    assert fault_weight(z, m, len(m.atoms)) == ABOVE_CAP
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_weight_subadditive():

@@ -1,12 +1,17 @@
 import pytest
 
 from zxfault import samples
-from zxfault.diagram import ZxDiagram
+from zxfault.diagram import ZxDiagram, apply_fault
+from zxfault.feq import _branch_canons
+from zxfault.noise import AtomicFault, NoiseModel, enumerate_faults
 from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate
-from zxfault.rewrite import (IdealRegionError, ProofScript, RuleBindingError,
-                             ScriptError, ScriptStep, apply_rule,
-                             check_boundary_pushout, isomorphic, make_rule,
-                             rule_certificate, run_proof_script, verify_step)
+from zxfault.pauli import LETTERS, PauliString
+from zxfault.rewrite import (RULES, IdealRegionError, ProofScript,
+                             PushoutReport, RuleBindingError, ScriptError,
+                             ScriptStep, apply_rule, check_boundary_pushout,
+                             isomorphic, make_rule, rule_certificate,
+                             run_proof_script, verify_step)
+from zxfault.webs import detecting_region_basis, is_detectable
 
 # -- rule certificates -----------------------------------------------------------
 
@@ -183,6 +188,63 @@ def test_boundary_pushout_on_rule_sides(name, params):
     for side in (rule.lhs, rule.rhs):
         rep = check_boundary_pushout(side, 3)
         assert rep.ok, rep.violations[:3]
+
+
+def offset_fingerprint(t) -> bytes:
+    """The push-out's own key before feq's key builder took it over: the
+    least of the canonical branch bytes read through every constant flip of
+    the outcome variables."""
+    branch = _branch_canons(t)
+    assigns = list(t.assignments())
+    return min(b"|".join(branch[tuple(x ^ y for x, y in zip(b, c))]
+                         for b in assigns)
+               for c in assigns)
+
+
+def reference_pushout(d, max_weight) -> PushoutReport:
+    """The push-out loop ``check_boundary_pushout`` replaced, on dense
+    tensors: each undetectable internal fault needs a boundary fault of no
+    greater weight with the same offset fingerprint."""
+    internal = sorted(eid for eid, e in d.edges.items()
+                      if not e.ideal and e.a[0] == "s" and e.b[0] == "s")
+    boundary = [eid for eid in d.non_ideal_edges() if eid not in internal]
+    if not internal:
+        return PushoutReport(True, [], 0)
+
+    def faults(eids):
+        return enumerate_faults(NoiseModel(
+            [AtomicFault(PauliString({e: l}), "edge-flip")
+             for e in eids for l in LETTERS], "edge-flip"), max_weight)
+
+    def fingerprint(f):
+        return offset_fingerprint(evaluate(apply_fault(d, f)))
+
+    least: dict = {}
+    for g, w in faults(boundary):
+        least.setdefault(fingerprint(g), w)
+    regions = detecting_region_basis(d)
+    violations, checked = [], 0
+    for f, w in faults(internal):
+        if not f:
+            continue
+        checked += 1
+        if is_detectable(d, f, regions):
+            continue
+        if least.get(fingerprint(f), w + 1) > w:
+            violations.append((f, w))
+    return PushoutReport(not violations, violations, checked)
+
+
+PUSHOUT_RULES = [(name, {}) for name in RULES] + [
+    ("split-meas", {"m": 3}), ("split-meas", {"basis": "X"})]
+
+
+@pytest.mark.parametrize("name,params", PUSHOUT_RULES,
+                         ids=[f"{n}-{p}" for n, p in PUSHOUT_RULES])
+def test_boundary_pushout_matches_reference(name, params):
+    rule = make_rule(name, **params)
+    for side in (rule.lhs, rule.rhs):
+        assert check_boundary_pushout(side, 2) == reference_pushout(side, 2)
 
 
 # -- proof scripts ------------------------------------------------------------------
