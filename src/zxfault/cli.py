@@ -198,9 +198,12 @@ def _cmd_prove(args) -> int:
     base = args.base_dir or os.path.dirname(os.path.abspath(args.script))
     report = run_proof_script(text, base_dir=base, budget=args.budget)
     _emit_json(report, args.output)
-    ok = (report["failed_step"] is None and report["claim"]["verified"]
-          and report["target_semantics_match"] is not False)
-    return 0 if ok else 1
+    return 0 if _proof_ok(report) else 1
+
+
+def _proof_ok(report: dict) -> bool:
+    return (report["failed_step"] is None and report["claim"]["verified"]
+            and report["target_semantics_match"] is not False)
 
 
 def _cmd_repro(args) -> int:
@@ -222,10 +225,7 @@ def _cmd_repro(args) -> int:
             def replay(path=path, base=str(base)):
                 with open(os.path.join(base, path)) as fh:
                     rep = run_proof_script(fh.read(), base_dir=base)
-                ok = (rep["failed_step"] is None
-                      and rep["claim"]["verified"]
-                      and rep["target_semantics_match"] is not False)
-                return ok, f"mode={rep['claim']['mode']}"
+                return _proof_ok(rep), f"mode={rep['claim']['mode']}"
             run(f"prove {path}", replay)
 
     def counts():
@@ -262,13 +262,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fault equivalence, rewrite proofs.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, diagram_input=True):
+    def inputs(p, diagram_input=True):
         if diagram_input:
             p.add_argument("input",
                            help="diagram: a JSON file path or a "
                                 "sample:/builder:/file: reference "
                                 f"(aliases: {', '.join(sorted(ALIASES))})")
         p.add_argument("-o", "--output", help="write result to a file")
+
+    def common(p, diagram_input=True):
+        """inputs() plus the budget of the commands that contract."""
+        inputs(p, diagram_input)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="oracle contraction budget")
 
@@ -277,15 +281,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("webs", help="Pauli-web basis of a diagram")
-    common(p)
+    inputs(p)
     p.set_defaults(fn=_cmd_webs)
 
     p = sub.add_parser("regions", help="detecting-region basis of a diagram")
-    common(p)
+    inputs(p)
     p.set_defaults(fn=_cmd_regions)
 
     p = sub.add_parser("detect", help="is a fault detectable? (exit 1 if not)")
-    common(p)
+    inputs(p)
     p.add_argument("--fault", required=True,
                    help="Pauli fault, e.g. '3:X;7:Z' (edge ids)")
     p.set_defaults(fn=_cmd_detect)
@@ -295,8 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--noise", default="edge-flip", choices=("edge-flip", "x-flip"))
-    p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(p, diagram_input=False)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("check-feq",
@@ -307,19 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", action="append", metavar="VAR=EXPR",
                    help="outcome correspondence row, e.g. k=k1^k2")
     p.add_argument("--noise", default="edge-flip", choices=("edge-flip", "x-flip"))
-    p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(p, diagram_input=False)
     p.set_defaults(fn=_cmd_check_feq)
 
     p = sub.add_parser("translate", help="circuit text file -> ZX diagram")
     p.add_argument("circuit")
     p.add_argument("--strategy", default="template",
                    choices=("template", "gadget-complete"))
-    p.add_argument("-o", "--output")
+    inputs(p, diagram_input=False)
     p.set_defaults(fn=_cmd_translate)
 
     p = sub.add_parser("extract", help="ZX diagram -> circuit text")
-    common(p)
+    inputs(p)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("build", help="named gadget builders")
@@ -328,20 +330,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="builder parameter, e.g. n=8")
     p.add_argument("--side", default="summary",
                    choices=("summary", "impl", "spec"))
-    p.add_argument("-o", "--output")
+    inputs(p, diagram_input=False)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("prove", help="replay a proof script (exit 1 on failure)")
     p.add_argument("script")
     p.add_argument("--base-dir", help="directory for file: references "
                                       "(default: the script's directory)")
-    p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(p, diagram_input=False)
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("repro",
                        help="replay the shipped corpus and print a summary")
-    p.add_argument("-o", "--output")
+    inputs(p, diagram_input=False)
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical "
                         "output across runs)")

@@ -177,21 +177,27 @@ class _Matcher:
         edges is already committed to another template instance."""
         return all(eid not in self.internal for eid, _ in self.inc[sid])
 
+    def _tap(self, sid: int, eid: int, far) -> int | None:
+        """The spider at ``far`` if it can be a tap or Pauli box of ``sid``:
+        a free, claimable three-legged spider, reached through a hadamard
+        exactly when it is red."""
+        t = self._free_spider(far)
+        if (t is None or t == sid or len(self.inc[t]) != 3
+                or not self._claimable(t)
+                or self.d.edges[eid].had != (self.d.spiders[t].colour == "X")):
+            return None
+        return t
+
     def _try_mpp(self, sid: int, var: str):
         taps, letters_ideal = [], []
         for eid, far in self.inc[sid]:
             if eid in self.internal:
                 return None
-            tap = self._free_spider(far)
-            if (tap is None or tap == sid or len(self.inc[tap]) != 3
-                    or not self._claimable(tap)):
+            tap = self._tap(sid, eid, far)
+            if tap is None:
                 return None
-            e = self.d.edges[eid]
-            colour = self.d.spiders[tap].colour
-            if e.had != (colour == "X"):
-                return None
-            taps.append((tap, eid, "Z" if colour == "Z" else "X"))
-            letters_ideal.append(e.ideal)
+            taps.append((tap, eid, self.d.spiders[tap].colour))
+            letters_ideal.append(self.d.edges[eid].ideal)
         if len({t for t, _, _ in taps}) != len(taps) or len(set(letters_ideal)) != 1:
             return None
         flag = "ideal" if letters_ideal[0] else "ft"
@@ -213,11 +219,8 @@ class _Matcher:
                     return None
                 tip, labels[eid] = t, "gadget"
             else:
-                b = self._free_spider(far)
-                if (b is None or b == sid or len(self.inc[b]) != 3
-                        or not self._claimable(b)):
-                    return None
-                if e.had != (self.d.spiders[b].colour == "X"):
+                b = self._tap(sid, eid, far)
+                if b is None:
                     return None
                 boxes.append(b)
                 labels[eid] = "stem"
@@ -404,21 +407,14 @@ class _Builder:
 
     def _terminal(self, sid: int) -> str:
         """'start', 'end', 'pass' or a failure, per role and wire valence."""
-        role, valence = self.roles[sid], len(self.adj.get(("s", sid), ()))
-        kind = role[0]
-        need = {"gadget-hub": 0, "gadget-tip": 0, "mpp": 0, "measure": 1,
-                "fused-mz": 1, "prep": 1, "gate": 2, "cpauli": 2,
-                "tap": 2, "gadget-box": 2}
-        if kind in need:
-            if valence != need[kind]:
-                raise _Fail(f"{kind} spider has {valence} wire edges", {sid})
-            return {0: "none", 1: "end" if kind in ("measure", "fused-mz")
-                    else "start", 2: "pass"}[need[kind]]
-        if valence == 1:
-            return "start"  # plain one-legged spider: a preparation
-        if valence == 2:
-            return "pass"
-        raise _Fail(f"plain spider has {valence} wire edges", {sid})
+        kind = self.roles[sid][0]
+        valence = len(self.adj.get(("s", sid), ()))
+        if valence not in _WIRE_VALENCE[kind]:
+            label = "plain" if kind == "auto" else kind
+            raise _Fail(f"{label} spider has {valence} wire edges", {sid})
+        if valence == 1:  # measurements end a wire; preparations start one
+            return "end" if kind in ("measure", "fused-mz") else "start"
+        return "pass" if valence == 2 else "none"
 
     def _trace_paths(self) -> None:
         kinds = {sid: self._terminal(sid) for sid in self.roles}
@@ -498,20 +494,7 @@ class _Builder:
             start = self.paths[p][0][1]
             return (0, start[2]) if start[0] == "b" else (1, start[1])
 
-        indeg = {p: 0 for p in range(n)}
-        for p in after:
-            for q in after[p]:
-                indeg[q] += 1
-        heap = [(anchor(p), p) for p in range(n) if indeg[p] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            _, p = heapq.heappop(heap)
-            order.append(p)
-            for q in after[p]:
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    heapq.heappush(heap, (anchor(q), q))
+        order = _topological_order(after, anchor)
         if len(order) != n:
             raise _Fail("boundary port orders conflict")
         self.qubit = {p: i for i, p in enumerate(order)}
@@ -614,12 +597,10 @@ class _Builder:
                         raise _Fail(f"condition on unmeasured outcome {v!r}")
                     after[measured[v]].add(i)
 
-        indeg = {i: 0 for i in after}
-        for i in after:
-            for j in after[i]:
-                indeg[j] += 1
-        heap = [(ops[i]["anchor"], i) for i in after if indeg[i] == 0]
-        heapq.heapify(heap)
+        order = _topological_order(after, lambda i: ops[i]["anchor"])
+        if len(order) != len(ops):
+            raise _Fail("a classically-controlled operation precedes its "
+                        "outcome; the diagram reads as specification-only")
 
         links_of = {(p, idx): item
                     for p, items in enumerate(self.paths)
@@ -640,10 +621,7 @@ class _Builder:
                         (self.qubit[p], t) for t in range(s0 + j, hi + 1))
             done[p] = upto_links
 
-        placed = 0
-        while heap:
-            _, i = heapq.heappop(heap)
-            placed += 1
+        for i in order:
             op = ops[i]
             m = max([len(moments)]
                     + [last_m[p] + (links - done[p])
@@ -654,13 +632,6 @@ class _Builder:
             for p, links in op["slots"]:
                 mark(p, links, m)
                 last_m[p] = m
-            for j in after[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(heap, (ops[j]["anchor"], j))
-        if placed != len(ops):
-            raise _Fail("a classically-controlled operation precedes its "
-                        "outcome; the diagram reads as specification-only")
 
         total_links = {p: sum(1 for it in items if it[0] == "link")
                        for p, items in enumerate(self.paths)}
@@ -680,6 +651,27 @@ class _Builder:
         if errs:
             raise _Fail("extracted circuit invalid: " + "; ".join(errs))
         return c
+
+
+def _topological_order(after: dict, key) -> list:
+    """Kahn's order of the nodes of ``after`` (node -> set of successors),
+    taking the ready node of least ``(key(node), node)`` first.  A cycle
+    leaves its nodes out."""
+    indeg = {i: 0 for i in after}
+    for i in after:
+        for j in after[i]:
+            indeg[j] += 1
+    heap = [(key(i), i) for i in after if indeg[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        for j in after[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (key(j), j))
+    return order
 
 
 def extract_circuit(d: ZxDiagram,

@@ -1038,7 +1038,7 @@ class ProofScript:
                     if not eq:
                         raise ScriptError(f"line {ln}: bad token {tok!r}")
                     if key == "verify":
-                        st.verify_w = int(val)
+                        st.verify_w = _weight(ln, tok)
                     elif key.startswith("v:"):
                         st.vars[key[2:]] = val
                     elif key.startswith("n:"):
@@ -1054,7 +1054,7 @@ class ProofScript:
                     if not eq:
                         raise ScriptError(f"line {ln}: bad claim token {tok!r}")
                     if key == "w":
-                        claim_w = int(val)
+                        claim_w = _weight(ln, tok)
                     else:
                         claim_corr[key] = val
             else:
@@ -1088,6 +1088,14 @@ class ProofScript:
 
 def _is_int(s: str) -> bool:
     return s.lstrip("-").isdigit()
+
+
+def _weight(ln: int, tok: str) -> int:
+    """The weight of a ``verify=W`` or ``claim w=W`` token: an integer >= 1."""
+    val = tok.partition("=")[2]
+    if not (_is_int(val) and int(val) >= 1):
+        raise ScriptError(f"line {ln}: weight must be an integer >= 1 in {tok!r}")
+    return int(val)
 
 
 def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:

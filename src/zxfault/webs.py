@@ -15,6 +15,7 @@ edge.  The defining per-spider rules are encoded as one GF(2) linear system:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,11 @@ from . import gf2
 from .diagram import ZxDiagram
 from .pauli import PauliString
 
-HIGHLIGHT_LETTER = {(0, 0): "I", (1, 0): "Z", (0, 1): "X", (1, 1): "Y"}
+# Each highlight's (green, red) bits in the edge's a-side view, and the Pauli
+# it puts on the edge: green is Z, red is X and both is Y.
+_HIGHLIGHT = {None: ((0, 0), "I"), "green": ((1, 0), "Z"),
+              "red": ((0, 1), "X"), "both": ((1, 1), "Y")}
+_HIGHLIGHT_OF = {bits: h for h, (bits, _) in _HIGHLIGHT.items()}
 
 
 @dataclass(frozen=True)
@@ -37,15 +42,9 @@ class PauliWeb:
     def edges(self) -> dict:
         return dict(self.highlight)
 
-    def letter(self, eid) -> str:
-        h = self.edges.get(eid)
-        return {"green": "Z", "red": "X", "both": "Y", None: "I"}[h]
-
+    @cached_property
     def pauli(self) -> PauliString:
-        return PauliString({e: self.letter(e) for e, _ in self.highlight})
-
-    def is_empty(self) -> bool:
-        return not self.highlight
+        return PauliString({e: _HIGHLIGHT[h][1] for e, h in self.highlight})
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,18 @@ class DetectingRegion:
     expected_parity: int
 
 
-def _edge_var_index(edge_order: dict, eid: int, colour_bit: int) -> int:
-    return 2 * edge_order[eid] + colour_bit  # 0 = green, 1 = red
+def _leg_view(d: ZxDiagram, eid: int, ep: tuple, pair: tuple) -> tuple:
+    """(own, opp): which of the edge's (green, red) pair is the colour of the
+    spider at endpoint ``ep`` and which is the opposite colour.  The b end of
+    a hadamard edge sees the two colours swapped."""
+    e = d.edges[eid]
+    green, red = pair[::-1] if e.had and ep == e.b else pair
+    return (green, red) if d.spiders[ep[1]].colour == "Z" else (red, green)
 
 
 def _build_system(d: ZxDiagram) -> tuple[np.ndarray, dict, dict]:
-    """Rows of the homogeneous GF(2) system plus variable index maps."""
+    """Rows of the homogeneous GF(2) system plus variable index maps; edge
+    ``eid``'s (green, red) bits are variables 2i and 2i + 1, i its rank."""
     edge_order = {eid: i for i, eid in enumerate(sorted(d.edges))}
     spider_order = {sid: i for i, sid in enumerate(sorted(d.spiders))}
     n_vars = 2 * len(edge_order) + len(spider_order)
@@ -68,21 +73,11 @@ def _build_system(d: ZxDiagram) -> tuple[np.ndarray, dict, dict]:
     inc = d.incidence()
     for sid in sorted(d.spiders):
         s = d.spiders[sid]
-        own_is_green = s.colour == "Z"
         o_idx = 2 * len(edge_order) + spider_order[sid]
-
-        def view_bits(eid: int, ep: tuple) -> tuple[int, int]:
-            """(own_var, opp_var) column indices for this leg's view."""
-            e = d.edges[eid]
-            swapped = e.had and ep == e.b  # b-side view swaps on hadamard edges
-            green_var = _edge_var_index(edge_order, eid, 0)
-            red_var = _edge_var_index(edge_order, eid, 1)
-            g, r = (red_var, green_var) if swapped else (green_var, red_var)
-            return (g, r) if own_is_green else (r, g)
-
         own_row = np.zeros(n_vars, dtype=np.uint8)
         for eid, ep in inc[sid]:
-            own_var, opp_var = view_bits(eid, ep)
+            i = 2 * edge_order[eid]
+            own_var, opp_var = _leg_view(d, eid, ep, (i, i + 1))
             own_row[own_var] ^= 1
             leg_row = np.zeros(n_vars, dtype=np.uint8)
             leg_row[opp_var] ^= 1
@@ -101,9 +96,9 @@ def _build_system(d: ZxDiagram) -> tuple[np.ndarray, dict, dict]:
 def _vector_to_web(d: ZxDiagram, v: np.ndarray, edge_order: dict, spider_order: dict) -> PauliWeb:
     hl = []
     for eid, i in edge_order.items():
-        g, r = int(v[2 * i]), int(v[2 * i + 1])
-        if (g, r) != (0, 0):
-            hl.append((eid, {(1, 0): "green", (0, 1): "red", (1, 1): "both"}[(g, r)]))
+        h = _HIGHLIGHT_OF[int(v[2 * i]), int(v[2 * i + 1])]
+        if h is not None:
+            hl.append((eid, h))
     ind = [(sid, int(v[2 * len(edge_order) + j])) for sid, j in spider_order.items()]
     return PauliWeb(tuple(sorted(hl)), tuple(sorted(ind)))
 
@@ -167,8 +162,9 @@ def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
     m counts both-colour plain edges; the detecting set collects the outcome
     variables whose flip toggles the sign.
     """
+    hl = w.edges
     for eid in d.boundary_edges():
-        if eid in w.edges:
+        if eid in hl:
             raise ValueError("web touches boundary; not a detecting region")
     inc = d.incidence()
     n_const = 0
@@ -178,18 +174,10 @@ def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
         if not legs:
             continue
         # fired iff all legs are opposite-colour highlighted
-        own_is_green = s.colour == "Z"
-        def opp_bit(eid: int, ep: tuple) -> bool:
-            e = d.edges[eid]
-            h = w.edges.get(eid)
-            g = h in ("green", "both")
-            r = h in ("red", "both")
-            if e.had and ep == e.b:
-                g, r = r, g
-            return r if own_is_green else g
-        if not all(opp_bit(eid, ep) for eid, ep in legs):
+        if not all(_leg_view(d, eid, ep, _HIGHLIGHT[hl.get(eid)][0])[1]
+                   for eid, ep in legs):
             continue
-        y = sum(1 for eid, _ in legs if w.edges.get(eid) == "both")
+        y = sum(1 for eid, _ in legs if hl.get(eid) == "both")
         if local_sign(s.colour, s.phase.qturns, y) == -1:
             n_const += 1
         det ^= set(s.phase.pivars)
@@ -205,7 +193,7 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
     for eid in sorted(d.boundary_edges()):
         for bit in (0, 1):
             row = np.zeros(n_vars, dtype=np.uint8)
-            row[_edge_var_index(edge_order, eid, bit)] = 1
+            row[2 * edge_order[eid] + bit] = 1
             extra.append(row)
     if extra:
         a = np.concatenate([a, np.array(extra, dtype=np.uint8)], axis=0)
@@ -213,7 +201,7 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
     regions = []
     for v in ns:
         w = _vector_to_web(d, v, edge_order, spider_order)
-        if w.is_empty():
+        if not w.highlight:
             continue
         parity, det = region_sign(d, w)
         regions.append(DetectingRegion(w, det, parity))
@@ -221,12 +209,7 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
 
 
 def anticommutes(w: PauliWeb, f: PauliString) -> bool:
-    count = 0
-    for eid, letter in f.entries.items():
-        wl = w.letter(eid)
-        if wl != "I" and wl != letter:
-            count += 1
-    return count % 2 == 1
+    return not w.pauli.commutes(f)
 
 
 def is_detectable(d: ZxDiagram, f: PauliString,

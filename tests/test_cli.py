@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
 from zxfault.cli import main
 
 
@@ -134,3 +135,14 @@ def test_check_feq_weight_below_one_is_exit_2(capsys, w):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("label,body,line", BAD_WEIGHT_SCRIPTS,
+                         ids=[b[0] for b in BAD_WEIGHT_SCRIPTS])
+def test_prove_weight_below_one_is_exit_2(capsys, tmp_path, label, body, line):
+    script = tmp_path / "bad.fzx"
+    script.write_text(bad_weight_script(body))
+    code, out, err = run(capsys, "prove", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1

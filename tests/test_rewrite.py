@@ -254,6 +254,24 @@ def test_script_parse_error_has_line_number():
         ProofScript.parse("script x\nsource sample:wire\nnonsense here\n")
 
 
+BAD_WEIGHT_SCRIPTS = [
+    ("claim w=0", "step fuse-n n=2 s1=0 verify=2\nclaim w=0\n", 4),
+    ("verify=0", "step fuse-n n=2 s1=0 verify=0\nclaim w=2\n", 3),
+    ("verify=x", "step fuse-n n=2 s1=0 verify=x\nclaim w=2\n", 3),
+]
+
+
+def bad_weight_script(body: str) -> str:
+    return "name demo\nsource sample:cat_spec:4\n" + body
+
+
+@pytest.mark.parametrize("label,body,line", BAD_WEIGHT_SCRIPTS,
+                         ids=[b[0] for b in BAD_WEIGHT_SCRIPTS])
+def test_script_weight_below_one_is_a_parse_error(label, body, line):
+    with pytest.raises(ScriptError, match=f"^line {line}: weight must be"):
+        ProofScript.parse(bad_weight_script(body))
+
+
 def test_script_round_trips_through_text():
     ps = ProofScript("demo", "sample:cat_spec:4", [
         ScriptStep("fuse-n", {"n": 2}, {"s1": 0}, {}, {}, 3),

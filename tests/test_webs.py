@@ -204,3 +204,34 @@ def test_detectability_linear_in_region():
                 if anticommutes(web, f):
                     hit = True
             assert via_basis == hit
+
+
+DETECT_CORPUS = samples.web_corpus() + [
+    ("two-zz", samples.two_zz_measurements()),
+    ("naive-cat4", samples.naive_cat(4)),
+    ("rep3-sandwich", samples.repetition_sandwich()),
+]
+
+
+@pytest.mark.parametrize("name,d", DETECT_CORPUS, ids=[n for n, _ in DETECT_CORPUS])
+def test_detection_matches_oracle_parity(name, d):
+    """Under a single-edge fault f, every nonzero branch of the faulted
+    diagram has detecting-set parity expected_parity ^ anticommutes(web, f)."""
+    from zxfault.webs import anticommutes
+    regions = detecting_region_basis(d)
+    checked = 0
+    for eid in d.non_ideal_edges():
+        for letter in "XYZ":
+            f = PauliString({eid: letter})
+            t = evaluate(apply_fault(d, f))
+            tol = 1e-9 * max(t.max_abs(), 1.0)
+            for b in t.assignments():
+                if np.max(np.abs(t[b])) <= tol:
+                    continue
+                am = dict(zip(t.variables, b))
+                for r in regions:
+                    parity = sum(am[v] for v in r.detecting_set) % 2
+                    assert parity == r.expected_parity ^ anticommutes(r.web, f), \
+                        (name, f.to_text(), b)
+                    checked += 1
+    assert checked or not regions
