@@ -290,7 +290,7 @@ class _Matcher:
 
     def run(self) -> Circuit:
         try:
-            return self._step(0)
+            return self._search()
         except _Fail as f:
             raise ExtractionError(
                 f"no template cover: {f.reason}", f.spiders) from None
@@ -321,16 +321,41 @@ class _Matcher:
                              {t})
         return None
 
-    def _step(self, i: int) -> Circuit:
-        if i == len(self.order):
-            try:
-                return _Builder(self.d, self._roles(), self.internal).build()
-            except _Fail as f:
-                self._note(len(self.order), f)
-                raise
+    def _search(self) -> Circuit:
+        """Depth-first cover search over ``order``: one choice generator per
+        deciding spider on a list, as a diagram may have more spiders than
+        the recursion limit.  A failed level hands its _Fail to the level
+        below, which undoes its choice and tries its next."""
+        stack: list[tuple] = []  # (order index, choice generator)
+        i = 0
+        while True:
+            while i < len(self.order) and self.order[i] in self.claims:
+                i += 1
+            if i == len(self.order):
+                try:
+                    return _Builder(self.d, self._roles(), self.internal).build()
+                except _Fail as f:
+                    self._note(i, f)
+                    fail = f
+            else:
+                stack.append((i, self._choices(i)))
+            while True:
+                if not stack:
+                    raise fail
+                i, level = stack[-1]
+                try:
+                    next(level)
+                    break
+                except _Fail as f:
+                    stack.pop()
+                    fail = f
+            i += 1
+
+    def _choices(self, i: int):
+        """Commit the candidate roles of spider ``order[i]`` one at a time,
+        yielding while one stands and undoing it when resumed; raise the
+        level's failure once none is left."""
         sid = self.order[i]
-        if sid in self.claims:
-            return self._step(i + 1)
         cands = self._candidates(sid)
         if not cands:
             fail = _Fail("no template matches spider", {sid})
@@ -353,10 +378,7 @@ class _Matcher:
             self.done.update(fresh)
             fail = self._local_fail({sid, *claims})
             if fail is None:
-                try:
-                    return self._step(i + 1)
-                except _Fail:
-                    pass
+                yield
             else:
                 self._note(i, fail)
             del self.decided[sid]

@@ -303,6 +303,8 @@ def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
     """Minimum weight of an undetectable fault that changes the diagram: its
     identity-correspondence class key differs from the empty fault's.
     ABOVE_CAP if none of weight <= cap exists."""
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     table = FaultTable(Contraction(d, budget), m, cap,
                        _identity_key(d.variables))
     empty = table.key(PauliString())

@@ -1,4 +1,5 @@
-"""Small dense GF(2) linear algebra on numpy uint8 arrays."""
+"""Small dense GF(2) linear algebra on numpy uint8 arrays, and span
+membership on integer bit rows."""
 
 from __future__ import annotations
 
@@ -63,9 +64,12 @@ def rank(a: np.ndarray) -> int:
     return len(pivots)
 
 
-def in_span(basis: np.ndarray, v: np.ndarray) -> bool:
-    """Whether v lies in the row span of ``basis``."""
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.uint8))
-    if basis.shape[0] == 0:
-        return not np.any(np.asarray(v, dtype=np.uint8) % 2)
-    return solve(basis.T, v) is not None
+def in_span(rows, v: int) -> bool:
+    """Whether the bit row ``v`` is a GF(2) sum of the integer bit ``rows``."""
+    pivots: dict[int, int] = {}  # leading bit -> the basis row that leads there
+    for r in [*rows, v]:
+        while r and (p := pivots.get(r.bit_length() - 1)):
+            r ^= p
+        if r:
+            pivots[r.bit_length() - 1] = r
+    return not r

@@ -12,10 +12,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2
-from .circuit import Circuit, PREPS
+from .circuit import Circuit
 from .diagram import ZxDiagram
 from .pauli import LETTERS, PauliString
 
@@ -82,35 +80,34 @@ def _output_subsets(locs) -> list[PauliString]:
     return out
 
 
+def operation_atoms(t: int, op) -> list[AtomicFault]:
+    """The atomic faults of one operation at moment ``t``; none if ideal.
+
+    A gate or preparation may leave any Pauli on its output segments.  A
+    measurement flips the segment before it (and after it, unless it is
+    destructive), alone and with each output fault: one letter on one output
+    segment if fault-tolerant, any output Pauli otherwise."""
+    if op.ideal:
+        return []
+    outputs = [] if op.is_destructive() else [(q, t + 1) for q in op.qubits]
+    if not op.is_measurement():
+        return [AtomicFault(p, "gate-fault") for p in _output_subsets(outputs)]
+    q0 = op.qubits[0]
+    flip_locs = [(q0, t)] if op.is_destructive() else [(q0, t), (q0, t + 1)]
+    flip = PauliString({loc: _flip_letter(op) for loc in flip_locs})
+    if op.ft:
+        after = [PauliString({loc: l}) for loc in outputs for l in LETTERS]
+    else:
+        after = _output_subsets(outputs)
+    return ([AtomicFault(flip, "measurement-flip")]
+            + [AtomicFault(flip * p, "measurement-flip+outputs") for p in after])
+
+
 def circuit_level_atoms(c: Circuit) -> NoiseModel:
-    atoms: list[AtomicFault] = []
     # gate and measurement atoms first: a single-qubit gate fault on an output
     # segment is the same group element as the qubit flip there, and dedup
     # keeps the first occurrence's provenance
-    for t, op in c.operations():
-        if op.ideal:
-            continue
-        if op.is_measurement():
-            q0 = op.qubits[0]
-            flip_letter = _flip_letter(op)
-            flip_locs = [(q0, t)] if op.is_destructive() else [(q0, t), (q0, t + 1)]
-            flip = PauliString({loc: flip_letter for loc in flip_locs})
-            atoms.append(AtomicFault(flip, "measurement-flip"))
-            outputs = [] if op.is_destructive() else [(q, t + 1) for q in op.qubits]
-            if op.ft:
-                for q, tt in outputs:
-                    for letter in LETTERS:
-                        atoms.append(AtomicFault(
-                            flip * PauliString({(q, tt): letter}),
-                            "measurement-flip+outputs"))
-            else:
-                for p in _output_subsets(outputs):
-                    atoms.append(AtomicFault(flip * p, "measurement-flip+outputs"))
-        elif op.kind in PREPS or op.kind in ("H", "S", "X", "Y", "Z", "CNOT",
-                                             "CZ", "CPAULI"):
-            outputs = [(q, t + 1) for q in op.qubits]
-            for p in _output_subsets(outputs):
-                atoms.append(AtomicFault(p, "gate-fault"))
+    atoms = [a for t, op in c.operations() for a in operation_atoms(t, op)]
     # qubit flips on every remaining live, non-ideal wire segment
     for q in range(c.qubits):
         for first, last in c.intervals(q):
@@ -125,50 +122,24 @@ def circuit_level_atoms(c: Circuit) -> NoiseModel:
 
 def _generates(atoms: list[PauliString], f: PauliString) -> bool:
     """Whether f is a product of atoms: the phase-free group is the GF(2)
-    span of the atoms' symplectic (x, z) vectors."""
-    index: dict = {}
-    for p in atoms:
-        for loc in p.support:
-            index.setdefault(loc, len(index))
-    if not f.support <= index.keys():
-        return False
-
-    def vec(p: PauliString) -> np.ndarray:
-        v = np.zeros(2 * len(index), dtype=np.uint8)
-        for loc, letter in p.entries.items():
-            v[2 * index[loc]] = letter != "Z"
-            v[2 * index[loc] + 1] = letter != "X"
-        return v
-
-    return gf2.in_span(np.array([vec(p) for p in atoms]), vec(f))
+    span of the atoms' symplectic (x, z) bits, read as one row each with the
+    x bits above every z bit."""
+    bits = [p.xz for p in (f, *atoms)]
+    shift = max(z.bit_length() for _, z in bits)
+    rows = [x << shift | z for x, z in bits]
+    return gf2.in_span(rows[1:], rows[0])
 
 
 def fault_weight(f: PauliString, m: NoiseModel, cap: int):
     """Exact minimal generator count if <= cap, else ABOVE_CAP.
 
     A fault outside the generated group is rejected by one GF(2) membership
-    test; otherwise a breadth-first product search over the fault group with
-    visited-set dedup finds its weight.
-    """
-    if not f:
-        return 0
-    atoms = m.paulis()
-    if not _generates(atoms, f):
+    test; otherwise its weight is read off the group's enumeration."""
+    if not _generates(m.paulis(), f):
         return ABOVE_CAP
-    seen = {PauliString()}
-    frontier = [PauliString()]
-    for w in range(1, cap + 1):
-        nxt = []
-        for g in frontier:
-            for a in atoms:
-                h = g * a
-                if h in seen:
-                    continue
-                if h == f:
-                    return w
-                seen.add(h)
-                nxt.append(h)
-        frontier = nxt
+    for g, w in enumerate_faults(m, cap):
+        if g == f:
+            return w
     return ABOVE_CAP
 
 

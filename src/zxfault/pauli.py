@@ -1,8 +1,10 @@
 """Phase-free Pauli group over named locations.
 
-Elements are maps ``location -> letter`` with letters in ``{X, Y, Z}``;
-identity letters are never stored.  The group multiplication discards phases,
-so every element is self-inverse and the group is commutative.
+An element is a pair of integer bitmasks ``(x, z)`` over one append-only,
+process-wide table of locations: X is (1, 0), Z is (0, 1) and Y is (1, 1)
+at a location's bit (the symplectic form of Aaronson and Gottesman,
+quant-ph/0406196).  The group multiplication discards phases, so it is an
+XOR of the masks, every element is self-inverse and the group is commutative.
 """
 
 from __future__ import annotations
@@ -11,89 +13,90 @@ from typing import Iterable, Mapping
 
 LETTERS = ("X", "Y", "Z")
 
-# Product table of the quotient group: XZ = Y etc., phases discarded.
-_MUL = {
-    ("X", "Y"): "Z",
-    ("Y", "X"): "Z",
-    ("X", "Z"): "Y",
-    ("Z", "X"): "Y",
-    ("Y", "Z"): "X",
-    ("Z", "Y"): "X",
-}
+_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LOCS: list = []          # bit index -> location
+_INDEX: dict = {}         # location -> bit index
+
+
+def _bit(loc) -> int:
+    i = _INDEX.get(loc)
+    if i is None:
+        i = _INDEX[loc] = len(_LOCS)
+        _LOCS.append(loc)
+    return 1 << i
 
 
 class PauliString:
     """Immutable phase-free Pauli string over hashable location ids."""
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_x", "_z")
 
     def __init__(self, entries: Mapping[object, str] | Iterable[tuple[object, str]] = ()):
-        items = dict(entries)
-        for loc, letter in items.items():
+        x = z = 0
+        for loc, letter in dict(entries).items():
             if letter not in LETTERS:
                 raise ValueError(f"invalid Pauli letter {letter!r} at {loc!r}")
-        self._entries = frozenset(items.items())
-        self._hash = hash(self._entries)
+            b = _bit(loc)
+            if letter != "Z":
+                x |= b
+            if letter != "X":
+                z |= b
+        self._x, self._z = x, z
+
+    @property
+    def xz(self) -> tuple[int, int]:
+        """The (x, z) bitmasks over the process-wide location table."""
+        return self._x, self._z
 
     @property
     def entries(self) -> dict:
-        return dict(self._entries)
+        x, z, out = self._x, self._z, {}
+        m = x | z
+        while m:
+            i = (m & -m).bit_length() - 1
+            out[_LOCS[i]] = _LETTER[(x >> i & 1, z >> i & 1)]
+            m &= m - 1
+        return out
 
     @property
     def support(self) -> frozenset:
-        return frozenset(loc for loc, _ in self._entries)
+        return frozenset(self.entries)
 
     def letter(self, loc) -> str:
-        for l, p in self._entries:
-            if l == loc:
-                return p
-        return "I"
+        i = _INDEX.get(loc)
+        return "I" if i is None else _LETTER[(self._x >> i & 1, self._z >> i & 1)]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        a, b = self.entries, other.entries
-        out = {}
-        for loc in set(a) | set(b):
-            la, lb = a.get(loc), b.get(loc)
-            if la is None:
-                out[loc] = lb
-            elif lb is None:
-                out[loc] = la
-            elif la != lb:
-                out[loc] = _MUL[(la, lb)]
-            # equal letters cancel
-        return PauliString(out)
+        p = object.__new__(PauliString)
+        p._x, p._z = self._x ^ other._x, self._z ^ other._z
+        return p
 
     def commutes(self, other: "PauliString") -> bool:
-        a, b = self.entries, other.entries
-        anti = 0
-        for loc, la in a.items():
-            lb = b.get(loc)
-            if lb is not None and lb != la:
-                anti += 1
-        return anti % 2 == 0
+        return not ((self._x & other._z) ^ (self._z & other._x)).bit_count() & 1
 
     def weight(self) -> int:
         """Support size (number of non-identity entries)."""
-        return len(self._entries)
+        return (self._x | self._z).bit_count()
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._x | self._z)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PauliString) and self._entries == other._entries
+        return (isinstance(other, PauliString)
+                and self._x == other._x and self._z == other._z)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._x, self._z))
 
     def __repr__(self) -> str:
         return f"PauliString({self.to_text()!r})"
 
     def sort_key(self):
-        return tuple(sorted((str(l), p) for l, p in self._entries))
+        return tuple(sorted((str(l), p) for l, p in self.entries.items()))
 
     def to_text(self) -> str:
         """Textual form: semicolon-separated ``location:letter`` pairs."""
-        return ";".join(f"{l}:{p}" for l, p in sorted(self._entries, key=lambda e: str(e[0])))
+        return ";".join(f"{l}:{p}" for l, p in self.sort_key())
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .circuit import Circuit, Operation
 from .diagram import Edge, ZxDiagram
-from .noise import (NoiseModel, _flip_letter, _output_subsets,
-                    circuit_level_atoms, edge_flip_atoms)
+from .noise import (NoiseModel, circuit_level_atoms, edge_flip_atoms,
+                    operation_atoms)
 from .pauli import PauliString
 
 
@@ -275,8 +275,7 @@ class _Translator:
                 self.gadget_requests.append(
                     PauliString({(qc, t + 1): lc, (qt, t + 1): lt}))
         else:
-            for p in _output_subsets([(q, t + 1) for q in op.qubits]):
-                self.gadget_requests.append(p)
+            self.gadget_requests.extend(a.pauli for a in operation_atoms(t, op))
 
     def _mpp(self, t: int, op: Operation) -> None:
         var = self._declare(op.var)
@@ -289,12 +288,7 @@ class _Translator:
         if self.gc or op.ideal or op.ft:
             return
         # plain multi-qubit measurement: gadget every one of its atoms
-        q0 = op.qubits[0]
-        flip = PauliString({(q0, t): _flip_letter(op),
-                            (q0, t + 1): _flip_letter(op)})
-        self.gadget_requests.append(flip)
-        for p in _output_subsets([(q, t + 1) for q in op.qubits]):
-            self.gadget_requests.append(flip * p)
+        self.gadget_requests.extend(a.pauli for a in operation_atoms(t, op))
 
     # -- gadget resolution -----------------------------------------------------
 

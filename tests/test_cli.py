@@ -137,6 +137,15 @@ def test_check_feq_weight_below_one_is_exit_2(capsys, w):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cap", ["-1", "-3"])
+def test_distance_cap_below_zero_is_exit_2(capsys, cap):
+    code, out, err = run(capsys, "distance", "--in", "rep3-sandwich",
+                         "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("label,body,line", BAD_WEIGHT_SCRIPTS,
                          ids=[b[0] for b in BAD_WEIGHT_SCRIPTS])
 def test_prove_weight_below_one_is_exit_2(capsys, tmp_path, label, body, line):

@@ -60,6 +60,14 @@ def test_mixed_letter_parity_measurement_round_trip():
     assert_round_trip(c)
 
 
+def test_deep_cover_search_keeps_its_own_stack():
+    # 1492 spiders: one search level per spider, deeper than Python's stack
+    c = build_gadget("shor-optimised").implementation
+    d, _ = to_zx(c, "gadget-complete")
+    assert len(d.spiders) > 1000
+    assert extract_circuit(d).count("CNOT") == c.count("CNOT") == 8
+
+
 def test_lone_green_spider_is_plus_preparation():
     d = ZxDiagram()
     s = d.add_spider("Z")

@@ -316,6 +316,18 @@ def test_distance_fully_ideal():
     assert circuit_distance(d, edge_flip_atoms(d), 3) == ABOVE_CAP
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_distance_cap_below_zero_is_an_error(cap):
+    d = samples.repetition_sandwich()
+    with pytest.raises(ValueError, match="cap must be at least 0"):
+        circuit_distance(d, x_only_model(d), cap)
+
+
+def test_distance_cap_zero_is_above_cap():
+    d = samples.wire()
+    assert circuit_distance(d, edge_flip_atoms(d), 0) == ABOVE_CAP
+
+
 def test_distance_repetition_sandwich():
     d = samples.repetition_sandwich()
     assert circuit_distance(d, x_only_model(d), 4) == 3

@@ -43,7 +43,19 @@ def test_solve_inconsistent():
 
 
 def test_in_span():
-    basis = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
-    assert gf2.in_span(basis, np.array([1, 0, 1], dtype=np.uint8))
-    assert not gf2.in_span(basis, np.array([1, 0, 0], dtype=np.uint8))
-    assert gf2.in_span(np.zeros((0, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+    basis = [0b110, 0b011]
+    assert gf2.in_span(basis, 0b101)
+    assert not gf2.in_span(basis, 0b100)
+    assert gf2.in_span([], 0)
+
+
+@given(matrices, st.data())
+def test_in_span_matches_rank(a, data):
+    v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=a.shape[1],
+                                    max_size=a.shape[1])), dtype=np.uint8)
+
+    def row(bits) -> int:
+        return int("".join(str(b) for b in bits), 2)
+
+    expected = gf2.rank(np.vstack([a, v])) == gf2.rank(a)
+    assert gf2.in_span([row(r) for r in a], row(v)) == expected

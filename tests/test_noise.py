@@ -206,12 +206,60 @@ def test_enumerate_two_edges_weight_one():
     assert len(out) == 7  # identity + 2 edges x 3 letters
 
 
+def reference_fault_weight(f: PauliString, m: NoiseModel, cap: int):
+    """Breadth-first product search over the fault group with visited-set
+    dedup: a walk of the group independent of enumerate_faults."""
+    if not f:
+        return 0
+    atoms = m.paulis()
+    seen = {PauliString()}
+    frontier = [PauliString()]
+    for w in range(1, cap + 1):
+        nxt = []
+        for g in frontier:
+            for a in atoms:
+                h = g * a
+                if h in seen:
+                    continue
+                if h == f:
+                    return w
+                seen.add(h)
+                nxt.append(h)
+        frontier = nxt
+    return ABOVE_CAP
+
+
 def test_enumerate_weights_match_fault_weight():
     c = Circuit(2)
     c.measure("MPP", (0, 1), "k", pauli="ZZ", ft=True)
     m = circuit_level_atoms(c)
     for f, w in enumerate_faults(m, 2):
+        assert reference_fault_weight(f, m, 2) == w
         assert fault_weight(f, m, 2) == w
+
+
+def cnot_then_plain_zz():
+    c = Circuit(3)
+    c.gate("CNOT", 0, 1)
+    c.measure("MPP", (1, 2), "k", pauli="ZZ")
+    c.all_wires_ideal = True
+    return c
+
+
+@pytest.mark.parametrize("m", [
+    circuit_level_atoms(cnot_then_plain_zz()),
+    x_flip_atoms(samples.green_chain(3)),
+    edge_flip_atoms(four_edge_diagram(2)),
+], ids=["circuit", "x-flip", "edge-flip"])
+def test_fault_weight_matches_reference_search(m):
+    atoms = m.paulis()
+    stray = PauliString({(7, 7): "Z"})
+    faults = [PauliString(), stray, atoms[0] * stray]
+    faults += [a * b for a, b in itertools.combinations(atoms[:8], 2)]
+    faults += [a * b * c for a, b, c in itertools.combinations(atoms[:6], 3)]
+    for f in faults:
+        for cap in (0, 1, 2, 3):
+            assert fault_weight(f, m, cap) == reference_fault_weight(f, m, cap)
 
 
 def test_enumerate_deterministic_and_nondecreasing():

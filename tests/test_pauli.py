@@ -34,8 +34,9 @@ def test_text_round_trip():
 
 
 def test_rejects_bad_letter():
-    with pytest.raises(ValueError):
-        PauliString({"e1": "Q"})
+    for loc, bad in [("e1", "Q"), ((0, 1), "I"), (3, "x"), ("e2", "")]:
+        with pytest.raises(ValueError):
+            PauliString({loc: bad})
 
 
 locs = st.sampled_from(["a", "b", "c", "d"])
@@ -59,3 +60,106 @@ def test_commutation_bilinearity(a, b, c):
 @given(paulis, paulis)
 def test_weight_subadditive(a, b):
     assert (a * b).weight() <= a.weight() + b.weight()
+
+
+# -- differential test against the letter-table encoding -------------------------
+
+_MUL = {
+    ("X", "Y"): "Z",
+    ("Y", "X"): "Z",
+    ("X", "Z"): "Y",
+    ("Z", "X"): "Y",
+    ("Y", "Z"): "X",
+    ("Z", "Y"): "X",
+}
+
+
+class LetterPauli:
+    """Reference encoding: a frozenset of (location, letter) pairs multiplied
+    through the letter product table, phases discarded."""
+
+    def __init__(self, entries=()):
+        items = dict(entries)
+        for loc, letter in items.items():
+            if letter not in ("X", "Y", "Z"):
+                raise ValueError(f"invalid Pauli letter {letter!r} at {loc!r}")
+        self._entries = frozenset(items.items())
+
+    @property
+    def entries(self) -> dict:
+        return dict(self._entries)
+
+    @property
+    def support(self) -> frozenset:
+        return frozenset(loc for loc, _ in self._entries)
+
+    def letter(self, loc) -> str:
+        return self.entries.get(loc, "I")
+
+    def __mul__(self, other):
+        a, b = self.entries, other.entries
+        out = {}
+        for loc in set(a) | set(b):
+            la, lb = a.get(loc), b.get(loc)
+            if la is None:
+                out[loc] = lb
+            elif lb is None:
+                out[loc] = la
+            elif la != lb:
+                out[loc] = _MUL[(la, lb)]
+        return LetterPauli(out)
+
+    def commutes(self, other) -> bool:
+        a, b = self.entries, other.entries
+        anti = sum(1 for loc, la in a.items() if b.get(loc) not in (None, la))
+        return anti % 2 == 0
+
+    def weight(self) -> int:
+        return len(self._entries)
+
+    def __eq__(self, other) -> bool:
+        return self._entries == other._entries
+
+    def sort_key(self):
+        return tuple(sorted((str(l), p) for l, p in self._entries))
+
+    def to_text(self) -> str:
+        return ";".join(f"{l}:{p}" for l, p in
+                        sorted(self._entries, key=lambda e: str(e[0])))
+
+
+# ints (diagram edges), (qubit, time) tuples (circuit segments) and strings,
+# no two of which print alike
+mixed_locs = st.one_of(st.integers(0, 4),
+                       st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.sampled_from(["a", "b", "e1"]))
+mixed_entries = st.dictionaries(mixed_locs, letters, max_size=6)
+PROBES = [0, 3, 4, (0, 0), (2, 1), "a", "e1", "never-used", (9, 9), 99]
+
+
+def same(p: PauliString, r: LetterPauli) -> None:
+    assert p.entries == r.entries
+    assert p.support == r.support
+    assert p.weight() == r.weight()
+    assert bool(p) == bool(r.entries)
+    assert p.to_text() == r.to_text()
+    assert p.sort_key() == r.sort_key()
+    for loc in PROBES + list(r.entries):
+        assert p.letter(loc) == r.letter(loc)
+
+
+@given(mixed_entries, mixed_entries)
+def test_bit_pair_encoding_matches_letter_table(ea, eb):
+    a, b = PauliString(ea), PauliString(eb)
+    ra, rb = LetterPauli(ea), LetterPauli(eb)
+    same(a, ra)
+    same(b, rb)
+    same(a * b, ra * rb)
+    assert a.commutes(b) == ra.commutes(rb)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    copy = PauliString(a.entries)
+    assert copy == a and hash(copy) == hash(a)
+    assert PauliString.from_text(a.to_text()).to_text() == a.to_text()
+
