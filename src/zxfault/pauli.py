@@ -1,29 +1,33 @@
 """Phase-free Pauli group over named locations.
 
-An element is a pair of integer bitmasks ``(x, z)`` over one append-only,
-process-wide table of locations: X is (1, 0), Z is (0, 1) and Y is (1, 1)
-at a location's bit (the symplectic form of Aaronson and Gottesman,
-quant-ph/0406196).  The group multiplication discards phases, so it is an
-XOR of the masks, every element is self-inverse and the group is commutative.
+An element is a pair of integer bitmasks ``(x, z)`` with one bit per
+location: X is (1, 0), Z is (0, 1) and Y is (1, 1) at a location's bit (the
+symplectic form of Aaronson and Gottesman, quant-ph/0406196).  The group
+multiplication discards phases, so it is an XOR of the masks, every element
+is self-inverse and the group is commutative.
 """
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Mapping
 
 LETTERS = ("X", "Y", "Z")
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_LOCS: list = []          # bit index -> location
-_INDEX: dict = {}         # location -> bit index
+_LOCS: list = []          # bit 2k + 1 -> _LOCS[k], for other than small ints
+_INDEX: dict = {}         # location -> k, append-only and process-wide
 
 
-def _bit(loc) -> int:
-    i = _INDEX.get(loc)
-    if i is None:
-        i = _INDEX[loc] = len(_LOCS)
+def _place(loc) -> int:
+    """Bit 2n for an int n in [0, 2**16), as an edge id, so that a diagram's
+    faults are as wide whatever came before; else the next odd table bit."""
+    if isinstance(loc, Integral) and 0 <= loc < 1 << 16:
+        return 2 * int(loc)
+    if loc not in _INDEX:
+        _INDEX[loc] = len(_LOCS)
         _LOCS.append(loc)
-    return 1 << i
+    return 2 * _INDEX[loc] + 1
 
 
 class PauliString:
@@ -36,7 +40,7 @@ class PauliString:
         for loc, letter in dict(entries).items():
             if letter not in LETTERS:
                 raise ValueError(f"invalid Pauli letter {letter!r} at {loc!r}")
-            b = _bit(loc)
+            b = 1 << _place(loc)
             if letter != "Z":
                 x |= b
             if letter != "X":
@@ -45,16 +49,16 @@ class PauliString:
 
     @property
     def xz(self) -> tuple[int, int]:
-        """The (x, z) bitmasks over the process-wide location table."""
+        """The (x, z) bitmasks, one bit per location."""
         return self._x, self._z
 
     @property
     def entries(self) -> dict:
-        x, z, out = self._x, self._z, {}
-        m = x | z
+        x, z, m, out = self._x, self._z, self._x | self._z, {}
         while m:
             i = (m & -m).bit_length() - 1
-            out[_LOCS[i]] = _LETTER[(x >> i & 1, z >> i & 1)]
+            loc = _LOCS[i >> 1] if i & 1 else i >> 1
+            out[loc] = _LETTER[(x >> i & 1, z >> i & 1)]
             m &= m - 1
         return out
 
@@ -63,8 +67,7 @@ class PauliString:
         return frozenset(self.entries)
 
     def letter(self, loc) -> str:
-        i = _INDEX.get(loc)
-        return "I" if i is None else _LETTER[(self._x >> i & 1, self._z >> i & 1)]
+        return self.entries.get(loc, "I")
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         p = object.__new__(PauliString)

@@ -128,13 +128,15 @@ class LetterPauli:
                         sorted(self._entries, key=lambda e: str(e[0])))
 
 
-# ints (diagram edges), (qubit, time) tuples (circuit segments) and strings,
-# no two of which print alike
+# ints (diagram edges; also ones outside the fixed-bit range), (qubit, time)
+# tuples (circuit segments) and strings, no two of which print alike
 mixed_locs = st.one_of(st.integers(0, 4),
+                       st.sampled_from([-1, 1 << 16, 1 << 40]),
                        st.tuples(st.integers(0, 2), st.integers(0, 2)),
                        st.sampled_from(["a", "b", "e1"]))
 mixed_entries = st.dictionaries(mixed_locs, letters, max_size=6)
-PROBES = [0, 3, 4, (0, 0), (2, 1), "a", "e1", "never-used", (9, 9), 99]
+PROBES = [0, 3, 4, (0, 0), (2, 1), "a", "e1", "never-used", (9, 9), 99,
+          -1, -7, 1 << 16, 1 << 40]
 
 
 def same(p: PauliString, r: LetterPauli) -> None:
@@ -163,3 +165,10 @@ def test_bit_pair_encoding_matches_letter_table(ea, eb):
     assert copy == a and hash(copy) == hash(a)
     assert PauliString.from_text(a.to_text()).to_text() == a.to_text()
 
+
+def test_small_int_locations_have_fixed_bits():
+    # an edge id n owns bit 2n whatever locations were seen first, so the
+    # width of a diagram's faults does not depend on the order of work
+    PauliString({("fresh", n): "X" for n in range(50)})
+    assert PauliString({3: "X", 5: "Z", 4: "Y"}).xz == (
+        1 << 6 | 1 << 8, 1 << 10 | 1 << 8)
