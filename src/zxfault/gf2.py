@@ -1,75 +1,61 @@
-"""Small dense GF(2) linear algebra on numpy uint8 arrays, and span
-membership on integer bit rows."""
+"""GF(2) linear algebra on integer bit rows: bit i of a row is column i."""
 
 from __future__ import annotations
 
-import numpy as np
+
+def echelon(rows) -> dict[int, int]:
+    """Reduced row echelon form of the bit ``rows``: a map from each pivot
+    column to its basis row, whose lowest set bit is that column and which
+    is 0 at every other pivot column."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            c = (r & -r).bit_length() - 1
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                break
+            r ^= p
+    # back-substitution: clear each row's higher pivot columns, top down
+    done = 0  # the pivot columns whose rows are already reduced
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        high = r & done
+        while high:
+            low = high & -high
+            r ^= pivots[low.bit_length() - 1]
+            high ^= low
+        pivots[c] = r
+        done |= 1 << c
+    return pivots
 
 
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2); returns (rref matrix, pivot columns)."""
-    m = a.copy().astype(np.uint8) % 2
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hit = np.nonzero(m[r:, c])[0]
-        if hit.size == 0:
-            continue
-        i = r + hit[0]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        others = np.nonzero(m[:, c])[0]
-        for j in others:
-            if j != r:
-                m[j] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def nullspace(rows, n: int) -> list[int]:
+    """Basis of {x in GF(2)^n : r.x = 0 for every bit row r}: one vector per
+    free column in increasing order, 1 at that column and 0 at the others."""
+    pivots = echelon(rows)
+    basis = {f: 1 << f for f in range(n) if f not in pivots}
+    for c, r in pivots.items():
+        free = r ^ (1 << c)
+        while free:
+            low = free & -free
+            basis[low.bit_length() - 1] |= 1 << c
+            free ^= low
+    return list(basis.values())
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Basis of the right null space of ``a`` over GF(2), one vector per row."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    _, cols = a.shape
-    m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = m[r, fc]
-    return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of a x = b over GF(2), or None if inconsistent."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    b = np.asarray(b, dtype=np.uint8) % 2
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    m, pivots = rref(aug)
-    cols = a.shape[1]
-    if cols in pivots:
+def solve(rows, b: int, n: int) -> int | None:
+    """One x with r_i.x = bit i of ``b`` for each bit row r_i over ``n``
+    columns, or None if the system is inconsistent."""
+    pivots = echelon(r | ((b >> i) & 1) << n for i, r in enumerate(rows))
+    if n in pivots:
         return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r, cols]
-    return x
-
-
-def rank(a: np.ndarray) -> int:
-    _, pivots = rref(np.atleast_2d(np.asarray(a, dtype=np.uint8)))
-    return len(pivots)
+    return sum(((r >> n) & 1) << c for c, r in pivots.items())
 
 
 def in_span(rows, v: int) -> bool:
-    """Whether the bit row ``v`` is a GF(2) sum of the integer bit ``rows``."""
-    pivots: dict[int, int] = {}  # leading bit -> the basis row that leads there
-    for r in [*rows, v]:
-        while r and (p := pivots.get(r.bit_length() - 1)):
-            r ^= p
-        if r:
-            pivots[r.bit_length() - 1] = r
-    return not r
+    """Whether the bit row ``v`` is a GF(2) sum of the bit ``rows``."""
+    pivots = echelon(rows)
+    while v and (p := pivots.get((v & -v).bit_length() - 1)):
+        v ^= p
+    return not v

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from . import gf2
 from .diagram import ZxDiagram
 from .pauli import PauliString
 
@@ -310,6 +311,9 @@ class OutcomeMap:
         for t in target_vars:
             if t not in self.rows:
                 raise ValueError(f"no expression for target variable {t!r}")
+        unknown = sorted(self.rows.keys() - set(target_vars))
+        if unknown:
+            raise ValueError(f"expressions for unknown target variables {unknown}")
         for t, (vs, _) in self.rows.items():
             bad = vs - set(source_vars)
             if bad:
@@ -345,34 +349,20 @@ class OutcomeMap:
 
     def inverted(self) -> "OutcomeMap":
         """Inverse map; requires a bijection (square invertible linear part)."""
-        from . import gf2
         n = len(self.source_vars)
         if len(self.target_vars) != n:
             raise ValueError("only square correspondences can be inverted")
-        if n == 0:
-            return OutcomeMap([], [], {})
-        mat = np.zeros((n, n), dtype=np.uint8)
-        const = np.zeros(n, dtype=np.uint8)
-        src_idx = {v: j for j, v in enumerate(self.source_vars)}
-        for i, t in enumerate(self.target_vars):
-            vs, c = self.rows[t]
-            const[i] = c
-            for v in vs:
-                mat[i, src_idx[v]] = 1
-        cols = []
-        for j in range(n):
-            e = np.zeros(n, dtype=np.uint8)
-            e[j] = 1
-            x = gf2.solve(mat, e)
-            if x is None:
-                raise ValueError("correspondence is not invertible")
-            cols.append(x)
-        inv = np.stack(cols, axis=1)  # inv @ mat = I
+        # bit row k is column k of the linear part: the targets reading source k
+        cols = [sum(1 << i for i, t in enumerate(self.target_vars)
+                    if s in self.rows[t][0]) for s in self.source_vars]
+        const = sum(self.rows[t][1] << i for i, t in enumerate(self.target_vars))
         rows = {}
-        for i, s in enumerate(self.source_vars):
-            vs = frozenset(t for j, t in enumerate(self.target_vars) if inv[i, j])
-            c = int(inv[i] @ const) % 2
-            rows[s] = (vs, c)
+        for j, s in enumerate(self.source_vars):
+            y = gf2.solve(cols, 1 << j, n)  # row j of the inverse
+            if y is None:
+                raise ValueError("correspondence is not invertible")
+            rows[s] = (frozenset(t for i, t in enumerate(self.target_vars)
+                                 if y >> i & 1), (y & const).bit_count() % 2)
         return OutcomeMap(self.target_vars, self.source_vars, rows)
 
 

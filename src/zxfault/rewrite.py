@@ -1158,6 +1158,10 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
     if isinstance(script, str):
         script = ProofScript.parse(script)
     src = resolve_ref(script.source, base_dir)
+    unknown = sorted(script.claim_corr.keys() - set(src.variables))
+    if unknown:
+        raise ScriptError(f"claim rows for variables that source"
+                          f" {script.source} lacks: {unknown}")
     d = src
     report_steps: list[dict] = []
     failed: int | None = None

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import gf2
 from .diagram import ZxDiagram
 from .pauli import PauliString
@@ -63,56 +61,51 @@ def _leg_view(d: ZxDiagram, eid: int, ep: tuple, pair: tuple) -> tuple:
     return (green, red) if d.spiders[ep[1]].colour == "Z" else (red, green)
 
 
-def _build_system(d: ZxDiagram) -> tuple[np.ndarray, dict, dict]:
-    """Rows of the homogeneous GF(2) system plus variable index maps; edge
-    ``eid``'s (green, red) bits are variables 2i and 2i + 1, i its rank."""
+def _build_system(d: ZxDiagram) -> tuple[list[int], int, dict, dict]:
+    """Bit rows of the homogeneous GF(2) system, its number of variables and
+    the variable index maps; edge ``eid``'s (green, red) bits are variables
+    2i and 2i + 1, i its rank."""
     edge_order = {eid: i for i, eid in enumerate(sorted(d.edges))}
     spider_order = {sid: i for i, sid in enumerate(sorted(d.spiders))}
-    n_vars = 2 * len(edge_order) + len(spider_order)
-    rows: list[np.ndarray] = []
+    rows: list[int] = []
     inc = d.incidence()
     for sid in sorted(d.spiders):
-        s = d.spiders[sid]
-        o_idx = 2 * len(edge_order) + spider_order[sid]
-        own_row = np.zeros(n_vars, dtype=np.uint8)
+        ind = 1 << (2 * len(edge_order) + spider_order[sid])
+        own_row = 0
         for eid, ep in inc[sid]:
             i = 2 * edge_order[eid]
             own_var, opp_var = _leg_view(d, eid, ep, (i, i + 1))
-            own_row[own_var] ^= 1
-            leg_row = np.zeros(n_vars, dtype=np.uint8)
-            leg_row[opp_var] ^= 1
-            leg_row[o_idx] ^= 1
-            rows.append(leg_row)  # opp bit == indicator, for every leg
-        if s.phase.is_pauli():
+            own_row ^= 1 << own_var
+            rows.append((1 << opp_var) ^ ind)  # opp bit == indicator, per leg
+        if d.spiders[sid].phase.is_pauli():
             rows.append(own_row)  # even own-colour legs
         else:
-            own_row[o_idx] ^= 1
-            rows.append(own_row)  # own parity == indicator
-    if not rows:
-        rows = [np.zeros(n_vars, dtype=np.uint8)]
-    return np.array(rows, dtype=np.uint8), edge_order, spider_order
+            rows.append(own_row ^ ind)  # own parity == indicator
+    return rows, 2 * len(edge_order) + len(spider_order), edge_order, spider_order
 
 
-def _vector_to_web(d: ZxDiagram, v: np.ndarray, edge_order: dict, spider_order: dict) -> PauliWeb:
+def _vector_to_web(d: ZxDiagram, v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     hl = []
     for eid, i in edge_order.items():
-        h = _HIGHLIGHT_OF[int(v[2 * i]), int(v[2 * i + 1])]
+        h = _HIGHLIGHT_OF[(v >> 2 * i) & 1, (v >> 2 * i + 1) & 1]
         if h is not None:
             hl.append((eid, h))
-    ind = [(sid, int(v[2 * len(edge_order) + j])) for sid, j in spider_order.items()]
+    base = 2 * len(edge_order)
+    ind = [(sid, (v >> base + j) & 1) for sid, j in spider_order.items()]
     return PauliWeb(tuple(sorted(hl)), tuple(sorted(ind)))
 
 
 def check_web(d: ZxDiagram, w: PauliWeb) -> bool:
     """Direct (non-linear-algebra) check of the defining per-spider rules."""
     inc = d.incidence()
+    hl = w.edges
     for sid, s in d.spiders.items():
         own_is_green = s.colour == "Z"
         own = opp = 0
         opp_bits = []
         for eid, ep in inc[sid]:
             e = d.edges[eid]
-            h = w.edges.get(eid)
+            h = hl.get(eid)
             g = h in ("green", "both")
             r = h in ("red", "both")
             if e.had and ep == e.b:
@@ -136,9 +129,9 @@ def check_web(d: ZxDiagram, w: PauliWeb) -> bool:
 
 
 def web_basis(d: ZxDiagram) -> list[PauliWeb]:
-    a, edge_order, spider_order = _build_system(d)
-    ns = gf2.nullspace(a)
-    webs = [_vector_to_web(d, v, edge_order, spider_order) for v in ns]
+    rows, n_vars, edge_order, spider_order = _build_system(d)
+    webs = [_vector_to_web(d, v, edge_order, spider_order)
+            for v in gf2.nullspace(rows, n_vars)]
     return [w for w in webs if check_web(d, w)]
 
 
@@ -187,19 +180,12 @@ def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
 
 
 def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
-    a, edge_order, spider_order = _build_system(d)
-    extra = []
-    n_vars = a.shape[1]
-    for eid in sorted(d.boundary_edges()):
-        for bit in (0, 1):
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[2 * edge_order[eid] + bit] = 1
-            extra.append(row)
-    if extra:
-        a = np.concatenate([a, np.array(extra, dtype=np.uint8)], axis=0)
-    ns = gf2.nullspace(a)
+    rows, n_vars, edge_order, spider_order = _build_system(d)
+    for eid in d.boundary_edges():  # a region leaves the boundary bare
+        i = 2 * edge_order[eid]
+        rows += (1 << i, 1 << i + 1)
     regions = []
-    for v in ns:
+    for v in gf2.nullspace(rows, n_vars):
         w = _vector_to_web(d, v, edge_order, spider_order)
         if not w.highlight:
             continue

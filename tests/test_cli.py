@@ -155,3 +155,25 @@ def test_prove_weight_below_one_is_exit_2(capsys, tmp_path, label, body, line):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
+def test_check_feq_unknown_correspondence_target_is_exit_2(capsys):
+    code, out, err = run(capsys, "check-feq", "--a", "two-zz", "--b", "two-zz",
+                         "--w", "2", "--corr", "k1=k1", "--corr", "k2=k2",
+                         "--corr", "typo=k1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'typo'" in err
+
+
+def test_prove_unknown_claim_variable_is_exit_2(capsys, tmp_path):
+    with open(script_path("truncated-cat.fzx")) as fh:
+        text = fh.read()
+    script = tmp_path / "bogus.fzx"
+    script.write_text(text.replace("claim w=2", "claim w=2 bogus=zz"))
+    code, out, err = run(capsys, "prove", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'bogus'" in err

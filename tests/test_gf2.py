@@ -4,42 +4,105 @@ from hypothesis import given, strategies as st
 from zxfault import gf2
 
 
-def random_matrix(draw_rows, draw_cols):
-    return st.integers(1, 6).flatmap(
-        lambda r: st.integers(1, 6).flatmap(
-            lambda c: st.lists(
-                st.lists(st.integers(0, 1), min_size=c, max_size=c),
-                min_size=r, max_size=r).map(lambda rows: np.array(rows, dtype=np.uint8))))
+# -- reference: dense elimination on numpy uint8 matrices ---------------------
+
+def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2); returns (rref matrix, pivot columns)."""
+    m = a.copy().astype(np.uint8) % 2
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hit = np.nonzero(m[r:, c])[0]
+        if hit.size == 0:
+            continue
+        i = r + hit[0]
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        for j in np.nonzero(m[:, c])[0]:
+            if j != r:
+                m[j] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
-matrices = random_matrix(None, None)
+def rref_nullspace(a: np.ndarray) -> np.ndarray:
+    """Basis of the right null space of ``a`` over GF(2), one vector per row."""
+    _, cols = a.shape
+    m, pivots = rref(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k, pc] = m[r, fc]
+    return basis
 
 
-@given(matrices)
-def test_nullspace_vectors_annihilate(a):
-    ns = gf2.nullspace(a)
-    for v in ns:
-        assert not np.any((a @ v) % 2)
+def to_array(rows, n: int) -> np.ndarray:
+    """Bit rows as a dense matrix: bit i of a row is column i."""
+    return np.array([[(r >> c) & 1 for c in range(n)] for r in rows],
+                    dtype=np.uint8).reshape(len(rows), n)
 
 
-@given(matrices)
-def test_rank_nullity(a):
-    assert gf2.rank(a) + gf2.nullspace(a).shape[0] == a.shape[1]
+def to_int(v) -> int:
+    return sum(int(b) << c for c, b in enumerate(v))
 
 
-@given(matrices)
-def test_solve_consistency(a):
-    x = np.random.default_rng(0).integers(0, 2, a.shape[1], dtype=np.uint8)
-    b = (a @ x) % 2
-    sol = gf2.solve(a, b)
-    assert sol is not None
-    assert np.array_equal((a @ sol) % 2, b)
+def reference_nullspace(rows, n: int) -> list[int]:
+    """``gf2.nullspace`` through the dense reference."""
+    return [to_int(v) for v in rref_nullspace(to_array(list(rows), n))]
+
+
+def rank(rows, n: int) -> int:
+    return len(rref(to_array(rows, n))[1])
+
+
+def parity(x: int) -> int:
+    return x.bit_count() % 2
+
+
+systems = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, 2 ** n - 1), max_size=8),
+                        st.just(n)))
+
+
+@given(systems)
+def test_nullspace_vectors_annihilate(system):
+    rows, n = system
+    for v in gf2.nullspace(rows, n):
+        assert v and v < 2 ** n
+        assert not any(parity(r & v) for r in rows)
+
+
+@given(systems)
+def test_nullspace_matches_reference(system):
+    rows, n = system
+    assert gf2.nullspace(rows, n) == reference_nullspace(rows, n)
+
+
+@given(systems)
+def test_rank_nullity(system):
+    rows, n = system
+    assert len(gf2.echelon(rows)) == rank(rows, n)
+    assert len(gf2.echelon(rows)) + len(gf2.nullspace(rows, n)) == n
+
+
+@given(systems, st.data())
+def test_solve_consistency(system, data):
+    rows, n = system
+    x = data.draw(st.integers(0, 2 ** n - 1))
+    b = sum(parity(r & x) << i for i, r in enumerate(rows))
+    sol = gf2.solve(rows, b, n)
+    assert sol is not None and sol < 2 ** n
+    assert all(parity(r & sol) == (b >> i) & 1 for i, r in enumerate(rows))
 
 
 def test_solve_inconsistent():
-    a = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-    b = np.array([1, 0], dtype=np.uint8)
-    assert gf2.solve(a, b) is None
+    assert gf2.solve([0b01, 0b01], 0b01, 2) is None
 
 
 def test_in_span():
@@ -49,13 +112,8 @@ def test_in_span():
     assert gf2.in_span([], 0)
 
 
-@given(matrices, st.data())
-def test_in_span_matches_rank(a, data):
-    v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=a.shape[1],
-                                    max_size=a.shape[1])), dtype=np.uint8)
-
-    def row(bits) -> int:
-        return int("".join(str(b) for b in bits), 2)
-
-    expected = gf2.rank(np.vstack([a, v])) == gf2.rank(a)
-    assert gf2.in_span([row(r) for r in a], row(v)) == expected
+@given(systems, st.data())
+def test_in_span_matches_rank(system, data):
+    rows, n = system
+    v = data.draw(st.integers(0, 2 ** n - 1))
+    assert gf2.in_span(rows, v) == (rank([*rows, v], n) == rank(rows, n))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,6 +118,43 @@ def test_two_zz_equals_single_zz_under_correspondence():
     # the wrong correspondence (constant) must fail
     bad = OutcomeMap.parse(["k1", "k2"], ["k"], {"k": "0"})
     assert not equal_up_to_scalar(t1, t2, bad)
+
+
+@st.composite
+def invertible_maps(draw):
+    """A random bijection of n outcome bits: the identity under a row
+    permutation and row additions, plus constants."""
+    n = draw(st.integers(0, 5))
+    rows = [1 << j for j in draw(st.permutations(range(n)))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)))) if n else []:
+        if i != j:
+            rows[i] ^= rows[j]
+    consts = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    src = [f"a{j}" for j in range(n)]
+    return OutcomeMap(src, [f"b{i}" for i in range(n)], {
+        f"b{i}": (frozenset(v for j, v in enumerate(src) if r >> j & 1), c)
+        for i, (r, c) in enumerate(zip(rows, consts))})
+
+
+@given(invertible_maps())
+def test_inverted_round_trips(m):
+    inv = m.inverted()
+    assert (inv.source_vars, inv.target_vars) == (m.target_vars, m.source_vars)
+    for x in itertools.product((0, 1), repeat=len(m.source_vars)):
+        assert inv(m(x)) == x
+        assert m(inv(x)) == x
+
+
+def test_inverted_rejects_a_singular_map():
+    m = OutcomeMap.parse(["k1", "k2"], ["k1", "k2"], {"k1": "k1^k2", "k2": "k1^k2"})
+    with pytest.raises(ValueError, match="not invertible"):
+        m.inverted()
+
+
+def test_unknown_target_variable_is_an_error():
+    with pytest.raises(ValueError, match="unknown target variables \\['typo'\\]"):
+        OutcomeMap.parse(["k"], ["k"], {"k": "k", "typo": "k"})
 
 
 def test_totality():

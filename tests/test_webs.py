@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from zxfault import samples
-from zxfault.diagram import ZxDiagram, apply_fault
+from test_feq import WIRE_POOL
+from test_gf2 import reference_nullspace
+from zxfault import gf2, samples
+from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import evaluate
 from zxfault.pauli import PauliString
+from zxfault.rewrite import RULES
 from zxfault.webs import (DetectingRegion, PauliWeb, check_web,
                           detecting_region_basis, is_detectable, local_sign,
                           region_sign, web_basis)
@@ -235,3 +238,25 @@ def test_detection_matches_oracle_parity(name, d):
                         (name, f.to_text(), b)
                     checked += 1
     assert checked or not regions
+
+
+BASIS_GROUPS = {
+    "web-corpus": samples.web_corpus,
+    "rule-sides": lambda: [(f"{name}:{side}", getattr(make(), side))
+                           for name, make in RULES.items()
+                           for side in ("lhs", "rhs")],
+    "wire-pool": lambda: [(f"{i}+{j}", compose(a(), b()))
+                          for i, a in enumerate(WIRE_POOL)
+                          for j, b in enumerate(WIRE_POOL)],
+}
+
+
+@pytest.mark.parametrize("group", BASIS_GROUPS)
+def test_bases_match_reference_solver(group, monkeypatch):
+    """Both bases, in order, equal those that dense numpy elimination of the
+    same system gives."""
+    diagrams = BASIS_GROUPS[group]()
+    fast = [(web_basis(d), detecting_region_basis(d)) for _, d in diagrams]
+    monkeypatch.setattr(gf2, "nullspace", reference_nullspace)
+    for (name, d), got in zip(diagrams, fast):
+        assert got == (web_basis(d), detecting_region_basis(d)), name
