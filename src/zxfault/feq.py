@@ -8,12 +8,16 @@ magnitude and per-outcome phase, under the outcome correspondence).
 
 Every match, and the circuit distance, is a query on one engine,
 :class:`FaultTable`.  A table holds one side's enumerated faults and the
-side's contraction, compiled once; each fault's tensor is one replay of it
-with the fault's Paulis on the leaves, reduced to a canonical class key,
-and a lazy scan in nondecreasing weight order records the first fault of
-each key.  One key builder, :func:`_class_key`, reads a tensor through one
-or more outcome relabellings; :meth:`FaultTable.undetectable` is the one
-place that decides detectability, by the exact web criterion.
+side's contraction, compiled once.  A fault's class key is read from one
+replay of the contraction with the fault's Paulis on the leaves, but only
+for the first fault of each web syndrome (the set of the diagram's Pauli
+webs it anticommutes with): two faults with one syndrome differ by a Pauli
+that commutes with every web, which pushes through the spiders and leaves
+only a global scalar and per-outcome signs, and the key forgets both.  A
+lazy scan in nondecreasing weight order records the first fault of each
+key.  One key builder, :func:`_class_key`, reads a tensor through one or
+more outcome relabellings; :meth:`FaultTable.undetectable` is the one place
+that decides detectability, by the exact web criterion.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
-from .webs import detecting_region_basis, is_detectable
+from .webs import (detecting_region_basis, is_detectable, web_basis,
+                   web_space_dim)
 
 
 @dataclass
@@ -131,13 +136,21 @@ class FaultTable:
     (nondecreasing weight, lex within weight), each with a class key.
 
     ``key`` maps a faulted diagram's tensor to bytes; faults are in one class
-    exactly when their keys are equal.  Each tensor comes from one replay of
-    the diagram's compiled :class:`~zxfault.oracle.Contraction`, which
-    tables over one diagram may share.  Keys are computed on first use and
-    cached as 32-byte digests; no tensor is kept.  The map from each key to
-    its first fault is filled by a scan that goes only as far as a query
-    needs.  The first non-empty fault a table keys is also contracted
-    densely, from its faulted diagram, as a check on the replay."""
+    exactly when their keys are equal.  A key comes from one replay of the
+    diagram's compiled :class:`~zxfault.oracle.Contraction`, which tables
+    over one diagram may share, for the first fault of each web syndrome;
+    every later fault with that syndrome takes the same key, so the table
+    makes one replay per distinct syndrome (counted in ``replays``).  The
+    syndrome is sound because a Pauli that commutes with every web of a
+    Clifford diagram moves through its spiders to a global scalar and
+    per-outcome signs, which the key ignores; it needs the full web basis,
+    so a basis from which :func:`~zxfault.webs.check_web` dropped a solution
+    is an error.  Two checks guard the replay: the first non-empty fault
+    replayed is also contracted densely from its faulted diagram, and the
+    first fault whose syndrome is already known is replayed too, and must
+    give the same key.  Keys are cached as 32-byte digests; no tensor is
+    kept.  The map from each key to its first fault is filled by a scan
+    that goes only as far as a query needs."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
                  max_weight: int, key):
@@ -145,11 +158,19 @@ class FaultTable:
         self.diagram = contraction.diagram
         self.faults = list(enumerate_faults(noise, max_weight))
         self.weight = dict(self.faults)
+        self.replays = 0
         self._key_of_tensor = key
         self._keys: dict[PauliString, bytes] = {}
         self._first: dict[bytes, tuple[PauliString, int]] = {}
         self._scanned = 0
+        self._columns = None  # (x-bit -> syndrome, z-bit -> syndrome)
+        self._by_syndrome: dict[int, bytes] = {}
         self._replay_checked = False
+        self._syndrome_checked = False
+
+    def _replay(self, f: PauliString) -> OutcomeTensor:
+        self.replays += 1
+        return self.contraction.evaluate(f)
 
     def _digest(self, t: OutcomeTensor) -> bytes:
         return hashlib.blake2b(self._key_of_tensor(t), digest_size=32).digest()
@@ -157,23 +178,56 @@ class FaultTable:
     def noise_free(self) -> OutcomeTensor:
         """The noise-free diagram's tensor; its key is cached as the empty
         fault's, the tensor itself is not kept."""
-        t = self.contraction.evaluate()
-        self._keys.setdefault(PauliString(), self._digest(t))
+        t = self._replay(PauliString())
+        k = self._keys.setdefault(PauliString(), self._digest(t))
+        self._by_syndrome.setdefault(0, k)
         return t
+
+    def _syndrome(self, f: PauliString) -> int:
+        """Bit i is set when the fault anticommutes with web i of the
+        diagram's web basis."""
+        if self._columns is None:
+            webs = web_basis(self.diagram)
+            dropped = web_space_dim(self.diagram) - len(webs)
+            if dropped:
+                raise ClassKeyError(
+                    f"check_web rejected {dropped} solution(s) of the web"
+                    f" system; web syndromes would be too coarse")
+            self._columns = _syndrome_columns(webs)
+        s = 0
+        for mask, column in zip(f.xz, self._columns):
+            while mask:
+                low = mask & -mask
+                s ^= column.get(low, 0)
+                mask ^= low
+        return s
+
+    def _replayed_key(self, f: PauliString) -> bytes:
+        t = self._replay(f)
+        if f and not self._replay_checked:
+            self._replay_checked = True
+            dense = evaluate(apply_fault(self.diagram, f),
+                             self.contraction.budget)
+            if not equal_up_to_scalar(dense, t):
+                raise ClassKeyError(
+                    f"replayed contraction and dense oracle disagree on"
+                    f" fault {f.to_text()}")
+        return self._digest(t)
 
     def key(self, f: PauliString) -> bytes:
         k = self._keys.get(f)
         if k is None:
-            t = self.contraction.evaluate(f)
-            if f and not self._replay_checked:
-                self._replay_checked = True
-                dense = evaluate(apply_fault(self.diagram, f),
-                                 self.contraction.budget)
-                if not equal_up_to_scalar(dense, t):
+            s = self._syndrome(f)
+            k = self._by_syndrome.get(s)
+            if k is None:
+                k = self._by_syndrome[s] = self._replayed_key(f)
+            elif not self._syndrome_checked:
+                self._syndrome_checked = True
+                if self._replayed_key(f) != k:
                     raise ClassKeyError(
-                        f"replayed contraction and dense oracle disagree on"
-                        f" fault {f.to_text()}")
-            k = self._keys[f] = self._digest(t)
+                        f"fault {f.to_text()} has a known web syndrome but"
+                        f" a different class key")
+            self._keys[f] = k
         return k
 
     def first(self, key: bytes, max_weight: int):
@@ -196,6 +250,21 @@ class FaultTable:
         for f, w in self.faults:
             if not f or not is_detectable(self.diagram, f, regions):
                 yield f, w
+
+
+def _syndrome_columns(webs: list) -> tuple[dict, dict]:
+    """Each Pauli bit's web syndrome, keyed by the bit as an int: an X at a
+    location anticommutes with the webs that have Z there, and a Z with the
+    webs that have X there (Y is both bits)."""
+    columns: tuple[dict, dict] = ({}, {})
+    for i, web in enumerate(webs):
+        x, z = web.pauli.xz
+        for column, mask in zip(columns, (z, x)):
+            while mask:
+                low = mask & -mask
+                column[low] = column.get(low, 0) ^ 1 << i
+                mask ^= low
+    return columns
 
 
 def _assignments(variables: list) -> list:

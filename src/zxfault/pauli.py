@@ -64,7 +64,12 @@ class PauliString:
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self.entries)
+        m, out = self._x | self._z, []
+        while m:
+            i = (m & -m).bit_length() - 1
+            out.append(_LOCS[i >> 1] if i & 1 else i >> 1)
+            m &= m - 1
+        return frozenset(out)
 
     def letter(self, loc) -> str:
         return self.entries.get(loc, "I")

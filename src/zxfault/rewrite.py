@@ -830,6 +830,10 @@ def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
     The check is :func:`~zxfault.feq.check_w_fault_equivalence`, which
     compares faulted diagrams by cached class keys, never by kept tensors."""
     corr_exprs = dict(corr_exprs or {})
+    unknown = sorted(corr_exprs.keys() - set(before.variables))
+    if unknown:
+        raise ValueError(f"correspondence rows for variables that the before"
+                         f" diagram lacks: {unknown}")
     rows = {}
     for v in before.variables:
         if v in corr_exprs:
@@ -1212,6 +1216,18 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
     if return_final:
         report["final_diagram"] = d
 
+    if script.target is not None:
+        tgt = resolve_ref(script.target, base_dir)
+        if sorted(tgt.variables) != sorted(d.variables):
+            raise ScriptError(
+                f"target {script.target} has outcome variables"
+                f" {sorted(tgt.variables)}, the final diagram has"
+                f" {sorted(d.variables)}")
+        corr = OutcomeMap.parse(d.variables, tgt.variables,
+                                {v: v for v in tgt.variables})
+        report["target_semantics_match"] = equal_up_to_scalar(
+            evaluate(tgt, budget), evaluate(d, budget), corr)
+
     claim = report["claim"]
     try:
         rows = {v: script.claim_corr.get(v, v) for v in src.variables}
@@ -1230,11 +1246,4 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
         claim["mode"] = "error"
         claim["error"] = str(exc)
 
-    if script.target is not None:
-        tgt = resolve_ref(script.target, base_dir)
-        if sorted(tgt.variables) == sorted(d.variables):
-            corr = OutcomeMap.parse(d.variables, tgt.variables,
-                                    {v: v for v in tgt.variables})
-            report["target_semantics_match"] = equal_up_to_scalar(
-                evaluate(tgt, budget), evaluate(d, budget), corr)
     return report

@@ -135,6 +135,13 @@ def web_basis(d: ZxDiagram) -> list[PauliWeb]:
     return [w for w in webs if check_web(d, w)]
 
 
+def web_space_dim(d: ZxDiagram) -> int:
+    """Dimension of the web system's solution space: the number of webs
+    :func:`web_basis` returns when :func:`check_web` rejects none."""
+    rows, n_vars, _, _ = _build_system(d)
+    return n_vars - len(gf2.echelon(rows))
+
+
 def local_sign(colour: str, qturns: int, both_legs: int) -> int:
     """Sign with which a fired web (all legs opposite-highlighted) stabilises
     a spider: (-1)^((k - y)/2) for a green spider and (-1)^((k + y)/2) for a

@@ -177,3 +177,14 @@ def test_prove_unknown_claim_variable_is_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "'bogus'" in err
+
+
+def test_prove_target_with_other_outcome_variables_is_exit_2(capsys, tmp_path):
+    script = tmp_path / "probe.fzx"
+    script.write_text("name probe\nsource sample:cat_spec:4\n"
+                      "target sample:two_zz_measurements\nclaim w=2\n")
+    code, out, err = run(capsys, "prove", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "['k1', 'k2']" in err and "[]" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zxfault import feq, oracle, samples
+from zxfault import feq, oracle, samples, webs
 from zxfault.diagram import apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          Verdict, check_w_fault_equivalence, circuit_distance,
@@ -375,3 +375,76 @@ def test_distance_matches_reference_loop(name, make, model, cap):
     d = make()
     m = model(d)
     assert circuit_distance(d, m, cap) == reference_distance(d, m, cap)
+
+
+# -- web syndromes against fresh replays -----------------------------------------
+
+def syndrome_specs():
+    """(name, spec) pairs whose tables, to w=2, are compared fault by fault
+    with fresh replays."""
+    from zxfault.builders import build_gadget
+    rep = build_gadget("repeating-measurement", n=3,
+                       stabilisers=[("ZZ", (0, 1)), ("ZZ", (1, 2))], rounds=2)
+    yield "flagged-cat", build_gadget("flagged-cat").equivalence_spec(3)
+    yield "repeating-measurement", rep.equivalence_spec(3)
+    yield "naive-cat4", naive_vs_spec(3)
+    for i, corr in enumerate(TWO_ZZ_CORRS):
+        yield f"two-zz corr {i}", _two_zz_spec((corr, False, False))
+    yield "split-meas m=2", rule_spec("split-meas", m=2)
+
+
+def syndrome_key_mismatches(table) -> list:
+    """Faults whose key from the syndrome map differs from the digest of a
+    fresh replay.  The table's own repeat-syndrome guard is switched off so
+    that this comparison alone decides."""
+    table._syndrome_checked = True
+    return [f for f, _ in table.faults
+            if table.key(f) != table._digest(table.contraction.evaluate(f))]
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
+                                  for name, spec in syndrome_specs()])
+def test_syndrome_keys_match_fresh_replays(spec):
+    for table in feq.fault_tables(spec, 2).values():
+        assert syndrome_key_mismatches(table) == []
+
+
+def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
+    # a coarser syndrome basis merges classes: the comparison must see it
+    monkeypatch.setattr(feq, "web_basis", lambda d: webs.web_basis(d)[1:])
+    monkeypatch.setattr(feq, "web_space_dim",
+                        lambda d: webs.web_space_dim(d) - 1)
+    assert any(syndrome_key_mismatches(t)
+               for _, spec in syndrome_specs()
+               for t in feq.fault_tables(spec, 2).values())
+
+
+def test_repeat_syndrome_guard(monkeypatch):
+    # every fault gets syndrome 0, so the wire's X flip reuses the empty
+    # fault's key until the guard replays it
+    monkeypatch.setattr(feq, "_syndrome_columns", lambda ws: ({}, {}))
+    d = samples.wire()
+    with pytest.raises(ClassKeyError, match="known web syndrome"):
+        circuit_distance(d, edge_flip_atoms(d), 1)
+
+
+def test_incomplete_web_basis_is_an_error(monkeypatch):
+    monkeypatch.setattr(webs, "check_web", lambda d, w: False)
+    with pytest.raises(ClassKeyError, match="check_web rejected"):
+        check_w_fault_equivalence(naive_vs_spec(2))
+
+
+def test_one_replay_per_web_syndrome(monkeypatch):
+    from zxfault.builders import build_gadget
+    made = []
+
+    def tables(spec, max_weight):
+        made.append(real(spec, max_weight))
+        return made[-1]
+    real = feq.fault_tables
+    monkeypatch.setattr(feq, "fault_tables", tables)
+    assert check_w_fault_equivalence(
+        build_gadget("recursive-cat", n=4).equivalence_spec(3)).equivalent
+    impl = made[0]["a"]
+    assert len(impl._keys) == 741
+    assert impl.replays <= len(impl._by_syndrome) + 2

@@ -306,3 +306,16 @@ def test_verify_step_rejects_mutated_pair():
     rule = make_rule("mutated-fuse-4")
     v = verify_step(rule.lhs, rule.rhs, 3, rule.corr_exprs)
     assert not v.equivalent
+
+
+def test_verify_step_row_for_unknown_variable_is_an_error():
+    d = samples.two_zz_measurements()
+    with pytest.raises(ValueError, match="'bogus'"):
+        verify_step(d, d, 1, {"bogus": "k1"})
+
+
+def test_target_with_other_outcome_variables_is_a_script_error():
+    ps = ProofScript.parse("name probe\nsource sample:cat_spec:4\n"
+                           "target sample:two_zz_measurements\nclaim w=2\n")
+    with pytest.raises(ScriptError, match=r"\['k1', 'k2'\].*\[\]"):
+        run_proof_script(ps)
