@@ -10,6 +10,7 @@ that are detecting-region-backed and hence never fire fault-free).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -480,4 +481,19 @@ BUILDERS = {
 def build_gadget(name: str, **params) -> GadgetPair:
     if name not in BUILDERS:
         raise ValueError(f"unknown gadget {name!r} (have {sorted(BUILDERS)})")
-    return BUILDERS[name](**params)
+    return call_bound(BUILDERS[name], f"gadget {name!r}", **params)
+
+
+def call_bound(fn, what: str, *args, **params):
+    """``fn(*args, **params)`` once the arguments bind to ``fn``'s signature;
+    a ValueError naming ``what``, the unknown parameters and the known ones
+    if they do not."""
+    sig = inspect.signature(fn)
+    try:
+        sig.bind(*args, **params)
+    except TypeError as exc:
+        unknown = sorted(params.keys() - sig.parameters.keys())
+        problem = f"unknown parameters {unknown}" if unknown else exc
+        raise ValueError(f"{what}: {problem}; its parameters are"
+                         f" ({', '.join(sig.parameters)})") from None
+    return fn(*args, **params)

@@ -27,7 +27,8 @@ from .oracle import DEFAULT_BUDGET, OracleBudgetError, OutcomeMap, evaluate
 from .pauli import PauliString
 from .rewrite import ScriptError, resolve_ref, run_proof_script
 from .translate import to_zx
-from .webs import detecting_region_basis, is_detectable, web_basis
+from .webs import (WebBasisError, detecting_region_basis, is_detectable,
+                   web_basis)
 
 # convenience names for inputs used throughout the examples
 ALIASES = {
@@ -356,7 +357,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, ScriptError, ExtractionError, OSError,
-            json.JSONDecodeError, OracleBudgetError, ClassKeyError) as exc:
+            json.JSONDecodeError, OracleBudgetError, ClassKeyError,
+            WebBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

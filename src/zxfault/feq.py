@@ -34,8 +34,8 @@ from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
-from .webs import (detecting_region_basis, is_detectable, web_basis,
-                   web_space_dim)
+from .webs import (anticommutes, detecting_region_basis, is_detectable,
+                   web_basis)
 
 
 @dataclass
@@ -144,13 +144,13 @@ class FaultTable:
     syndrome is sound because a Pauli that commutes with every web of a
     Clifford diagram moves through its spiders to a global scalar and
     per-outcome signs, which the key ignores; it needs the full web basis,
-    so a basis from which :func:`~zxfault.webs.check_web` dropped a solution
-    is an error.  Two checks guard the replay: the first non-empty fault
-    replayed is also contracted densely from its faulted diagram, and the
-    first fault whose syndrome is already known is replayed too, and must
-    give the same key.  Keys are cached as 32-byte digests; no tensor is
-    kept.  The map from each key to its first fault is filled by a scan
-    that goes only as far as a query needs."""
+    which :func:`~zxfault.webs.web_basis` returns or raises.  Two checks
+    guard the replay: the first non-empty fault replayed is also contracted
+    densely from its faulted diagram, and the first fault whose syndrome is
+    already known is replayed too, and must give the same key.  Keys are
+    cached as 32-byte digests; no tensor is kept.  The map from each key to
+    its first fault is filled by a scan that goes only as far as a query
+    needs."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
                  max_weight: int, key):
@@ -163,7 +163,7 @@ class FaultTable:
         self._keys: dict[PauliString, bytes] = {}
         self._first: dict[bytes, tuple[PauliString, int]] = {}
         self._scanned = 0
-        self._columns = None  # (x-bit -> syndrome, z-bit -> syndrome)
+        self._webs = web_basis(self.diagram)
         self._by_syndrome: dict[int, bytes] = {}
         self._replay_checked = False
         self._syndrome_checked = False
@@ -186,21 +186,7 @@ class FaultTable:
     def _syndrome(self, f: PauliString) -> int:
         """Bit i is set when the fault anticommutes with web i of the
         diagram's web basis."""
-        if self._columns is None:
-            webs = web_basis(self.diagram)
-            dropped = web_space_dim(self.diagram) - len(webs)
-            if dropped:
-                raise ClassKeyError(
-                    f"check_web rejected {dropped} solution(s) of the web"
-                    f" system; web syndromes would be too coarse")
-            self._columns = _syndrome_columns(webs)
-        s = 0
-        for mask, column in zip(f.xz, self._columns):
-            while mask:
-                low = mask & -mask
-                s ^= column.get(low, 0)
-                mask ^= low
-        return s
+        return sum(anticommutes(w, f) << i for i, w in enumerate(self._webs))
 
     def _replayed_key(self, f: PauliString) -> bytes:
         t = self._replay(f)
@@ -250,21 +236,6 @@ class FaultTable:
         for f, w in self.faults:
             if not f or not is_detectable(self.diagram, f, regions):
                 yield f, w
-
-
-def _syndrome_columns(webs: list) -> tuple[dict, dict]:
-    """Each Pauli bit's web syndrome, keyed by the bit as an int: an X at a
-    location anticommutes with the webs that have Z there, and a Z with the
-    webs that have X there (Y is both bits)."""
-    columns: tuple[dict, dict] = ({}, {})
-    for i, web in enumerate(webs):
-        x, z = web.pauli.xz
-        for column, mask in zip(columns, (z, x)):
-            while mask:
-                low = mask & -mask
-                column[low] = column.get(low, 0) ^ 1 << i
-                mask ^= low
-    return columns
 
 
 def _assignments(variables: list) -> list:

@@ -431,9 +431,7 @@ def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> bool:
     """Tensor nonzero exactly on constraint-satisfying outcome assignments."""
     t = evaluate(d, budget)
     m = t.max_abs()
-    if m == 0.0:
-        return not _any_assignment_satisfies(d)
-    arr = t.array / m
+    arr = t.array / m if m else t.array
     for b in t.assignments():
         vals = dict(zip(d.variables, b))
         sat = all(sum(vals[v] for v in vs) % 2 == rhs for vs, rhs in d.constraints)
@@ -441,11 +439,3 @@ def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> bool:
         if nz != sat:
             return False
     return True
-
-
-def _any_assignment_satisfies(d: ZxDiagram) -> bool:
-    for b in itertools.product((0, 1), repeat=len(d.variables)):
-        vals = dict(zip(d.variables, b))
-        if all(sum(vals[v] for v in vs) % 2 == rhs for vs, rhs in d.constraints):
-            return True
-    return False

@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import samples
+from .builders import build_gadget, call_bound
 from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import (EquivalenceSpec, FaultTable, Side, Verdict,
                   check_w_fault_equivalence, outcome_flip_key)
@@ -487,7 +488,7 @@ def make_rule(name: str, **params) -> RewriteRule:
     base = name[:-1] if name.endswith("~") else name
     if base not in RULES:
         raise ValueError(f"unknown rule {base!r} (have {sorted(RULES)})")
-    rule = RULES[base](**params)
+    rule = call_bound(RULES[base], f"rule {base!r}", **params)
     return rule.inverse() if base != name else rule
 
 
@@ -1111,9 +1112,8 @@ def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
         if fname.startswith("_") or not callable(fn):
             raise ScriptError(f"unknown sample {parts[0]!r}")
         args = [int(a) if _is_int(a) else a for a in parts[1:]]
-        return fn(*args)
+        return call_bound(fn, f"sample {parts[0]!r}", *args)
     if kind == "builder":
-        from .builders import build_gadget
         parts = rest.split(":")
         if len(parts) < 2 or parts[-1] not in ("spec", "impl"):
             raise ScriptError(f"builder reference needs a spec/impl side: {ref!r}")
@@ -1174,11 +1174,14 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
         entry: dict = {"index": i, "rule": st.rule, "params": dict(st.params)}
         try:
             rule = make_rule(st.rule, **st.params)
-            entry["guarantee"] = rule.guarantee
-            if rule.w is not None:
-                entry["guarantee-w"] = rule.w
+        except ValueError as exc:
+            raise ScriptError(f"line {st.line}: {exc}") from None
+        entry["guarantee"] = rule.guarantee
+        if rule.w is not None:
+            entry["guarantee-w"] = rule.w
+        try:
             d2, log = apply_rule(d, rule, st.binding, st.vars, st.new, budget)
-        except (ValueError,) as exc:
+        except (RuleBindingError, IdealRegionError) as exc:
             entry["error"] = str(exc)
             report_steps.append(entry)
             failed = i
@@ -1229,21 +1232,20 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
             evaluate(tgt, budget), evaluate(d, budget), corr)
 
     claim = report["claim"]
+    rows = {v: script.claim_corr.get(v, v) for v in src.variables}
     try:
-        rows = {v: script.claim_corr.get(v, v) for v in src.variables}
-        cost = _e2e_cost(src, script.claim_w) + _e2e_cost(d, script.claim_w)
-        if cost <= E2E_COST_CAP:
-            verdict = verify_step(src, d, script.claim_w, rows, budget)
-            claim["mode"] = "end-to-end"
-            claim["verified"] = verdict.equivalent
-            claim["verdict"] = verdict.to_json()
-        elif chain_ok and (chain_w is None or chain_w >= script.claim_w):
-            claim["mode"] = "chain"
-            claim["verified"] = True
-        else:
-            claim["mode"] = "not-verified"
+        OutcomeMap.parse(d.variables, src.variables, rows)
     except ValueError as exc:
-        claim["mode"] = "error"
-        claim["error"] = str(exc)
-
+        raise ScriptError(f"claim: {exc}") from None
+    cost = _e2e_cost(src, script.claim_w) + _e2e_cost(d, script.claim_w)
+    if cost <= E2E_COST_CAP:
+        verdict = verify_step(src, d, script.claim_w, rows, budget)
+        claim["mode"] = "end-to-end"
+        claim["verified"] = verdict.equivalent
+        claim["verdict"] = verdict.to_json()
+    elif chain_ok and (chain_w is None or chain_w >= script.claim_w):
+        claim["mode"] = "chain"
+        claim["verified"] = True
+    else:
+        claim["mode"] = "not-verified"
     return report

@@ -128,18 +128,23 @@ def check_web(d: ZxDiagram, w: PauliWeb) -> bool:
     return True
 
 
+class WebBasisError(Exception):
+    """:func:`check_web` rejected a solution of the web system, so a basis
+    without it would be incomplete.  Not a ValueError, so that no caller can
+    mistake it for a negative verdict or a failed step."""
+
+
 def web_basis(d: ZxDiagram) -> list[PauliWeb]:
+    """A basis of the diagram's Pauli webs: every solution of the web system,
+    each confirmed by :func:`check_web`."""
     rows, n_vars, edge_order, spider_order = _build_system(d)
     webs = [_vector_to_web(d, v, edge_order, spider_order)
             for v in gf2.nullspace(rows, n_vars)]
-    return [w for w in webs if check_web(d, w)]
-
-
-def web_space_dim(d: ZxDiagram) -> int:
-    """Dimension of the web system's solution space: the number of webs
-    :func:`web_basis` returns when :func:`check_web` rejects none."""
-    rows, n_vars, _, _ = _build_system(d)
-    return n_vars - len(gf2.echelon(rows))
+    rejected = sum(not check_web(d, w) for w in webs)
+    if rejected:
+        raise WebBasisError(f"check_web rejected {rejected} solution(s) of"
+                            f" the web system")
+    return webs
 
 
 def local_sign(colour: str, qturns: int, both_legs: int) -> int:

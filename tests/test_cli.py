@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -188,3 +189,52 @@ def test_prove_target_with_other_outcome_variables_is_exit_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "['k1', 'k2']" in err and "[]" in err
+
+
+def rep3_split_with_claim_row(row: str) -> str:
+    """rep3-split.fzx, whose claim the step chain carries, with one more
+    claim row, which overrides any earlier row for its variable."""
+    with open(script_path("rep3-split.fzx")) as fh:
+        return fh.read().rstrip("\n") + f" {row}\n"
+
+
+# (id, argv, a fragment of the one error line); a "prove" argv carries the
+# script text, which the test writes to a file
+INPUT_ERRORS = [
+    ("claim row, chain mode",
+     ["prove", rep3_split_with_claim_row("k1_1=bogus")],
+     "claim: expression for 'k1_1' uses unknown variables ['bogus']"),
+    ("claim row, end-to-end mode",
+     ["prove", "name t\nsource sample:two_zz_measurements\n"
+               "claim w=2 k1=bogus\n"],
+     "claim: expression for 'k1' uses unknown variables ['bogus']"),
+    ("step rule parameter",
+     ["prove", "name t\nsource sample:cat_spec:4\nstep elim bogus=3\n"
+               "claim w=2\n"],
+     "line 3: rule 'elim': unknown parameters ['bogus']"),
+    ("step rule name",
+     ["prove", "name t\nsource sample:cat_spec:4\nstep nosuch\n"
+               "claim w=2\n"],
+     "line 3: unknown rule 'nosuch'"),
+    ("builder parameter", ["build", "flagged-cat", "--set", "bogus=1"],
+     "gadget 'flagged-cat': unknown parameters ['bogus']"),
+    ("builder reference parameter", ["eval", "builder:recursive-cat:m=4:spec"],
+     "gadget 'recursive-cat': unknown parameters ['m']"),
+    ("sample reference arguments", ["webs", "sample:cat_spec:4:5:6"],
+     "sample 'cat_spec': too many positional arguments"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", [pytest.param(a, f, id=i)
+                                           for i, a, f in INPUT_ERRORS])
+def test_input_errors_are_exit_2(capsys, tmp_path, argv, fragment):
+    if argv[0] == "prove":
+        script = tmp_path / "input.fzx"
+        script.write_text(argv[1])
+        argv = ["prove", str(script), "--base-dir",
+                os.path.dirname(script_path("rep3-split.fzx"))]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err

@@ -165,6 +165,21 @@ def test_totality():
     assert is_total(samples.wire())
 
 
+def test_totality_of_a_zero_tensor():
+    """A zero tensor is total exactly when no assignment satisfies the
+    constraints."""
+    d = ZxDiagram()
+    a, b = d.add_spider("Z", 0), d.add_spider("Z", 2)
+    d.add_edge(("s", a), ("s", b))  # the scalar 1 + e^{i pi} = 0
+    d.add_spider("Z", 0, [d.add_variable("k")])
+    assert evaluate(d).max_abs() == 0.0
+    assert not is_total(d)
+    d.add_constraint(["k"], 0)
+    assert not is_total(d)
+    d.add_constraint(["k"], 1)
+    assert is_total(d)
+
+
 def test_budget_error():
     d = ZxDiagram()
     s = d.add_spider("Z")

@@ -5,7 +5,8 @@ import pytest
 
 from test_feq import WIRE_POOL
 from test_gf2 import reference_nullspace
-from zxfault import gf2, samples
+from zxfault import gf2, samples, webs
+from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import evaluate
 from zxfault.pauli import PauliString
@@ -260,3 +261,17 @@ def test_bases_match_reference_solver(group, monkeypatch):
     monkeypatch.setattr(gf2, "nullspace", reference_nullspace)
     for (name, d), got in zip(diagrams, fast):
         assert got == (web_basis(d), detecting_region_basis(d)), name
+
+
+def test_rejected_web_solution_is_an_error(monkeypatch, capsys):
+    """A solution of the web system that check_web rejects makes the basis
+    an error, not a shorter basis; the CLI reports it as exit 2."""
+    d = samples.two_zz_measurements()
+    n = len(web_basis(d))
+    monkeypatch.setattr(webs, "check_web", lambda d, w: False)
+    with pytest.raises(webs.WebBasisError, match=f"check_web rejected {n} "):
+        web_basis(d)
+    assert main(["webs", "two-zz"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: check_web rejected") and err.count("\n") == 1
