@@ -485,15 +485,20 @@ def build_gadget(name: str, **params) -> GadgetPair:
 
 
 def call_bound(fn, what: str, *args, **params):
-    """``fn(*args, **params)`` once the arguments bind to ``fn``'s signature;
-    a ValueError naming ``what``, the unknown parameters and the known ones
-    if they do not."""
+    """``fn(*args, **params)`` once the arguments bind to ``fn``'s signature
+    and every value bound to an ``int`` parameter is an int; a ValueError
+    naming ``what`` and the problem if not."""
     sig = inspect.signature(fn)
     try:
-        sig.bind(*args, **params)
+        bound = sig.bind(*args, **params)
     except TypeError as exc:
         unknown = sorted(params.keys() - sig.parameters.keys())
         problem = f"unknown parameters {unknown}" if unknown else exc
         raise ValueError(f"{what}: {problem}; its parameters are"
                          f" ({', '.join(sig.parameters)})") from None
+    for name, value in bound.arguments.items():
+        if sig.parameters[name].annotation in (int, "int") \
+                and not isinstance(value, int):
+            raise ValueError(f"{what}: parameter {name!r} must be an"
+                             f" integer, got {value!r}")
     return fn(*args, **params)

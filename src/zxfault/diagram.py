@@ -327,7 +327,6 @@ def apply_fault(d: ZxDiagram, f: PauliString) -> ZxDiagram:
         letters = {"X": ["X"], "Z": ["Z"], "Y": ["X", "Z"]}[letter]
         # chain from a: [a] --plain-- P1 --plain-- ... Pn --(had)-- [b]
         cur = e.a
-        first_eid = eid
         for i, col in enumerate(letters):
             sid = out.add_spider(col, qturns=2)
             if i == 0:
@@ -336,5 +335,4 @@ def apply_fault(d: ZxDiagram, f: PauliString) -> ZxDiagram:
                 out.add_edge(cur, ("s", sid), False, False)
             cur = ("s", sid)
         out.add_edge(cur, e.b, e.had, False)
-        del first_eid
     return out

@@ -6,18 +6,19 @@ on either side is detectable there, or is matched by a fault of no greater
 weight on the other side whose faulted diagram is equal (up to a global
 magnitude and per-outcome phase, under the outcome correspondence).
 
-Every match, and the circuit distance, is a query on one engine,
-:class:`FaultTable`.  A table holds one side's enumerated faults and the
-side's contraction, compiled once.  A fault's class key is read from one
-replay of the contraction with the fault's Paulis on the leaves, but only
-for the first fault of each web syndrome (the set of the diagram's Pauli
+Every match is a query on one engine, :class:`FaultTable`.  A table holds
+one side's enumerated faults and the side's contraction, compiled once.  A
+fault's class key is read from one replay of the contraction with the
+fault's Paulis on the leaves, but only for the first fault of each web
+syndrome (:func:`~zxfault.webs.syndrome`, the set of the diagram's Pauli
 webs it anticommutes with): two faults with one syndrome differ by a Pauli
 that commutes with every web, which pushes through the spiders and leaves
-only a global scalar and per-outcome signs, and the key forgets both.  A
-lazy scan in nondecreasing weight order records the first fault of each
-key.  One key builder, :func:`_class_key`, reads a tensor through one or
-more outcome relabellings; :meth:`FaultTable.undetectable` is the one place
-that decides detectability, by the exact web criterion.
+only a global scalar and per-outcome signs, and the key forgets both.  The
+key reads the tensor through the outcome correspondence, so a side-a fault
+can match a side-b one.  A lazy scan in nondecreasing weight order records
+the first fault of each key.  The circuit distance concerns one diagram and
+needs no key: a fault of a diagram D != 0 changes it exactly when its web
+syndrome is nonzero.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
-from .webs import (anticommutes, detecting_region_basis, is_detectable,
-                   web_basis)
+from .webs import detecting_region_basis, is_detectable, syndrome, web_basis
 
 
 @dataclass
@@ -135,21 +135,15 @@ class FaultTable:
     """One diagram's faults up to a weight, in enumeration order
     (nondecreasing weight, lex within weight), each with a class key.
 
-    ``key`` maps a faulted diagram's tensor to bytes; faults are in one class
-    exactly when their keys are equal.  A key comes from one replay of the
-    diagram's compiled :class:`~zxfault.oracle.Contraction`, which tables
-    over one diagram may share, for the first fault of each web syndrome;
-    every later fault with that syndrome takes the same key, so the table
-    makes one replay per distinct syndrome (counted in ``replays``).  The
-    syndrome is sound because a Pauli that commutes with every web of a
-    Clifford diagram moves through its spiders to a global scalar and
-    per-outcome signs, which the key ignores; it needs the full web basis,
-    which :func:`~zxfault.webs.web_basis` returns or raises.  Two checks
-    guard the replay: the first non-empty fault replayed is also contracted
-    densely from its faulted diagram, and the first fault whose syndrome is
-    already known is replayed too, and must give the same key.  Keys are
-    cached as 32-byte digests; no tensor is kept.  The map from each key to
-    its first fault is filled by a scan that goes only as far as a query
+    Faults are in one class exactly when their keys are equal.  A key is
+    the 32-byte digest of ``key`` applied to one replay of the diagram's
+    compiled :class:`~zxfault.oracle.Contraction`, made only for the first
+    fault of each web syndrome; later faults with that syndrome take its
+    key, so ``replays`` is one per syndrome plus the guard's.  Two checks
+    guard this: the first non-empty replay is compared with a dense
+    contraction, and the first other fault of a known syndrome is replayed
+    and must give the same key.  No tensor is kept.  The map from each key
+    to its first fault is filled by a scan that goes only as far as a query
     needs."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
@@ -160,11 +154,10 @@ class FaultTable:
         self.weight = dict(self.faults)
         self.replays = 0
         self._key_of_tensor = key
-        self._keys: dict[PauliString, bytes] = {}
-        self._first: dict[bytes, tuple[PauliString, int]] = {}
+        self._first: dict[bytes, PauliString] = {}
         self._scanned = 0
         self._webs = web_basis(self.diagram)
-        self._by_syndrome: dict[int, bytes] = {}
+        self._by_syndrome: dict[int, tuple[PauliString, bytes]] = {}
         self._replay_checked = False
         self._syndrome_checked = False
 
@@ -176,17 +169,10 @@ class FaultTable:
         return hashlib.blake2b(self._key_of_tensor(t), digest_size=32).digest()
 
     def noise_free(self) -> OutcomeTensor:
-        """The noise-free diagram's tensor; its key is cached as the empty
-        fault's, the tensor itself is not kept."""
+        """The noise-free tensor, not kept; its key is syndrome 0's."""
         t = self._replay(PauliString())
-        k = self._keys.setdefault(PauliString(), self._digest(t))
-        self._by_syndrome.setdefault(0, k)
+        self._by_syndrome.setdefault(0, (PauliString(), self._digest(t)))
         return t
-
-    def _syndrome(self, f: PauliString) -> int:
-        """Bit i is set when the fault anticommutes with web i of the
-        diagram's web basis."""
-        return sum(anticommutes(w, f) << i for i, w in enumerate(self._webs))
 
     def _replayed_key(self, f: PauliString) -> bytes:
         t = self._replay(f)
@@ -201,37 +187,33 @@ class FaultTable:
         return self._digest(t)
 
     def key(self, f: PauliString) -> bytes:
-        k = self._keys.get(f)
-        if k is None:
-            s = self._syndrome(f)
-            k = self._by_syndrome.get(s)
-            if k is None:
-                k = self._by_syndrome[s] = self._replayed_key(f)
-            elif not self._syndrome_checked:
-                self._syndrome_checked = True
-                if self._replayed_key(f) != k:
-                    raise ClassKeyError(
-                        f"fault {f.to_text()} has a known web syndrome but"
-                        f" a different class key")
-            self._keys[f] = k
+        s = syndrome(self._webs, f)
+        if s not in self._by_syndrome:
+            self._by_syndrome[s] = (f, self._replayed_key(f))
+        g, k = self._by_syndrome[s]
+        if g != f and not self._syndrome_checked:
+            self._syndrome_checked = True
+            if self._replayed_key(f) != k:
+                raise ClassKeyError(
+                    f"fault {f.to_text()} has a known web syndrome but"
+                    f" a different class key")
         return k
 
-    def first(self, key: bytes, max_weight: int):
-        """(fault, weight) of the first enumerated fault with this key, or
-        None if no fault of weight <= max_weight has it."""
+    def first(self, key: bytes, max_weight: int) -> PauliString | None:
+        """The first enumerated fault with this key, or None if no fault of
+        weight <= max_weight has it."""
         while key not in self._first and self._scanned < len(self.faults):
             g, w = self.faults[self._scanned]
             if w > max_weight:
                 break
             self._scanned += 1
-            self._first.setdefault(self.key(g), (g, w))
-        hit = self._first.get(key)
-        return hit if hit is not None and hit[1] <= max_weight else None
+            self._first.setdefault(self.key(g), g)
+        g = self._first.get(key)
+        return g if g is not None and self.weight[g] <= max_weight else None
 
     def undetectable(self):
-        """Yield (fault, weight) in enumeration order for the empty fault and
-        every fault that no detecting region of the diagram detects.  The
-        region basis is solved once per scan."""
+        """(fault, weight) in enumeration order of the empty fault and every
+        fault that no detecting region detects; one region basis per scan."""
         regions = detecting_region_basis(self.diagram)
         for f, w in self.faults:
             if not f or not is_detectable(self.diagram, f, regions):
@@ -249,28 +231,13 @@ def _read(canon: dict, sources: list) -> bytes:
     return cs[0] if len(cs) == 1 else b",".join(cs) or b"Z"
 
 
-def _class_key(b_assigns: list, readings: list):
-    """Key of a tensor read through each of the given preimage maps (target
-    assignment -> source assignments); the key is the least reading."""
+def _class_key(b_assigns: list, preimage: dict):
+    """Key of a tensor read through a preimage map (target assignment ->
+    source assignments)."""
     def key(t: OutcomeTensor) -> bytes:
         canon = _branch_canons(t)
-        return min(b"|".join(_read(canon, preimage[y]) for y in b_assigns)
-                   for preimage in readings)
+        return b"|".join(_read(canon, preimage[y]) for y in b_assigns)
     return key
-
-
-def _identity_key(variables: list):
-    assigns = _assignments(variables)
-    return _class_key(assigns, [{y: [y] for y in assigns}])
-
-
-def outcome_flip_key(variables: list):
-    """Identity key up to a constant flip of any subset of the outcome
-    variables: one reading per flip."""
-    assigns = _assignments(variables)
-    return _class_key(assigns, [
-        {y: [tuple(a ^ b for a, b in zip(y, c))] for y in assigns}
-        for c in assigns])
 
 
 def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
@@ -287,10 +254,11 @@ def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
     preimage = {y: [] for y in b_assigns}
     for a in _assignments(da.variables):
         preimage[corr(a)].append(a)
+    identity = {y: [y] for y in b_assigns}
     return {"a": FaultTable(Contraction(da, spec.budget), spec.side_a.noise,
-                            max_weight, _class_key(b_assigns, [preimage])),
+                            max_weight, _class_key(b_assigns, preimage)),
             "b": FaultTable(Contraction(db, spec.budget), spec.side_b.noise,
-                            max_weight, _identity_key(db.variables))}
+                            max_weight, _class_key(b_assigns, identity))}
 
 
 def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
@@ -308,9 +276,8 @@ def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
                              f" side's noise model")
     if tables is None:
         tables = fault_tables(spec, max_weight)
-    hit = tables["b" if side == "a" else "a"].first(tables[side].key(f),
-                                                   max_weight)
-    return None if hit is None else hit[0]
+    return tables["b" if side == "a" else "a"].first(tables[side].key(f),
+                                                    max_weight)
 
 
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
@@ -340,15 +307,21 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
 
 def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
                      budget: int = DEFAULT_BUDGET):
-    """Minimum weight of an undetectable fault that changes the diagram: its
-    identity-correspondence class key differs from the empty fault's.
-    ABOVE_CAP if none of weight <= cap exists."""
+    """Minimum weight of an undetectable fault that changes the diagram,
+    ABOVE_CAP if none of weight <= cap exists.  On D != 0 those are the
+    faults with a nonzero web syndrome, and the dense oracle confirms the
+    first one; on D = 0 every fault is trivial."""
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
-    table = FaultTable(Contraction(d, budget), m, cap,
-                       _identity_key(d.variables))
-    empty = table.key(PauliString())
-    for f, w in table.undetectable():
-        if f and table.key(f) != empty:
+    base = evaluate(d, budget)
+    if base.max_abs() < TOL:
+        return ABOVE_CAP
+    webs, regions = web_basis(d), detecting_region_basis(d)
+    for f, w in enumerate_faults(m, cap):
+        if not is_detectable(d, f, regions) and syndrome(webs, f):
+            if is_trivial(d, f, base, budget):
+                raise ClassKeyError(
+                    f"fault {f.to_text()} has a nonzero web syndrome but"
+                    f" leaves the diagram unchanged")
             return w
     return ABOVE_CAP

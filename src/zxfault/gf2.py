@@ -53,9 +53,15 @@ def solve(rows, b: int, n: int) -> int | None:
     return sum(((r >> n) & 1) << c for c, r in pivots.items())
 
 
+def reduce(pivots: dict[int, int], v: int) -> int:
+    """``v`` with the pivot columns of the echelon form ``pivots`` cleared:
+    equal for two rows exactly when they differ by a sum of its rows."""
+    for c, r in pivots.items():
+        if v >> c & 1:
+            v ^= r
+    return v
+
+
 def in_span(rows, v: int) -> bool:
     """Whether the bit row ``v`` is a GF(2) sum of the bit ``rows``."""
-    pivots = echelon(rows)
-    while v and (p := pivots.get((v & -v).bit_length() - 1)):
-        v ^= p
-    return not v
+    return not reduce(echelon(rows), v)

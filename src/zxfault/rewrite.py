@@ -13,8 +13,8 @@ the lhs shape and returns the rewritten diagram plus a :class:`StepLog` that
 records the matched region, the created region and the outcome-variable
 bookkeeping.  ``verify_step`` checks the two regions for w-fault-equivalence
 under edge-flip noise with :func:`~zxfault.feq.check_w_fault_equivalence`,
-and ``check_boundary_pushout`` matches internal against boundary faults with
-two :class:`~zxfault.feq.FaultTable` objects over one compiled contraction.
+and ``check_boundary_pushout`` matches internal against boundary faults by
+their web syndromes.
 ``run_proof_script`` replays a textual derivation and produces a
 deterministic JSON report.
 """
@@ -26,15 +26,16 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from . import samples
+from . import gf2, samples
 from .builders import build_gadget, call_bound
 from .diagram import Edge, Phase, Spider, ZxDiagram
-from .feq import (EquivalenceSpec, FaultTable, Side, Verdict,
-                  check_w_fault_equivalence, outcome_flip_key)
-from .noise import AtomicFault, NoiseModel, edge_flip_atoms
-from .oracle import (DEFAULT_BUDGET, Contraction, OutcomeMap,
-                     equal_up_to_scalar, evaluate, is_total)
+from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
+from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
+from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
+                     evaluate, is_total)
 from .pauli import LETTERS, PauliString
+from .webs import (detecting_region_basis, flipped_by, is_detectable,
+                   syndrome, web_basis)
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -875,26 +876,39 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     """Every undetectable internal fault up to the given weight must act like
     some boundary-only fault of no greater weight (weights counted in the
     respective restricted edge-flip models), up to a constant relabelling of
-    the outcome variables."""
+    the outcome variables.  On a diagram D != 0 that holds for two faults
+    exactly when their web syndromes are equal modulo the webs that each
+    outcome flip toggles (:func:`~zxfault.webs.flipped_by`); on D = 0 every
+    fault is trivial."""
     internal = sorted(eid for eid, e in d.edges.items()
                       if not e.ideal and e.a[0] == "s" and e.b[0] == "s")
     boundary = [eid for eid in d.non_ideal_edges() if eid not in set(internal)]
     if not internal:
         return PushoutReport(True, [], 0)
+    zero = evaluate(d, budget).max_abs() < TOL
+    webs = web_basis(d)
+    flips = [flipped_by(d, w) for w in webs]
+    rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
+                       for v in d.variables)
 
-    contraction = Contraction(d, budget)
-    key = outcome_flip_key(d.variables)
+    def cls(f):
+        return gf2.reduce(rows, syndrome(webs, f))
 
-    def table(eids, label):
-        m = NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
-                        for eid in eids for l in LETTERS], label)
-        return FaultTable(contraction, m, max_weight, key)
+    def faults(eids):
+        return enumerate_faults(NoiseModel(
+            [AtomicFault(PauliString({eid: l}), "edge-flip")
+             for eid in eids for l in LETTERS], "edge-flip"), max_weight)
 
-    inner, outer = table(internal, "internal"), table(boundary, "boundary")
-    violations = [(f, wt) for f, wt in inner.undetectable()
-                  if f and outer.first(inner.key(f), wt) is None]
+    least: dict[int, int] = {}
+    for g, wt in faults(boundary):
+        least.setdefault(cls(g), wt)
+    regions = detecting_region_basis(d)
     # every non-empty internal fault counts, detectable or not
-    return PushoutReport(not violations, violations, len(inner.faults) - 1)
+    inner = [(f, wt) for f, wt in faults(internal) if f]
+    violations = [] if zero else [
+        (f, wt) for f, wt in inner if not is_detectable(d, f, regions)
+        and least.get(cls(f), wt + 1) > wt]
+    return PushoutReport(not violations, violations, len(inner))
 
 
 # -- graph isomorphism (ports fixed) --------------------------------------------
@@ -1112,7 +1126,10 @@ def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
         if fname.startswith("_") or not callable(fn):
             raise ScriptError(f"unknown sample {parts[0]!r}")
         args = [int(a) if _is_int(a) else a for a in parts[1:]]
-        return call_bound(fn, f"sample {parts[0]!r}", *args)
+        d = call_bound(fn, f"sample {parts[0]!r}", *args)
+        if not isinstance(d, ZxDiagram):
+            raise ScriptError(f"sample {parts[0]!r} is not a diagram")
+        return d
     if kind == "builder":
         parts = rest.split(":")
         if len(parts) < 2 or parts[-1] not in ("spec", "impl"):

@@ -238,7 +238,7 @@ def green_chain(n_spiders: int) -> ZxDiagram:
     return d
 
 
-def cat_spec(n: int, var_prefix: str | None = None) -> ZxDiagram:
+def cat_spec(n: int) -> ZxDiagram:
     """Ideal n-legged cat-state preparation: a single fault-free green spider
     with n output legs; only the boundary edges are non-ideal."""
     d = ZxDiagram()

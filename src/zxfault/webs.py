@@ -84,7 +84,7 @@ def _build_system(d: ZxDiagram) -> tuple[list[int], int, dict, dict]:
     return rows, 2 * len(edge_order) + len(spider_order), edge_order, spider_order
 
 
-def _vector_to_web(d: ZxDiagram, v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
+def _vector_to_web(v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     hl = []
     for eid, i in edge_order.items():
         h = _HIGHLIGHT_OF[(v >> 2 * i) & 1, (v >> 2 * i + 1) & 1]
@@ -138,7 +138,7 @@ def web_basis(d: ZxDiagram) -> list[PauliWeb]:
     """A basis of the diagram's Pauli webs: every solution of the web system,
     each confirmed by :func:`check_web`."""
     rows, n_vars, edge_order, spider_order = _build_system(d)
-    webs = [_vector_to_web(d, v, edge_order, spider_order)
+    webs = [_vector_to_web(v, edge_order, spider_order)
             for v in gf2.nullspace(rows, n_vars)]
     rejected = sum(not check_web(d, w) for w in webs)
     if rejected:
@@ -159,36 +159,37 @@ def local_sign(colour: str, qturns: int, both_legs: int) -> int:
     return -1 if diff == 2 else 1
 
 
+def flipped_by(d: ZxDiagram, w: PauliWeb) -> frozenset:
+    """The outcome variables whose flip toggles the web's sign: those read
+    by an odd number of the spiders the web fires (web indicator 1)."""
+    det: set = set()
+    for sid, fired in w.indicators:
+        if fired:
+            det ^= set(d.spiders[sid].phase.pivars)
+    return frozenset(det)
+
+
 def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
     """(expected_parity, detecting_set) of a detecting region.
 
     expected_parity = (n_const + m) mod 2 where n_const counts spiders that
     the region stabilises with sign -1 at the all-zero outcome assignment and
-    m counts both-colour plain edges; the detecting set collects the outcome
-    variables whose flip toggles the sign.
+    m counts both-colour plain edges; the detecting set is
+    :func:`flipped_by`.
     """
     hl = w.edges
-    for eid in d.boundary_edges():
-        if eid in hl:
-            raise ValueError("web touches boundary; not a detecting region")
+    if any(eid in hl for eid in d.boundary_edges()):
+        raise ValueError("web touches boundary; not a detecting region")
     inc = d.incidence()
     n_const = 0
-    det: set = set()
-    for sid, s in d.spiders.items():
-        legs = inc[sid]
-        if not legs:
-            continue
-        # fired iff all legs are opposite-colour highlighted
-        if not all(_leg_view(d, eid, ep, _HIGHLIGHT[hl.get(eid)][0])[1]
-                   for eid, ep in legs):
-            continue
-        y = sum(1 for eid, _ in legs if hl.get(eid) == "both")
-        if local_sign(s.colour, s.phase.qturns, y) == -1:
-            n_const += 1
-        det ^= set(s.phase.pivars)
+    for sid, fired in w.indicators:
+        if fired:
+            s = d.spiders[sid]
+            y = sum(1 for eid, _ in inc[sid] if hl.get(eid) == "both")
+            n_const += local_sign(s.colour, s.phase.qturns, y) == -1
     m = sum(1 for eid, h in w.highlight
             if h == "both" and not d.edges[eid].had)
-    return (n_const + m) % 2, frozenset(det)
+    return (n_const + m) % 2, flipped_by(d, w)
 
 
 def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
@@ -198,7 +199,7 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
         rows += (1 << i, 1 << i + 1)
     regions = []
     for v in gf2.nullspace(rows, n_vars):
-        w = _vector_to_web(d, v, edge_order, spider_order)
+        w = _vector_to_web(v, edge_order, spider_order)
         if not w.highlight:
             continue
         parity, det = region_sign(d, w)
@@ -208,6 +209,13 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
 
 def anticommutes(w: PauliWeb, f: PauliString) -> bool:
     return not w.pauli.commutes(f)
+
+
+def syndrome(webs: list[PauliWeb], f: PauliString) -> int:
+    """Bit i is set when the fault anticommutes with web i.  On a diagram
+    D != 0 with web basis ``webs``, faults with equal syndromes give equal
+    diagrams up to a global scalar and per-outcome phases, and only they."""
+    return sum(anticommutes(w, f) << i for i, w in enumerate(webs))
 
 
 def is_detectable(d: ZxDiagram, f: PauliString,

@@ -222,6 +222,14 @@ INPUT_ERRORS = [
      "gadget 'recursive-cat': unknown parameters ['m']"),
     ("sample reference arguments", ["webs", "sample:cat_spec:4:5:6"],
      "sample 'cat_spec': too many positional arguments"),
+    ("sample reference extra argument", ["webs", "sample:cat_spec:4:5"],
+     "sample 'cat_spec': too many positional arguments"),
+    ("builder parameter type", ["build", "recursive-cat", "--set", "n=x"],
+     "gadget 'recursive-cat': parameter 'n' must be an integer, got 'x'"),
+    ("sample argument type", ["webs", "sample:cat_spec:abc"],
+     "sample 'cat_spec': parameter 'n' must be an integer, got 'abc'"),
+    ("sample that is not a diagram", ["webs", "sample:web_corpus"],
+     "sample 'web_corpus' is not a diagram"),
 ]
 
 

@@ -183,8 +183,7 @@ def test_cached_keys_are_32_byte_digests():
     tables = feq.fault_tables(naive_vs_spec(3), 2)
     for t in tables.values():
         t.first(b"no such key", 2)  # keys every fault
-        assert len(t._keys) == len(t.faults)
-        assert {len(k) for k in t._keys.values()} == {32}
+        assert {len(k) for _, k in t._by_syndrome.values()} == {32}
         assert {len(k) for k in t._first} == {32}
 
 
@@ -196,7 +195,7 @@ def test_replay_oracle_disagreement_is_an_error(monkeypatch):
         check_w_fault_equivalence(naive_vs_spec(2))
     d = samples.wire()
     with pytest.raises(ClassKeyError):
-        circuit_distance(d, edge_flip_atoms(d), 2)
+        check_w_fault_equivalence(spec_of(d, d))
 
 
 # -- the engine against the pairwise reference -----------------------------------
@@ -360,12 +359,38 @@ def reference_distance(d, m, cap):
     return ABOVE_CAP
 
 
+def ideal_boundary(d):
+    """Copy of the diagram with its boundary edges marked fault-free."""
+    out = d.copy()
+    for eid in out.boundary_edges():
+        out.set_ideal(eid, True)
+    return out
+
+
+def zero_diagram(d):
+    """The diagram beside a leg-less pi spider, whose scalar is 0."""
+    out = d.copy()
+    out.add_spider("Z", 2)
+    return out
+
+
+# the last five: answers 3, 2 and one above the cap, and zero diagrams, on
+# which every fault is trivial
 DISTANCE_CASES = [
     ("wire", lambda: samples.wire(), edge_flip_atoms, 2),
     ("ideal-wire", lambda: idealised(samples.wire()), edge_flip_atoms, 3),
     ("repetition-sandwich", samples.repetition_sandwich, x_only_model, 4),
     ("two-zz", samples.two_zz_measurements, edge_flip_atoms, 2),
     ("naive-cat4", lambda: samples.naive_cat(4), edge_flip_atoms, 2),
+    ("repetition-sandwich-ideal-boundary",
+     lambda: ideal_boundary(samples.repetition_sandwich()), x_only_model, 3),
+    ("two-zz-ideal-boundary",
+     lambda: ideal_boundary(samples.two_zz_measurements()), x_only_model, 3),
+    ("repetition-sandwich-cap2", samples.repetition_sandwich, x_only_model, 2),
+    ("zero-naive-cat4", lambda: zero_diagram(samples.naive_cat(4)),
+     edge_flip_atoms, 2),
+    ("zero-repetition-sandwich",
+     lambda: zero_diagram(samples.repetition_sandwich()), x_only_model, 3),
 ]
 
 
@@ -375,6 +400,28 @@ def test_distance_matches_reference_loop(name, make, model, cap):
     d = make()
     m = model(d)
     assert circuit_distance(d, m, cap) == reference_distance(d, m, cap)
+
+
+def test_distance_answer_guard(monkeypatch):
+    # the green state's X flip is trivial; a syndrome that calls every
+    # non-empty fault non-trivial must be caught by the dense check
+    d = samples.z_state()
+    m = NoiseModel([AtomicFault(PauliString({0: "X"}), "edge-flip")], "x")
+    assert circuit_distance(d, m, 1) == ABOVE_CAP
+    monkeypatch.setattr(feq, "syndrome", lambda webs, f: int(bool(f)))
+    with pytest.raises(ClassKeyError, match="leaves the diagram unchanged"):
+        circuit_distance(d, m, 1)
+
+
+def test_distance_stops_at_the_first_hit():
+    # the shor-optimised implementation has 419,314 faults up to weight 3
+    # under its circuit noise; the answer needs only the weight-1 layer
+    import time
+    from zxfault.builders import build_gadget
+    d, m = build_gadget("shor-optimised").implementation_diagram()
+    start = time.perf_counter()
+    assert circuit_distance(d, m, 3) == 1
+    assert time.perf_counter() - start < 2
 
 
 # -- web syndromes against fresh replays -----------------------------------------
@@ -434,7 +481,7 @@ def column_syndrome(web_list: list, f: PauliString) -> int:
                                   for name, spec in syndrome_specs()])
 def test_syndromes_match_the_column_rule(spec):
     for table in feq.fault_tables(spec, 2).values():
-        got = [table._syndrome(f) for f, _ in table.faults]
+        got = [webs.syndrome(table._webs, f) for f, _ in table.faults]
         assert got == [column_syndrome(table._webs, f)
                        for f, _ in table.faults]
         assert any(got)
@@ -451,10 +498,22 @@ def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
 def test_repeat_syndrome_guard(monkeypatch):
     # every fault gets syndrome 0, so the wire's X flip reuses the empty
     # fault's key until the guard replays it
-    monkeypatch.setattr(feq, "anticommutes", lambda w, f: False)
+    monkeypatch.setattr(feq, "syndrome", lambda webs, f: 0)
     d = samples.wire()
     with pytest.raises(ClassKeyError, match="known web syndrome"):
-        circuit_distance(d, edge_flip_atoms(d), 1)
+        check_w_fault_equivalence(spec_of(d, d))
+
+
+def test_repeat_syndrome_guard_skips_the_fault_that_set_the_key(
+        monkeypatch):
+    # keying one fault twice is not a repeat: no replay, no error
+    replayed = []
+    monkeypatch.setattr(feq.FaultTable, "_replayed_key",
+                        lambda self, f: replayed.append(f) or b"k" * 32)
+    table = feq.fault_tables(naive_vs_spec(2), 1)["a"]
+    f = table.faults[1][0]
+    assert table.key(f) == table.key(f)
+    assert replayed == [f] and not table._syndrome_checked
 
 
 def test_incomplete_web_basis_is_an_error(monkeypatch):
@@ -475,5 +534,5 @@ def test_one_replay_per_web_syndrome(monkeypatch):
     assert check_w_fault_equivalence(
         build_gadget("recursive-cat", n=4).equivalence_spec(3)).equivalent
     impl = made[0]["a"]
-    assert len(impl._keys) == 741
+    assert len(impl._by_syndrome) == 26
     assert impl.replays <= len(impl._by_syndrome) + 2

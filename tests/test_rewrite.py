@@ -247,6 +247,43 @@ def test_boundary_pushout_matches_reference(name, params):
         assert check_boundary_pushout(side, 2) == reference_pushout(side, 2)
 
 
+def with_legless_spider(d, qturns, var=None):
+    """The diagram beside a leg-less green spider: a pi spider makes the
+    whole diagram zero, and one that reads an outcome variable zeroes the
+    branches where its scalar 1 + (-1)^var (or 1 - (-1)^var) vanishes."""
+    out = d.copy()
+    if var is not None and var not in out.variables:
+        out.add_variable(var)
+    out.add_spider("Z", qturns, [] if var is None else [var])
+    return out
+
+
+# (id, diagram, max weight); the leg-less readers make an outcome flip that
+# no Pauli undoes, and zz3's reader turns its push-out negative
+PUSHOUT_DIAGRAMS = [(f"corpus-{n}", d, 2) for n, d in samples.web_corpus()] + [
+    ("naive-cat3", samples.naive_cat(3), 2),
+    ("two-zz", samples.two_zz_measurements(), 2),
+    ("zz3", samples.zz_measurement(n=3), 2),
+    ("repetition-sandwich", samples.repetition_sandwich(), 2),
+    ("goto-prep", samples.goto_prep(), 1),
+    ("zero-naive-cat4", with_legless_spider(samples.naive_cat(4), 2), 2),
+    ("zero-repetition-sandwich",
+     with_legless_spider(samples.repetition_sandwich(), 2), 2),
+    ("two-zz-new-reader",
+     with_legless_spider(samples.two_zz_measurements(), 0, "m"), 2),
+    ("naive-cat4-new-reader",
+     with_legless_spider(samples.naive_cat(4), 2, "m"), 2),
+    ("zz3-reader",
+     with_legless_spider(samples.zz_measurement(n=3), 0, "k"), 2),
+]
+
+
+@pytest.mark.parametrize("d,cap", [pytest.param(d, c, id=i)
+                                   for i, d, c in PUSHOUT_DIAGRAMS])
+def test_boundary_pushout_matches_reference_on_samples(d, cap):
+    assert check_boundary_pushout(d, cap) == reference_pushout(d, cap)
+
+
 # -- proof scripts ------------------------------------------------------------------
 
 def test_script_parse_error_has_line_number():

@@ -10,7 +10,7 @@ from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import evaluate
 from zxfault.pauli import PauliString
-from zxfault.rewrite import RULES
+from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import (DetectingRegion, PauliWeb, check_web,
                           detecting_region_basis, is_detectable, local_sign,
                           region_sign, web_basis)
@@ -114,6 +114,53 @@ def test_region_sign_rejects_boundary_web():
     w = PauliWeb(((0, "green"),), ())
     with pytest.raises(ValueError, match="boundary"):
         region_sign(d, w)
+
+
+def legs_region_sign(d, w):
+    """Reference for :func:`webs.flipped_by` and :func:`region_sign`: the
+    region sign loop that decided a spider is fired when all its legs are
+    opposite-colour highlighted (leg-less spiders never fire)."""
+    hl = w.edges
+    inc = d.incidence()
+    n_const = 0
+    det: set = set()
+    for sid, s in d.spiders.items():
+        legs = inc[sid]
+        if not legs:
+            continue
+        if not all(webs._leg_view(d, eid, ep,
+                                  webs._HIGHLIGHT[hl.get(eid)][0])[1]
+                   for eid, ep in legs):
+            continue
+        y = sum(1 for eid, _ in legs if hl.get(eid) == "both")
+        if local_sign(s.colour, s.phase.qturns, y) == -1:
+            n_const += 1
+        det ^= set(s.phase.pivars)
+    m = sum(1 for eid, h in w.highlight
+            if h == "both" and not d.edges[eid].had)
+    return (n_const + m) % 2, frozenset(det)
+
+
+def flip_diagrams():
+    yield from samples.web_corpus()
+    for name in sorted(RULES):
+        rule = make_rule(name)
+        yield f"{name}-lhs", rule.lhs
+        yield f"{name}-rhs", rule.rhs
+    yield "split-meas-m3-rhs", make_rule("split-meas", m=3).rhs
+    yield "naive-cat4", samples.naive_cat(4)
+    yield "repetition-sandwich", samples.repetition_sandwich()
+    yield "goto-prep", samples.goto_prep()
+
+
+@pytest.mark.parametrize("name,d", list(flip_diagrams()),
+                         ids=[n for n, _ in flip_diagrams()])
+def test_flipped_by_matches_the_fired_by_legs_rule(name, d):
+    for w in web_basis(d):
+        assert webs.flipped_by(d, w) == legs_region_sign(d, w)[1]
+    for r in detecting_region_basis(d):
+        assert region_sign(d, r.web) == legs_region_sign(d, r.web) == \
+            (r.expected_parity, r.detecting_set)
 
 
 def test_detectability_two_zz():
