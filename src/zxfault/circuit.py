@@ -16,8 +16,7 @@ Text format, one operation per line (each line is one moment):
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 GATE_ARITY = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "CNOT": 2, "CZ": 2,
               "PREP_Z": 1, "PREP_X": 1, "PREP_MINUS": 1}
@@ -218,48 +217,6 @@ class Circuit:
             raise ValueError("line 1: missing QUBITS header")
         c.ideal_wires = set(pending_ideal_wires)
         return c
-
-    # -- JSON mirror -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        ops = []
-        for t, op in self.operations():
-            j = {"moment": t, "kind": op.kind, "qubits": list(op.qubits)}
-            if op.var:
-                j["var"] = op.var
-            if op.pauli:
-                j["pauli"] = op.pauli
-            if op.condition:
-                j["condition"] = {"vars": sorted(op.condition[0]), "const": op.condition[1]}
-            if op.ideal:
-                j["ideal"] = True
-            if op.ft:
-                j["ft"] = True
-            ops.append(j)
-        return {"qubits": self.qubits, "operations": ops,
-                "ideal_wires": sorted(map(list, self.ideal_wires)),
-                "all_wires_ideal": self.all_wires_ideal,
-                "non_implementable": self.non_implementable}
-
-    @classmethod
-    def from_json(cls, j: dict) -> "Circuit":
-        c = cls(j["qubits"])
-        n_moments = 1 + max((op["moment"] for op in j["operations"]), default=-1)
-        c.moments = [[] for _ in range(n_moments)]
-        for op in j["operations"]:
-            cond = None
-            if "condition" in op:
-                cond = (frozenset(op["condition"]["vars"]), op["condition"]["const"])
-            c.moments[op["moment"]].append(Operation(
-                op["kind"], tuple(op["qubits"]), op.get("var"), op.get("pauli"),
-                cond, op.get("ideal", False), op.get("ft", False)))
-        c.ideal_wires = {tuple(w) for w in j.get("ideal_wires", [])}
-        c.all_wires_ideal = j.get("all_wires_ideal", False)
-        c.non_implementable = j.get("non_implementable", False)
-        return c
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def _op_to_text(op: Operation) -> str:

@@ -15,10 +15,12 @@ webs it anticommutes with): two faults with one syndrome differ by a Pauli
 that commutes with every web, which pushes through the spiders and leaves
 only a global scalar and per-outcome signs, and the key forgets both.  The
 key reads the tensor through the outcome correspondence, so a side-a fault
-can match a side-b one.  A lazy scan in nondecreasing weight order records
-the first fault of each key.  The circuit distance concerns one diagram and
-needs no key: a fault of a diagram D != 0 changes it exactly when its web
-syndrome is nonzero.
+can match a side-b one.  A lazy scan of each syndrome's first fault, in
+nondecreasing weight order, records the first fault of each key.  The
+circuit distance concerns one diagram and needs no key: a fault of a
+diagram D != 0 changes it exactly when its web syndrome is nonzero.  Each
+fault's syndrome and detectability come from one per-diagram pass,
+:class:`~zxfault.webs.FaultClasses`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagram import ZxDiagram, apply_fault
-from .noise import ABOVE_CAP, NoiseModel, enumerate_faults, fault_weight
+from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
-from .webs import detecting_region_basis, is_detectable, syndrome, web_basis
+from .webs import FaultClasses
 
 
 @dataclass
@@ -133,7 +135,9 @@ class ClassKeyError(Exception):
 
 class FaultTable:
     """One diagram's faults up to a weight, in enumeration order
-    (nondecreasing weight, lex within weight), each with a class key.
+    (nondecreasing weight, lex within weight), as the
+    (fault, weight, syndrome, undetectable) tuples of
+    :meth:`~zxfault.webs.FaultClasses.of`, each with a class key.
 
     Faults are in one class exactly when their keys are equal.  A key is
     the 32-byte digest of ``key`` applied to one replay of the diagram's
@@ -143,20 +147,24 @@ class FaultTable:
     guard this: the first non-empty replay is compared with a dense
     contraction, and the first other fault of a known syndrome is replayed
     and must give the same key.  No tensor is kept.  The map from each key
-    to its first fault is filled by a scan that goes only as far as a query
-    needs."""
+    to its first fault is filled by a scan of each syndrome's first fault
+    that goes only as far as a query needs."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
                  max_weight: int, key):
         self.contraction = contraction
         self.diagram = contraction.diagram
-        self.faults = list(enumerate_faults(noise, max_weight))
-        self.weight = dict(self.faults)
+        self.faults = list(FaultClasses(self.diagram).of(noise, max_weight))
+        self.weight = {f: w for f, w, _, _ in self.faults}
+        self._syndrome = {f: s for f, _, s, _ in self.faults}
+        firsts: dict[int, PauliString] = {}
+        for f, _, s, _ in self.faults:
+            firsts.setdefault(s, f)
+        self._firsts = list(firsts.values())
         self.replays = 0
         self._key_of_tensor = key
         self._first: dict[bytes, PauliString] = {}
         self._scanned = 0
-        self._webs = web_basis(self.diagram)
         self._by_syndrome: dict[int, tuple[PauliString, bytes]] = {}
         self._replay_checked = False
         self._syndrome_checked = False
@@ -187,7 +195,9 @@ class FaultTable:
         return self._digest(t)
 
     def key(self, f: PauliString) -> bytes:
-        s = syndrome(self._webs, f)
+        if f not in self._syndrome:  # not one of the table's faults
+            return self._replayed_key(f)
+        s = self._syndrome[f]
         if s not in self._by_syndrome:
             self._by_syndrome[s] = (f, self._replayed_key(f))
         g, k = self._by_syndrome[s]
@@ -202,22 +212,14 @@ class FaultTable:
     def first(self, key: bytes, max_weight: int) -> PauliString | None:
         """The first enumerated fault with this key, or None if no fault of
         weight <= max_weight has it."""
-        while key not in self._first and self._scanned < len(self.faults):
-            g, w = self.faults[self._scanned]
-            if w > max_weight:
+        while key not in self._first and self._scanned < len(self._firsts):
+            g = self._firsts[self._scanned]
+            if self.weight[g] > max_weight:
                 break
             self._scanned += 1
             self._first.setdefault(self.key(g), g)
         g = self._first.get(key)
         return g if g is not None and self.weight[g] <= max_weight else None
-
-    def undetectable(self):
-        """(fault, weight) in enumeration order of the empty fault and every
-        fault that no detecting region detects; one region basis per scan."""
-        regions = detecting_region_basis(self.diagram)
-        for f, w in self.faults:
-            if not f or not is_detectable(self.diagram, f, regions):
-                yield f, w
 
 
 def _assignments(variables: list) -> list:
@@ -294,7 +296,9 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     counterexamples = []
     for side in ("a", "b"):
         other = tables["b" if side == "a" else "a"]
-        for f, w in tables[side].undetectable():
+        for f, w, _, undetectable in tables[side].faults:
+            if not undetectable:
+                continue
             g = find_equivalent_fault(spec, side, f, tables, spec.w - 1)
             if g is not None and other.weight[g] <= w:
                 continue
@@ -316,9 +320,8 @@ def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
     base = evaluate(d, budget)
     if base.max_abs() < TOL:
         return ABOVE_CAP
-    webs, regions = web_basis(d), detecting_region_basis(d)
-    for f, w in enumerate_faults(m, cap):
-        if not is_detectable(d, f, regions) and syndrome(webs, f):
+    for f, w, s, undetectable in FaultClasses(d).of(m, cap):
+        if undetectable and s:
             if is_trivial(d, f, base, budget):
                 raise ClassKeyError(
                     f"fault {f.to_text()} has a nonzero web syndrome but"

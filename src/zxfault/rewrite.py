@@ -30,12 +30,11 @@ from . import gf2, samples
 from .builders import build_gadget, call_bound
 from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
-from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
+from .noise import AtomicFault, NoiseModel, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import (detecting_region_basis, flipped_by, is_detectable,
-                   syndrome, web_basis)
+from .webs import FaultClasses, flipped_by
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -886,28 +885,24 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     if not internal:
         return PushoutReport(True, [], 0)
     zero = evaluate(d, budget).max_abs() < TOL
-    webs = web_basis(d)
-    flips = [flipped_by(d, w) for w in webs]
+    classes = FaultClasses(d)
+    flips = [flipped_by(d, w) for w in classes.webs]
     rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
                        for v in d.variables)
 
-    def cls(f):
-        return gf2.reduce(rows, syndrome(webs, f))
-
     def faults(eids):
-        return enumerate_faults(NoiseModel(
+        return classes.of(NoiseModel(
             [AtomicFault(PauliString({eid: l}), "edge-flip")
              for eid in eids for l in LETTERS], "edge-flip"), max_weight)
 
     least: dict[int, int] = {}
-    for g, wt in faults(boundary):
-        least.setdefault(cls(g), wt)
-    regions = detecting_region_basis(d)
+    for _, wt, s, _ in faults(boundary):
+        least.setdefault(gf2.reduce(rows, s), wt)
     # every non-empty internal fault counts, detectable or not
-    inner = [(f, wt) for f, wt in faults(internal) if f]
+    inner = [(f, wt, s, u) for f, wt, s, u in faults(internal) if f]
     violations = [] if zero else [
-        (f, wt) for f, wt in inner if not is_detectable(d, f, regions)
-        and least.get(cls(f), wt + 1) > wt]
+        (f, wt) for f, wt, s, undetectable in inner
+        if undetectable and least.get(gf2.reduce(rows, s), wt + 1) > wt]
     return PushoutReport(not violations, violations, len(inner))
 
 

@@ -1,4 +1,4 @@
-"""Pauli webs, detecting regions, signs and web-based fault detectability.
+"""Pauli webs, detecting regions, signs and per-diagram fault classes.
 
 A web assigns each edge a highlight in {none, green, red, both}; highlights
 are stored in the edge's a-side view and swap green<->red across a hadamard
@@ -19,6 +19,7 @@ from functools import cached_property
 
 from . import gf2
 from .diagram import ZxDiagram
+from .noise import NoiseModel, enumerate_faults
 from .pauli import PauliString
 
 # Each highlight's (green, red) bits in the edge's a-side view, and the Pauli
@@ -218,15 +219,48 @@ def syndrome(webs: list[PauliWeb], f: PauliString) -> int:
     return sum(anticommutes(w, f) << i for i, w in enumerate(webs))
 
 
-def is_detectable(d: ZxDiagram, f: PauliString,
-                  regions: list[DetectingRegion] | None = None) -> bool:
-    """Fault detectable iff it anticommutes with some detecting region
-    (checking a basis suffices: anticommutation is linear in the region)."""
+def _check_locations(d: ZxDiagram, f: PauliString) -> None:
     for eid in f.support:
         if eid not in d.edges:
             raise ValueError(f"fault on unknown edge {eid}")
         if d.edges[eid].ideal:
             raise ValueError(f"fault on ideal edge {eid}")
+
+
+def is_detectable(d: ZxDiagram, f: PauliString,
+                  regions: list[DetectingRegion] | None = None) -> bool:
+    """Fault detectable iff it anticommutes with some detecting region
+    (checking a basis suffices: anticommutation is linear in the region)."""
+    _check_locations(d, f)
     if regions is None:
         regions = detecting_region_basis(d)
     return any(anticommutes(r.web, f) for r in regions)
+
+
+class FaultClasses:
+    """One diagram's web basis and detecting regions, each solved once, and
+    the class of every fault a noise model generates.
+
+    A fault's class is its :func:`syndrome`.  Every detecting region is a
+    web with a bare boundary, so a sum of basis webs, and anticommutation is
+    bilinear: detection is a function of the syndrome and is decided once
+    per syndrome, by :func:`is_detectable` on its first fault."""
+
+    def __init__(self, d: ZxDiagram):
+        self.diagram = d
+        self.webs = web_basis(d)
+        self.regions = detecting_region_basis(d)
+
+    def of(self, noise: NoiseModel, max_weight: int):
+        """Yield (fault, weight, syndrome, undetectable) in
+        :func:`~zxfault.noise.enumerate_faults` order.  A noise atom on an
+        unknown or ideal edge raises ValueError before the walk."""
+        for a in noise.paulis():
+            _check_locations(self.diagram, a)
+        undetectable: dict[int, bool] = {}
+        for f, w in enumerate_faults(noise, max_weight):
+            s = syndrome(self.webs, f)
+            if s not in undetectable:
+                undetectable[s] = not is_detectable(self.diagram, f,
+                                                    self.regions)
+            yield f, w, s, undetectable[s]

@@ -57,7 +57,7 @@ def test_text_round_trip():
     text = c.to_text()
     c2 = Circuit.from_text(text)
     assert c2.to_text() == text
-    assert c2.dumps() == c.dumps()
+    assert vars(c2) == vars(c)
 
 
 def test_text_example_lines():
@@ -83,15 +83,6 @@ def test_text_parse_errors_report_line():
         Circuit.from_text("QUBITS 1\nFROB 0\n")
     with pytest.raises(ValueError, match="line 1"):
         Circuit.from_text("H 0\n")
-
-
-def test_json_round_trip():
-    c = cat_check_circuit()
-    c.ideal_wires.add((0, 1))
-    import json
-    j = json.loads(c.dumps())
-    c2 = Circuit.from_json(j)
-    assert c2.dumps() == c.dumps()
 
 
 def test_counts():

@@ -23,6 +23,14 @@ def idealised(d):
     return out
 
 
+def ideal_boundary(d):
+    """Copy of the diagram with its boundary edges marked fault-free."""
+    out = d.copy()
+    for eid in out.boundary_edges():
+        out.set_ideal(eid, True)
+    return out
+
+
 def spec_of(da, db, corr=None, w=2) -> EquivalenceSpec:
     return EquivalenceSpec(Side(da, edge_flip_atoms(da)),
                            Side(db, edge_flip_atoms(db)), corr, w)
@@ -74,6 +82,8 @@ def test_naive_cat_spreading_fault_needs_weight_two():
     assert find_equivalent_fault(s, "a", f) is None
     g = find_equivalent_fault(s, "a", f, max_weight=2)
     assert g is not None and g.weight() == 2
+    # a query above the bound: side b's two-leg fault is the hub fault
+    assert find_equivalent_fault(s, "b", g, max_weight=1) == f
 
 
 def test_naive_cat_single_leg_faults_match_at_weight_one():
@@ -289,10 +299,26 @@ rule_specs = st.sampled_from([("mutated-fuse-4", {}),
     lambda t: rule_spec(t[0], **t[1]))
 
 
+def many_to_one_spec(w, ideal=False) -> EquivalenceSpec:
+    """Two ZZ measurements (k1, k2) against one (k) under k = k1.  Side b's
+    k-flips are matched only by side-a faults that flip k1 alone, which
+    side a's region k1^k2 detects; the correspondence cannot see that
+    region."""
+    a, b = samples.two_zz_measurements(), samples.zz_measurement("k")
+    if ideal:
+        a, b = ideal_boundary(a), ideal_boundary(b)
+    return spec_of(a, b, OutcomeMap.parse(["k1", "k2"], ["k"], {"k": "k1"}),
+                   w)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(pool_specs, two_zz_specs, cat_specs, rule_specs))
 @example(rule_spec("mutated-fuse-4"))
 @example(rule_spec("split-meas", m=2))
+@example(many_to_one_spec(2))
+@example(many_to_one_spec(3))
+@example(many_to_one_spec(2, ideal=True))
+@example(many_to_one_spec(3, ideal=True))
 def test_engine_verdict_matches_pairwise_reference(spec):
     assert check_w_fault_equivalence(spec).dumps() == \
         pairwise_verdict(spec).dumps()
@@ -359,14 +385,6 @@ def reference_distance(d, m, cap):
     return ABOVE_CAP
 
 
-def ideal_boundary(d):
-    """Copy of the diagram with its boundary edges marked fault-free."""
-    out = d.copy()
-    for eid in out.boundary_edges():
-        out.set_ideal(eid, True)
-    return out
-
-
 def zero_diagram(d):
     """The diagram beside a leg-less pi spider, whose scalar is 0."""
     out = d.copy()
@@ -408,7 +426,7 @@ def test_distance_answer_guard(monkeypatch):
     d = samples.z_state()
     m = NoiseModel([AtomicFault(PauliString({0: "X"}), "edge-flip")], "x")
     assert circuit_distance(d, m, 1) == ABOVE_CAP
-    monkeypatch.setattr(feq, "syndrome", lambda webs, f: int(bool(f)))
+    monkeypatch.setattr(webs, "syndrome", lambda webs, f: int(bool(f)))
     with pytest.raises(ClassKeyError, match="leaves the diagram unchanged"):
         circuit_distance(d, m, 1)
 
@@ -445,7 +463,7 @@ def syndrome_key_mismatches(table) -> list:
     fresh replay.  The table's own repeat-syndrome guard is switched off so
     that this comparison alone decides."""
     table._syndrome_checked = True
-    return [f for f, _ in table.faults
+    return [f for f, *_ in table.faults
             if table.key(f) != table._digest(table.contraction.evaluate(f))]
 
 
@@ -481,15 +499,42 @@ def column_syndrome(web_list: list, f: PauliString) -> int:
                                   for name, spec in syndrome_specs()])
 def test_syndromes_match_the_column_rule(spec):
     for table in feq.fault_tables(spec, 2).values():
-        got = [webs.syndrome(table._webs, f) for f, _ in table.faults]
-        assert got == [column_syndrome(table._webs, f)
-                       for f, _ in table.faults]
+        web_list = webs.web_basis(table.diagram)
+        got = [s for _, _, s, _ in table.faults]
+        assert got == [column_syndrome(web_list, f) for f, *_ in table.faults]
         assert any(got)
+
+
+def detection_flag_mismatches(d, classes) -> list:
+    """Faults whose undetectable flag from the class pass disagrees with a
+    per-fault :func:`~zxfault.webs.is_detectable` call."""
+    regions = webs.detecting_region_basis(d)
+    return [f for f, _, _, undetectable in classes
+            if undetectable == webs.is_detectable(d, f, regions)]
+
+
+@pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
+                                  for name, spec in syndrome_specs()])
+def test_detection_flags_match_per_fault_detection(spec):
+    for table in feq.fault_tables(spec, 2).values():
+        assert detection_flag_mismatches(table.diagram, table.faults) == []
+
+
+def test_detection_flags_match_per_fault_detection_on_samples():
+    from test_rewrite import PUSHOUT_DIAGRAMS
+    cases = [(d, edge_flip_atoms(d), cap) for _, d, cap in PUSHOUT_DIAGRAMS]
+    for _, make, model, cap in DISTANCE_CASES:
+        d = make()
+        cases.append((d, model(d), cap))
+    for d, m, cap in cases:
+        classes = webs.FaultClasses(d).of(m, cap)
+        assert detection_flag_mismatches(d, classes) == []
 
 
 def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
     # a coarser syndrome basis merges classes: the comparison must see it
-    monkeypatch.setattr(feq, "web_basis", lambda d: webs.web_basis(d)[1:])
+    real = webs.web_basis
+    monkeypatch.setattr(webs, "web_basis", lambda d: real(d)[1:])
     assert any(syndrome_key_mismatches(t)
                for _, spec in syndrome_specs()
                for t in feq.fault_tables(spec, 2).values())
@@ -498,7 +543,7 @@ def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
 def test_repeat_syndrome_guard(monkeypatch):
     # every fault gets syndrome 0, so the wire's X flip reuses the empty
     # fault's key until the guard replays it
-    monkeypatch.setattr(feq, "syndrome", lambda webs, f: 0)
+    monkeypatch.setattr(webs, "syndrome", lambda webs, f: 0)
     d = samples.wire()
     with pytest.raises(ClassKeyError, match="known web syndrome"):
         check_w_fault_equivalence(spec_of(d, d))
@@ -516,6 +561,22 @@ def test_repeat_syndrome_guard_skips_the_fault_that_set_the_key(
     assert replayed == [f] and not table._syndrome_checked
 
 
+@pytest.mark.parametrize("eid,message", [(1, "ideal edge 1"),
+                                         (7, "unknown edge 7")])
+def test_noise_atom_off_the_fault_prone_edges_is_an_error(eid, message):
+    # X on edge 1 or 7 has the syndrome of X on edge 0 or of no fault, so
+    # one detection call per syndrome alone would not see it
+    d = samples.green_chain(1)
+    d.set_ideal(1, True)
+    m = NoiseModel([AtomicFault(PauliString({e: "X"}), "edge-flip")
+                    for e in (0, eid)], "x")
+    with pytest.raises(ValueError, match=message):
+        check_w_fault_equivalence(EquivalenceSpec(Side(d, m), Side(d, m),
+                                                  None, 2))
+    with pytest.raises(ValueError, match=message):
+        circuit_distance(d, m, 2)  # even though weight 1 has the answer
+
+
 def test_incomplete_web_basis_is_an_error(monkeypatch):
     monkeypatch.setattr(webs, "check_web", lambda d, w: False)
     with pytest.raises(webs.WebBasisError, match="check_web rejected"):
@@ -524,15 +585,21 @@ def test_incomplete_web_basis_is_an_error(monkeypatch):
 
 def test_one_replay_per_web_syndrome(monkeypatch):
     from zxfault.builders import build_gadget
-    made = []
+    made, detected = [], []
 
     def tables(spec, max_weight):
         made.append(real(spec, max_weight))
         return made[-1]
-    real = feq.fault_tables
+    real, detect = feq.fault_tables, webs.is_detectable
     monkeypatch.setattr(feq, "fault_tables", tables)
+    monkeypatch.setattr(webs, "is_detectable", lambda d, f, regions=None:
+                        detected.append(d) or detect(d, f, regions))
     assert check_w_fault_equivalence(
         build_gadget("recursive-cat", n=4).equivalence_spec(3)).equivalent
     impl = made[0]["a"]
     assert len(impl._by_syndrome) == 26
     assert impl.replays <= len(impl._by_syndrome) + 2
+    # detection is decided once per syndrome, not once per fault
+    for t in made[0].values():
+        assert 0 < sum(d is t.diagram for d in detected) \
+            <= len({s for _, _, s, _ in t.faults})
