@@ -80,8 +80,27 @@ def _web_json(w) -> dict:
 
 def _parse_fault(text: str) -> PauliString:
     f = PauliString.from_text(text)
-    return PauliString({int(l) if str(l).isdigit() else l: p
-                        for l, p in f.entries.items()})
+    entries = {}
+    for loc, p in f.entries.items():
+        eid = int(loc) if loc.isdigit() else loc
+        if eid in entries:
+            raise ValueError(f"repeated fault location {eid!r}")
+        entries[eid] = p
+    return PauliString(entries)
+
+
+def _key_values(items, what: str) -> dict:
+    """``KEY=VALUE`` items as a dict of stripped strings; a missing ``=`` or
+    a repeated key is an input error."""
+    out = {}
+    for item in items:
+        k, eq, v = item.partition("=")
+        if not eq:
+            raise ValueError(f"bad {what} {item!r}")
+        if k.strip() in out:
+            raise ValueError(f"repeated {what} for {k.strip()!r}")
+        out[k.strip()] = v.strip()
+    return out
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -136,12 +155,7 @@ def _cmd_check_feq(args) -> int:
     da, db = _load_diagram(args.a), _load_diagram(args.b)
     corr = None
     if args.corr:
-        exprs = {}
-        for item in args.corr:
-            t, eq, rhs = item.partition("=")
-            if not eq:
-                raise ValueError(f"bad correspondence row {item!r}")
-            exprs[t.strip()] = rhs.strip()
+        exprs = _key_values(args.corr, "correspondence row")
         corr = OutcomeMap.parse(da.variables, db.variables, exprs)
     spec = EquivalenceSpec(Side(da, _noise_for(da, args.noise)),
                            Side(db, _noise_for(db, args.noise)),
@@ -167,12 +181,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_build(args) -> int:
     from .builders import build_gadget
-    params = {}
-    for item in args.set or ():
-        k, eq, v = item.partition("=")
-        if not eq:
-            raise ValueError(f"bad parameter {item!r}")
-        params[k.strip()] = int(v) if v.strip().lstrip("-").isdigit() else v
+    params = {k: int(v) if v.lstrip("-").isdigit() else v
+              for k, v in _key_values(args.set or (), "parameter").items()}
     pair = build_gadget(args.name, **params)
     if args.side == "impl":
         _emit(pair.implementation.to_text(), args.output)

@@ -17,10 +17,13 @@ only a global scalar and per-outcome signs, and the key forgets both.  The
 key reads the tensor through the outcome correspondence, so a side-a fault
 can match a side-b one.  A lazy scan of each syndrome's first fault, in
 nondecreasing weight order, records the first fault of each key.  The
-circuit distance concerns one diagram and needs no key: a fault of a
-diagram D != 0 changes it exactly when its web syndrome is nonzero.  Each
-fault's syndrome and detectability come from one per-diagram pass,
-:class:`~zxfault.webs.FaultClasses`.
+check queries only undetectable faults, so when the noise-free diagrams are
+nonzero and agree, its scans skip the other side's classes that no such fault
+can match (:func:`_narrow_scans`): it replays only undetectable and
+correspondence-visible classes.  The circuit distance concerns one diagram
+and needs no key: a fault of a diagram D != 0 changes it exactly when its
+web syndrome is nonzero.  Each fault's syndrome and detectability come from
+one per-diagram pass, :class:`~zxfault.webs.FaultClasses`.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate)
 from .pauli import PauliString
-from .webs import FaultClasses
+from .webs import FaultClasses, anticommutes
 
 
 @dataclass
@@ -148,13 +152,15 @@ class FaultTable:
     contraction, and the first other fault of a known syndrome is replayed
     and must give the same key.  No tensor is kept.  The map from each key
     to its first fault is filled by a scan of each syndrome's first fault
-    that goes only as far as a query needs."""
+    that goes only as far as a query needs; :meth:`narrow` leaves out of
+    that scan the faults that no query can match."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
                  max_weight: int, key):
         self.contraction = contraction
         self.diagram = contraction.diagram
-        self.faults = list(FaultClasses(self.diagram).of(noise, max_weight))
+        self.classes = FaultClasses(self.diagram)
+        self.faults = list(self.classes.of(noise, max_weight))
         self.weight = {f: w for f, w, _, _ in self.faults}
         self._syndrome = {f: s for f, _, s, _ in self.faults}
         firsts: dict[int, PauliString] = {}
@@ -208,6 +214,13 @@ class FaultTable:
                     f"fault {f.to_text()} has a known web syndrome but"
                     f" a different class key")
         return k
+
+    def narrow(self, skip) -> None:
+        """Leave out of the scan each syndrome's first fault ``g`` with
+        ``skip(g)``: the caller's proof that no query it makes has ``g``'s
+        key.  Called before the first query, so that no skipped fault is
+        already recorded as the first of its key."""
+        self._firsts = [g for g in self._firsts if not skip(g)]
 
     def first(self, key: bytes, max_weight: int) -> PauliString | None:
         """The first enumerated fault with this key, or None if no fault of
@@ -282,16 +295,79 @@ def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
                                                     max_weight)
 
 
+def _visibly_detected(regions: list, corr: OutcomeMap):
+    """Predicate on side-a faults: some detecting region of side a (a sum
+    of the basis ``regions``) anticommutes with the fault and has its
+    detecting set in the GF(2) span of the correspondence's linear rows, so
+    that its parity is an affine function of the side-b outcomes.  Those
+    regions are a subspace: the sums of basis regions whose detecting sets
+    sum to 0 modulo the rows."""
+    column = {v: i for i, v in enumerate(corr.source_vars)}
+
+    def row(variables) -> int:
+        return sum(1 << column[v] for v in variables)
+
+    pivots = gf2.echelon(row(vs) for vs, _ in corr.rows.values())
+    rest = [gf2.reduce(pivots, row(r.detecting_set)) for r in regions]
+    # equation j: the chosen regions' reduced sets cancel at variable j
+    equations = [sum((r >> j & 1) << i for i, r in enumerate(rest))
+                 for j in range(len(column))]
+    visible = gf2.nullspace(equations, len(regions))
+
+    def detected(f: PauliString) -> bool:
+        flips = sum(anticommutes(r.web, f) << i for i, r in enumerate(regions))
+        return any((flips & v).bit_count() % 2 for v in visible)
+    return detected
+
+
+def _narrow_scans(tables: dict, corr: OutcomeMap) -> None:
+    """Leave out of each table's scan the classes that no undetectable
+    fault of the other side can match, given that the noise-free diagrams
+    are nonzero and D_a ~ D_b under the correspondence.
+
+    Side-a queries scan table b and skip every class that side b detects.
+    Side-b queries scan table a and skip a class that side a detects only
+    when a region that the correspondence can see detects it.  Proof
+    sketch: let g be a skipped fault, R a region (Bombin et al., arXiv
+    2303.08829) of g's diagram D that detects it, S its detecting set and p
+    its expected parity; f is an undetectable fault of the other diagram
+    D'.
+
+    * Every nonzero branch of D has S = p, and every nonzero branch of D^g
+      has S != p, because g flips R's parity.
+    * Read on side b's outcomes, S = p is a condition on them: for side b
+      directly, for side a because S is a sum of correspondence rows.  So
+      the nonzero branches of D', which match D's, satisfy it.
+    * A parity that is constant on D''s nonzero branches is the parity of
+      one of D''s regions, and f flips none of them, so D'^f satisfies the
+      condition too.  D'^f != 0, because D' != 0 and no region detects f.
+    * So D'^f and D^g have no nonzero branch in common on side b's
+      outcomes, and their keys differ.
+
+    Without D_a ~ D_b the rule is wrong: two_zz_measurements against itself
+    under k1 = k1^1 matches side a's undetectable faults with side b's
+    k1-flips, which side b detects.  A side-a region that the
+    correspondence cannot see (a many-to-one map, a flag outcome)
+    constrains only side a, so the classes it alone detects stay in the
+    scan."""
+    b = tables["b"]
+    detected = {s for _, _, s, undetectable in b.faults if not undetectable}
+    b.narrow(lambda g: b._syndrome[g] in detected)
+    tables["a"].narrow(_visibly_detected(tables["a"].classes.regions, corr))
+
+
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     if spec.w < 1:
         raise ValueError(f"w must be at least 1, got {spec.w}")
     tables = fault_tables(spec, spec.w - 1)
     # the keys must say what the oracle says about the noise-free diagrams
     t_a, t_b = tables["a"].noise_free(), tables["b"].noise_free()
-    if (tables["a"].key(PauliString()) == tables["b"].key(PauliString())) \
-            != equal_up_to_scalar(t_b, t_a, spec.corr()):
+    same = tables["a"].key(PauliString()) == tables["b"].key(PauliString())
+    if same != equal_up_to_scalar(t_b, t_a, spec.corr()):
         raise ClassKeyError("class keys and the tensor oracle disagree on the"
                             " noise-free diagrams")
+    if same and t_b.max_abs() >= TOL:  # the skip rule's premises
+        _narrow_scans(tables, spec.corr())
     del t_a, t_b  # no tensor is kept while the tables are scanned
     counterexamples = []
     for side in ("a", "b"):

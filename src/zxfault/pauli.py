@@ -111,12 +111,15 @@ class PauliString:
         text = text.strip()
         if not text:
             return cls()
-        out = {}
+        out, seen = {}, set()
         for part in text.split(";"):
             loc, _, letter = part.partition(":")
             loc, letter = loc.strip(), letter.strip()
             if not loc or letter not in LETTERS + ("I",):
                 raise ValueError(f"bad Pauli term {part!r}")
+            if loc in seen:
+                raise ValueError(f"repeated Pauli location {loc!r}")
+            seen.add(loc)
             if letter != "I":
                 out[loc] = letter
         return cls(out)

@@ -1067,6 +1067,9 @@ class ProofScript:
                     key, eq, val = tok.partition("=")
                     if not eq:
                         raise ScriptError(f"line {ln}: bad claim token {tok!r}")
+                    if key in claim_corr or key == "w" and claim_w is not None:
+                        raise ScriptError(f"line {ln}: repeated claim key"
+                                          f" {key!r}")
                     if key == "w":
                         claim_w = _weight(ln, tok)
                     else:

@@ -192,10 +192,14 @@ def test_prove_target_with_other_outcome_variables_is_exit_2(capsys, tmp_path):
 
 
 def rep3_split_with_claim_row(row: str) -> str:
-    """rep3-split.fzx, whose claim the step chain carries, with one more
-    claim row, which overrides any earlier row for its variable."""
+    """rep3-split.fzx, whose claim the step chain carries, with ``row`` in
+    place of the claim row for its variable (a repeated row is an error)."""
     with open(script_path("rep3-split.fzx")) as fh:
-        return fh.read().rstrip("\n") + f" {row}\n"
+        *lines, claim = fh.read().rstrip("\n").split("\n")
+    key = row.partition("=")[0]
+    claim = " ".join(row if tok.partition("=")[0] == key else tok
+                     for tok in claim.split())
+    return "\n".join(lines + [claim]) + "\n"
 
 
 # (id, argv, a fragment of the one error line); a "prove" argv carries the
@@ -230,6 +234,22 @@ INPUT_ERRORS = [
      "sample 'cat_spec': parameter 'n' must be an integer, got 'abc'"),
     ("sample that is not a diagram", ["webs", "sample:web_corpus"],
      "sample 'web_corpus' is not a diagram"),
+    # a repeated key is an error, not a silent overwrite by the last value
+    ("repeated correspondence row",
+     ["check-feq", "--a", "two-zz", "--b", "two-zz", "--w", "2",
+      "--corr", "k1=k2", "--corr", "k2=k2", "--corr", "k1=k1"],
+     "repeated correspondence row for 'k1'"),
+    ("repeated fault location", ["detect", "two-zz", "--fault", "1:X;1:Z"],
+     "repeated Pauli location '1'"),
+    ("repeated fault edge", ["detect", "two-zz", "--fault", "1:X;01:Z"],
+     "repeated fault location 1"),
+    ("repeated claim key",
+     ["prove", "name t\nsource sample:two_zz_measurements\n"
+               "claim w=2 k1=k1 k1=k2\n"],
+     "line 3: repeated claim key 'k1'"),
+    ("repeated builder parameter",
+     ["build", "recursive-cat", "--set", "n=4", "--set", "n=8"],
+     "repeated parameter for 'n'"),
 ]
 
 

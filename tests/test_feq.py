@@ -311,6 +311,27 @@ def many_to_one_spec(w, ideal=False) -> EquivalenceSpec:
                    w)
 
 
+def flipped_two_zz_spec(w) -> EquivalenceSpec:
+    """Two ZZ measurements against themselves under k1 = k1^1.  The
+    noise-free diagrams differ, and side a's undetectable faults are
+    matched only by side-b faults that flip k1, which side b detects."""
+    d = samples.two_zz_measurements()
+    return spec_of(d, d, OutcomeMap.parse(["k1", "k2"], ["k1", "k2"],
+                                          {"k1": "k1^1", "k2": "k2"}), w)
+
+
+def three_zz_spec(w) -> EquivalenceSpec:
+    """Three ZZ measurements (k1, k2, k3) against two under k1 = k2,
+    k2 = k3.  Side a's region basis is k1^k2 and k1^k3; the correspondence
+    sees neither, only their sum k2^k3."""
+    a = compose(compose(samples.zz_measurement("k1"),
+                        samples.zz_measurement("k2")),
+                samples.zz_measurement("k3"))
+    b = samples.two_zz_measurements()
+    return spec_of(a, b, OutcomeMap.parse(a.variables, b.variables,
+                                          {"k1": "k2", "k2": "k3"}), w)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(pool_specs, two_zz_specs, cat_specs, rule_specs))
 @example(rule_spec("mutated-fuse-4"))
@@ -319,9 +340,52 @@ def many_to_one_spec(w, ideal=False) -> EquivalenceSpec:
 @example(many_to_one_spec(3))
 @example(many_to_one_spec(2, ideal=True))
 @example(many_to_one_spec(3, ideal=True))
+@example(flipped_two_zz_spec(2))
+@example(flipped_two_zz_spec(3))
+@example(three_zz_spec(3))
 def test_engine_verdict_matches_pairwise_reference(spec):
     assert check_w_fault_equivalence(spec).dumps() == \
         pairwise_verdict(spec).dumps()
+
+
+def test_detected_query_scans_the_whole_other_side():
+    # side a's 8:X flips k1 and is detected; its match 3:X is detected on
+    # side b, a class that the check's narrowed scan of table b skips
+    d = samples.two_zz_measurements()
+    s = spec_of(d, d)
+    f = PauliString({8: "X"})
+    assert find_equivalent_fault(s, "a", f) == PauliString({3: "X"})
+    tables = feq.fault_tables(s, 1)
+    feq._narrow_scans(tables, s.corr())
+    assert find_equivalent_fault(s, "a", f, tables) is None
+
+
+def test_replays_only_undetectable_classes(monkeypatch):
+    # steane w=2: every class either side detects is skipped by the scans
+    from zxfault.builders import build_gadget
+    made = []
+    real = feq.fault_tables
+    monkeypatch.setattr(feq, "fault_tables",
+                        lambda spec, w: made.append(real(spec, w)) or made[-1])
+    assert check_w_fault_equivalence(
+        build_gadget("steane").equivalence_spec(2)).equivalent
+    for t in made[0].values():
+        undetectable = {s for _, _, s, u in t.faults if u}
+        assert t.replays <= len(undetectable) + 1
+
+
+def test_a_visible_region_may_be_a_sum_of_basis_regions(monkeypatch):
+    made = []
+    real = feq.fault_tables
+    monkeypatch.setattr(feq, "fault_tables",
+                        lambda spec, w: made.append(real(spec, w)) or made[-1])
+    assert check_w_fault_equivalence(three_zz_spec(3)).equivalent
+    a, b = made[0]["a"], made[0]["b"]
+    assert [sorted(r.detecting_set) for r in a.classes.regions] == \
+        [["k1", "k2"], ["k1", "k3"]]
+    # 16 undetectable syndromes, 6 detected by k1^k2 and k1^k3 only, and the
+    # guard's replay; skipping only the visible basis regions replays 37
+    assert (a.replays, b.replays) == (23, 17)
 
 
 # -- circuit distance ------------------------------------------------------------------
