@@ -502,3 +502,23 @@ def call_bound(fn, what: str, *args, **params):
             raise ValueError(f"{what}: parameter {name!r} must be an"
                              f" integer, got {value!r}")
     return fn(*args, **params)
+
+
+def key_values(items, what: str) -> dict:
+    """``KEY=VALUE`` items as a dict of stripped strings, in item order; a
+    missing ``=``, an empty key or a repeated key is a ValueError."""
+    out = {}
+    for item in items:
+        k, eq, v = (s.strip() for s in item.partition("="))
+        if not (eq and k):
+            raise ValueError(f"expected KEY=VALUE, got {item!r}")
+        if k in out:
+            raise ValueError(f"repeated {what} {k!r}")
+        out[k] = v
+    return out
+
+
+def as_int(value: str):
+    """``value`` as an int when it spells one (an optional ``-`` and
+    decimal digits), else ``value`` unchanged."""
+    return int(value) if value.removeprefix("-").isdecimal() else value

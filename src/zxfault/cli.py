@@ -17,6 +17,7 @@ import sys
 import time
 from importlib import resources
 
+from .builders import as_int, build_gadget, key_values
 from .circuit import Circuit
 from .diagram import ZxDiagram
 from .extract import ExtractionError, extract_circuit
@@ -82,25 +83,11 @@ def _parse_fault(text: str) -> PauliString:
     f = PauliString.from_text(text)
     entries = {}
     for loc, p in f.entries.items():
-        eid = int(loc) if loc.isdigit() else loc
+        eid = as_int(loc)
         if eid in entries:
             raise ValueError(f"repeated fault location {eid!r}")
         entries[eid] = p
     return PauliString(entries)
-
-
-def _key_values(items, what: str) -> dict:
-    """``KEY=VALUE`` items as a dict of stripped strings; a missing ``=`` or
-    a repeated key is an input error."""
-    out = {}
-    for item in items:
-        k, eq, v = item.partition("=")
-        if not eq:
-            raise ValueError(f"bad {what} {item!r}")
-        if k.strip() in out:
-            raise ValueError(f"repeated {what} for {k.strip()!r}")
-        out[k.strip()] = v.strip()
-    return out
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -155,7 +142,7 @@ def _cmd_check_feq(args) -> int:
     da, db = _load_diagram(args.a), _load_diagram(args.b)
     corr = None
     if args.corr:
-        exprs = _key_values(args.corr, "correspondence row")
+        exprs = key_values(args.corr, "correspondence row for")
         corr = OutcomeMap.parse(da.variables, db.variables, exprs)
     spec = EquivalenceSpec(Side(da, _noise_for(da, args.noise)),
                            Side(db, _noise_for(db, args.noise)),
@@ -180,9 +167,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .builders import build_gadget
-    params = {k: int(v) if v.lstrip("-").isdigit() else v
-              for k, v in _key_values(args.set or (), "parameter").items()}
+    params = {k: as_int(v)
+              for k, v in key_values(args.set or (), "parameter for").items()}
     pair = build_gadget(args.name, **params)
     if args.side == "impl":
         _emit(pair.implementation.to_text(), args.output)
@@ -240,7 +226,6 @@ def _cmd_repro(args) -> int:
             run(f"prove {path}", replay)
 
     def counts():
-        from .builders import build_gadget
         st = build_gadget("steane-optimised").implementation
         sh = build_gadget("shor-optimised").implementation
         ok = (st.qubits - 7 == 5 and st.count("CNOT") == 15

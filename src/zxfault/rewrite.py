@@ -27,14 +27,14 @@ import os
 from dataclasses import dataclass, field
 
 from . import gf2, samples
-from .builders import build_gadget, call_bound
+from .builders import as_int, build_gadget, call_bound, key_values
 from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
-from .noise import AtomicFault, NoiseModel, edge_flip_atoms
+from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import FaultClasses, flipped_by
+from .webs import FaultClasses, flipped_by, syndrome
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -499,10 +499,6 @@ def make_rule(name: str, **params) -> RewriteRule:
 class StepLog:
     rule: str
     params: dict
-    spider_map: dict        # lhs spider id -> host spider id (consumed)
-    edge_map: dict          # lhs edge id -> host edge id (consumed)
-    var_map: dict           # lhs formal variable -> host variable (consumed)
-    new_vars: dict          # rhs formal variable -> fresh host variable
     rhs_spiders: dict       # rhs spider id -> created host spider id
     rhs_edges: dict         # rhs internal edge id -> created host edge id
     port_edges: dict        # port index -> host edge id after the rewrite
@@ -798,9 +794,8 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
         corr_exprs[vars[lv]] = "^".join(
             t if t in ("0", "1") else new[t] for t in terms)
 
-    log = StepLog(rule.name, dict(rule.params), smap, emap, dict(vars),
-                  dict(new), rsp, redge, port_edges, corr_exprs,
-                  before_region, after_region)
+    log = StepLog(rule.name, dict(rule.params), rsp, redge, port_edges,
+                  corr_exprs, before_region, after_region)
 
     if rule.guarantee == IDEAL_REGION:
         rows = {v: v for v in d.variables}
@@ -856,7 +851,7 @@ _CERT_CACHE: dict = {}
 def rule_certificate(rule: RewriteRule, w: int,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
     """Verify the rule's own lhs/rhs pair at the given weight (cached)."""
-    key = (rule.name, tuple(sorted(rule.params.items())), w)
+    key = (rule.name, tuple(sorted(rule.params.items())), w, budget)
     if key not in _CERT_CACHE:
         _CERT_CACHE[key] = verify_step(rule.lhs, rule.rhs, w,
                                        rule.corr_exprs, budget)
@@ -890,16 +885,17 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
                        for v in d.variables)
 
-    def faults(eids):
-        return classes.of(NoiseModel(
-            [AtomicFault(PauliString({eid: l}), "edge-flip")
-             for eid in eids for l in LETTERS], "edge-flip"), max_weight)
+    def model(eids):
+        return NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
+                           for eid in eids for l in LETTERS], "edge-flip")
 
+    # boundary faults need only their class, not their detectability
     least: dict[int, int] = {}
-    for _, wt, s, _ in faults(boundary):
-        least.setdefault(gf2.reduce(rows, s), wt)
+    for f, wt in enumerate_faults(model(boundary), max_weight):
+        least.setdefault(gf2.reduce(rows, syndrome(classes.webs, f)), wt)
     # every non-empty internal fault counts, detectable or not
-    inner = [(f, wt, s, u) for f, wt, s, u in faults(internal) if f]
+    inner = [(f, wt, s, u)
+             for f, wt, s, u in classes.of(model(internal), max_weight) if f]
     violations = [] if zero else [
         (f, wt) for f, wt, s, undetectable in inner
         if undetectable and least.get(gf2.reduce(rows, s), wt + 1) > wt]
@@ -1025,7 +1021,7 @@ class ProofScript:
 
     @classmethod
     def parse(cls, text: str) -> "ProofScript":
-        name, source, target, restriction = None, None, None, ""
+        lines: dict[str, str] = {}
         steps: list[ScriptStep] = []
         claim_w, claim_corr = None, {}
         for ln, raw in enumerate(text.splitlines(), start=1):
@@ -1034,85 +1030,56 @@ class ProofScript:
                 continue
             head, _, rest = line.partition(" ")
             rest = rest.strip()
-            if head == "name":
-                name = rest
-            elif head == "source":
-                source = rest
-            elif head == "target":
-                target = rest
-            elif head == "restriction":
-                restriction = rest
-            elif head == "step":
-                toks = rest.split()
-                if not toks:
-                    raise ScriptError(f"line {ln}: step needs a rule name")
-                st = ScriptStep(toks[0], line=ln)
-                for tok in toks[1:]:
-                    key, eq, val = tok.partition("=")
-                    if not eq:
-                        raise ScriptError(f"line {ln}: bad token {tok!r}")
-                    if key == "verify":
-                        st.verify_w = _weight(ln, tok)
-                    elif key.startswith("v:"):
-                        st.vars[key[2:]] = val
-                    elif key.startswith("n:"):
-                        st.new[key[2:]] = val
-                    elif key[0] in "se" and key[1:].isdigit():
-                        st.binding[key] = int(val)
-                    else:
-                        st.params[key] = int(val) if _is_int(val) else val
-                steps.append(st)
-            elif head == "claim":
-                for tok in rest.split():
-                    key, eq, val = tok.partition("=")
-                    if not eq:
-                        raise ScriptError(f"line {ln}: bad claim token {tok!r}")
-                    if key in claim_corr or key == "w" and claim_w is not None:
-                        raise ScriptError(f"line {ln}: repeated claim key"
-                                          f" {key!r}")
-                    if key == "w":
-                        claim_w = _weight(ln, tok)
-                    else:
-                        claim_corr[key] = val
-            else:
-                raise ScriptError(f"line {ln}: unknown directive {head!r}")
-        if name is None or source is None or claim_w is None:
+            try:
+                if head == "step":
+                    steps.append(_parse_step(rest.split(), ln))
+                elif head not in ("name", "source", "target", "restriction",
+                                  "claim"):
+                    raise ValueError(f"unknown directive {head!r}")
+                elif head in lines:
+                    raise ValueError(f"repeated {head} line")
+                else:
+                    lines[head] = rest
+                    if head == "claim":
+                        claim_corr = key_values(rest.split(), "claim key")
+                        if "w" not in claim_corr:
+                            raise ValueError("claim needs w=W")
+                        claim_w = _weight("w", claim_corr.pop("w"))
+            except ValueError as exc:
+                raise ScriptError(f"line {ln}: {exc}") from None
+        if not {"name", "source", "claim"} <= lines.keys():
             raise ScriptError("script needs name, source and claim lines")
-        return cls(name, source, steps, claim_w, claim_corr, restriction,
-                   target)
-
-    def to_text(self) -> str:
-        lines = [f"name {self.name}", f"source {self.source}"]
-        if self.restriction:
-            lines.append(f"restriction {self.restriction}")
-        if self.target:
-            lines.append(f"target {self.target}")
-        for st in self.steps:
-            toks = [f"step {st.rule}"]
-            toks += [f"{k}={v}" for k, v in sorted(st.params.items())]
-            toks += [f"{k}={v}" for k, v in sorted(
-                st.binding.items(), key=lambda kv: (kv[0][0], int(kv[0][1:])))]
-            toks += [f"v:{k}={v}" for k, v in sorted(st.vars.items())]
-            toks += [f"n:{k}={v}" for k, v in sorted(st.new.items())]
-            if st.verify_w is not None:
-                toks.append(f"verify={st.verify_w}")
-            lines.append(" ".join(toks))
-        claim = [f"claim w={self.claim_w}"]
-        claim += [f"{k}={v}" for k, v in sorted(self.claim_corr.items())]
-        lines.append(" ".join(claim))
-        return "\n".join(lines) + "\n"
+        return cls(lines["name"], lines["source"], steps, claim_w, claim_corr,
+                   lines.get("restriction", ""), lines.get("target"))
 
 
-def _is_int(s: str) -> bool:
-    return s.lstrip("-").isdigit()
+def _parse_step(toks: list, ln: int) -> ScriptStep:
+    if not toks:
+        raise ValueError("step needs a rule name")
+    st = ScriptStep(toks[0], line=ln)
+    for key, val in key_values(toks[1:], "step key").items():
+        if key == "verify":
+            st.verify_w = _weight(key, val)
+        elif key.startswith("v:"):
+            st.vars[key[2:]] = val
+        elif key.startswith("n:"):
+            st.new[key[2:]] = val
+        elif key[0] in "se" and key[1:].isdigit():
+            st.binding[key] = as_int(val)
+            if not isinstance(st.binding[key], int):
+                raise ValueError(f"{key} must be an integer id, got {val!r}")
+        else:
+            st.params[key] = as_int(val)
+    return st
 
 
-def _weight(ln: int, tok: str) -> int:
+def _weight(key: str, val: str) -> int:
     """The weight of a ``verify=W`` or ``claim w=W`` token: an integer >= 1."""
-    val = tok.partition("=")[2]
-    if not (_is_int(val) and int(val) >= 1):
-        raise ScriptError(f"line {ln}: weight must be an integer >= 1 in {tok!r}")
-    return int(val)
+    w = as_int(val)
+    if not (isinstance(w, int) and w >= 1):
+        raise ValueError(f"weight must be an integer >= 1 in"
+                         f" {key + '=' + val!r}")
+    return w
 
 
 def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
@@ -1123,22 +1090,20 @@ def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
         fn = getattr(samples, fname, None)
         if fname.startswith("_") or not callable(fn):
             raise ScriptError(f"unknown sample {parts[0]!r}")
-        args = [int(a) if _is_int(a) else a for a in parts[1:]]
+        args = [as_int(a) for a in parts[1:]]
         d = call_bound(fn, f"sample {parts[0]!r}", *args)
         if not isinstance(d, ZxDiagram):
             raise ScriptError(f"sample {parts[0]!r} is not a diagram")
         return d
     if kind == "builder":
         parts = rest.split(":")
-        if len(parts) < 2 or parts[-1] not in ("spec", "impl"):
-            raise ScriptError(f"builder reference needs a spec/impl side: {ref!r}")
-        params = {}
-        if len(parts) == 3 and parts[1]:
-            for kv in parts[1].split(","):
-                k, eq, v = kv.partition("=")
-                if not eq:
-                    raise ScriptError(f"bad builder parameter {kv!r}")
-                params[k] = int(v) if _is_int(v) else v
+        if len(parts) not in (2, 3) or parts[-1] not in ("spec", "impl"):
+            raise ScriptError(f"builder reference must be"
+                              f" builder:<name>[:<k=v,...>]:spec|impl,"
+                              f" got {ref!r}")
+        items = parts[1].split(",") if len(parts) == 3 and parts[1] else []
+        params = {k: as_int(v)
+                  for k, v in key_values(items, "parameter for").items()}
         pair = build_gadget(parts[0], **params)
         if parts[-1] == "spec":
             return pair.spec.copy()

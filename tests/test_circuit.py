@@ -1,6 +1,10 @@
+import inspect
+
 import pytest
 
+from zxfault.builders import BUILDERS, build_gadget
 from zxfault.circuit import Circuit, Operation
+from zxfault.translate import to_zx
 
 
 def cat_check_circuit() -> Circuit:
@@ -58,6 +62,30 @@ def test_text_round_trip():
     c2 = Circuit.from_text(text)
     assert c2.to_text() == text
     assert vars(c2) == vars(c)
+
+
+# builders whose every parameter has a default; among them shor-ft and steane
+# carry ideal wires and cat-like is non-implementable
+DEFAULT_BUILDERS = sorted(
+    name for name, fn in BUILDERS.items()
+    if all(p.default is not p.empty
+           for p in inspect.signature(fn).parameters.values()))
+
+
+@pytest.mark.parametrize("name", DEFAULT_BUILDERS)
+def test_builder_circuit_text_round_trip(name):
+    c = build_gadget(name).implementation
+    text = c.to_text()
+    c2 = Circuit.from_text(text)
+    assert c2.to_text() == text
+    assert to_zx(c2)[0].dumps() == to_zx(c)[0].dumps()
+
+
+def test_builder_circuits_carry_every_header_line():
+    texts = [build_gadget(name).implementation.to_text()
+             for name in DEFAULT_BUILDERS]
+    for header in ("!ideal-wire ", "!non-implementable"):
+        assert any(header in t for t in texts), header
 
 
 def test_text_example_lines():

@@ -5,7 +5,9 @@ from importlib import resources
 import pytest
 
 from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
+from zxfault import samples
 from zxfault.cli import main
+from zxfault.diagram import Phase, Spider
 
 
 def run(capsys, *argv):
@@ -191,6 +193,32 @@ def test_prove_target_with_other_outcome_variables_is_exit_2(capsys, tmp_path):
     assert "['k1', 'k2']" in err and "[]" in err
 
 
+@pytest.mark.parametrize("qturns,matches", [(0, True), (2, False)])
+def test_prove_file_target(capsys, tmp_path, qturns, matches):
+    """A ``file:`` target equal to the source matches the final diagram of a
+    stepless script; the same diagram with one spider's phase moved by
+    ``qturns`` quarter turns (pi for 2) does not, and the proof fails."""
+    d = samples.two_zz_measurements()
+    (tmp_path / "source.json").write_text(d.dumps())
+    sid = min(d.spiders)
+    s = d.spiders[sid]
+    d.spiders[sid] = Spider(s.colour, s.phase + Phase(qturns))
+    (tmp_path / "target.json").write_text(d.dumps())
+    script = tmp_path / "probe.fzx"
+    script.write_text("name probe\nsource file:source.json\n"
+                      "target file:target.json\nclaim w=2\n")
+    code, out, _ = run(capsys, "prove", str(script))
+    assert json.loads(out)["target_semantics_match"] is matches
+    assert code == (0 if matches else 1)
+
+
+def test_repro_passes_and_is_byte_identical(capsys):
+    code, first, _ = run(capsys, "repro")
+    assert code == 0
+    assert first.splitlines()[-1] == "9/9 passed"
+    assert run(capsys, "repro") == (0, first, "")
+
+
 def rep3_split_with_claim_row(row: str) -> str:
     """rep3-split.fzx, whose claim the step chain carries, with ``row`` in
     place of the claim row for its variable (a repeated row is an error)."""
@@ -250,6 +278,34 @@ INPUT_ERRORS = [
     ("repeated builder parameter",
      ["build", "recursive-cat", "--set", "n=4", "--set", "n=8"],
      "repeated parameter for 'n'"),
+    ("repeated builder reference parameter",
+     ["webs", "builder:recursive-cat:n=4,n=2:impl"],
+     "repeated parameter for 'n'"),
+    ("builder reference shape", ["webs", "builder:shor-ft:m=6:junk:spec"],
+     "builder reference must be builder:<name>[:<k=v,...>]:spec|impl"),
+    ("step binding type",
+     ["prove", "name t\nsource sample:cat_spec:4\nstep elim s1=x\n"
+               "claim w=2\n"],
+     "line 3: s1 must be an integer id, got 'x'"),
+] + [
+    (f"repeated step key {key}",
+     ["prove", f"name t\nsource sample:cat_spec:4\nstep {step}\n"
+               "claim w=2\n"],
+     f"line 3: repeated step key {key!r}")
+    for key, step in [("n", "fuse-n n=2 n=3"),
+                      ("s1", "fuse-n n=2 s1=0 s1=1"),
+                      ("v:x", "elim v:x=a v:x=b"),
+                      ("n:x", "elim n:x=a n:x=b"),
+                      ("verify", "fuse-n n=2 s1=0 verify=2 verify=3")]
+] + [
+    (f"repeated {head} line",
+     ["prove", "name t\nsource sample:two_zz_measurements\n"
+               "target sample:two_zz_measurements\nrestriction none\n"
+               f"claim w=2\n{head} {rest}\n"],
+     f"line 6: repeated {head} line")
+    for head, rest in [("name", "u"), ("source", "sample:cat_spec:4"),
+                       ("target", "sample:cat_spec:4"),
+                       ("restriction", "all"), ("claim", "w=3")]
 ]
 
 

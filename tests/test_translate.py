@@ -245,3 +245,17 @@ def test_template_matches_gadget_complete(qubits, ops):
     spec = EquivalenceSpec(Side(dt, mt), Side(dg, mg), None, 2)
     v = check_w_fault_equivalence(spec)
     assert v.equivalent, v.dumps()
+
+
+@pytest.mark.parametrize("pauli", ["ZZ", "XZ"])
+def test_plain_mpp_template_matches_gadget_complete(pauli):
+    """A plain (non-ft) MPP gadgets every atom of its operation in the
+    template translation, which keeps it 3-fault-equivalent to the
+    gadget-complete one."""
+    c = Circuit(2)
+    c.measure("MPP", (0, 1), "k", pauli)
+    dt, mt = to_zx(c, "template")
+    dg, mg = to_zx(c, "gadget-complete")
+    v = check_w_fault_equivalence(
+        EquivalenceSpec(Side(dt, mt), Side(dg, mg), None, 3))
+    assert v.equivalent, v.dumps()
