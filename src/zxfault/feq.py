@@ -6,30 +6,25 @@ on either side is detectable there, or is matched by a fault of no greater
 weight on the other side whose faulted diagram is equal (up to a global
 magnitude and per-outcome phase, under the outcome correspondence).
 
-Every match is a query on one engine, :class:`FaultTable`.  A table holds
-one side's enumerated faults and the side's contraction, compiled once.  A
-fault's class key is read from one replay of the contraction with the
-fault's Paulis on the leaves, but only for the first fault of each web
-syndrome (:func:`~zxfault.webs.syndrome`, the set of the diagram's Pauli
-webs it anticommutes with): two faults with one syndrome differ by a Pauli
-that commutes with every web, which pushes through the spiders and leaves
-only a global scalar and per-outcome signs, and the key forgets both.  The
-key reads the tensor through the outcome correspondence, so a side-a fault
-can match a side-b one.  A lazy scan of each syndrome's first fault, in
-nondecreasing weight order, records the first fault of each key.  The
-check queries only undetectable faults, so when the noise-free diagrams are
-nonzero and agree, its scans skip the other side's classes that no such fault
-can match (:func:`_narrow_scans`): it replays only undetectable and
-correspondence-visible classes.  The circuit distance concerns one diagram
-and needs no key: a fault of a diagram D != 0 changes it exactly when its
-web syndrome is nonzero.  Each fault's syndrome and detectability come from
-one per-diagram pass, :class:`~zxfault.webs.FaultClasses`.
+Every match is a lookup in one engine, :class:`SyndromeMap`, on the web
+syndromes (:func:`~zxfault.webs.syndrome`, the set of a diagram's Pauli
+webs a fault anticommutes with) in the two sides' :class:`FaultTable`.
+On a diagram D != 0, two faults give equal diagrams up to a global scalar
+and per-outcome signs exactly when their syndromes are equal.  Across the
+sides, each side-b web is a stabiliser of D_b, so the signs with which a
+side-a replay, read through the correspondence, is an eigenvector of those
+stabilisers name the side-b class it equals.  That read-out is an affine
+map M of side-a syndromes, fixed by one replay per side-a syndrome outside
+the span of those already read, and checked against the dense oracle by
+three guards.  A class that makes the diagram zero matches only such
+classes.  The circuit distance concerns one diagram and needs no map: a
+fault of a diagram D != 0 changes it exactly when its web syndrome is
+nonzero.  Each fault's syndrome and detectability come from one
+per-diagram pass, :class:`~zxfault.webs.FaultClasses`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -39,9 +34,9 @@ from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
-                     OutcomeTensor, equal_up_to_scalar, evaluate)
+                     OutcomeTensor, equal_up_to_scalar, evaluate, on_open_legs)
 from .pauli import PauliString
-from .webs import FaultClasses, anticommutes
+from .webs import FaultClasses, flipped_by, syndrome
 
 
 @dataclass
@@ -108,176 +103,289 @@ def is_trivial(d: ZxDiagram, f: PauliString, base: OutcomeTensor | None = None,
     return equal_up_to_scalar(base, evaluate(apply_fault(d, f), budget))
 
 
-def _branch_canons(t: OutcomeTensor) -> dict:
-    """Per-assignment canonical branch bytes, normalised by the family's
-    global max magnitude and each branch's leading phase; b"Z" marks a zero
-    branch."""
-    m = t.max_abs()
-    out = {}
-    for b in t.assignments():
-        if m < TOL:
-            out[b] = b"Z"
-            continue
-        sub = np.asarray(t.array[b]).ravel() / m
-        mags = np.abs(sub)
-        mx = mags.max() if sub.size else 0.0
-        if mx <= TOL:
-            out[b] = b"Z"
-            continue
-        idx = int(np.argmax(mags > 0.5 * mx))
-        phase = sub[idx] / abs(sub[idx])
-        # + 0.0 turns -0.0 into +0.0 so byte comparison is well defined
-        out[b] = (np.round(sub / phase, 6) + 0.0).tobytes()
+class ClassKeyError(Exception):
+    """The web-syndrome map and the dense tensor oracle disagree.  Not a
+    ValueError, so that no caller can mistake it for a negative verdict or a
+    failed step."""
+
+
+def _constant_regions(d: ZxDiagram, regions: list) -> list[PauliString]:
+    """The Paulis of a basis of the detecting regions whose detecting sets
+    are empty: the sums of basis ``regions`` whose detecting sets cancel.
+    A leg-less Pauli spider is a region too, with no Pauli and its outcome
+    variables as detecting set, which the basis leaves out."""
+    column = {v: i for i, v in enumerate(d.variables)}
+    webs = [(r.web.pauli, r.detecting_set) for r in regions] + [
+        (PauliString(), s.phase.pivars) for sid, s in d.spiders.items()
+        if d.degree(sid) == 0 and s.phase.is_pauli()]
+    sets = [sum(1 << column[v] for v in vs) for _, vs in webs]
+    # equation j: the chosen regions' detecting sets cancel at variable j
+    equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))
+                 for j in range(len(column))]
+    out = []
+    for v in gf2.nullspace(equations, len(webs)):
+        p = PauliString()
+        for i, (pauli, _) in enumerate(webs):
+            if v >> i & 1:
+                p = p * pauli
+        out.append(p)
     return out
 
 
-class ClassKeyError(Exception):
-    """Class keys, the replayed contraction and the dense tensor oracle
-    disagree.  Not a ValueError, so that no caller can mistake it for a
-    negative verdict or a failed step."""
-
-
 class FaultTable:
-    """One diagram's faults up to a weight, in enumeration order
-    (nondecreasing weight, lex within weight), as the
-    (fault, weight, syndrome, undetectable) tuples of
-    :meth:`~zxfault.webs.FaultClasses.of`, each with a class key.
-
-    Faults are in one class exactly when their keys are equal.  A key is
-    the 32-byte digest of ``key`` applied to one replay of the diagram's
-    compiled :class:`~zxfault.oracle.Contraction`, made only for the first
-    fault of each web syndrome; later faults with that syndrome take its
-    key, so ``replays`` is one per syndrome plus the guard's.  Two checks
-    guard this: the first non-empty replay is compared with a dense
-    contraction, and the first other fault of a known syndrome is replayed
-    and must give the same key.  No tensor is kept.  The map from each key
-    to its first fault is filled by a scan of each syndrome's first fault
-    that goes only as far as a query needs; :meth:`narrow` leaves out of
-    that scan the faults that no query can match."""
+    """One diagram's faults up to a weight in enumeration order (weight,
+    then lex), as :meth:`~zxfault.webs.FaultClasses.of` yields them, the
+    first fault of each web syndrome, and the diagram's compiled
+    :class:`~zxfault.oracle.Contraction`, whose replays are counted."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
-                 max_weight: int, key):
+                 max_weight: int):
         self.contraction = contraction
         self.diagram = contraction.diagram
         self.classes = FaultClasses(self.diagram)
         self.faults = list(self.classes.of(noise, max_weight))
         self.weight = {f: w for f, w, _, _ in self.faults}
         self._syndrome = {f: s for f, _, s, _ in self.faults}
-        firsts: dict[int, PauliString] = {}
+        self.firsts: dict[int, PauliString] = {}  # syndrome -> first fault
         for f, _, s, _ in self.faults:
-            firsts.setdefault(s, f)
-        self._firsts = list(firsts.values())
+            self.firsts.setdefault(s, f)
+        self._constant = _constant_regions(self.diagram, self.classes.regions)
         self.replays = 0
-        self._key_of_tensor = key
-        self._first: dict[bytes, PauliString] = {}
-        self._scanned = 0
-        self._by_syndrome: dict[int, tuple[PauliString, bytes]] = {}
-        self._replay_checked = False
-        self._syndrome_checked = False
 
-    def _replay(self, f: PauliString) -> OutcomeTensor:
+    def syndrome(self, f: PauliString) -> int:
+        s = self._syndrome.get(f)
+        return syndrome(self.classes.webs, f) if s is None else s
+
+    def pattern(self, f: PauliString) -> int:
+        """Bit i: the fault flips the i-th region whose detecting set is
+        empty.  Such a region fixes the sign of the whole diagram, so the
+        faults that leave the diagram nonzero share one pattern."""
+        return sum((not p.commutes(f)) << i
+                   for i, p in enumerate(self._constant))
+
+    def replay(self, f: PauliString) -> OutcomeTensor:
         self.replays += 1
         return self.contraction.evaluate(f)
 
-    def _digest(self, t: OutcomeTensor) -> bytes:
-        return hashlib.blake2b(self._key_of_tensor(t), digest_size=32).digest()
 
-    def noise_free(self) -> OutcomeTensor:
-        """The noise-free tensor, not kept; its key is syndrome 0's."""
-        t = self._replay(PauliString())
-        self._by_syndrome.setdefault(0, (PauliString(), self._digest(t)))
-        return t
+def _images(corr: OutcomeMap) -> np.ndarray:
+    """The target assignment of each source assignment: entry [x][j] is
+    target variable j at source assignment x."""
+    x = np.indices((2,) * len(corr.source_vars), dtype=np.int8)
+    column = {v: i for i, v in enumerate(corr.source_vars)}
+    y = np.zeros(x.shape[1:] + (len(corr.target_vars),), dtype=np.int8)
+    for j, v in enumerate(corr.target_vars):
+        vs, c = corr.rows[v]
+        y[..., j] = (sum(x[column[u]] for u in vs) + c) % 2
+    return y
 
-    def _replayed_key(self, f: PauliString) -> bytes:
-        t = self._replay(f)
-        if f and not self._replay_checked:
-            self._replay_checked = True
-            dense = evaluate(apply_fault(self.diagram, f),
-                             self.contraction.budget)
+
+def _eigenvalues(d: ZxDiagram, web_list: list, t: OutcomeTensor,
+                 signs: list) -> list | None:
+    """The eigenvalue of ``t`` under each web's stabiliser of ``d``, its
+    Paulis on the open legs times its outcome sign; None if t is zero or
+    not an eigenvector of one, at ``TOL`` times t's max magnitude."""
+    i = int(np.argmax(np.abs(t.array)))
+    m = abs(t.array.flat[i])
+    if m < TOL:
+        return None
+    out = []
+    for w, sign in zip(web_list, signs):
+        u = on_open_legs(d, t, w.pauli).array
+        u *= sign
+        lam = u.flat[i] / t.array.flat[i]
+        if abs(abs(lam) - 1) > TOL:  # a stabiliser is unitary
+            return None
+        u /= lam  # in place, as no more than one copy of t is made
+        u -= t.array
+        if np.max(np.abs(u)) > TOL * m:
+            return None
+        out.append(lam)
+    return out
+
+
+def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
+              corr: OutcomeMap, base_syndrome: int):
+    """The side-b web syndrome of a side-a tensor read through the
+    correspondence: ``base_syndrome``, that of the nonzero side-b tensor
+    ``base``, with bit i flipped where the tensor's eigenvalue under web
+    i's stabiliser is minus base's.  None if an eigenvalue is neither, or if
+    the nonzero branches cover another number of side-b assignments than
+    base's, a count no fault changes and the signs cannot see."""
+    flips = [np.array([v in flipped_by(d, w) for v in d.variables])
+             for w in web_list]
+
+    def prepared(m: OutcomeMap) -> tuple:
+        y = _images(m)
+        return y, [(1 - 2 * (y @ f % 2))[..., None, None] for f in flips]
+
+    def covered(t: OutcomeTensor, y: np.ndarray) -> int:
+        mags = np.abs(t.array).reshape(y.shape[:-1] + (-1,)).max(axis=-1)
+        return len(set(map(tuple, y[mags > TOL * mags.max()].tolist())))
+
+    y_b, own = prepared(OutcomeMap.identity(d.variables))
+    sigma = _eigenvalues(d, web_list, base, own)
+    if sigma is None:
+        raise ClassKeyError("a Pauli web of side b does not stabilise its"
+                            " reference diagram")
+    size = covered(base, y_b)
+    y_a, signs = prepared(corr)
+
+    def read(t: OutcomeTensor) -> int | None:
+        lam = _eigenvalues(d, web_list, t, signs)
+        if lam is None or covered(t, y_a) != size:
+            return None
+        s = base_syndrome
+        for i, (l, m) in enumerate(zip(lam, sigma)):
+            if abs(l / m + 1) <= TOL:
+                s ^= 1 << i
+            elif abs(l / m - 1) > TOL:
+                return None
+        return s
+    return read
+
+
+class SyndromeMap:
+    """Both sides' fault tables and the affine map M from side-a web
+    syndromes to side-b ones under which classes match.
+
+    Each side's reference is its first nonzero class: the empty fault when
+    D != 0, else one replay per :meth:`FaultTable.pattern` finds it.  Zero
+    classes, of another pattern, match only zero classes.  M(s) is the
+    :func:`_read_out` of a replay of class s against side b's reference;
+    side a's classes are read in scan order, skipping each whose difference
+    from side a's reference (read as the offset) is in the GF(2) span of
+    those read.  Guards: the offset is 0 exactly when the oracle calls the
+    nonzero noise-free diagrams equal, and any other match of it is
+    confirmed; the first non-empty side-a replay is compared with a dense
+    contraction; the first match M predicts is replayed on both sides."""
+
+    def __init__(self, spec: EquivalenceSpec, max_weight: int):
+        da, db = spec.side_a.diagram, spec.side_b.diagram
+        if (len(da.inputs), len(da.outputs)) != \
+                (len(db.inputs), len(db.outputs)):
+            raise ValueError("incompatible boundary shapes")
+        corr = spec.corr()
+        if corr.source_vars != da.variables or corr.target_vars != db.variables:
+            raise ValueError("correspondence registries do not match the"
+                             " sides")
+        self.tables = {side: FaultTable(Contraction(x.diagram, spec.budget),
+                                        x.noise, max_weight)
+                       for side, x in (("a", spec.side_a), ("b", spec.side_b))}
+        a, b = self.tables.values()
+        self._dense_checked = False
+        t_a, t_b = a.replay(PauliString()), b.replay(PauliString())
+        ref_a, ref_b = self._reference("a", t_a), self._reference("b", t_b)
+        self.offset = None  # M(origin), None when no nonzero class matches
+        if ref_a and ref_b:
+            self._read = _read_out(db, b.classes.webs, ref_b[1], corr,
+                                   b.syndrome(ref_b[0]))
+            self._origin = a.syndrome(ref_a[0])
+            self.offset = self._read(ref_a[1])
+        zero_a, zero_b = t_a.max_abs() < TOL, t_b.max_abs() < TOL
+        same = zero_a and zero_b if zero_a or zero_b else self.offset == 0
+        if same != equal_up_to_scalar(t_b, t_a, corr):
+            raise ClassKeyError("web syndromes and the tensor oracle disagree"
+                                " on the noise-free diagrams")
+        del t_a, t_b  # at most two tensors are kept while the oracle compares
+        self._alive = {side: ref and self.tables[side].pattern(ref[0])
+                       for side, ref in (("a", ref_a), ("b", ref_b))}
+        # rows (s ^ origin) | (M(s) ^ offset) << |webs_a|
+        self._pivots: dict[int, int] = {}
+        self._first = {"a": {}, "b": {}}  # class key -> first fault
+        for f in b.firsts.values():
+            self._first["b"].setdefault(self._key("b", f), f)
+        g = None if self.offset is None else self._first["b"].get(self.offset)
+        if g and not equal_up_to_scalar(b.replay(g), ref_a[1], corr):
+            raise ClassKeyError(
+                f"side a's reference (fault '{ref_a[0].to_text()}') reads as"
+                f" side-b fault {g.to_text()}, which the oracle refutes")
+        del ref_a, ref_b
+        guard = None  # the first class whose match M predicts, not reads
+        for s, f in a.firsts.items():
+            replays = a.replays
+            k = self._key("a", f)
+            self._first["a"].setdefault(k, f)
+            if guard is None and a.replays == replays and k is not None \
+                    and k >= 0 and s != self._origin and k in self._first["b"]:
+                guard = f, self._first["b"][k]
+        if guard and not equal_up_to_scalar(b.replay(guard[1]),
+                                            self._replay(guard[0]), corr):
+            raise ClassKeyError(
+                f"side-a fault {guard[0].to_text()} is predicted to match"
+                f" side-b fault {guard[1].to_text()}, which the oracle"
+                f" refutes")
+
+    def _key(self, side: str, f: PauliString) -> int | None:
+        """The key that two matching classes share: -1 for a zero class,
+        else M(s) for a side-a class of syndrome s and s for a side-b one;
+        None when no nonzero class matches."""
+        alive = self._alive[side]
+        if alive is None or self.tables[side].pattern(f) != alive:
+            return -1
+        if self.offset is None:
+            return None
+        s = self.tables[side].syndrome(f)
+        return self._image(f, s) if side == "a" else s
+
+    def _reference(self, side: str, t: OutcomeTensor):
+        """(fault, tensor) of the side's first nonzero class, given its
+        noise-free tensor ``t``; None if every class is zero."""
+        table = self.tables[side]
+        if t.max_abs() >= TOL:
+            return PauliString(), t
+        tried = {0}
+        for f in table.firsts.values():
+            if table.pattern(f) not in tried:
+                tried.add(table.pattern(f))
+                t = self._replay(f) if side == "a" else table.replay(f)
+                if t.max_abs() >= TOL:
+                    return f, t
+        return None
+
+    def _replay(self, f: PauliString) -> OutcomeTensor:
+        """A side-a replay; the first is compared with a dense contraction."""
+        table = self.tables["a"]
+        t = table.replay(f)
+        if not self._dense_checked:
+            self._dense_checked = True
+            dense = evaluate(apply_fault(table.diagram, f),
+                             table.contraction.budget)
             if not equal_up_to_scalar(dense, t):
                 raise ClassKeyError(
                     f"replayed contraction and dense oracle disagree on"
                     f" fault {f.to_text()}")
-        return self._digest(t)
+        return t
 
-    def key(self, f: PauliString) -> bytes:
-        if f not in self._syndrome:  # not one of the table's faults
-            return self._replayed_key(f)
-        s = self._syndrome[f]
-        if s not in self._by_syndrome:
-            self._by_syndrome[s] = (f, self._replayed_key(f))
-        g, k = self._by_syndrome[s]
-        if g != f and not self._syndrome_checked:
-            self._syndrome_checked = True
-            if self._replayed_key(f) != k:
-                raise ClassKeyError(
-                    f"fault {f.to_text()} has a known web syndrome but"
-                    f" a different class key")
-        return k
+    def _image(self, f: PauliString, s: int) -> int:
+        """M(s), read from a replay of ``f`` when s is outside the span of
+        the classes read so far."""
+        n = len(self.tables["a"].classes.webs)
+        v = gf2.reduce(self._pivots, s ^ self._origin)
+        if not v & ((1 << n) - 1):
+            return (v >> n) ^ self.offset
+        r = self._read(self._replay(f))
+        if r is None:
+            raise ClassKeyError(f"side-a fault {f.to_text()} of a nonzero"
+                                f" class reads no definite side-b syndrome")
+        row = (s ^ self._origin) | (r ^ self.offset) << n
+        self._pivots = gf2.echelon([*self._pivots.values(), row])
+        return r
 
-    def narrow(self, skip) -> None:
-        """Leave out of the scan each syndrome's first fault ``g`` with
-        ``skip(g)``: the caller's proof that no query it makes has ``g``'s
-        key.  Called before the first query, so that no skipped fault is
-        already recorded as the first of its key."""
-        self._firsts = [g for g in self._firsts if not skip(g)]
-
-    def first(self, key: bytes, max_weight: int) -> PauliString | None:
-        """The first enumerated fault with this key, or None if no fault of
-        weight <= max_weight has it."""
-        while key not in self._first and self._scanned < len(self._firsts):
-            g = self._firsts[self._scanned]
-            if self.weight[g] > max_weight:
-                break
-            self._scanned += 1
-            self._first.setdefault(self.key(g), g)
-        g = self._first.get(key)
-        return g if g is not None and self.weight[g] <= max_weight else None
-
-
-def _assignments(variables: list) -> list:
-    return list(itertools.product((0, 1), repeat=len(variables)))
-
-
-def _read(canon: dict, sources: list) -> bytes:
-    """One target assignment's part of a key: the nonzero source branches
-    mapping onto it must agree; none at all reads as zero."""
-    cs = sorted({canon[a] for a in sources} - {b"Z"})
-    return cs[0] if len(cs) == 1 else b",".join(cs) or b"Z"
-
-
-def _class_key(b_assigns: list, preimage: dict):
-    """Key of a tensor read through a preimage map (target assignment ->
-    source assignments)."""
-    def key(t: OutcomeTensor) -> bytes:
-        canon = _branch_canons(t)
-        return b"|".join(_read(canon, preimage[y]) for y in b_assigns)
-    return key
-
-
-def fault_tables(spec: EquivalenceSpec, max_weight: int) -> dict:
-    """Both sides' fault tables, keyed so that a side-a and a side-b fault
-    share a key exactly when their faulted diagrams are equal under the
-    correspondence.  The side-a key folds the correspondence in."""
-    da, db = spec.side_a.diagram, spec.side_b.diagram
-    if (len(da.inputs), len(da.outputs)) != (len(db.inputs), len(db.outputs)):
-        raise ValueError("incompatible boundary shapes")
-    corr = spec.corr()
-    if corr.source_vars != da.variables or corr.target_vars != db.variables:
-        raise ValueError("correspondence registries do not match the sides")
-    b_assigns = _assignments(db.variables)
-    preimage = {y: [] for y in b_assigns}
-    for a in _assignments(da.variables):
-        preimage[corr(a)].append(a)
-    identity = {y: [y] for y in b_assigns}
-    return {"a": FaultTable(Contraction(da, spec.budget), spec.side_a.noise,
-                            max_weight, _class_key(b_assigns, preimage)),
-            "b": FaultTable(Contraction(db, spec.budget), spec.side_b.noise,
-                            max_weight, _class_key(b_assigns, identity))}
+    def match(self, side: str, f: PauliString,
+              max_weight: int) -> PauliString | None:
+        """The first fault of the other side whose class matches ``f``'s,
+        if its weight is at most ``max_weight``."""
+        other = "b" if side == "a" else "a"
+        k = self._key(side, f)
+        g = None if k is None else self._first[other].get(k)
+        if g is None or self.tables[other].weight[g] > max_weight:
+            return None
+        return g
 
 
 def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
-                          tables: dict | None = None,
+                          syndrome_map: SyndromeMap | None = None,
                           max_weight: int | None = None):
     """First fault on the other side, in nondecreasing weight then lex order,
     whose faulted diagram equals the faulted source diagram under the
@@ -289,93 +397,23 @@ def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
         if max_weight == ABOVE_CAP:
             raise ValueError(f"fault {f.to_text()} is not generated by the"
                              f" side's noise model")
-    if tables is None:
-        tables = fault_tables(spec, max_weight)
-    return tables["b" if side == "a" else "a"].first(tables[side].key(f),
-                                                    max_weight)
-
-
-def _visibly_detected(regions: list, corr: OutcomeMap):
-    """Predicate on side-a faults: some detecting region of side a (a sum
-    of the basis ``regions``) anticommutes with the fault and has its
-    detecting set in the GF(2) span of the correspondence's linear rows, so
-    that its parity is an affine function of the side-b outcomes.  Those
-    regions are a subspace: the sums of basis regions whose detecting sets
-    sum to 0 modulo the rows."""
-    column = {v: i for i, v in enumerate(corr.source_vars)}
-
-    def row(variables) -> int:
-        return sum(1 << column[v] for v in variables)
-
-    pivots = gf2.echelon(row(vs) for vs, _ in corr.rows.values())
-    rest = [gf2.reduce(pivots, row(r.detecting_set)) for r in regions]
-    # equation j: the chosen regions' reduced sets cancel at variable j
-    equations = [sum((r >> j & 1) << i for i, r in enumerate(rest))
-                 for j in range(len(column))]
-    visible = gf2.nullspace(equations, len(regions))
-
-    def detected(f: PauliString) -> bool:
-        flips = sum(anticommutes(r.web, f) << i for i, r in enumerate(regions))
-        return any((flips & v).bit_count() % 2 for v in visible)
-    return detected
-
-
-def _narrow_scans(tables: dict, corr: OutcomeMap) -> None:
-    """Leave out of each table's scan the classes that no undetectable
-    fault of the other side can match, given that the noise-free diagrams
-    are nonzero and D_a ~ D_b under the correspondence.
-
-    Side-a queries scan table b and skip every class that side b detects.
-    Side-b queries scan table a and skip a class that side a detects only
-    when a region that the correspondence can see detects it.  Proof
-    sketch: let g be a skipped fault, R a region (Bombin et al., arXiv
-    2303.08829) of g's diagram D that detects it, S its detecting set and p
-    its expected parity; f is an undetectable fault of the other diagram
-    D'.
-
-    * Every nonzero branch of D has S = p, and every nonzero branch of D^g
-      has S != p, because g flips R's parity.
-    * Read on side b's outcomes, S = p is a condition on them: for side b
-      directly, for side a because S is a sum of correspondence rows.  So
-      the nonzero branches of D', which match D's, satisfy it.
-    * A parity that is constant on D''s nonzero branches is the parity of
-      one of D''s regions, and f flips none of them, so D'^f satisfies the
-      condition too.  D'^f != 0, because D' != 0 and no region detects f.
-    * So D'^f and D^g have no nonzero branch in common on side b's
-      outcomes, and their keys differ.
-
-    Without D_a ~ D_b the rule is wrong: two_zz_measurements against itself
-    under k1 = k1^1 matches side a's undetectable faults with side b's
-    k1-flips, which side b detects.  A side-a region that the
-    correspondence cannot see (a many-to-one map, a flag outcome)
-    constrains only side a, so the classes it alone detects stay in the
-    scan."""
-    b = tables["b"]
-    detected = {s for _, _, s, undetectable in b.faults if not undetectable}
-    b.narrow(lambda g: b._syndrome[g] in detected)
-    tables["a"].narrow(_visibly_detected(tables["a"].classes.regions, corr))
+    if syndrome_map is None:
+        syndrome_map = SyndromeMap(spec, max_weight)
+    return syndrome_map.match(side, f, max_weight)
 
 
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     if spec.w < 1:
         raise ValueError(f"w must be at least 1, got {spec.w}")
-    tables = fault_tables(spec, spec.w - 1)
-    # the keys must say what the oracle says about the noise-free diagrams
-    t_a, t_b = tables["a"].noise_free(), tables["b"].noise_free()
-    same = tables["a"].key(PauliString()) == tables["b"].key(PauliString())
-    if same != equal_up_to_scalar(t_b, t_a, spec.corr()):
-        raise ClassKeyError("class keys and the tensor oracle disagree on the"
-                            " noise-free diagrams")
-    if same and t_b.max_abs() >= TOL:  # the skip rule's premises
-        _narrow_scans(tables, spec.corr())
-    del t_a, t_b  # no tensor is kept while the tables are scanned
+    syndrome_map = SyndromeMap(spec, spec.w - 1)
+    tables = syndrome_map.tables
     counterexamples = []
     for side in ("a", "b"):
         other = tables["b" if side == "a" else "a"]
         for f, w, _, undetectable in tables[side].faults:
             if not undetectable:
                 continue
-            g = find_equivalent_fault(spec, side, f, tables, spec.w - 1)
+            g = find_equivalent_fault(spec, side, f, syndrome_map, spec.w - 1)
             if g is not None and other.weight[g] <= w:
                 continue
             reason = "match-heavier" if g is not None else "no-match-found"

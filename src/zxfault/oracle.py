@@ -26,7 +26,7 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 DEFAULT_BUDGET = 2**22
 # Absolute tolerance of every float comparison of tensor entries: zero tests,
-# scalar-equality checks and the class keys' zero branches.
+# scalar-equality checks and the sign tests of web-syndrome read-outs.
 TOL = 1e-9
 
 
@@ -294,6 +294,33 @@ class Contraction:
 def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
     """Contract the diagram into its outcome-indexed tensor family."""
     return Contraction(d, budget).evaluate()
+
+
+def on_open_legs(d: ZxDiagram, t: OutcomeTensor,
+                 p: PauliString) -> OutcomeTensor:
+    """``t``, any family of ``d``'s boundary shape, with the letter ``p``
+    has on each port's edge acting on the port's leg (X and Z swapped at
+    the b end of a hadamard edge; Y is Z then X, as in ``_PAULI``).  So a
+    Pauli web's edge Paulis give the boundary half of its stabiliser."""
+    legs = len(t.variables) + t.n_in + t.n_out
+    sign = np.ones((1,) * legs)
+    flips = []
+    for kind, eids, first in (("in", d.inputs, len(t.variables)),
+                              ("out", d.outputs, legs - t.n_out)):
+        for i, eid in enumerate(eids):
+            letter, e = p.letter(eid), d.edges[eid]
+            if e.had and e.b == ("b", kind, i):
+                letter = {"X": "Z", "Z": "X"}.get(letter, letter)
+            axis = first + i
+            if letter in "YZ":
+                sign = sign * np.array([1.0, -1.0]).reshape(
+                    (1,) * axis + (2,) + (1,) * (legs - axis - 1))
+            if letter in "XY":
+                flips.append(axis)
+    # Z then X is X then the flipped Z: one new array, whose reshape is a view
+    a = np.flip(t.array.reshape((2,) * legs), flips) * np.flip(sign, flips)
+    return OutcomeTensor(t.variables, t.n_in, t.n_out,
+                         a.reshape(t.array.shape))
 
 
 class OutcomeMap:

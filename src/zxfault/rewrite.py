@@ -124,6 +124,19 @@ class RewriteRule:
         ekey = {f"e{i + 1}": eid for i, eid in enumerate(sorted(self.lhs.edges))}
         return skey, ekey
 
+    def check_names(self, binding: dict, vars: dict, new: dict) -> None:
+        """Raise RuleBindingError for a ``binding`` key that is not a slot, a
+        ``vars`` key that is not an lhs variable or a ``new`` key that is not
+        an rhs variable."""
+        skey, ekey = self.slots()
+        for what, names, known in (("slots", binding, {*skey, *ekey}),
+                                   ("lhs variables", vars, self.lhs.variables),
+                                   ("rhs variables", new, self.rhs.variables)):
+            unknown = sorted(set(names) - set(known))
+            if unknown:
+                raise RuleBindingError(
+                    f"binding mismatch: unknown {what} {unknown}")
+
     def inverse(self) -> "RewriteRule":
         if self.lhs.variables or self.rhs.variables or self.lhs.constraints \
                 or self.rhs.constraints:
@@ -506,24 +519,6 @@ class StepLog:
     before_region: ZxDiagram
     after_region: ZxDiagram
 
-    def inverse_binding(self, rule: RewriteRule) -> dict:
-        """Binding of ``rule.inverse()`` on the rewritten diagram that undoes
-        this step (variable-free rules only)."""
-        inv = rule.inverse()
-        skey, ekey = inv.slots()
-        binding = {}
-        for key, sid in skey.items():
-            binding[key] = self.rhs_spiders[sid]
-        for key, eid in ekey.items():
-            kind = _edge_kind(inv.lhs.edges[eid])
-            if kind[0] == "internal":
-                binding[key] = self.rhs_edges[eid]
-            elif kind[0] == "boundary":
-                binding[key] = self.port_edges[kind[2]]
-            else:
-                binding[key] = self.port_edges[kind[1]]
-        return binding
-
 
 def _slot_of(lhs_eids: list, leid: int) -> str:
     return f"e{lhs_eids.index(leid) + 1}"
@@ -543,10 +538,8 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
     lhs, rhs = rule.lhs, rule.rhs
     vars = dict(vars or {})
     new = dict(new or {})
+    rule.check_names(binding, vars, new)
     skey, ekey = rule.slots()
-    unknown = sorted(set(binding) - set(skey) - set(ekey))
-    if unknown:
-        raise RuleBindingError(f"binding mismatch: unknown slots {unknown}")
 
     smap = {}
     for key, lsid in skey.items():
@@ -824,7 +817,8 @@ def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
     variable to an XOR expression in after variables (identity by default).
 
     The check is :func:`~zxfault.feq.check_w_fault_equivalence`, which
-    compares faulted diagrams by cached class keys, never by kept tensors."""
+    matches faulted diagrams by their web syndromes, never by kept
+    tensors."""
     corr_exprs = dict(corr_exprs or {})
     unknown = sorted(corr_exprs.keys() - set(before.variables))
     if unknown:
@@ -902,83 +896,6 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     return PushoutReport(not violations, violations, len(inner))
 
 
-# -- graph isomorphism (ports fixed) --------------------------------------------
-
-
-def isomorphic(d1: ZxDiagram, d2: ZxDiagram) -> bool:
-    """Spider-relabelling isomorphism with ports, edge attributes, variables
-    and constraints matched exactly."""
-    if sorted(d1.variables) != sorted(d2.variables):
-        return False
-    if sorted((tuple(sorted(vs)), r) for vs, r in d1.constraints) != \
-            sorted((tuple(sorted(vs)), r) for vs, r in d2.constraints):
-        return False
-    if len(d1.spiders) != len(d2.spiders) or len(d1.edges) != len(d2.edges):
-        return False
-
-    def conn(d):
-        out = {}
-        for e in d.edges.values():
-            key = frozenset([e.a if e.a[0] == "b" else ("s", e.a[1]),
-                             e.b if e.b[0] == "b" else ("s", e.b[1])])
-            out.setdefault(key, []).append((e.had, e.ideal))
-        return {k: sorted(v) for k, v in out.items()}
-
-    def sig(d, sid):
-        s = d.spiders[sid]
-        return (s.colour, s.phase.qturns, tuple(sorted(s.phase.pivars)),
-                d.degree(sid))
-
-    c1, c2 = conn(d1), conn(d2)
-    ports1 = {ep for key in c1 for ep in key if ep[0] == "b"}
-    ports2 = {ep for key in c2 for ep in key if ep[0] == "b"}
-    if ports1 != ports2:
-        return False
-    order = sorted(d1.spiders)
-    cands = {sid: [t for t in sorted(d2.spiders) if sig(d2, t) == sig(d1, sid)]
-             for sid in order}
-
-    def extend(i, mapping, taken):
-        if i == len(order):
-            # final full check of the edge multisets
-            for key, attrs in c1.items():
-                key2 = frozenset(("s", mapping[ep[1]]) if ep[0] == "s" else ep
-                                 for ep in key)
-                if c2.get(key2) != attrs:
-                    return False
-            return len(c1) == len(c2)
-        u = order[i]
-        for t in cands[u]:
-            if t in taken:
-                continue
-            ok = True
-            for key, attrs in c1.items():
-                eps = list(key)
-                mapped = []
-                for ep in eps:
-                    if ep[0] == "b":
-                        mapped.append(ep)
-                    elif ep[1] == u:
-                        mapped.append(("s", t))
-                    elif ep[1] in mapping:
-                        mapped.append(("s", mapping[ep[1]]))
-                    else:
-                        mapped = None
-                        break
-                if mapped is None or not any(
-                        ep == ("s", u) or (ep[0] == "s" and ep[1] == u)
-                        for ep in eps):
-                    continue
-                if c2.get(frozenset(mapped)) != attrs:
-                    ok = False
-                    break
-            if ok and extend(i + 1, {**mapping, u: t}, taken | {t}):
-                return True
-        return False
-
-    return extend(0, {}, set())
-
-
 # -- proof scripts ---------------------------------------------------------------
 
 
@@ -1018,10 +935,12 @@ class ProofScript:
     claim_corr: dict = field(default_factory=dict)
     restriction: str = ""
     target: str | None = None
+    lines: dict = field(default_factory=dict)  # directive -> line number
 
     @classmethod
     def parse(cls, text: str) -> "ProofScript":
         lines: dict[str, str] = {}
+        numbers: dict[str, int] = {}
         steps: list[ScriptStep] = []
         claim_w, claim_corr = None, {}
         for ln, raw in enumerate(text.splitlines(), start=1):
@@ -1039,7 +958,7 @@ class ProofScript:
                 elif head in lines:
                     raise ValueError(f"repeated {head} line")
                 else:
-                    lines[head] = rest
+                    lines[head], numbers[head] = rest, ln
                     if head == "claim":
                         claim_corr = key_values(rest.split(), "claim key")
                         if "w" not in claim_corr:
@@ -1050,7 +969,7 @@ class ProofScript:
         if not {"name", "source", "claim"} <= lines.keys():
             raise ScriptError("script needs name, source and claim lines")
         return cls(lines["name"], lines["source"], steps, claim_w, claim_corr,
-                   lines.get("restriction", ""), lines.get("target"))
+                   lines.get("restriction", ""), lines.get("target"), numbers)
 
 
 def _parse_step(toks: list, ln: int) -> ScriptStep:
@@ -1080,6 +999,17 @@ def _weight(key: str, val: str) -> int:
         raise ValueError(f"weight must be an integer >= 1 in"
                          f" {key + '=' + val!r}")
     return w
+
+
+def _resolve_directive(script: ProofScript, head: str,
+                       base_dir: str | None) -> ZxDiagram:
+    """The ``source`` or ``target`` diagram; an error names its line."""
+    try:
+        return resolve_ref(getattr(script, head), base_dir)
+    except ValueError as exc:
+        if head not in script.lines:  # built in code, not parsed
+            raise
+        raise ScriptError(f"line {script.lines[head]}: {exc}") from None
 
 
 def resolve_ref(ref: str, base_dir: str | None = None) -> ZxDiagram:
@@ -1141,7 +1071,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
     w-fault-equivalent at a weight at least the claimed one)."""
     if isinstance(script, str):
         script = ProofScript.parse(script)
-    src = resolve_ref(script.source, base_dir)
+    src = _resolve_directive(script, "source", base_dir)
     unknown = sorted(script.claim_corr.keys() - set(src.variables))
     if unknown:
         raise ScriptError(f"claim rows for variables that source"
@@ -1154,6 +1084,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
         entry: dict = {"index": i, "rule": st.rule, "params": dict(st.params)}
         try:
             rule = make_rule(st.rule, **st.params)
+            rule.check_names(st.binding, st.vars, st.new)
         except ValueError as exc:
             raise ScriptError(f"line {st.line}: {exc}") from None
         entry["guarantee"] = rule.guarantee
@@ -1200,7 +1131,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
         report["final_diagram"] = d
 
     if script.target is not None:
-        tgt = resolve_ref(script.target, base_dir)
+        tgt = _resolve_directive(script, "target", base_dir)
         if sorted(tgt.variables) != sorted(d.variables):
             raise ScriptError(
                 f"target {script.target} has outcome variables"

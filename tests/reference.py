@@ -1,0 +1,183 @@
+"""Reference code that only the tests use.
+
+* The tensor class keys that matched faults across two diagrams before the
+  web-syndrome map (:class:`zxfault.feq.SyndromeMap`) replaced them: two
+  faulted diagrams have one key exactly when they are equal under the
+  outcome correspondence, up to a global magnitude and per-outcome phases.
+* Graph isomorphism of diagrams with their ports fixed.
+* The binding of a rule's inverse that undoes one rewrite step.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from zxfault.oracle import TOL, OutcomeTensor
+from zxfault.rewrite import RewriteRule, StepLog, _edge_kind
+
+
+def _branch_canons(t: OutcomeTensor) -> dict:
+    """Per-assignment canonical branch bytes, normalised by the family's
+    global max magnitude and each branch's leading phase; b"Z" marks a zero
+    branch."""
+    m = t.max_abs()
+    out = {}
+    for b in t.assignments():
+        if m < TOL:
+            out[b] = b"Z"
+            continue
+        sub = np.asarray(t.array[b]).ravel() / m
+        mags = np.abs(sub)
+        mx = mags.max() if sub.size else 0.0
+        if mx <= TOL:
+            out[b] = b"Z"
+            continue
+        idx = int(np.argmax(mags > 0.5 * mx))
+        phase = sub[idx] / abs(sub[idx])
+        # + 0.0 turns -0.0 into +0.0 so byte comparison is well defined
+        out[b] = (np.round(sub / phase, 6) + 0.0).tobytes()
+    return out
+
+
+def _read(canon: dict, sources: list) -> bytes:
+    """One target assignment's part of a key: the nonzero source branches
+    mapping onto it must agree; none at all reads as zero."""
+    cs = sorted({canon[a] for a in sources} - {b"Z"})
+    return cs[0] if len(cs) == 1 else b",".join(cs) or b"Z"
+
+
+def _class_key(b_assigns: list, preimage: dict):
+    """Key of a tensor read through a preimage map (target assignment ->
+    source assignments)."""
+    def key(t: OutcomeTensor) -> bytes:
+        canon = _branch_canons(t)
+        return b"|".join(_read(canon, preimage[y]) for y in b_assigns)
+    return key
+
+
+def class_keys(spec) -> dict:
+    """Each side's key function: the side-a key reads the tensor through
+    the correspondence, so that a side-a and a side-b tensor share a key
+    exactly when they are equal under it."""
+    da, db = spec.side_a.diagram, spec.side_b.diagram
+    corr = spec.corr()
+    b_assigns = list(itertools.product((0, 1), repeat=len(db.variables)))
+    preimage = {y: [] for y in b_assigns}
+    for x in itertools.product((0, 1), repeat=len(da.variables)):
+        preimage[corr(x)].append(x)
+    return {"a": _class_key(b_assigns, preimage),
+            "b": _class_key(b_assigns, {y: [y] for y in b_assigns})}
+
+
+def key_matches(syndrome_map, spec) -> dict:
+    """For each side and each web syndrome of its table, the first fault of
+    the other side whose key equals the key of the syndrome's first fault,
+    or None: the class-key match that the syndrome map must reproduce."""
+    keys = class_keys(spec)
+    key_of = {side: {s: keys[side](table.contraction.evaluate(f))
+                     for s, f in table.firsts.items()}
+              for side, table in syndrome_map.tables.items()}
+    first = {}
+    for side, table in syndrome_map.tables.items():
+        first[side] = {}
+        for s, f in table.firsts.items():
+            first[side].setdefault(key_of[side][s], f)
+    return {side: {s: first["b" if side == "a" else "a"].get(k)
+                   for s, k in key_of[side].items()}
+            for side in "ab"}
+
+
+def isomorphic(d1, d2) -> bool:
+    """Spider-relabelling isomorphism with ports, edge attributes, variables
+    and constraints matched exactly."""
+    if sorted(d1.variables) != sorted(d2.variables):
+        return False
+    if sorted((tuple(sorted(vs)), r) for vs, r in d1.constraints) != \
+            sorted((tuple(sorted(vs)), r) for vs, r in d2.constraints):
+        return False
+    if len(d1.spiders) != len(d2.spiders) or len(d1.edges) != len(d2.edges):
+        return False
+
+    def conn(d):
+        out = {}
+        for e in d.edges.values():
+            key = frozenset([e.a if e.a[0] == "b" else ("s", e.a[1]),
+                             e.b if e.b[0] == "b" else ("s", e.b[1])])
+            out.setdefault(key, []).append((e.had, e.ideal))
+        return {k: sorted(v) for k, v in out.items()}
+
+    def sig(d, sid):
+        s = d.spiders[sid]
+        return (s.colour, s.phase.qturns, tuple(sorted(s.phase.pivars)),
+                d.degree(sid))
+
+    c1, c2 = conn(d1), conn(d2)
+    ports1 = {ep for key in c1 for ep in key if ep[0] == "b"}
+    ports2 = {ep for key in c2 for ep in key if ep[0] == "b"}
+    if ports1 != ports2:
+        return False
+    order = sorted(d1.spiders)
+    cands = {sid: [t for t in sorted(d2.spiders) if sig(d2, t) == sig(d1, sid)]
+             for sid in order}
+
+    def extend(i, mapping, taken):
+        if i == len(order):
+            # final full check of the edge multisets
+            for key, attrs in c1.items():
+                key2 = frozenset(("s", mapping[ep[1]]) if ep[0] == "s" else ep
+                                 for ep in key)
+                if c2.get(key2) != attrs:
+                    return False
+            return len(c1) == len(c2)
+        u = order[i]
+        for t in cands[u]:
+            if t in taken:
+                continue
+            ok = True
+            for key, attrs in c1.items():
+                eps = list(key)
+                mapped = []
+                for ep in eps:
+                    if ep[0] == "b":
+                        mapped.append(ep)
+                    elif ep[1] == u:
+                        mapped.append(("s", t))
+                    elif ep[1] in mapping:
+                        mapped.append(("s", mapping[ep[1]]))
+                    else:
+                        mapped = None
+                        break
+                if mapped is None or not any(
+                        ep == ("s", u) or (ep[0] == "s" and ep[1] == u)
+                        for ep in eps):
+                    continue
+                if c2.get(frozenset(mapped)) != attrs:
+                    ok = False
+                    break
+            if ok and extend(i + 1, {**mapping, u: t}, taken | {t}):
+                return True
+        return False
+
+    return extend(0, {}, set())
+
+
+
+def inverse_binding(log: StepLog, rule: RewriteRule) -> dict:
+    """Binding of ``rule.inverse()`` on the rewritten diagram that undoes
+    the logged step (variable-free rules only)."""
+    inv = rule.inverse()
+    skey, ekey = inv.slots()
+    binding = {}
+    for key, sid in skey.items():
+        binding[key] = log.rhs_spiders[sid]
+    for key, eid in ekey.items():
+        kind = _edge_kind(inv.lhs.edges[eid])
+        if kind[0] == "internal":
+            binding[key] = log.rhs_edges[eid]
+        elif kind[0] == "boundary":
+            binding[key] = log.port_edges[kind[2]]
+        else:
+            binding[key] = log.port_edges[kind[1]]
+    return binding

@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 
+from reference import isomorphic
 from test_webs import brute_force_webs, span_highlights
 
 from zxfault import samples
@@ -20,8 +21,8 @@ from zxfault.feq import (EquivalenceSpec, Side, check_w_fault_equivalence,
 from zxfault.noise import edge_flip_atoms, x_flip_atoms
 from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate, is_total
 from zxfault.pauli import PauliString
-from zxfault.rewrite import (RULES, check_boundary_pushout, isomorphic,
-                             make_rule, rule_certificate, run_proof_script)
+from zxfault.rewrite import (RULES, check_boundary_pushout, make_rule,
+                             rule_certificate, run_proof_script)
 from zxfault.webs import detecting_region_basis, is_detectable, web_basis
 
 

@@ -287,6 +287,26 @@ INPUT_ERRORS = [
      ["prove", "name t\nsource sample:cat_spec:4\nstep elim s1=x\n"
                "claim w=2\n"],
      "line 3: s1 must be an integer id, got 'x'"),
+    # names the rule does not have are input errors, not failed steps
+    ("step unknown slot",
+     ["prove", "name t\nsource sample:cat_spec:4\n"
+               "step fuse-n n=2 s9=0 verify=2\nclaim w=2\n"],
+     "line 3: binding mismatch: unknown slots ['s9']"),
+    ("step unknown lhs variable",
+     ["prove", "name t\nsource sample:cat_spec:4\n"
+               "step fuse-n n=2 s1=0 v:zz=k1 verify=2\nclaim w=2\n"],
+     "line 3: binding mismatch: unknown lhs variables ['zz']"),
+    ("step unknown rhs variable",
+     ["prove", "name t\nsource sample:cat_spec:4\n"
+               "step fuse-n n=2 s1=0 n:zz=k1 verify=2\nclaim w=2\n"],
+     "line 3: binding mismatch: unknown rhs variables ['zz']"),
+    ("source reference line",
+     ["prove", "name t\nsource builder:shor-ft:m=6:junk:spec\nclaim w=2\n"],
+     "line 2: builder reference must be"),
+    ("target reference line",
+     ["prove", "name t\nsource sample:cat_spec:4\nclaim w=2\n"
+               "target sample:nosuch\n"],
+     "line 4: unknown sample 'nosuch'"),
 ] + [
     (f"repeated step key {key}",
      ["prove", f"name t\nsource sample:cat_spec:4\nstep {step}\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from reference import isomorphic
 from zxfault import samples
 from zxfault.builders import build_gadget
 from zxfault.circuit import Circuit
@@ -7,7 +8,6 @@ from zxfault.diagram import ZxDiagram
 from zxfault.extract import (DEFAULT_TEMPLATES, ExtractionError, Template,
                              TemplateLibrary, default_templates,
                              extract_circuit)
-from zxfault.rewrite import isomorphic
 from zxfault.translate import to_zx
 
 ROUND_TRIP_BUILDERS = [

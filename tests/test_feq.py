@@ -1,17 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import class_keys, key_matches
 from zxfault import feq, oracle, samples, webs
-from zxfault.diagram import apply_fault, compose
+from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          Verdict, check_w_fault_equivalence, circuit_distance,
                          find_equivalent_fault, is_trivial)
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            edge_flip_atoms, enumerate_faults)
-from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate
+from zxfault.oracle import (Contraction, OutcomeMap, equal_up_to_scalar,
+                            evaluate)
 from zxfault.pauli import PauliString
-from zxfault.rewrite import make_rule
+from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import detecting_region_basis, is_detectable
 
 
@@ -28,6 +32,45 @@ def ideal_boundary(d):
     out = d.copy()
     for eid in out.boundary_edges():
         out.set_ideal(eid, True)
+    return out
+
+
+def zero_diagram(d):
+    """The diagram beside a leg-less pi spider, whose scalar is 0."""
+    out = d.copy()
+    out.add_spider("Z", 2)
+    return out
+
+
+def loop_beside_wire(qturns=0):
+    """A wire beside a fault-prone loop: two one-legged green spiders joined
+    by an edge, <+|+> or, with the second at a half turn, <+|->, which
+    makes the diagram 0.  A Z on the loop turns the one diagram into the
+    other, and a region whose detecting set is empty detects it."""
+    d = samples.wire()
+    a, b = d.add_spider("Z"), d.add_spider("Z", qturns)
+    d.add_edge(("s", a), ("s", b))
+    return d
+
+
+def measured_state(colour):
+    """A wire beside one measurement, with outcome k, of a one-legged
+    spider's state in the X basis: the outcome is fixed for a green (|+>)
+    spider and random for a red (|0>) one.  No web of the red one's
+    diagram sees k, so its webs' signs alone cannot tell the two apart."""
+    d = samples.wire()
+    d.add_variable("k")
+    a, b = d.add_spider(colour), d.add_spider("Z", 0, ["k"])
+    d.add_edge(("s", a), ("s", b))
+    return d
+
+
+def pinned(d):
+    """The diagram beside a leg-less red spider reading k, whose scalar is
+    0 unless k = 0: with a region that also reads k, it makes a fault that
+    flips the region turn the diagram into 0."""
+    out = d.copy()
+    out.add_spider("X", 0, ["k"])
     return out
 
 
@@ -181,30 +224,41 @@ def test_correlated_atom_match_is_weighed_in_the_noise_model():
 
 
 def test_key_oracle_disagreement_is_an_error(monkeypatch):
-    # keys that call every branch equal, on two wires the oracle tells apart
-    monkeypatch.setattr(feq, "_branch_canons",
-                        lambda t: {b: b"" for b in t.assignments()})
-    with pytest.raises(ClassKeyError):
+    # a read-out that calls every tensor equal to side b's noise-free one,
+    # on two wires the oracle tells apart
+    monkeypatch.setattr(feq, "_read_out", lambda *args: lambda t: 0)
+    with pytest.raises(ClassKeyError, match="noise-free diagrams"):
         check_w_fault_equivalence(spec_of(samples.wire(),
                                           samples.wire(had=True)))
 
 
-def test_cached_keys_are_32_byte_digests():
-    tables = feq.fault_tables(naive_vs_spec(3), 2)
-    for t in tables.values():
-        t.first(b"no such key", 2)  # keys every fault
-        assert {len(k) for _, k in t._by_syndrome.values()} == {32}
-        assert {len(k) for k in t._first} == {32}
+def test_nonzero_offset_is_confirmed_by_the_oracle(monkeypatch):
+    # the noise-free diagrams differ by a k1 flip, so the offset is the
+    # syndrome of side b's k1 flips; a read-out shifted to another side-b
+    # class must be refuted by that class's replay
+    spec = flipped_two_zz_spec(2)
+    offset = feq.SyndromeMap(spec, 1).offset
+    other = feq.SyndromeMap(spec, 1).tables["b"].firsts
+    wrong = next(s for s in other if s not in (0, offset))
+    real = feq._read_out
+
+    def shifted(*args):
+        read = real(*args)
+        return lambda t: read(t) ^ offset ^ wrong
+    monkeypatch.setattr(feq, "_read_out", shifted)
+    with pytest.raises(ClassKeyError, match="reads as side-b fault"
+                                            f" {other[wrong].to_text()},"):
+        check_w_fault_equivalence(spec)
 
 
 def test_replay_oracle_disagreement_is_an_error(monkeypatch):
     # a replay that drops every fault's Pauli, on faults the oracle sees
     monkeypatch.setattr(oracle, "_FAULT_MATRIX",
                         {k: np.eye(2) for k in oracle._FAULT_MATRIX})
-    with pytest.raises(ClassKeyError):
+    with pytest.raises(ClassKeyError, match="dense oracle disagree"):
         check_w_fault_equivalence(naive_vs_spec(2))
     d = samples.wire()
-    with pytest.raises(ClassKeyError):
+    with pytest.raises(ClassKeyError, match="dense oracle disagree"):
         check_w_fault_equivalence(spec_of(d, d))
 
 
@@ -343,49 +397,117 @@ def three_zz_spec(w) -> EquivalenceSpec:
 @example(flipped_two_zz_spec(2))
 @example(flipped_two_zz_spec(3))
 @example(three_zz_spec(3))
+@example(spec_of(loop_beside_wire(), samples.wire(), w=2))
+@example(spec_of(loop_beside_wire(), samples.wire(), w=3))
+@example(spec_of(samples.wire(), loop_beside_wire(), w=2))
+@example(spec_of(samples.wire(), loop_beside_wire(), w=3))
+@example(spec_of(loop_beside_wire(2), samples.wire(), w=2))
+@example(spec_of(loop_beside_wire(2), samples.wire(), w=3))
+@example(spec_of(samples.wire(), loop_beside_wire(2), w=2))
+@example(spec_of(loop_beside_wire(2), loop_beside_wire(), w=2))
+@example(spec_of(pinned(measured_state("Z")), measured_state("Z"), w=3))
+@example(spec_of(zero_diagram(samples.wire()), samples.wire(), w=2))
+@example(spec_of(zero_diagram(samples.wire()), samples.wire(), w=3))
+@example(spec_of(zero_diagram(samples.wire()),
+                 zero_diagram(samples.wire()), w=2))
+@example(spec_of(zero_diagram(samples.wire()),
+                 zero_diagram(samples.wire()), w=3))
+@example(spec_of(measured_state("Z"), measured_state("X")))
+@example(spec_of(measured_state("X"), measured_state("Z")))
 def test_engine_verdict_matches_pairwise_reference(spec):
+    assert check_w_fault_equivalence(spec).dumps() == \
+        pairwise_verdict(spec).dumps()
+
+
+def random_spec(seed: int) -> EquivalenceSpec:
+    """Two random small Clifford diagrams of one boundary shape: spiders of
+    any quarter-turn phase reading random outcome variables, hadamard and
+    ideal edges, leg-less spiders, under a random affine correspondence,
+    which may be many-to-one."""
+    rng = random.Random(seed)
+    ports = [("b", "in", i) for i in range(rng.randint(0, 2))] + \
+        [("b", "out", i) for i in range(rng.randint(1, 2))]
+
+    def diagram(n_vars):
+        d = ZxDiagram()
+        names = [d.add_variable(f"k{i}") for i in range(n_vars)]
+        sids = [d.add_spider(rng.choice("ZX"), rng.randrange(4),
+                             [v for v in names if rng.random() < 0.4])
+                for _ in range(rng.randint(1, 5))]
+        ends = [(p, ("s", rng.choice(sids))) for p in ports]
+        if len(sids) > 1:
+            ends += [tuple(("s", sid) for sid in rng.sample(sids, 2))
+                     for _ in range(rng.randint(0, 4))]
+        for a, b in ends:
+            d.add_edge(a, b, had=rng.random() < 0.3, ideal=rng.random() < 0.15)
+        return d
+    a, b = diagram(rng.randint(0, 3)), diagram(rng.randint(0, 2))
+    rows = {t: "^".join([v for v in a.variables if rng.random() < 0.5]
+                        + ["1"] * (rng.random() < 0.3)) or "0"
+            for t in b.variables}
+    return spec_of(a, b, OutcomeMap.parse(a.variables, b.variables, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random_spec))
+def test_engine_verdict_matches_pairwise_reference_on_random_diagrams(spec):
     assert check_w_fault_equivalence(spec).dumps() == \
         pairwise_verdict(spec).dumps()
 
 
 def test_detected_query_scans_the_whole_other_side():
     # side a's 8:X flips k1 and is detected; its match 3:X is detected on
-    # side b, a class that the check's narrowed scan of table b skips
+    # side b, and a check's syndrome map serves the query too
     d = samples.two_zz_measurements()
     s = spec_of(d, d)
     f = PauliString({8: "X"})
     assert find_equivalent_fault(s, "a", f) == PauliString({3: "X"})
-    tables = feq.fault_tables(s, 1)
-    feq._narrow_scans(tables, s.corr())
-    assert find_equivalent_fault(s, "a", f, tables) is None
+    syndrome_map = feq.SyndromeMap(s, 1)
+    assert find_equivalent_fault(s, "a", f, syndrome_map) == \
+        PauliString({3: "X"})
+    # on side b, 3:X is the first fault of its own class
+    assert find_equivalent_fault(s, "b", PauliString({3: "X"}),
+                                 syndrome_map) == PauliString({3: "X"})
 
 
-def test_replays_only_undetectable_classes(monkeypatch):
-    # steane w=2: every class either side detects is skipped by the scans
+def test_zero_classes_match_only_zero_classes():
+    loop = loop_beside_wire()
+    z = PauliString({1: "Z"})  # on the loop
+    assert evaluate(apply_fault(loop, z)).max_abs() < 1e-9
+    s = spec_of(loop, samples.wire())
+    assert find_equivalent_fault(s, "a", z) is None
+    assert find_equivalent_fault(s.swapped(), "b", z) is None
+    # on a zero diagram every fault is zero, and matches the first zero one
+    zero = zero_diagram(samples.wire())
+    s = spec_of(zero, zero_diagram(samples.wire()))
+    assert find_equivalent_fault(s, "a", PauliString({0: "X"})) == \
+        PauliString()
+    assert find_equivalent_fault(spec_of(zero, samples.wire()), "a",
+                                 PauliString()) is None
+
+
+def made_maps(monkeypatch) -> list:
+    """The syndrome maps the checks build from here on."""
+    made = []
+    real = feq.SyndromeMap
+    monkeypatch.setattr(feq, "SyndromeMap",
+                        lambda spec, w: made.append(real(spec, w)) or made[-1])
+    return made
+
+
+def test_replays_are_bounded_by_the_side_a_webs(monkeypatch):
+    # one replay per basis class, the noise-free diagram and the guard's on
+    # side a; the noise-free diagram and at most two guards' on side b.
+    # These two checks took 550 and 430 replays with tensor class keys.
     from zxfault.builders import build_gadget
-    made = []
-    real = feq.fault_tables
-    monkeypatch.setattr(feq, "fault_tables",
-                        lambda spec, w: made.append(real(spec, w)) or made[-1])
-    assert check_w_fault_equivalence(
-        build_gadget("steane").equivalence_spec(2)).equivalent
-    for t in made[0].values():
-        undetectable = {s for _, _, s, u in t.faults if u}
-        assert t.replays <= len(undetectable) + 1
-
-
-def test_a_visible_region_may_be_a_sum_of_basis_regions(monkeypatch):
-    made = []
-    real = feq.fault_tables
-    monkeypatch.setattr(feq, "fault_tables",
-                        lambda spec, w: made.append(real(spec, w)) or made[-1])
-    assert check_w_fault_equivalence(three_zz_spec(3)).equivalent
-    a, b = made[0]["a"], made[0]["b"]
-    assert [sorted(r.detecting_set) for r in a.classes.regions] == \
-        [["k1", "k2"], ["k1", "k3"]]
-    # 16 undetectable syndromes, 6 detected by k1^k2 and k1^k3 only, and the
-    # guard's replay; skipping only the visible basis regions replays 37
-    assert (a.replays, b.replays) == (23, 17)
+    made = made_maps(monkeypatch)
+    for builder, params, w, webs_a in [("steane", {}, 3, 10),
+                                       ("recursive-cat", {"n": 8}, 3, 13)]:
+        assert check_w_fault_equivalence(
+            build_gadget(builder, **params).equivalence_spec(w)).equivalent
+        a, b = made[-1].tables.values()
+        assert len(a.classes.webs) == webs_a
+        assert a.replays <= webs_a + 2 and b.replays <= 3
 
 
 # -- circuit distance ------------------------------------------------------------------
@@ -447,13 +569,6 @@ def reference_distance(d, m, cap):
                 not is_trivial(d, f, base):
             return w
     return ABOVE_CAP
-
-
-def zero_diagram(d):
-    """The diagram beside a leg-less pi spider, whose scalar is 0."""
-    out = d.copy()
-    out.add_spider("Z", 2)
-    return out
 
 
 # the last five: answers 3, 2 and one above the cap, and zero diagrams, on
@@ -522,20 +637,66 @@ def syndrome_specs():
     yield "split-meas m=2", rule_spec("split-meas", m=2)
 
 
-def syndrome_key_mismatches(table) -> list:
-    """Faults whose key from the syndrome map differs from the digest of a
-    fresh replay.  The table's own repeat-syndrome guard is switched off so
-    that this comparison alone decides."""
-    table._syndrome_checked = True
-    return [f for f, *_ in table.faults
-            if table.key(f) != table._digest(table.contraction.evaluate(f))]
+def fault_tables(spec, max_weight) -> dict:
+    """Both sides' fault tables, without the map between them."""
+    return {side: feq.FaultTable(Contraction(s.diagram), s.noise, max_weight)
+            for side, s in (("a", spec.side_a), ("b", spec.side_b))}
+
+
+def syndrome_key_mismatches(table, key) -> list:
+    """Faults whose reference class key, from a fresh replay, differs from
+    the key of the first fault with their web syndrome."""
+    first = {s: key(table.contraction.evaluate(f))
+             for s, f in table.firsts.items()}
+    return [f for f, _, s, _ in table.faults
+            if key(table.contraction.evaluate(f)) != first[s]]
 
 
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
                                   for name, spec in syndrome_specs()])
 def test_syndrome_keys_match_fresh_replays(spec):
-    for table in feq.fault_tables(spec, 2).values():
-        assert syndrome_key_mismatches(table) == []
+    keys = class_keys(spec)
+    for side, table in fault_tables(spec, 2).items():
+        assert syndrome_key_mismatches(table, keys[side]) == []
+
+
+def zero_and_support_specs():
+    """(name, spec) pairs with zero classes, zero diagrams that a fault
+    makes nonzero, and outcome supports of different sizes."""
+    wire = samples.wire
+    pairs = [("loop", loop_beside_wire(), wire()),
+             ("half-turn loop", loop_beside_wire(2), wire()),
+             ("zero", zero_diagram(wire()), wire()),
+             ("fixed and random outcome", measured_state("Z"),
+              measured_state("X")),
+             ("pinned outcome", pinned(measured_state("Z")),
+              measured_state("Z"))]
+    for name, a, b in pairs:
+        yield name, spec_of(a, b)
+        yield name + " swapped", spec_of(b, a)
+
+
+def rule_pair_specs():
+    """(name, spec) for every registered rule's own pair, at w=2 and w=3."""
+    for name in sorted(RULES):
+        for w in (2, 3):
+            spec = rule_spec(name)
+            spec.w = w
+            yield f"{name} w={w}", spec
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=name) for name, spec in
+    [*syndrome_specs(), *rule_pair_specs(), *zero_and_support_specs()]])
+def test_syndrome_map_matches_the_class_keys(spec):
+    # every class of both tables: the first fault of the other side that
+    # the map gives equals the first with an equal reference key
+    syndrome_map = feq.SyndromeMap(spec, spec.w - 1)
+    reference = key_matches(syndrome_map, spec)
+    for side, table in syndrome_map.tables.items():
+        for s, f in table.firsts.items():
+            assert syndrome_map.match(side, f, spec.w - 1) == \
+                reference[side][s], (side, f)
 
 
 def column_syndrome(web_list: list, f: PauliString) -> int:
@@ -562,7 +723,7 @@ def column_syndrome(web_list: list, f: PauliString) -> int:
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
                                   for name, spec in syndrome_specs()])
 def test_syndromes_match_the_column_rule(spec):
-    for table in feq.fault_tables(spec, 2).values():
+    for table in fault_tables(spec, 2).values():
         web_list = webs.web_basis(table.diagram)
         got = [s for _, _, s, _ in table.faults]
         assert got == [column_syndrome(web_list, f) for f, *_ in table.faults]
@@ -580,7 +741,7 @@ def detection_flag_mismatches(d, classes) -> list:
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
                                   for name, spec in syndrome_specs()])
 def test_detection_flags_match_per_fault_detection(spec):
-    for table in feq.fault_tables(spec, 2).values():
+    for table in fault_tables(spec, 2).values():
         assert detection_flag_mismatches(table.diagram, table.faults) == []
 
 
@@ -599,30 +760,27 @@ def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
     # a coarser syndrome basis merges classes: the comparison must see it
     real = webs.web_basis
     monkeypatch.setattr(webs, "web_basis", lambda d: real(d)[1:])
-    assert any(syndrome_key_mismatches(t)
+    assert any(syndrome_key_mismatches(t, class_keys(spec)[side])
                for _, spec in syndrome_specs()
-               for t in feq.fault_tables(spec, 2).values())
+               for side, t in fault_tables(spec, 2).items())
 
 
-def test_repeat_syndrome_guard(monkeypatch):
-    # every fault gets syndrome 0, so the wire's X flip reuses the empty
-    # fault's key until the guard replays it
-    monkeypatch.setattr(webs, "syndrome", lambda webs, f: 0)
+def test_predicted_match_guard(monkeypatch):
+    # a read-out off by one web on the first replayed class: the first
+    # class whose match comes from that class by linearity must be caught
+    real = feq._read_out
+
+    def off_once(*args):
+        read, calls = real(*args), []
+
+        def once(t):
+            calls.append(t)
+            return read(t) ^ (len(calls) == 2)
+        return once
+    monkeypatch.setattr(feq, "_read_out", off_once)
     d = samples.wire()
-    with pytest.raises(ClassKeyError, match="known web syndrome"):
+    with pytest.raises(ClassKeyError, match="is predicted to match"):
         check_w_fault_equivalence(spec_of(d, d))
-
-
-def test_repeat_syndrome_guard_skips_the_fault_that_set_the_key(
-        monkeypatch):
-    # keying one fault twice is not a repeat: no replay, no error
-    replayed = []
-    monkeypatch.setattr(feq.FaultTable, "_replayed_key",
-                        lambda self, f: replayed.append(f) or b"k" * 32)
-    table = feq.fault_tables(naive_vs_spec(2), 1)["a"]
-    f = table.faults[1][0]
-    assert table.key(f) == table.key(f)
-    assert replayed == [f] and not table._syndrome_checked
 
 
 @pytest.mark.parametrize("eid,message", [(1, "ideal edge 1"),
@@ -649,21 +807,17 @@ def test_incomplete_web_basis_is_an_error(monkeypatch):
 
 def test_one_replay_per_web_syndrome(monkeypatch):
     from zxfault.builders import build_gadget
-    made, detected = [], []
-
-    def tables(spec, max_weight):
-        made.append(real(spec, max_weight))
-        return made[-1]
-    real, detect = feq.fault_tables, webs.is_detectable
-    monkeypatch.setattr(feq, "fault_tables", tables)
+    made, detected = made_maps(monkeypatch), []
+    detect = webs.is_detectable
     monkeypatch.setattr(webs, "is_detectable", lambda d, f, regions=None:
                         detected.append(d) or detect(d, f, regions))
     assert check_w_fault_equivalence(
         build_gadget("recursive-cat", n=4).equivalence_spec(3)).equivalent
-    impl = made[0]["a"]
-    assert len(impl._by_syndrome) == 26
-    assert impl.replays <= len(impl._by_syndrome) + 2
+    impl = made[0].tables["a"]
+    assert len(impl.firsts) == 32
+    # at most one replay per syndrome, and no more than the basis needs
+    assert impl.replays <= len(impl.classes.webs) + 2 < len(impl.firsts)
     # detection is decided once per syndrome, not once per fault
-    for t in made[0].values():
+    for t in made[0].tables.values():
         assert 0 < sum(d is t.diagram for d in detected) \
             <= len({s for _, _, s, _ in t.faults})

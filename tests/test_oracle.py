@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import _branch_canons
 from zxfault import samples
 from zxfault.diagram import ZxDiagram, apply_fault, compose
-from zxfault.feq import _branch_canons
 from zxfault.oracle import (Contraction, OracleBudgetError, OutcomeMap,
-                            equal_up_to_scalar, evaluate, is_total)
+                            equal_up_to_scalar, evaluate, is_total,
+                            on_open_legs)
 from zxfault.pauli import LETTERS, PauliString
+from zxfault.webs import web_basis
 
 
 def up_to_scalar(a, b, tol=1e-9):
@@ -328,6 +330,24 @@ def diagram_and_fault(draw):
 def test_replay_matches_dense(df):
     d, f = df
     assert_replay_is_dense(Contraction(d), f)
+
+
+@pytest.mark.parametrize("name,make", REPLAY_DIAGRAMS,
+                         ids=[n for n, _ in REPLAY_DIAGRAMS])
+def test_open_leg_paulis(name, make):
+    # a letter on a port's leg is the fault on the port's edge, and every
+    # web's letters on the ports stabilise the diagram up to outcome signs
+    d = make()
+    t = evaluate(d)
+    for eid in d.boundary_edges() & set(d.non_ideal_edges()):
+        if all(end[0] == "b" for end in d.edges[eid].ends()):
+            continue  # a bare wire's letter acts on both its ports
+        for letter in LETTERS:
+            p = PauliString({eid: letter})
+            assert equal_up_to_scalar(evaluate(apply_fault(d, p)),
+                                      on_open_legs(d, t, p))
+    for w in web_basis(d):
+        assert equal_up_to_scalar(t, on_open_legs(d, t, w.pauli))
 
 
 def test_replay_rejects_a_fault_on_an_ideal_edge():
