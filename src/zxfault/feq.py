@@ -7,8 +7,9 @@ weight on the other side whose faulted diagram is equal (up to a global
 magnitude and per-outcome phase, under the outcome correspondence).
 
 Every match is a lookup in one engine, :class:`SyndromeMap`, on the web
-syndromes (:func:`~zxfault.webs.syndrome`, the set of a diagram's Pauli
-webs a fault anticommutes with) in the two sides' :class:`FaultTable`.
+syndromes (:meth:`~zxfault.webs.FaultClasses.syndrome`, the set of a
+diagram's Pauli webs a fault anticommutes with) in the two sides'
+:class:`FaultTable`.
 On a diagram D != 0, two faults give equal diagrams up to a global scalar
 and per-outcome signs exactly when their syndromes are equal.  Across the
 sides, each side-b web is a stabiliser of D_b, so the signs with which a
@@ -36,7 +37,7 @@ from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate, on_open_legs)
 from .pauli import PauliString
-from .webs import FaultClasses, flipped_by, syndrome
+from .webs import FaultClasses, flipped_by
 
 
 @dataclass
@@ -145,16 +146,11 @@ class FaultTable:
         self.classes = FaultClasses(self.diagram)
         self.faults = list(self.classes.of(noise, max_weight))
         self.weight = {f: w for f, w, _, _ in self.faults}
-        self._syndrome = {f: s for f, _, s, _ in self.faults}
         self.firsts: dict[int, PauliString] = {}  # syndrome -> first fault
         for f, _, s, _ in self.faults:
             self.firsts.setdefault(s, f)
         self._constant = _constant_regions(self.diagram, self.classes.regions)
         self.replays = 0
-
-    def syndrome(self, f: PauliString) -> int:
-        s = self._syndrome.get(f)
-        return syndrome(self.classes.webs, f) if s is None else s
 
     def pattern(self, f: PauliString) -> int:
         """Bit i: the fault flips the i-th region whose detecting set is
@@ -279,8 +275,8 @@ class SyndromeMap:
         self.offset = None  # M(origin), None when no nonzero class matches
         if ref_a and ref_b:
             self._read = _read_out(db, b.classes.webs, ref_b[1], corr,
-                                   b.syndrome(ref_b[0]))
-            self._origin = a.syndrome(ref_a[0])
+                                   b.classes.syndrome(ref_b[0]))
+            self._origin = a.classes.syndrome(ref_a[0])
             self.offset = self._read(ref_a[1])
         zero_a, zero_b = t_a.max_abs() < TOL, t_b.max_abs() < TOL
         same = zero_a and zero_b if zero_a or zero_b else self.offset == 0
@@ -325,7 +321,7 @@ class SyndromeMap:
             return -1
         if self.offset is None:
             return None
-        s = self.tables[side].syndrome(f)
+        s = self.tables[side].classes.syndrome(f)
         return self._image(f, s) if side == "a" else s
 
     def _reference(self, side: str, t: OutcomeTensor):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import gf2
 from .circuit import Circuit
 from .diagram import ZxDiagram
-from .pauli import LETTERS, PauliString
+from .pauli import LETTERS, Nibbles, PauliString
 
 ABOVE_CAP = "above-cap"
 
@@ -135,30 +135,43 @@ def fault_weight(f: PauliString, m: NoiseModel, cap: int):
 
     A fault outside the generated group is rejected by one GF(2) membership
     test; otherwise its weight is read off the group's enumeration."""
-    if not _generates(m.paulis(), f):
+    atoms = m.paulis()
+    if not _generates(atoms, f):
         return ABOVE_CAP
-    for g, w in enumerate_faults(m, cap):
-        if g == f:
+    code = Nibbles(atoms)
+    target = code.pack(f)
+    for k, w in _layers([code.pack(a) for a in atoms], cap):
+        if k == target:
             return w
     return ABOVE_CAP
 
 
-def enumerate_faults(m: NoiseModel, max_weight: int):
-    """Yield each element of the generated group with weight <= max_weight,
-    exactly once, as (PauliString, weight), in nondecreasing weight order.
-    Deterministic given the model's atom order."""
-    yield PauliString(), 0
-    atoms = m.paulis()
-    seen = {PauliString()}
-    frontier = [PauliString()]
+def _layers(atoms: list[int], max_weight: int):
+    """Yield (k, w) for each packed product k of the packed atoms with least
+    weight w <= max_weight, breadth first, each layer in ``Nibbles.key``
+    order.  A product of weight w times an atom has weight w - 1, w or
+    w + 1, so only the two layers before the next one need be kept."""
+    yield 0, 0
+    older, last, frontier = set(), {0}, [0]
     for w in range(1, max_weight + 1):
         layer = set()
         for g in frontier:
-            for a in atoms:
-                h = g * a
-                if h not in seen:
-                    layer.add(h)
-        frontier = sorted(layer, key=PauliString.sort_key)
-        seen |= layer
-        for h in frontier:
-            yield h, w
+            layer.update(map(g.__xor__, atoms))
+        layer -= last
+        layer -= older
+        frontier = sorted(layer, key=Nibbles.key)
+        older, last = last, layer
+        for k in frontier:
+            yield k, w
+
+
+def enumerate_faults(m: NoiseModel, max_weight: int):
+    """Yield each element of the generated group with weight <= max_weight,
+    exactly once, as (PauliString, weight), in nondecreasing weight order
+    and, within a weight, in ``PauliString.sort_key`` order.  The walk runs
+    on packed ints (:class:`~zxfault.pauli.Nibbles`) and builds a
+    PauliString only for the faults it yields."""
+    atoms = m.paulis()
+    code = Nibbles(atoms)
+    for k, w in _layers([code.pack(a) for a in atoms], max_weight):
+        yield code.unpack(k), w

@@ -4,7 +4,9 @@ An element is a pair of integer bitmasks ``(x, z)`` with one bit per
 location: X is (1, 0), Z is (0, 1) and Y is (1, 1) at a location's bit (the
 symplectic form of Aaronson and Gottesman, quant-ph/0406196).  The group
 multiplication discards phases, so it is an XOR of the masks, every element
-is self-inverse and the group is commutative.
+is self-inverse and the group is commutative.  :class:`Nibbles` packs the
+Paulis over a fixed set of locations as one int each, ordered as
+:meth:`PauliString.sort_key` orders them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,24 @@ _LOCS: list = []          # bit 2k + 1 -> _LOCS[k], for other than small ints
 _INDEX: dict = {}         # location -> k, append-only and process-wide
 
 
-def _place(loc) -> int:
+def _bit(loc) -> int | None:
     """Bit 2n for an int n in [0, 2**16), as an edge id, so that a diagram's
-    faults are as wide whatever came before; else the next odd table bit."""
+    faults are as wide whatever came before; else the location's odd table
+    bit, or None for one the table has never seen."""
     if isinstance(loc, Integral) and 0 <= loc < 1 << 16:
         return 2 * int(loc)
-    if loc not in _INDEX:
+    k = _INDEX.get(loc)
+    return None if k is None else 2 * k + 1
+
+
+def _place(loc) -> int:
+    """The location's bit, given the next odd table bit if it has none."""
+    i = _bit(loc)
+    if i is None:
         _INDEX[loc] = len(_LOCS)
         _LOCS.append(loc)
-    return 2 * _INDEX[loc] + 1
+        i = 2 * len(_LOCS) - 1
+    return i
 
 
 class PauliString:
@@ -47,6 +58,13 @@ class PauliString:
                 z |= b
         self._x, self._z = x, z
 
+    @classmethod
+    def from_xz(cls, x: int, z: int) -> "PauliString":
+        """The Pauli with the given (x, z) bitmasks, as :attr:`xz` gives them."""
+        p = object.__new__(cls)
+        p._x, p._z = x, z
+        return p
+
     @property
     def xz(self) -> tuple[int, int]:
         """The (x, z) bitmasks, one bit per location."""
@@ -62,22 +80,27 @@ class PauliString:
             m &= m - 1
         return out
 
-    @property
-    def support(self) -> frozenset:
+    def locations(self) -> list:
+        """The non-identity locations, from the highest bit down."""
         m, out = self._x | self._z, []
         while m:
-            i = (m & -m).bit_length() - 1
+            i = m.bit_length() - 1
             out.append(_LOCS[i >> 1] if i & 1 else i >> 1)
-            m &= m - 1
-        return frozenset(out)
+            m ^= 1 << i
+        return out
+
+    @property
+    def support(self) -> frozenset:
+        return frozenset(self.locations())
 
     def letter(self, loc) -> str:
-        return self.entries.get(loc, "I")
+        i = _bit(loc)
+        if i is None:
+            return "I"
+        return _LETTER[(self._x >> i & 1, self._z >> i & 1)]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        p = object.__new__(PauliString)
-        p._x, p._z = self._x ^ other._x, self._z ^ other._z
-        return p
+        return PauliString.from_xz(self._x ^ other._x, self._z ^ other._z)
 
     def commutes(self, other: "PauliString") -> bool:
         return not ((self._x & other._z) ^ (self._z & other._x)).bit_count() & 1
@@ -123,6 +146,62 @@ class PauliString:
             if letter != "I":
                 out[loc] = letter
         return cls(out)
+
+
+# hex digits 1, 3, 2 and 0 of a packed location as letters that order like
+# sort_key's: X < Y < Z < no letter there
+_NIBBLE_ORDER = str.maketrans("0132", "dabc")
+
+
+class Nibbles:
+    """Paulis over a fixed set of locations, packed as one int each.
+
+    The location of rank r owns the four bits from bit 4r, of which bit 4r
+    is its X bit and bit 4r + 1 its Z bit.  Ranks follow ``str(loc)``, as
+    :meth:`PauliString.sort_key` does, so a product is an XOR of packed
+    ints and :meth:`key` orders them as ``sort_key`` orders the Paulis."""
+
+    __slots__ = ("_masks", "_rank")
+
+    def __init__(self, paulis: Iterable[PauliString]):
+        m, bits = 0, []
+        for p in paulis:
+            m |= p._x | p._z
+        while m:
+            bits.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        bits.sort(key=lambda i: str(_LOCS[i >> 1] if i & 1 else i >> 1))
+        self._masks = [1 << i for i in bits]      # rank -> location's bit
+        self._rank = {i: r for r, i in enumerate(bits)}
+
+    def pack(self, p: PauliString) -> int:
+        """p as a packed int; KeyError if p has a location outside the set."""
+        k, m = 0, p._x | p._z
+        while m:
+            i = (m & -m).bit_length() - 1
+            k |= (p._x >> i & 1 | (p._z >> i & 1) << 1) << 4 * self._rank[i]
+            m &= m - 1
+        return k
+
+    def unpack(self, k: int) -> PauliString:
+        x = z = 0
+        masks = self._masks
+        while k:  # from the top rank down
+            r = k.bit_length() - 1 >> 2
+            nibble = k >> 4 * r
+            if nibble & 1:
+                x |= masks[r]
+            if nibble & 2:
+                z |= masks[r]
+            k ^= nibble << 4 * r
+        return PauliString.from_xz(x, z)
+
+    @staticmethod
+    def key(k: int) -> str:
+        """Sort key of a packed Pauli: reversed, its hex digits list the
+        ranks from 0 up to its last letter, so a shorter string is a prefix
+        of the longer ones that extend it, as in ``sort_key``'s tuples."""
+        return format(k, "x")[::-1].translate(_NIBBLE_ORDER)
 
 
 IDENTITY = PauliString()

@@ -34,7 +34,7 @@ from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import FaultClasses, flipped_by, syndrome
+from .webs import FaultClasses, flipped_by
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -886,7 +886,7 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     # boundary faults need only their class, not their detectability
     least: dict[int, int] = {}
     for f, wt in enumerate_faults(model(boundary), max_weight):
-        least.setdefault(gf2.reduce(rows, syndrome(classes.webs, f)), wt)
+        least.setdefault(gf2.reduce(rows, classes.syndrome(f)), wt)
     # every non-empty internal fault counts, detectable or not
     inner = [(f, wt, s, u)
              for f, wt, s, u in classes.of(model(internal), max_weight) if f]

@@ -208,22 +208,12 @@ def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
     return regions
 
 
-def anticommutes(w: PauliWeb, f: PauliString) -> bool:
-    return not w.pauli.commutes(f)
-
-
-def syndrome(webs: list[PauliWeb], f: PauliString) -> int:
-    """Bit i is set when the fault anticommutes with web i.  On a diagram
-    D != 0 with web basis ``webs``, faults with equal syndromes give equal
-    diagrams up to a global scalar and per-outcome phases, and only they."""
-    return sum(anticommutes(w, f) << i for i, w in enumerate(webs))
-
-
 def _check_locations(d: ZxDiagram, f: PauliString) -> None:
-    for eid in f.support:
-        if eid not in d.edges:
+    for eid in f.locations():
+        e = d.edges.get(eid)
+        if e is None:
             raise ValueError(f"fault on unknown edge {eid}")
-        if d.edges[eid].ideal:
+        if e.ideal:
             raise ValueError(f"fault on ideal edge {eid}")
 
 
@@ -234,14 +224,19 @@ def is_detectable(d: ZxDiagram, f: PauliString,
     _check_locations(d, f)
     if regions is None:
         regions = detecting_region_basis(d)
-    return any(anticommutes(r.web, f) for r in regions)
+    fx, fz = f.xz
+    for r in regions:
+        x, z = r.web.pauli.xz
+        if ((x & fz) ^ (z & fx)).bit_count() & 1:
+            return True
+    return False
 
 
 class FaultClasses:
     """One diagram's web basis and detecting regions, each solved once, and
     the class of every fault a noise model generates.
 
-    A fault's class is its :func:`syndrome`.  Every detecting region is a
+    A fault's class is its :meth:`syndrome`.  Every detecting region is a
     web with a bare boundary, so a sum of basis webs, and anticommutation is
     bilinear: detection is a function of the syndrome and is decided once
     per syndrome, by :func:`is_detectable` on its first fault."""
@@ -250,6 +245,28 @@ class FaultClasses:
         self.diagram = d
         self.webs = web_basis(d)
         self.regions = detecting_region_basis(d)
+        # bit i of a fault's x mask flips the webs whose z mask has bit i,
+        # and bit i of its z mask those whose x mask has it
+        self._rows: tuple[dict, dict] = ({}, {})
+        for j, web in enumerate(self.webs):
+            for rows, mask in zip(self._rows, web.pauli.xz[::-1]):
+                while mask:
+                    i = (mask & -mask).bit_length() - 1
+                    rows[i] = rows.get(i, 0) ^ 1 << j
+                    mask &= mask - 1
+
+    def syndrome(self, f: PauliString) -> int:
+        """Bit j is set when the fault anticommutes with web j: the XOR of
+        the rows of the fault's set bits.  On a diagram D != 0, faults with
+        equal syndromes give equal diagrams up to a global scalar and
+        per-outcome phases, and only they."""
+        s = 0
+        for rows, mask in zip(self._rows, f.xz):
+            while mask:
+                i = (mask & -mask).bit_length() - 1
+                s ^= rows.get(i, 0)
+                mask &= mask - 1
+        return s
 
     def of(self, noise: NoiseModel, max_weight: int):
         """Yield (fault, weight, syndrome, undetectable) in
@@ -259,7 +276,7 @@ class FaultClasses:
             _check_locations(self.diagram, a)
         undetectable: dict[int, bool] = {}
         for f, w in enumerate_faults(noise, max_weight):
-            s = syndrome(self.webs, f)
+            s = self.syndrome(f)
             if s not in undetectable:
                 undetectable[s] = not is_detectable(self.diagram, f,
                                                     self.regions)

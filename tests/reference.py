@@ -1,5 +1,9 @@
 """Reference code that only the tests use.
 
+* The breadth-first fault walk on PauliString objects that the packed walk
+  of :func:`zxfault.noise.enumerate_faults` replaced.
+* The per-web syndrome rule that the bit rows of
+  :meth:`zxfault.webs.FaultClasses.syndrome` replaced.
 * The tensor class keys that matched faults across two diagrams before the
   web-syndrome map (:class:`zxfault.feq.SyndromeMap`) replaced them: two
   faulted diagrams have one key exactly when they are equal under the
@@ -14,8 +18,40 @@ import itertools
 
 import numpy as np
 
+from zxfault.noise import NoiseModel
 from zxfault.oracle import TOL, OutcomeTensor
+from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, StepLog, _edge_kind
+from zxfault.webs import PauliWeb
+
+
+def enumerate_faults(m: NoiseModel, max_weight: int):
+    """Each element of the generated group with weight <= max_weight, once,
+    as (PauliString, weight): by weight, then by ``PauliString.sort_key``."""
+    yield PauliString(), 0
+    atoms = m.paulis()
+    seen = {PauliString()}
+    frontier = [PauliString()]
+    for w in range(1, max_weight + 1):
+        layer = set()
+        for g in frontier:
+            for a in atoms:
+                h = g * a
+                if h not in seen:
+                    layer.add(h)
+        frontier = sorted(layer, key=PauliString.sort_key)
+        seen |= layer
+        for h in frontier:
+            yield h, w
+
+
+def anticommutes(w: PauliWeb, f: PauliString) -> bool:
+    return not w.pauli.commutes(f)
+
+
+def syndrome(webs: list[PauliWeb], f: PauliString) -> int:
+    """Bit i is set when the fault anticommutes with web i."""
+    return sum(anticommutes(w, f) << i for i, w in enumerate(webs))
 
 
 def _branch_canons(t: OutcomeTensor) -> dict:

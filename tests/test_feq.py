@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import class_keys, key_matches
+from reference import class_keys, key_matches, syndrome
 from zxfault import feq, oracle, samples, webs
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
@@ -605,7 +605,8 @@ def test_distance_answer_guard(monkeypatch):
     d = samples.z_state()
     m = NoiseModel([AtomicFault(PauliString({0: "X"}), "edge-flip")], "x")
     assert circuit_distance(d, m, 1) == ABOVE_CAP
-    monkeypatch.setattr(webs, "syndrome", lambda webs, f: int(bool(f)))
+    monkeypatch.setattr(webs.FaultClasses, "syndrome",
+                        lambda self, f: int(bool(f)))
     with pytest.raises(ClassKeyError, match="leaves the diagram unchanged"):
         circuit_distance(d, m, 1)
 
@@ -699,34 +700,16 @@ def test_syndrome_map_matches_the_class_keys(spec):
                 reference[side][s], (side, f)
 
 
-def column_syndrome(web_list: list, f: PauliString) -> int:
-    """Reference web syndrome by per-bit columns: an X bit of the fault
-    flips the webs that have Z at its location, a Z bit the webs that have X
-    there (Y is both bits)."""
-    columns: tuple[dict, dict] = ({}, {})
-    for i, web in enumerate(web_list):
-        x, z = web.pauli.xz
-        for column, mask in zip(columns, (z, x)):
-            while mask:
-                low = mask & -mask
-                column[low] = column.get(low, 0) ^ 1 << i
-                mask ^= low
-    s = 0
-    for mask, column in zip(f.xz, columns):
-        while mask:
-            low = mask & -mask
-            s ^= column.get(low, 0)
-            mask ^= low
-    return s
-
-
 @pytest.mark.parametrize("spec", [pytest.param(spec, id=name)
                                   for name, spec in syndrome_specs()])
 def test_syndromes_match_the_column_rule(spec):
+    # FaultClasses.syndrome applies the column rule, one row of webs per
+    # location bit; it must agree with one anticommutation test per web
     for table in fault_tables(spec, 2).values():
-        web_list = webs.web_basis(table.diagram)
+        web_list = table.classes.webs
         got = [s for _, _, s, _ in table.faults]
-        assert got == [column_syndrome(web_list, f) for f, *_ in table.faults]
+        assert got == [syndrome(web_list, f) for f, *_ in table.faults]
+        assert got == [table.classes.syndrome(f) for f, *_ in table.faults]
         assert any(got)
 
 

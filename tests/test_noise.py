@@ -2,7 +2,9 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+import reference
 from zxfault import samples
 from zxfault.circuit import Circuit
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
@@ -270,6 +272,48 @@ def test_enumerate_deterministic_and_nondecreasing():
     weights = [w for _, w in a]
     assert weights == sorted(weights)
     assert len({f for f, _ in a}) == len(a)
+
+
+def assert_reference_order(m: NoiseModel, max_weight: int) -> None:
+    """The faults come as the PauliString walk gives them: by weight, then
+    by sort_key, which increases strictly within a weight."""
+    got = list(enumerate_faults(m, max_weight))
+    assert got == list(reference.enumerate_faults(m, max_weight))
+    for (f, w), (g, v) in zip(got, got[1:]):
+        assert (w, f.sort_key()) < (v, g.sort_key())
+
+
+@pytest.mark.parametrize("m,max_weight", [
+    # edge ids 10 to 12 sort between 1 and 2 as strings
+    (edge_flip_atoms(samples.green_chain(12)), 2),
+    (edge_flip_atoms(samples.green_chain(11)), 3),
+    (x_flip_atoms(samples.green_chain(12)), 3),
+    # (qubit, time) locations, and atoms on two or more of them
+    (circuit_level_atoms(cnot_then_plain_zz()), 3),
+], ids=["edge-flip ids to 12", "edge-flip w=3", "x-flip w=3", "circuit w=3"])
+def test_enumeration_order_matches_the_reference_walk(m, max_weight):
+    assert_reference_order(m, max_weight)
+
+
+def test_circuit_model_has_multi_location_atoms():
+    m = circuit_level_atoms(cnot_then_plain_zz())
+    assert max(a.pauli.weight() for a in m.atoms) >= 3
+
+
+# edge ids on both sides of 10, and (qubit, time) pairs whose times do too
+fault_locs = st.one_of(st.integers(0, 12),
+                       st.tuples(st.integers(0, 2), st.integers(0, 11)))
+noise_models = st.lists(
+    st.dictionaries(fault_locs, st.sampled_from(["X", "Y", "Z"]),
+                    min_size=1, max_size=3).map(PauliString),
+    min_size=1, max_size=7).map(
+        lambda ps: NoiseModel([AtomicFault(p, "edge-flip") for p in ps],
+                              "random"))
+
+
+@given(noise_models, st.integers(0, 3))
+def test_random_models_enumerate_in_the_reference_order(m, max_weight):
+    assert_reference_order(m, max_weight)
 
 
 def test_json_dump():

@@ -172,3 +172,13 @@ def test_small_int_locations_have_fixed_bits():
     PauliString({("fresh", n): "X" for n in range(50)})
     assert PauliString({3: "X", 5: "Z", 4: "Y"}).xz == (
         1 << 6 | 1 << 8, 1 << 10 | 1 << 8)
+
+
+def test_letter_of_an_unseen_location_is_identity_and_adds_nothing():
+    from zxfault import pauli
+    p = PauliString({("seen", 0): "Y", 7: "X"})
+    before = len(pauli._LOCS)
+    assert p.letter(("seen", 0)) == "Y" and p.letter(7) == "X"
+    assert p.letter(("never", "seen")) == "I" and p.letter(8) == "I"
+    assert len(pauli._LOCS) == before
+    assert ("never", "seen") not in pauli._INDEX

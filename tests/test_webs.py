@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import anticommutes
 from test_feq import WIRE_POOL
 from test_gf2 import reference_nullspace
 from zxfault import gf2, samples, webs
@@ -237,7 +238,6 @@ def test_detectability_linear_in_region():
             f = PauliString({eid: letter})
             via_basis = is_detectable(d, f, regions)
             # enumerate the whole span
-            from zxfault.webs import anticommutes
             hit = False
             for mask in itertools.product((0, 1), repeat=len(regions)):
                 hl: dict = {}
@@ -268,7 +268,6 @@ DETECT_CORPUS = samples.web_corpus() + [
 def test_detection_matches_oracle_parity(name, d):
     """Under a single-edge fault f, every nonzero branch of the faulted
     diagram has detecting-set parity expected_parity ^ anticommutes(web, f)."""
-    from zxfault.webs import anticommutes
     regions = detecting_region_basis(d)
     checked = 0
     for eid in d.non_ideal_edges():
