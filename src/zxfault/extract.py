@@ -127,6 +127,10 @@ DEFAULT_TEMPLATES = default_templates()
 
 
 class _Fail(Exception):
+    """A failed choice of the cover search.  It is control flow, so each
+    catch drops its traceback: kept, the traceback's frames hold the failure
+    and the matcher, and free them only at a full pass of the collector."""
+
     def __init__(self, reason: str, spiders=()):
         self.reason = reason
         self.spiders = set(spiders)
@@ -292,8 +296,8 @@ class _Matcher:
         try:
             return self._search()
         except _Fail as f:
-            raise ExtractionError(
-                f"no template cover: {f.reason}", f.spiders) from None
+            fail = f.with_traceback(None)
+        raise ExtractionError(f"no template cover: {fail.reason}", fail.spiders)
 
     def _note(self, depth: int, fail: _Fail) -> None:
         if self.best_fail is None or depth >= self.best_fail[0]:
@@ -335,8 +339,8 @@ class _Matcher:
                 try:
                     return _Builder(self.d, self._roles(), self.internal).build()
                 except _Fail as f:
-                    self._note(i, f)
-                    fail = f
+                    fail = f.with_traceback(None)
+                    self._note(i, fail)
             else:
                 stack.append((i, self._choices(i)))
             while True:
@@ -348,7 +352,7 @@ class _Matcher:
                     break
                 except _Fail as f:
                     stack.pop()
-                    fail = f
+                    fail = f.with_traceback(None)
             i += 1
 
     def _choices(self, i: int):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from reference import isomorphic
@@ -66,6 +68,25 @@ def test_deep_cover_search_keeps_its_own_stack():
     d, _ = to_zx(c, "gadget-complete")
     assert len(d.spiders) > 1000
     assert extract_circuit(d).count("CNOT") == c.count("CNOT") == 8
+
+
+@pytest.mark.parametrize("library", [DEFAULT_TEMPLATES, TemplateLibrary([])],
+                         ids=["extracts", "refused"])
+def test_cover_search_leaves_no_reference_cycles(library):
+    # shor-alternative backtracks through thousands of failed choices; its
+    # frames must be freed when the search ends, not at the collector's
+    # next full pass, which may come several diagrams later
+    d, _ = to_zx(build_gadget("shor-alternative").implementation, "template")
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            extract_circuit(d, library)
+        except ExtractionError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_lone_green_spider_is_plus_preparation():
