@@ -17,9 +17,12 @@ side-a replay, read through the correspondence, is an eigenvector of those
 stabilisers name the side-b class it equals.  That read-out is an affine
 map M of side-a syndromes, fixed by one replay per side-a syndrome outside
 the span of those already read, and checked against the dense oracle by
-three guards.  A class that makes the diagram zero matches only such
-classes.  The circuit distance concerns one diagram and needs no map: a
-fault of a diagram D != 0 changes it exactly when its web syndrome is
+three guards.  Each read costs one pass over the replay plus its support:
+the stabilisers are bit masks on its flat index (:func:`_stabilisers`),
+and only the entries that can exceed the tolerance are compared
+(:func:`_eigenvalues`).  A class that makes the diagram zero matches only
+such classes.  The circuit distance concerns one diagram and needs no map:
+a fault of a diagram D != 0 changes it exactly when its web syndrome is
 nonzero.  Each fault's syndrome and detectability come from one
 per-diagram pass, :class:`~zxfault.webs.FaultClasses`.
 """
@@ -35,7 +38,7 @@ from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
-                     OutcomeTensor, equal_up_to_scalar, evaluate, on_open_legs)
+                     OutcomeTensor, equal_up_to_scalar, evaluate, port_masks)
 from .pauli import PauliString
 from .webs import FaultClasses, flipped_by
 
@@ -164,40 +167,56 @@ class FaultTable:
         return self.contraction.evaluate(f)
 
 
-def _images(corr: OutcomeMap) -> np.ndarray:
-    """The target assignment of each source assignment: entry [x][j] is
-    target variable j at source assignment x."""
-    x = np.indices((2,) * len(corr.source_vars), dtype=np.int8)
-    column = {v: i for i, v in enumerate(corr.source_vars)}
-    y = np.zeros(x.shape[1:] + (len(corr.target_vars),), dtype=np.int8)
-    for j, v in enumerate(corr.target_vars):
-        vs, c = corr.rows[v]
-        y[..., j] = (sum(x[column[u]] for u in vs) + c) % 2
-    return y
+def _stabilisers(d: ZxDiagram, web_list: list, *maps: OutcomeMap) -> list:
+    """For each outcome map, each web's stabiliser of ``d`` read through it,
+    on the flat index of a tensor of the map's source registry, and the
+    map's :meth:`~zxfault.oracle.OutcomeMap.images`.  A stabiliser is
+    (x, z, o, c): its Paulis on the ports (:func:`~zxfault.oracle.port_masks`)
+    and the sign mask of the outcomes it flips; it sends entry j to
+    (-1)^(|((j ^ x) & z) ^ (j >> P & o)| + c) times entry j ^ x, where P is
+    the number of ports."""
+    ports = port_masks(d, [w.pauli for w in web_list])
+    flips = [flipped_by(d, w) for w in web_list]
+    return [([(*xz, *m.sign_mask(f)) for xz, f in zip(ports, flips)],
+             m.images()) for m in maps]
 
 
-def _eigenvalues(d: ZxDiagram, web_list: list, t: OutcomeTensor,
-                 signs: list) -> list | None:
-    """The eigenvalue of ``t`` under each web's stabiliser of ``d``, its
-    Paulis on the open legs times its outcome sign; None if t is zero or
-    not an eigenvector of one, at ``TOL`` times t's max magnitude."""
-    i = int(np.argmax(np.abs(t.array)))
-    m = abs(t.array.flat[i])
+def _eigenvalues(t: OutcomeTensor, webs: list, images: np.ndarray):
+    """The eigenvalue of ``t`` under each of the :func:`_stabilisers`
+    ``webs``, and the number of target assignments that t's nonzero
+    branches cover under ``images``; None if t is zero or not an
+    eigenvector of one, at ``TOL`` times t's max magnitude m.
+
+    Only t's support is read: K, the entries above TOL*m/3, and their
+    images K ^ x.  That is exact, because elsewhere both entries that
+    S t/lambda - t subtracts are at most TOL*m/3, and |lambda| >= 1 - TOL,
+    so the difference is below TOL*m there."""
+    flat = t.array.reshape(-1)
+    mags = np.abs(flat)
+    i = int(np.argmax(mags))
+    m = mags[i]
     if m < TOL:
         return None
+    ports = t.n_in + t.n_out
+    width = flat.size.bit_length() - 1
+    support = np.flatnonzero(mags > TOL * m / 3)
     out = []
-    for w, sign in zip(web_list, signs):
-        u = on_open_legs(d, t, w.pauli).array
-        u *= sign
-        lam = u.flat[i] / t.array.flat[i]
+    for x, z, o, c in webs:
+        o <<= ports
+        sign = -1.0 if ((i ^ x) & z ^ i & o).bit_count() + c & 1 else 1.0
+        lam = flat[i ^ x] * sign / flat[i]
         if abs(abs(lam) - 1) > TOL:  # a stabiliser is unitary
             return None
-        u /= lam  # in place, as no more than one copy of t is made
-        u -= t.array
+        j = np.concatenate([support, support ^ x])
+        u = flat[j ^ x]
+        u *= 1 - 2 * (gf2.parity((j ^ x) & z ^ j & o, width) ^ c)
+        u /= lam
+        u -= flat[j]
         if np.max(np.abs(u)) > TOL * m:
             return None
         out.append(lam)
-    return out
+    covered = images[np.flatnonzero(mags > TOL * m) >> ports]
+    return out, int(np.count_nonzero(np.bincount(covered)))
 
 
 def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
@@ -208,31 +227,20 @@ def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
     i's stabiliser is minus base's.  None if an eigenvalue is neither, or if
     the nonzero branches cover another number of side-b assignments than
     base's, a count no fault changes and the signs cannot see."""
-    flips = [np.array([v in flipped_by(d, w) for v in d.variables])
-             for w in web_list]
-
-    def prepared(m: OutcomeMap) -> tuple:
-        y = _images(m)
-        return y, [(1 - 2 * (y @ f % 2))[..., None, None] for f in flips]
-
-    def covered(t: OutcomeTensor, y: np.ndarray) -> int:
-        mags = np.abs(t.array).reshape(y.shape[:-1] + (-1,)).max(axis=-1)
-        return len(set(map(tuple, y[mags > TOL * mags.max()].tolist())))
-
-    y_b, own = prepared(OutcomeMap.identity(d.variables))
-    sigma = _eigenvalues(d, web_list, base, own)
-    if sigma is None:
+    own, read_through = _stabilisers(d, web_list,
+                                     OutcomeMap.identity(d.variables), corr)
+    first = _eigenvalues(base, *own)
+    if first is None:
         raise ClassKeyError("a Pauli web of side b does not stabilise its"
                             " reference diagram")
-    size = covered(base, y_b)
-    y_a, signs = prepared(corr)
+    sigma, size = first
 
     def read(t: OutcomeTensor) -> int | None:
-        lam = _eigenvalues(d, web_list, t, signs)
-        if lam is None or covered(t, y_a) != size:
+        got = _eigenvalues(t, *read_through)
+        if got is None or got[1] != size:
             return None
         s = base_syndrome
-        for i, (l, m) in enumerate(zip(lam, sigma)):
+        for i, (l, m) in enumerate(zip(got[0], sigma)):
             if abs(l / m + 1) <= TOL:
                 s ^= 1 << i
             elif abs(l / m - 1) > TOL:

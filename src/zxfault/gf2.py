@@ -65,3 +65,14 @@ def reduce(pivots: dict[int, int], v: int) -> int:
 def in_span(rows, v: int) -> bool:
     """Whether the bit row ``v`` is a GF(2) sum of the bit ``rows``."""
     return not reduce(echelon(rows), v)
+
+
+def parity(v, width: int):
+    """The parity of the bits of ``v``, an int or an int array (one parity
+    per entry), all of whose bits are below ``width``: the bits are folded
+    in halves down to bit 0, so an array takes one pass per halving."""
+    shift = 1 << max(width - 1, 0).bit_length()  # a power of two >= width
+    while shift > 1:
+        shift >>= 1
+        v = v ^ (v >> shift)
+    return v & 1

@@ -150,13 +150,15 @@ def _layers(atoms: list[int], max_weight: int):
     """Yield (k, w) for each packed product k of the packed atoms with least
     weight w <= max_weight, breadth first, each layer in ``Nibbles.key``
     order.  A product of weight w times an atom has weight w - 1, w or
-    w + 1, so only the two layers before the next one need be kept."""
+    w + 1, so only the two layers before the next one need be kept.  The
+    weight-1 layer is the distinct atoms, so weight 2 XORs each of them
+    only with those after it."""
     yield 0, 0
     older, last, frontier = set(), {0}, [0]
     for w in range(1, max_weight + 1):
         layer = set()
-        for g in frontier:
-            layer.update(map(g.__xor__, atoms))
+        for i, g in enumerate(frontier):
+            layer.update(map(g.__xor__, frontier[i + 1:] if w == 2 else atoms))
         layer -= last
         layer -= older
         frontier = sorted(layer, key=Nibbles.key)

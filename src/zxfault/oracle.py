@@ -296,31 +296,35 @@ def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
     return Contraction(d, budget).evaluate()
 
 
-def on_open_legs(d: ZxDiagram, t: OutcomeTensor,
-                 p: PauliString) -> OutcomeTensor:
-    """``t``, any family of ``d``'s boundary shape, with the letter ``p``
-    has on each port's edge acting on the port's leg (X and Z swapped at
-    the b end of a hadamard edge; Y is Z then X, as in ``_PAULI``).  So a
-    Pauli web's edge Paulis give the boundary half of its stabiliser."""
-    legs = len(t.variables) + t.n_in + t.n_out
-    sign = np.ones((1,) * legs)
-    flips = []
-    for kind, eids, first in (("in", d.inputs, len(t.variables)),
-                              ("out", d.outputs, legs - t.n_out)):
+def port_masks(d: ZxDiagram, paulis: list) -> list[tuple[int, int]]:
+    """Each Pauli's letters on ``d``'s ports as bit masks (x, z) on the flat
+    index of an :class:`OutcomeTensor` of d's boundary shape, whose lowest
+    bits are the ports: output i at bit n_out - 1 - i, input i at bit
+    n_in + n_out - 1 - i.  A letter acts on its port's leg, with X and Z
+    swapped at the b end of a hadamard edge, so the Pauli sends entry j to
+    (-1)^|(j ^ x) & z| times entry j ^ x (Y is Z then X, as in ``_PAULI``).
+    A Pauli web's edge Paulis give the boundary half of its stabiliser."""
+    ins, outs = d.inputs, d.outputs  # each read scans every edge
+    ports = []
+    for kind, eids, top in (("in", ins, len(ins) + len(outs)),
+                            ("out", outs, len(outs))):
         for i, eid in enumerate(eids):
-            letter, e = p.letter(eid), d.edges[eid]
-            if e.had and e.b == ("b", kind, i):
+            e = d.edges[eid]
+            ports.append((eid, 1 << (top - 1 - i),
+                          e.had and e.b == ("b", kind, i)))
+    out = []
+    for p in paulis:
+        x = z = 0
+        for eid, bit, swapped in ports:
+            letter = p.letter(eid)
+            if swapped:
                 letter = {"X": "Z", "Z": "X"}.get(letter, letter)
-            axis = first + i
-            if letter in "YZ":
-                sign = sign * np.array([1.0, -1.0]).reshape(
-                    (1,) * axis + (2,) + (1,) * (legs - axis - 1))
             if letter in "XY":
-                flips.append(axis)
-    # Z then X is X then the flipped Z: one new array, whose reshape is a view
-    a = np.flip(t.array.reshape((2,) * legs), flips) * np.flip(sign, flips)
-    return OutcomeTensor(t.variables, t.n_in, t.n_out,
-                         a.reshape(t.array.shape))
+                x |= bit
+            if letter in "YZ":
+                z |= bit
+        out.append((x, z))
+    return out
 
 
 class OutcomeMap:
@@ -374,6 +378,32 @@ class OutcomeMap:
             rows[t] = (frozenset(vs), c)
         return cls(source_vars, target_vars, rows)
 
+    def sign_mask(self, targets) -> tuple[int, int]:
+        """(mask, const) such that the sum of the ``targets`` variables at
+        the image of a source assignment a is |a & mask| + const mod 2, a
+        read as an int whose highest bit is the first source variable (the
+        order of :meth:`OutcomeTensor.assignments`)."""
+        n = len(self.source_vars)
+        bit = {v: 1 << (n - 1 - i) for i, v in enumerate(self.source_vars)}
+        mask = const = 0
+        for t in targets:
+            vs, c = self.rows[t]
+            for v in vs:
+                mask ^= bit[v]
+            const ^= c
+        return mask, const
+
+    def images(self) -> np.ndarray:
+        """Entry a is the target assignment of source assignment a, both
+        read as ints as in :meth:`sign_mask`."""
+        n, top = len(self.source_vars), len(self.target_vars) - 1
+        a = np.arange(2 ** n)
+        y = np.zeros_like(a)
+        for k, t in enumerate(self.target_vars):
+            mask, c = self.sign_mask([t])
+            y |= (gf2.parity(a & mask, n) ^ c) << (top - k)
+        return y
+
     def inverted(self) -> "OutcomeMap":
         """Inverse map; requires a bijection (square invertible linear part)."""
         n = len(self.source_vars)
@@ -420,36 +450,44 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
         return True  # two zero families
     if m1 < TOL or m2 < TOL:
         return False
-    a1 = t1.array / m1
-    a2 = t2.array / m2
+    # one row per assignment, normalised a block of rows at a time
+    b1 = t1.array.reshape(2 ** len(t1.variables), -1)
+    b2 = t2.array.reshape(2 ** len(t2.variables), -1)
+    step = max(1, 2 ** 12 // b2.shape[1])  # rows per block of temporaries
 
     # every nonzero branch of t2 must be a scalar multiple of t1 at its image,
     # all scalars sharing one magnitude; zero branches are impossible outcomes
     # and impose nothing by themselves, but every nonzero t1 assignment must
-    # be hit by some nonzero branch.
-    mag = None
-    hit: set[tuple] = set()
-    for b in t2.assignments():
-        tb = a2[b]
-        if tb.size == 0 or np.max(np.abs(tb)) <= TOL:
+    # be hit by some nonzero branch.  Each scalar is read at the branch's
+    # largest entry.
+    image = correspondence.images()
+    hit = np.zeros(len(b1), dtype=bool)
+    scalars = []
+    for lo in range(0, len(b2), step):
+        tb = b2[lo:lo + step] / m2
+        mags = np.abs(tb)
+        cols = mags.argmax(axis=1)
+        live = np.flatnonzero(mags[np.arange(len(tb)), cols] > TOL)
+        if not live.size:
             continue
-        target = correspondence(b)
-        hit.add(target)
-        ta = a1[target]
-        idx = np.unravel_index(np.argmax(np.abs(tb)), tb.shape)
-        if abs(ta[idx]) <= TOL:
+        target = image[lo + live]
+        tb, ta = tb[live], b1[target] / m1
+        pick = np.arange(len(live)), cols[live]
+        if np.any(np.abs(ta[pick]) <= TOL):
             return False
-        c = tb[idx] / ta[idx]
-        if not np.allclose(tb, c * ta, atol=TOL, rtol=0):
+        c = tb[pick] / ta[pick]
+        diff = ta * c[:, None]
+        diff -= tb
+        if not np.abs(diff).max() <= TOL:  # as np.allclose, NaN is unequal
             return False
-        if mag is None:
-            mag = abs(c)
-        elif abs(abs(c) - mag) > TOL:
-            return False
-    if mag is None:
-        return False  # t2 entirely zero but t1 nonzero somewhere (m1 >= TOL)
-    for a in t1.assignments():
-        if a not in hit and np.max(np.abs(a1[a])) > TOL:
+        hit[target] = True
+        scalars.append(c)
+    mag = np.abs(np.concatenate(scalars))  # t2 has a nonzero branch
+    if np.any(np.abs(mag - mag[0]) > TOL):
+        return False
+    for lo in range(0, len(b1), step):
+        rest = b1[lo:lo + step][~hit[lo:lo + step]] / m1
+        if rest.size and np.abs(rest).max() > TOL:
             return False
     return True
 

@@ -8,6 +8,11 @@
   web-syndrome map (:class:`zxfault.feq.SyndromeMap`) replaced them: two
   faulted diagrams have one key exactly when they are equal under the
   outcome correspondence, up to a global magnitude and per-outcome phases.
+* The dense web read-out that :func:`zxfault.feq._eigenvalues` replaced:
+  each web's stabiliser applied to the whole tensor (``on_open_legs``
+  and the outcome signs), and the covered count from every branch.
+* The per-assignment loop of ``equal_up_to_scalar`` that the row-wise
+  :func:`zxfault.oracle.equal_up_to_scalar` replaced.
 * Graph isomorphism of diagrams with their ports fixed.
 * The binding of a rule's inverse that undoes one rewrite step.
 """
@@ -18,11 +23,12 @@ import itertools
 
 import numpy as np
 
+from zxfault.diagram import ZxDiagram
 from zxfault.noise import NoiseModel
-from zxfault.oracle import TOL, OutcomeTensor
+from zxfault.oracle import TOL, OutcomeMap, OutcomeTensor
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, StepLog, _edge_kind
-from zxfault.webs import PauliWeb
+from zxfault.webs import PauliWeb, flipped_by
 
 
 def enumerate_faults(m: NoiseModel, max_weight: int):
@@ -123,6 +129,129 @@ def key_matches(syndrome_map, spec) -> dict:
     return {side: {s: first["b" if side == "a" else "a"].get(k)
                    for s, k in key_of[side].items()}
             for side in "ab"}
+
+
+def on_open_legs(d: ZxDiagram, t: OutcomeTensor,
+                 p: PauliString) -> OutcomeTensor:
+    """``t``, any family of ``d``'s boundary shape, with the letter ``p``
+    has on each port's edge acting on the port's leg (X and Z swapped at
+    the b end of a hadamard edge; Y is Z then X).  So a Pauli web's edge
+    Paulis give the boundary half of its stabiliser."""
+    legs = len(t.variables) + t.n_in + t.n_out
+    sign = np.ones((1,) * legs)
+    flips = []
+    for kind, eids, first in (("in", d.inputs, len(t.variables)),
+                              ("out", d.outputs, legs - t.n_out)):
+        for i, eid in enumerate(eids):
+            letter, e = p.letter(eid), d.edges[eid]
+            if e.had and e.b == ("b", kind, i):
+                letter = {"X": "Z", "Z": "X"}.get(letter, letter)
+            axis = first + i
+            if letter in "YZ":
+                sign = sign * np.array([1.0, -1.0]).reshape(
+                    (1,) * axis + (2,) + (1,) * (legs - axis - 1))
+            if letter in "XY":
+                flips.append(axis)
+    a = np.flip(t.array.reshape((2,) * legs), flips) * np.flip(sign, flips)
+    return OutcomeTensor(t.variables, t.n_in, t.n_out,
+                         a.reshape(t.array.shape))
+
+
+def images(corr: OutcomeMap) -> np.ndarray:
+    """The target assignment of each source assignment: entry [x][j] is
+    target variable j at source assignment x."""
+    x = np.indices((2,) * len(corr.source_vars), dtype=np.int8)
+    column = {v: i for i, v in enumerate(corr.source_vars)}
+    y = np.zeros(x.shape[1:] + (len(corr.target_vars),), dtype=np.int8)
+    for j, v in enumerate(corr.target_vars):
+        vs, c = corr.rows[v]
+        y[..., j] = (sum(x[column[u]] for u in vs) + c) % 2
+    return y
+
+
+def eigenvalues(d: ZxDiagram, web_list: list, t: OutcomeTensor,
+                signs: list) -> list | None:
+    """The eigenvalue of ``t`` under each web's stabiliser of ``d``, its
+    Paulis on the open legs times its outcome sign; None if t is zero or
+    not an eigenvector of one, at ``TOL`` times t's max magnitude."""
+    i = int(np.argmax(np.abs(t.array)))
+    m = abs(t.array.flat[i])
+    if m < TOL:
+        return None
+    out = []
+    for w, sign in zip(web_list, signs):
+        u = on_open_legs(d, t, w.pauli).array
+        u *= sign
+        lam = u.flat[i] / t.array.flat[i]
+        if abs(abs(lam) - 1) > TOL:  # a stabiliser is unitary
+            return None
+        u /= lam
+        u -= t.array
+        if np.max(np.abs(u)) > TOL * m:
+            return None
+        out.append(lam)
+    return out
+
+
+def covered(t: OutcomeTensor, y: np.ndarray) -> int:
+    """The number of target assignments, under the images ``y``, of the
+    branches of ``t`` with an entry above ``TOL`` times t's max."""
+    mags = np.abs(t.array).reshape(y.shape[:-1] + (-1,)).max(axis=-1)
+    return len(set(map(tuple, y[mags > TOL * mags.max()].tolist())))
+
+
+def dense_read(d: ZxDiagram, web_list: list, t: OutcomeTensor,
+               corr: OutcomeMap):
+    """(eigenvalues, covered) of ``t`` under the webs of side ``d``, read
+    through ``corr``, from dense passes over the whole tensor; None where
+    :func:`eigenvalues` is."""
+    y = images(corr)
+    signs = [(1 - 2 * (y @ np.array([v in flipped_by(d, w)
+                                     for v in d.variables]) % 2))[..., None,
+                                                                   None]
+             for w in web_list]
+    lam = eigenvalues(d, web_list, t, signs)
+    return None if lam is None else (lam, covered(t, y))
+
+
+def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
+                       correspondence: OutcomeMap | None = None) -> bool:
+    """:func:`zxfault.oracle.equal_up_to_scalar`, one assignment of t2 at a
+    time (registries assumed checked)."""
+    if correspondence is None:
+        correspondence = OutcomeMap.identity(t1.variables)
+    m1, m2 = t1.max_abs(), t2.max_abs()
+    if m1 < TOL and m2 < TOL:
+        return True
+    if m1 < TOL or m2 < TOL:
+        return False
+    a1 = t1.array / m1
+    a2 = t2.array / m2
+    mag = None
+    hit: set[tuple] = set()
+    for b in t2.assignments():
+        tb = a2[b]
+        if tb.size == 0 or np.max(np.abs(tb)) <= TOL:
+            continue
+        target = correspondence(b)
+        hit.add(target)
+        ta = a1[target]
+        idx = np.unravel_index(np.argmax(np.abs(tb)), tb.shape)
+        if abs(ta[idx]) <= TOL:
+            return False
+        c = tb[idx] / ta[idx]
+        if not np.allclose(tb, c * ta, atol=TOL, rtol=0):
+            return False
+        if mag is None:
+            mag = abs(c)
+        elif abs(abs(c) - mag) > TOL:
+            return False
+    if mag is None:
+        return False
+    for a in t1.assignments():
+        if a not in hit and np.max(np.abs(a1[a])) > TOL:
+            return False
+    return True
 
 
 def isomorphic(d1, d2) -> bool:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import class_keys, key_matches, syndrome
+import reference
+from reference import class_keys, dense_read, key_matches, syndrome
 from zxfault import feq, oracle, samples, webs
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
@@ -12,11 +13,11 @@ from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          find_equivalent_fault, is_trivial)
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            edge_flip_atoms, enumerate_faults)
-from zxfault.oracle import (Contraction, OutcomeMap, equal_up_to_scalar,
-                            evaluate)
+from zxfault.oracle import (Contraction, OutcomeMap, OutcomeTensor,
+                            equal_up_to_scalar, evaluate)
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
-from zxfault.webs import detecting_region_basis, is_detectable
+from zxfault.webs import PauliWeb, detecting_region_basis, is_detectable
 
 
 def idealised(d):
@@ -804,3 +805,177 @@ def test_one_replay_per_web_syndrome(monkeypatch):
     for t in made[0].tables.values():
         assert 0 < sum(d is t.diagram for d in detected) \
             <= len({s for _, _, s, _ in t.faults})
+
+
+# -- the support read-out and the row-wise comparison, against the loops ---
+
+def read_outs(spec, max_weight):
+    """(support, dense) read-outs against side b's webs of a replay of every
+    class of both tables: side a's through the correspondence, side b's
+    through the identity."""
+    tables = fault_tables(spec, max_weight)
+    db = spec.side_b.diagram
+    web_list = tables["b"].classes.webs
+    maps = {"a": spec.corr(), "b": OutcomeMap.identity(db.variables)}
+    stabilisers = dict(zip("ab", feq._stabilisers(db, web_list, maps["a"],
+                                                   maps["b"])))
+    for side, table in tables.items():
+        for f in table.firsts.values():
+            t = table.replay(f)
+            yield (feq._eigenvalues(t, *stabilisers[side]),
+                   dense_read(db, web_list, t, maps[side]))
+
+
+def assert_reads_as_dense(spec, max_weight):
+    reads = list(read_outs(spec, max_weight))
+    for got, want in reads:
+        assert got == want
+    return reads
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=name) for name, spec in
+    [*syndrome_specs(),
+     *((name, spec) for name, spec in rule_pair_specs() if spec.w == 2),
+     *zero_and_support_specs()]])
+def test_support_read_out_matches_the_dense_reference(spec):
+    reads = assert_reads_as_dense(spec, 2)
+    assert any(got is not None for got, _ in reads)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random_spec))
+def test_support_read_out_matches_the_dense_reference_on_random_diagrams(
+        spec):
+    assert_reads_as_dense(spec, 2)
+
+
+def two_port_diagram():
+    """Two output legs, each on its own green spider, beside a spider that
+    reads outcome k: a boundary shape and registry for hand-built tensors."""
+    d = ZxDiagram()
+    d.add_variable("k")
+    ports = [d.add_edge(("s", d.add_spider("Z")), ("b", "out", i))
+             for i in range(2)]
+    return d, ports, d.add_spider("Z", 0, ["k"])
+
+
+def test_support_read_out_at_the_thresholds():
+    # t's k=0 branch is an eigenvector of an X on output 0 and of a Y on
+    # output 1 whose sign reads k, with max magnitude m = 1.  Pairs of
+    # entries of the zero k=1 branch, which one of the two webs' X masks
+    # swaps, take values just above and below TOL*m/3 and TOL*m: an entry
+    # the support keeps is mapped onto one it drops, and only the dropped
+    # one's difference may exceed TOL*m.  So does all of the k=1 branch, as
+    # an eigenvector of both.  Both the eigenvalues and the covered count
+    # (1 or 2 branches) must be the dense reference's.
+    d, (e0, e1), reader = two_port_diagram()
+    web_list = [PauliWeb(((e0, "red"),), ()),
+                PauliWeb(((e1, "both"),), ((reader, 1),))]
+    identity = OutcomeMap.identity(d.variables)
+    [stabilisers] = feq._stabilisers(d, web_list, identity)
+    base = np.zeros((2, 1, 4), dtype=complex)
+    base[0, 0] = [1, -1j, 1, -1j]
+    tol = oracle.TOL
+    values = [s * v * tol for v in (0.3, 0.34, 0.6, 0.9, 0.99, 1.01, 1.1)
+              for s in (1, -1, 1j)]
+    branches = [[p, q, 0, 0] for p in values for q in values]  # web 1
+    branches += [[p, 0, q, 0] for p in values for q in values]  # web 0
+    branches += [[p, 1j * p, p, 1j * p] for p in values]  # an eigenvector
+    outcomes = set()
+    for branch in branches:
+        array = base.copy()
+        array[1, 0] = branch
+        t = OutcomeTensor(d.variables, 0, 2, array)
+        got = feq._eigenvalues(t, *stabilisers)
+        assert got == dense_read(d, web_list, t, identity), branch
+        outcomes.add(None if got is None else got[1])
+    assert outcomes == {None, 1, 2}
+
+
+def test_support_read_out_reads_both_entries_of_a_pair():
+    # web 0's eigenvalue is lambda = 1 - TOL/4, so the two differences of a
+    # pair of entries that its X mask swaps differ by about TOL/4 times
+    # their sizes.  Here the larger one is at the entry below TOL*m/3, which
+    # only the K ^ x half of the index set reads; at the dense reference's
+    # boundary of that entry's size, the read-out must agree on both sides
+    d, (e0, _), _ = two_port_diagram()
+    web_list = [PauliWeb(((e0, "red"),), ())]
+    identity = OutcomeMap.identity(d.variables)
+    [stabilisers] = feq._stabilisers(d, web_list, identity)
+    tol = oracle.TOL
+
+    def tensor(p):
+        array = np.zeros((2, 1, 4), dtype=complex)
+        array[0, 0, [0, 2]] = 1, 1 - tol / 4
+        array[1, 0, [0, 2]] = -p, 0.8 * tol
+        return OutcomeTensor(d.variables, 0, 2, array)
+
+    def reads(p):
+        return dense_read(d, web_list, tensor(p), identity) is not None
+
+    lo, hi = 0.1 * tol, 0.3 * tol
+    assert reads(lo) and not reads(hi)
+    while (lo + hi) / 2 not in (lo, hi):
+        lo, hi = ((lo + hi) / 2, hi) if reads((lo + hi) / 2) \
+            else (lo, (lo + hi) / 2)
+    for p in (lo, hi):
+        assert feq._eigenvalues(tensor(p), *stabilisers) == \
+            dense_read(d, web_list, tensor(p), identity)
+
+
+def equal_cases(spec, max_weight):
+    """(t1, t2, correspondence) for each pair of a side-b and a side-a
+    class, as the oracle compares them, and each side with itself."""
+    tables = fault_tables(spec, max_weight)
+    replays = {side: [table.replay(f) for f in table.firsts.values()]
+               for side, table in tables.items()}
+    for t_b in replays["b"]:
+        for t_a in replays["a"]:
+            yield t_b, t_a, spec.corr()
+    for side, ts in replays.items():
+        yield ts[0], ts[-1], None
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=name) for name, spec in
+    [("many-to-one", many_to_one_spec(2)),
+     ("flipped two-zz", flipped_two_zz_spec(2)),
+     ("three-zz", three_zz_spec(2)), *zero_and_support_specs()]])
+def test_equal_up_to_scalar_matches_the_loop(spec):
+    for case in equal_cases(spec, 2):
+        assert oracle.equal_up_to_scalar(*case) == \
+            reference.equal_up_to_scalar(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random_spec))
+def test_equal_up_to_scalar_matches_the_loop_on_random_diagrams(spec):
+    for case in equal_cases(spec, 1):
+        assert oracle.equal_up_to_scalar(*case) == \
+            reference.equal_up_to_scalar(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_equal_up_to_scalar_matches_the_loop_on_random_families(seed):
+    # t2's branches are phases times t1's at their images under a random,
+    # possibly many-to-one map, some zeroed or perturbed by about TOL
+    rng = np.random.default_rng(seed)
+    n1, n2, legs = rng.integers(0, 3), rng.integers(0, 4), rng.integers(0, 3)
+    v1 = [f"a{i}" for i in range(n1)]
+    v2 = [f"b{i}" for i in range(n2)]
+    corr = OutcomeMap.parse(v2, v1, {
+        v: "^".join([u for u in v2 if rng.random() < 0.5]
+                    + ["1"] * (rng.random() < 0.3)) or "0" for v in v1})
+    a1 = rng.normal(size=(2 ** n1, 2 ** legs)) \
+        * (rng.random((2 ** n1, 1)) < 0.8)
+    image = corr.images()
+    phase = np.exp(2j * np.pi * rng.integers(0, 4, size=(2 ** n2, 1)) / 4)
+    a2 = phase * a1[image] * (rng.random((2 ** n2, 1)) < 0.8)
+    a2 += oracle.TOL * rng.normal(size=a2.shape) * rng.integers(0, 3)
+    t1 = OutcomeTensor(v1, legs, 0, a1.reshape((2,) * n1 + (2 ** legs, 1)))
+    t2 = OutcomeTensor(v2, legs, 0, 3 * a2.reshape((2,) * n2
+                                                  + (2 ** legs, 1)))
+    assert oracle.equal_up_to_scalar(t1, t2, corr) == \
+        reference.equal_up_to_scalar(t1, t2, corr)

@@ -117,3 +117,11 @@ def test_in_span_matches_rank(system, data):
     rows, n = system
     v = data.draw(st.integers(0, 2 ** n - 1))
     assert gf2.in_span(rows, v) == (rank([*rows, v], n) == rank(rows, n))
+
+
+@given(st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=20))
+def test_parity_of_ints_and_arrays(values):
+    width = max(values).bit_length()
+    want = [bin(v).count("1") % 2 for v in values]
+    assert [gf2.parity(v, width) for v in values] == want
+    assert gf2.parity(np.array(values), width).tolist() == want

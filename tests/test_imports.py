@@ -1,6 +1,10 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and none of
+them imports numpy.ma on a check or a proof script."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,30 @@ def test_every_import_is_read(path):
 def test_an_unread_import_is_found():
     assert unused_imports("import json\nfrom os import path, sep\n"
                           "print(sep)\n") == ["json", "path"]
+
+
+# numpy.ma, which np.unique imports on its first call, adds about 1.7 MB to
+# a process; a steane check at w=2 and a proof script must not import it
+MA_PROBE = """
+import sys
+from importlib import resources
+from pathlib import Path
+from zxfault import feq, rewrite
+from zxfault.builders import build_gadget
+spec = build_gadget("steane").equivalence_spec(2)
+assert feq.check_w_fault_equivalence(spec).equivalent
+base = resources.files("zxfault").joinpath("scripts")
+text = (Path(base) / "steane-422-extraction.fzx").read_text()
+rewrite.run_proof_script(text, base_dir=str(base))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_check_and_a_proof_script_do_not_import_numpy_ma():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-c", MA_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert done.stdout.split() == ["False"]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import _branch_canons
+from reference import _branch_canons, on_open_legs
 from zxfault import samples
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import (Contraction, OracleBudgetError, OutcomeMap,
-                            equal_up_to_scalar, evaluate, is_total,
-                            on_open_legs)
+                            OutcomeTensor, equal_up_to_scalar, evaluate,
+                            is_total, port_masks)
 from zxfault.pauli import LETTERS, PauliString
 from zxfault.webs import web_basis
 
@@ -108,6 +108,30 @@ def test_equal_never_confuses_zero_and_nonzero():
     assert not equal_up_to_scalar(t1, t2)
     assert not equal_up_to_scalar(t2, t1)
     assert equal_up_to_scalar(t2, t2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_outcome_map_images_and_sign_masks(seed):
+    # images() and sign_mask() read the map as calling it does, with an
+    # assignment's first variable as its index's highest bit
+    rng = np.random.default_rng(seed)
+    source = [f"s{i}" for i in range(rng.integers(0, 4))]
+    target = [f"t{i}" for i in range(rng.integers(0, 4))]
+    corr = OutcomeMap.parse(source, target, {
+        t: "^".join([v for v in source if rng.random() < 0.5]
+                    + ["1"] * (rng.random() < 0.5)) or "0" for t in target})
+
+    def index(bits):
+        return int("".join(map(str, bits)) or "0", 2)
+    images = corr.images()
+    subset = [t for t in target if rng.random() < 0.5]
+    mask, const = corr.sign_mask(subset)
+    for a in itertools.product((0, 1), repeat=len(source)):
+        y = dict(zip(target, corr(a)))
+        assert images[index(a)] == index(corr(a))
+        assert (bin(index(a) & mask).count("1") + const) % 2 == \
+            sum(y[t] for t in subset) % 2
 
 
 def test_two_zz_equals_single_zz_under_correspondence():
@@ -332,13 +356,38 @@ def test_replay_matches_dense(df):
     assert_replay_is_dense(Contraction(d), f)
 
 
+def by_masks(t: OutcomeTensor, x: int, z: int) -> OutcomeTensor:
+    """``t`` with entry j replaced by (-1)^|(j ^ x) & z| times entry j ^ x."""
+    flat = t.array.reshape(-1)
+    j = np.arange(flat.size)
+    sign = np.array([(-1) ** bin(k & z).count("1") for k in j ^ x])
+    return OutcomeTensor(t.variables, t.n_in, t.n_out,
+                         (sign * flat[j ^ x]).reshape(t.array.shape))
+
+
 @pytest.mark.parametrize("name,make", REPLAY_DIAGRAMS,
                          ids=[n for n, _ in REPLAY_DIAGRAMS])
 def test_open_leg_paulis(name, make):
-    # a letter on a port's leg is the fault on the port's edge, and every
-    # web's letters on the ports stabilise the diagram up to outcome signs
+    # a port's masks act as the dense reference's letter on the port's leg,
+    # on the diagram's tensor and on a random one; a letter on a port's leg
+    # is the fault on the port's edge, and every web's letters on the ports
+    # stabilise the diagram up to outcome signs
     d = make()
     t = evaluate(d)
+    rng = np.random.default_rng(7)
+    noise = OutcomeTensor(t.variables, t.n_in, t.n_out,
+                          rng.normal(size=t.array.shape)
+                          + 1j * rng.normal(size=t.array.shape))
+    webs = [w.pauli for w in web_basis(d)]
+    letters = [PauliString({eid: letter})
+               for eid in sorted(d.boundary_edges()) for letter in LETTERS]
+    mixed = [PauliString(dict(zip(sorted(d.boundary_edges()), word)))
+             for word in itertools.product(LETTERS, repeat=2)]
+    paulis = letters + webs + mixed
+    for p, (x, z) in zip(paulis, port_masks(d, paulis), strict=True):
+        for u in (t, noise):
+            assert np.array_equal(by_masks(u, x, z).array,
+                                  on_open_legs(d, u, p).array), p.to_text()
     for eid in d.boundary_edges() & set(d.non_ideal_edges()):
         if all(end[0] == "b" for end in d.edges[eid].ends()):
             continue  # a bare wire's letter acts on both its ports
@@ -346,8 +395,8 @@ def test_open_leg_paulis(name, make):
             p = PauliString({eid: letter})
             assert equal_up_to_scalar(evaluate(apply_fault(d, p)),
                                       on_open_legs(d, t, p))
-    for w in web_basis(d):
-        assert equal_up_to_scalar(t, on_open_legs(d, t, w.pauli))
+    for p in webs:
+        assert equal_up_to_scalar(t, on_open_legs(d, t, p))
 
 
 def test_replay_rejects_a_fault_on_an_ideal_edge():
