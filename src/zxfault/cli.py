@@ -99,8 +99,9 @@ def _cmd_eval(args) -> int:
     entries = {}
     for a in t.assignments():
         key = ",".join(f"{v}={b}" for v, b in zip(t.variables, a)) or "-"
-        entries[key] = [[[round(c.real, 12), round(c.imag, 12)] for c in row]
-                        for row in t[a]]
+        # + 0.0 prints a zero of either sign as 0.0
+        entries[key] = [[[round(c.real, 12) + 0.0, round(c.imag, 12) + 0.0]
+                         for c in row] for row in t[a]]
     _emit_json({"variables": t.variables, "n_in": t.n_in, "n_out": t.n_out,
                 "entries": entries}, args.output)
     return 0

@@ -119,9 +119,10 @@ def _constant_regions(d: ZxDiagram, regions: list) -> list[PauliString]:
     A leg-less Pauli spider is a region too, with no Pauli and its outcome
     variables as detecting set, which the basis leaves out."""
     column = {v: i for i, v in enumerate(d.variables)}
+    inc = d.incidence()
     webs = [(r.web.pauli, r.detecting_set) for r in regions] + [
         (PauliString(), s.phase.pivars) for sid, s in d.spiders.items()
-        if d.degree(sid) == 0 and s.phase.is_pauli()]
+        if not inc[sid] and s.phase.is_pauli()]
     sets = [sum(1 << column[v] for v in vs) for _, vs in webs]
     # equation j: the chosen regions' detecting sets cancel at variable j
     equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))

@@ -6,13 +6,15 @@ extra binary tensor leg (tied across its occurrences by a copy tensor), so one
 contraction yields the full outcome-indexed family.
 
 There is one contraction path, :class:`Contraction`: it builds a diagram's
-leaf tensors and plans its pairwise contraction order once, and replays the
-plan for the diagram itself or for any fault on it, with the fault's Paulis
-applied to the leaves.  :func:`evaluate` is a compile and one replay.
+leaf tensors, plans its pairwise contraction order and lays out each step's
+transposes and matrix shapes once, and replays the steps for the diagram
+itself or for any fault on it, with the fault's Paulis applied to the leaves
+as signed permutations.  :func:`evaluate` is a compile and one replay.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -44,9 +46,28 @@ def _z_core(degree: int, qturns: int) -> np.ndarray:
     return t
 
 
-def _apply_on_leg(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(t, mat.T, axes=([axis], [0]))
-    return np.moveaxis(moved, -1, axis)
+def _spider_leaf(colour: str, degree: int, qturns: int, had_legs: list,
+                 n_vars: int) -> np.ndarray:
+    """A spider's leaf tensor, whose axes are its ``degree`` legs and then
+    ``n_vars`` outcome-variable legs, with an H on each leg in ``had_legs``.
+
+    An X spider is a Z spider with H on every leg, and H twice is none, so
+    the leaf is a Z spider with H on the legs of a set S.  With x the legs'
+    bits and v the variables', its entry is 2^(-|S|/2) ([x off S = 0] +
+    phase (-1)^|x on S| [x off S = 1]), where phase = i^(qturns + 2|v|),
+    built on the flat index, whose bit n - 1 - j is axis j of n axes.  A
+    leaf with no H and no variable is ``_z_core``."""
+    n = degree + n_vars
+    h_mask = ((1 << degree) - 1) << n_vars if colour == "X" else 0
+    for ax in had_legs:
+        h_mask ^= 1 << (n - 1 - ax)
+    if not (h_mask or n_vars):
+        return _z_core(degree, qturns)
+    j = np.arange(2 ** n)
+    off = ((1 << degree) - 1) << n_vars & ~h_mask
+    sign = 1 - 2 * gf2.parity(j & (h_mask | (1 << n_vars) - 1), n)
+    t = ((j & off) == 0) + 1j**qturns * sign * ((j & off) == off)
+    return (t * 2.0 ** (-h_mask.bit_count() / 2)).reshape((2,) * n)
 
 
 def _self_loops(labels: list) -> tuple[list, list]:
@@ -105,27 +126,42 @@ def _port_label(d: ZxDiagram, eid: int, port: tuple):
     return ("e", eid) if e.a == port else ("e", eid, "b")
 
 
+def _signed_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A signed permutation matrix as (perm, sign), so that m @ v is
+    sign * v[perm]."""
+    perm = np.abs(m).argmax(axis=1)
+    return perm, m[np.arange(len(m)), perm].astype(float)
+
+
 # A faulted edge's Pauli as the matrix of the pi-spider chain that
 # apply_fault inserts at its a-end, indexed [a-end, b-end]: Y is X then Z.
-_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
-          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+_PAULI = {"X": np.array([[0, 1], [1, 0]]), "Z": np.array([[1, 0], [0, -1]])}
 _PAULI["Y"] = _PAULI["X"] @ _PAULI["Z"]
-# The same Pauli as a matrix on the leg of the leaf that holds the edge's
-# a-end: "P" when the a-end is a port (the leg is the port's), "Pt" at a
-# spider, "HPtH" at a spider that absorbed the edge's Hadamard.
-_FAULT_MATRIX = {(kind, letter): m for letter, p in _PAULI.items()
-                 for kind, m in (("P", p), ("Pt", p.T), ("HPtH", H @ p.T @ H))}
+_H2 = np.array([[1, 1], [1, -1]])  # sqrt(2) H: H m H is _H2 m _H2 / 2
+# The same Pauli on the leg of the leaf that holds the edge's a-end, as a
+# signed permutation of the leg's index: "P" when the a-end is a port (the
+# leg is the port's), "Pt" at a spider, "HPtH" at a spider that absorbed
+# the edge's Hadamard.
+_FAULT_PERM = {(kind, letter): _signed_permutation(m)
+               for letter, p in _PAULI.items()
+               for kind, m in (("P", p), ("Pt", p.T),
+                               ("HPtH", _H2 @ p.T @ _H2 // 2))}
 
 
 class Contraction:
     """A diagram's contraction, compiled once and replayed per fault.
 
     Compiling builds one leaf tensor per spider, bare wire and outcome
-    variable, and plans the greedy pairwise order (smallest node first, with
+    variable, plans the greedy pairwise order (smallest node first, with
     its cheapest partner) on the leaves' labels alone, so one plan serves
-    every fault of the diagram.  :meth:`evaluate` applies a fault's Paulis
-    to the leaves and replays the planned tensordots; no intermediate is
-    kept between replays."""
+    every fault of the diagram, and lays out each step as ``np.tensordot``
+    would: the transposes that put a's contracted axes last and b's first,
+    the 2-D shapes of the matrix product and the shape of its result.  A
+    spider's leaf is built in closed form when it carries an H or an outcome
+    variable.  :meth:`evaluate` applies a fault's Paulis to the leaves as
+    signed permutations of their legs and replays the steps as
+    transpose-reshape-``np.dot``; no intermediate is kept between
+    replays."""
 
     def __init__(self, d: ZxDiagram, budget: int = DEFAULT_BUDGET):
         self.diagram = d
@@ -134,7 +170,7 @@ class Contraction:
         self._raw: list = []     # leaf tensors before their self-loop traces
         self._loops: list = []   # each leaf's self-loop traces
         self._leaves: list = []  # leaf tensors as the fault-free replay uses them
-        self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_MATRIX kind)
+        self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_PERM kind)
         labels_of: list = []
 
         def add_leaf(t: np.ndarray, labels: list) -> None:
@@ -167,21 +203,8 @@ class Contraction:
             deg = len(legs)
             if 2 ** (deg + len(vlegs)) > total_budget:
                 raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
-            if vlegs:
-                sub = []
-                for bits in itertools.product((0, 1), repeat=len(vlegs)):
-                    qt = (s.phase.qturns + 2 * sum(bits)) % 4
-                    sub.append(_z_core(deg, qt))
-                t = np.stack(sub).reshape((2,) * len(vlegs) + (2,) * deg)
-                t = np.moveaxis(t, list(range(len(vlegs))),
-                                list(range(deg, deg + len(vlegs))))
-            else:
-                t = _z_core(deg, s.phase.qturns)
-            if s.colour == "X":
-                for ax in range(deg):
-                    t = _apply_on_leg(t, H, ax)
-            for ax in had_legs:
-                t = _apply_on_leg(t, H, ax)
+            t = _spider_leaf(s.colour, deg, s.phase.qturns, had_legs,
+                             len(vlegs))
             labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
             for v in vlegs:
                 var_occurrences[v] += 1
@@ -200,53 +223,76 @@ class Contraction:
             add_leaf(_z_core(occ + 1, 0),
                      [("v", v, i) for i in range(occ)] + [("var", v)])
 
-        # greedy plan: smallest node first, with its cheapest partner; a node
-        # is (sort key, slot, labels, label set), and each step's result takes
-        # the next slot after the leaves
+        # greedy plan: the smallest node first, by (number of labels, label
+        # strings, slot), with its cheapest partner among the nodes that
+        # share a label with it, ties going to the smallest, or else the
+        # next smallest node (an outer product); each step's result takes
+        # the next slot after the leaves.  A heap holds every node's order
+        # key, and a popped key whose node is gone is skipped.
         strs: dict = {}
+        nodes: dict = {}    # live slot -> (labels, label set, order key)
+        holders: dict = {}  # label -> the live slots holding it
+        heap: list = []
 
-        def node(slot: int, labels: list) -> tuple:
+        def push(slot: int, labels: list) -> None:
             key = []
             for l in labels:
                 s = strs.get(l)
                 if s is None:
                     s = strs[l] = str(l)
                 key.append(s)
-            return ((len(labels), key), slot, labels, set(labels))
+            order = (len(labels), key, slot)
+            nodes[slot] = (labels, set(labels), order)
+            for l in labels:
+                holders.setdefault(l, []).append(slot)
+            heapq.heappush(heap, order)
 
-        nodes = [node(i, labels) for i, labels in enumerate(labels_of)]
-        self._steps: list = []   # (slot a, slot b, tensordot axes, loops)
+        def pop(slot: int) -> tuple:
+            labels, label_set, _ = nodes.pop(slot)
+            for l in labels:
+                holders[l].remove(slot)
+            return labels, label_set
+
+        def smallest() -> int:
+            while heap[0][2] not in nodes:
+                heapq.heappop(heap)
+            return heapq.heappop(heap)[2]
+
+        for i, labels in enumerate(labels_of):
+            push(i, labels)
+        self._steps: list = []   # (a, b, perm a, shape a, perm b, shape b,
+                                 #  result shape, loops)
         while len(nodes) > 1:
-            nodes.sort(key=lambda n: n[0])
-            a = nodes[0]
-            partner = None
-            best = None
-            for other in nodes[1:]:
-                shared = len(a[3] & other[3])
-                if shared:
-                    cost = len(a[2]) + len(other[2]) - 2 * shared
-                    if best is None or cost < best:
-                        best, partner = cost, other
-            if partner is None:
-                partner = nodes[1]  # disconnected component: outer product
-            nodes.remove(a)
-            nodes.remove(partner)
-            la, lb = a[2], partner[2]
-            shared = [l for l in la if l in partner[3]]
-            ax_a = [la.index(l) for l in shared]
-            ax_b = [lb.index(l) for l in shared]
-            out = [l for l in la if l not in partner[3]] + \
-                  [l for l in lb if l not in a[3]]
+            a = smallest()
+            la, set_a = pop(a)
+            shared: dict = {}  # slot -> the number of labels it shares with a
+            for l in la:
+                for o in holders[l]:
+                    shared[o] = shared.get(o, 0) + 1
+            if shared:
+                b = min(shared, key=lambda o: (
+                    len(la) + len(nodes[o][0]) - 2 * shared[o], nodes[o][2]))
+            else:
+                b = smallest()
+            lb, set_b = pop(b)
+            free_a = [k for k, l in enumerate(la) if l not in set_b]
+            free_b = [k for k, l in enumerate(lb) if l not in set_a]
+            ax_a = [k for k, l in enumerate(la) if l in set_b]
+            ax_b = [lb.index(la[k]) for k in ax_a]
+            out = [la[k] for k in free_a] + [lb[k] for k in free_b]
             if 2 ** len(out) > total_budget:
                 raise OracleBudgetError(
                     f"contraction intermediate of {len(out)} open legs"
                     f" exceeds budget")
-            loops, out = _self_loops(out)
-            self._steps.append((a[1], partner[1], (ax_a, ax_b), loops))
-            nodes.append(node(len(labels_of) + len(self._steps) - 1, out))
+            loops, out_labels = _self_loops(out)
+            self._steps.append((
+                a, b, free_a + ax_a, (2 ** len(free_a), 2 ** len(ax_a)),
+                ax_b + free_b, (2 ** len(ax_b), 2 ** len(free_b)),
+                (2,) * len(out), loops))
+            push(len(labels_of) + len(self._steps) - 1, out_labels)
 
-        self._final = nodes[0][1] if nodes else None
-        final_labels = nodes[0][2] if nodes else []
+        self._final = next(iter(nodes), None)
+        final_labels = nodes[self._final][0] if nodes else []
         in_labels = [_port_label(d, eid, ("b", "in", i))
                      for i, eid in enumerate(d.inputs)]
         out_labels = [_port_label(d, eid, ("b", "out", i))
@@ -263,7 +309,7 @@ class Contraction:
     def evaluate(self, fault: PauliString | None = None) -> OutcomeTensor:
         """The outcome-indexed tensor family of the diagram with the fault's
         Paulis on their edges, as ``evaluate(apply_fault(d, fault))`` gives
-        it, by one replay of the compiled plan."""
+        it, by one replay of the compiled steps."""
         tensors = list(self._leaves)
         if fault:
             faulted: dict = {}
@@ -271,15 +317,17 @@ class Contraction:
                 if self.diagram.edges[eid].ideal:
                     raise ValueError(f"fault touches ideal edge {eid}")
                 leaf, axis, kind = self._site[eid]
+                perm, sign = _FAULT_PERM[kind, letter]
                 t = faulted.get(leaf, self._raw[leaf])
-                faulted[leaf] = _apply_on_leg(t, _FAULT_MATRIX[kind, letter],
-                                              axis)
+                faulted[leaf] = t.take(perm, axis) * \
+                    sign.reshape((2,) + (1,) * (t.ndim - 1 - axis))
             for leaf, t in faulted.items():
                 tensors[leaf] = _trace(t, self._loops[leaf])
-        for a, b, axes, loops in self._steps:
-            t = np.tensordot(tensors[a], tensors[b], axes=axes)
+        for a, b, pa, sa, pb, sb, out, loops in self._steps:
+            t = np.dot(tensors[a].transpose(pa).reshape(sa),
+                       tensors[b].transpose(pb).reshape(sb)).reshape(out)
             tensors[a] = tensors[b] = None
-            tensors.append(_trace(t, loops))
+            tensors.append(_trace(t, loops) if loops else t)
         if self._final is None:
             final = np.array(1, dtype=complex)
         else:
@@ -353,12 +401,6 @@ class OutcomeMap:
     @classmethod
     def identity(cls, variables: list[str]) -> "OutcomeMap":
         return cls(variables, variables, {v: (frozenset([v]), 0) for v in variables})
-
-    def __call__(self, assignment: tuple) -> tuple:
-        vals = dict(zip(self.source_vars, assignment))
-        return tuple((sum(vals[v] for v in vs) + c) % 2
-                     for t in self.target_vars
-                     for vs, c in [self.rows[t]])
 
     @classmethod
     def parse(cls, source_vars: list[str], target_vars: list[str],

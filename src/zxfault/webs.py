@@ -96,9 +96,11 @@ def _vector_to_web(v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     return PauliWeb(tuple(sorted(hl)), tuple(sorted(ind)))
 
 
-def check_web(d: ZxDiagram, w: PauliWeb) -> bool:
-    """Direct (non-linear-algebra) check of the defining per-spider rules."""
-    inc = d.incidence()
+def check_web(d: ZxDiagram, w: PauliWeb, inc: dict | None = None) -> bool:
+    """Direct (non-linear-algebra) check of the defining per-spider rules;
+    ``inc`` is ``d.incidence()``, built here when not given."""
+    if inc is None:
+        inc = d.incidence()
     hl = w.edges
     for sid, s in d.spiders.items():
         own_is_green = s.colour == "Z"
@@ -141,7 +143,8 @@ def web_basis(d: ZxDiagram) -> list[PauliWeb]:
     rows, n_vars, edge_order, spider_order = _build_system(d)
     webs = [_vector_to_web(v, edge_order, spider_order)
             for v in gf2.nullspace(rows, n_vars)]
-    rejected = sum(not check_web(d, w) for w in webs)
+    inc = d.incidence()
+    rejected = sum(not check_web(d, w, inc) for w in webs)
     if rejected:
         raise WebBasisError(f"check_web rejected {rejected} solution(s) of"
                             f" the web system")

@@ -13,6 +13,13 @@
   and the outcome signs), and the covered count from every branch.
 * The per-assignment loop of ``equal_up_to_scalar`` that the row-wise
   :func:`zxfault.oracle.equal_up_to_scalar` replaced.
+* Calling an outcome map on one assignment (:func:`map_assignment`),
+  which :meth:`zxfault.oracle.OutcomeMap.images` replaced.
+* The compiled contraction that replays each step with ``np.tensordot``
+  and builds and faults its leaves by 2x2 matrices on their legs, which
+  the precomputed transpose-and-dot steps, closed-form leaves and
+  signed-permutation faults of :class:`zxfault.oracle.Contraction`
+  replaced: :class:`Contraction`, with the same plan.
 * Graph isomorphism of diagrams with their ports fixed.
 * The binding of a rule's inverse that undoes one rewrite step.
 """
@@ -20,12 +27,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from zxfault.diagram import ZxDiagram
 from zxfault.noise import NoiseModel
-from zxfault.oracle import TOL, OutcomeMap, OutcomeTensor
+from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
+                            OutcomeMap, OutcomeTensor, _port_label,
+                            _self_loops, _trace, _z_core)
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, StepLog, _edge_kind
 from zxfault.webs import PauliWeb, flipped_by
@@ -58,6 +68,14 @@ def anticommutes(w: PauliWeb, f: PauliString) -> bool:
 def syndrome(webs: list[PauliWeb], f: PauliString) -> int:
     """Bit i is set when the fault anticommutes with web i."""
     return sum(anticommutes(w, f) << i for i, w in enumerate(webs))
+
+
+def map_assignment(corr: OutcomeMap, assignment: tuple) -> tuple:
+    """The target assignment of one source assignment under ``corr``."""
+    vals = dict(zip(corr.source_vars, assignment))
+    return tuple((sum(vals[v] for v in vs) + c) % 2
+                 for t in corr.target_vars
+                 for vs, c in [corr.rows[t]])
 
 
 def _branch_canons(t: OutcomeTensor) -> dict:
@@ -108,7 +126,7 @@ def class_keys(spec) -> dict:
     b_assigns = list(itertools.product((0, 1), repeat=len(db.variables)))
     preimage = {y: [] for y in b_assigns}
     for x in itertools.product((0, 1), repeat=len(da.variables)):
-        preimage[corr(x)].append(x)
+        preimage[map_assignment(corr, x)].append(x)
     return {"a": _class_key(b_assigns, preimage),
             "b": _class_key(b_assigns, {y: [y] for y in b_assigns})}
 
@@ -233,7 +251,7 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
         tb = a2[b]
         if tb.size == 0 or np.max(np.abs(tb)) <= TOL:
             continue
-        target = correspondence(b)
+        target = map_assignment(correspondence, b)
         hit.add(target)
         ta = a1[target]
         idx = np.unravel_index(np.argmax(np.abs(tb)), tb.shape)
@@ -346,3 +364,196 @@ def inverse_binding(log: StepLog, rule: RewriteRule) -> dict:
         else:
             binding[key] = log.port_edges[kind[1]]
     return binding
+
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# A faulted edge's Pauli as the matrix of the pi-spider chain that
+# apply_fault inserts at its a-end, indexed [a-end, b-end]: Y is X then Z.
+_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+_PAULI["Y"] = _PAULI["X"] @ _PAULI["Z"]
+# The same Pauli as a matrix on the leg of the leaf that holds the edge's
+# a-end: "P" when the a-end is a port (the leg is the port's), "Pt" at a
+# spider, "HPtH" at a spider that absorbed the edge's Hadamard.
+_FAULT_MATRIX = {(kind, letter): m for letter, p in _PAULI.items()
+                 for kind, m in (("P", p), ("Pt", p.T), ("HPtH", H @ p.T @ H))}
+
+
+def _apply_on_leg(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    moved = np.tensordot(t, mat.T, axes=([axis], [0]))
+    return np.moveaxis(moved, -1, axis)
+
+
+def spider_leaf(colour: str, degree: int, qturns: int, had_legs: list,
+                n_vars: int) -> np.ndarray:
+    """A spider's leaf tensor: its legs, then its variable legs, built as
+    Z-spider cores stacked over the variables, with H applied on every leg
+    of an X spider and then on each leg in ``had_legs``."""
+    if n_vars:
+        sub = []
+        for bits in itertools.product((0, 1), repeat=n_vars):
+            sub.append(_z_core(degree, (qturns + 2 * sum(bits)) % 4))
+        t = np.stack(sub).reshape((2,) * n_vars + (2,) * degree)
+        t = np.moveaxis(t, list(range(n_vars)),
+                        list(range(degree, degree + n_vars)))
+    else:
+        t = _z_core(degree, qturns)
+    if colour == "X":
+        for ax in range(degree):
+            t = _apply_on_leg(t, H, ax)
+    for ax in had_legs:
+        t = _apply_on_leg(t, H, ax)
+    return t
+
+
+class Contraction:
+    """A diagram's contraction as :class:`zxfault.oracle.Contraction`
+    plans it, with each step replayed by ``np.tensordot``, each leaf built
+    by applying H leg by leg, and each fault applied as a 2x2 matrix on its
+    leg.  ``_steps`` holds (slot a, slot b, tensordot axes, loops)."""
+
+    def __init__(self, d: ZxDiagram, budget: int = DEFAULT_BUDGET):
+        self.diagram = d
+        self.budget = budget
+        total_budget = budget * (2 ** len(d.variables))
+        self._raw: list = []     # leaf tensors before their self-loop traces
+        self._loops: list = []   # each leaf's self-loop traces
+        self._leaves: list = []  # leaf tensors as the fault-free replay uses them
+        self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_MATRIX kind)
+        labels_of: list = []
+
+        def add_leaf(t: np.ndarray, labels: list) -> None:
+            loops, labels = _self_loops(labels)
+            self._raw.append(t)
+            self._loops.append(loops)
+            self._leaves.append(_trace(t, loops))
+            labels_of.append(labels)
+
+        inc = d.incidence()
+        var_occurrences: dict[str, int] = {v: 0 for v in d.variables}
+        for sid, s in sorted(d.spiders.items()):
+            legs: list = []
+            had_legs: list[int] = []
+            # a self-loop appears twice; its first leg is its a-end
+            for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
+                e = d.edges[eid]
+                at_a = e.a == ("s", sid) and ("e", eid) not in legs
+                if at_a:
+                    kind = "HPtH" if e.had else "Pt"
+                    self._site[eid] = (len(self._raw), len(legs), kind)
+                elif e.a[0] != "s":
+                    self._site[eid] = (len(self._raw), len(legs), "P")
+                # absorb the H of a hadamard edge exactly once, at the
+                # a-side endpoint if that is a spider, else here
+                if e.had and (at_a or e.a[0] != "s"):
+                    had_legs.append(len(legs))
+                legs.append(("e", eid))
+            vlegs = sorted(s.phase.pivars)
+            deg = len(legs)
+            if 2 ** (deg + len(vlegs)) > total_budget:
+                raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
+            t = spider_leaf(s.colour, deg, s.phase.qturns, had_legs,
+                            len(vlegs))
+            labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
+            for v in vlegs:
+                var_occurrences[v] += 1
+            add_leaf(t, labels)
+
+        # bare wires (both endpoints are ports)
+        for eid, e in sorted(d.edges.items()):
+            if all(ep[0] != "s" for ep in e.ends()):
+                self._site[eid] = (len(self._raw), 0, "P")
+                add_leaf(H.copy() if e.had else np.eye(2, dtype=complex),
+                         [("e", eid), ("e", eid, "b")])
+
+        # copy tensor per variable ties its occurrences and exposes one open leg
+        for v in d.variables:
+            occ = var_occurrences[v]
+            add_leaf(_z_core(occ + 1, 0),
+                     [("v", v, i) for i in range(occ)] + [("var", v)])
+
+        # greedy plan: smallest node first, with its cheapest partner; a node
+        # is (sort key, slot, labels, label set), and each step's result takes
+        # the next slot after the leaves
+        strs: dict = {}
+
+        def node(slot: int, labels: list) -> tuple:
+            key = []
+            for l in labels:
+                s = strs.get(l)
+                if s is None:
+                    s = strs[l] = str(l)
+                key.append(s)
+            return ((len(labels), key), slot, labels, set(labels))
+
+        nodes = [node(i, labels) for i, labels in enumerate(labels_of)]
+        self._steps: list = []   # (slot a, slot b, tensordot axes, loops)
+        while len(nodes) > 1:
+            nodes.sort(key=lambda n: n[0])
+            a = nodes[0]
+            partner = None
+            best = None
+            for other in nodes[1:]:
+                shared = len(a[3] & other[3])
+                if shared:
+                    cost = len(a[2]) + len(other[2]) - 2 * shared
+                    if best is None or cost < best:
+                        best, partner = cost, other
+            if partner is None:
+                partner = nodes[1]  # disconnected component: outer product
+            nodes.remove(a)
+            nodes.remove(partner)
+            la, lb = a[2], partner[2]
+            shared = [l for l in la if l in partner[3]]
+            ax_a = [la.index(l) for l in shared]
+            ax_b = [lb.index(l) for l in shared]
+            out = [l for l in la if l not in partner[3]] + \
+                  [l for l in lb if l not in a[3]]
+            if 2 ** len(out) > total_budget:
+                raise OracleBudgetError(
+                    f"contraction intermediate of {len(out)} open legs"
+                    f" exceeds budget")
+            loops, out = _self_loops(out)
+            self._steps.append((a[1], partner[1], (ax_a, ax_b), loops))
+            nodes.append(node(len(labels_of) + len(self._steps) - 1, out))
+
+        self._final = nodes[0][1] if nodes else None
+        final_labels = nodes[0][2] if nodes else []
+        in_labels = [_port_label(d, eid, ("b", "in", i))
+                     for i, eid in enumerate(d.inputs)]
+        out_labels = [_port_label(d, eid, ("b", "out", i))
+                      for i, eid in enumerate(d.outputs)]
+        wanted = [("var", v) for v in d.variables] + in_labels + out_labels
+        if sorted(map(str, wanted)) != sorted(map(str, final_labels)):
+            raise ValueError(f"contraction label mismatch: wanted {wanted},"
+                             f" got {final_labels}")
+        self._perm = [final_labels.index(l) for l in wanted]
+        nv, self._n_in, self._n_out = (len(d.variables), len(d.inputs),
+                                       len(d.outputs))
+        self._shape = (2,) * nv + (2**self._n_in, 2**self._n_out)
+
+    def evaluate(self, fault: PauliString | None = None) -> OutcomeTensor:
+        tensors = list(self._leaves)
+        if fault:
+            faulted: dict = {}
+            for eid, letter in fault.entries.items():
+                if self.diagram.edges[eid].ideal:
+                    raise ValueError(f"fault touches ideal edge {eid}")
+                leaf, axis, kind = self._site[eid]
+                t = faulted.get(leaf, self._raw[leaf])
+                faulted[leaf] = _apply_on_leg(t, _FAULT_MATRIX[kind, letter],
+                                              axis)
+            for leaf, t in faulted.items():
+                tensors[leaf] = _trace(t, self._loops[leaf])
+        for a, b, axes, loops in self._steps:
+            t = np.tensordot(tensors[a], tensors[b], axes=axes)
+            tensors[a] = tensors[b] = None
+            tensors.append(_trace(t, loops))
+        if self._final is None:
+            final = np.array(1, dtype=complex)
+        else:
+            final = tensors[self._final] if self._steps \
+                else tensors[self._final].copy()
+        t = np.transpose(final, self._perm).reshape(self._shape)
+        return OutcomeTensor(self.diagram.variables, self._n_in, self._n_out,
+                             t)

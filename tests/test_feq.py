@@ -254,8 +254,9 @@ def test_nonzero_offset_is_confirmed_by_the_oracle(monkeypatch):
 
 def test_replay_oracle_disagreement_is_an_error(monkeypatch):
     # a replay that drops every fault's Pauli, on faults the oracle sees
-    monkeypatch.setattr(oracle, "_FAULT_MATRIX",
-                        {k: np.eye(2) for k in oracle._FAULT_MATRIX})
+    monkeypatch.setattr(oracle, "_FAULT_PERM",
+                        {k: (np.arange(2), np.ones(2))
+                         for k in oracle._FAULT_PERM})
     with pytest.raises(ClassKeyError, match="dense oracle disagree"):
         check_w_fault_equivalence(naive_vs_spec(2))
     d = samples.wire()
@@ -784,7 +785,7 @@ def test_noise_atom_off_the_fault_prone_edges_is_an_error(eid, message):
 
 
 def test_incomplete_web_basis_is_an_error(monkeypatch):
-    monkeypatch.setattr(webs, "check_web", lambda d, w: False)
+    monkeypatch.setattr(webs, "check_web", lambda d, w, inc=None: False)
     with pytest.raises(webs.WebBasisError, match="check_web rejected"):
         check_w_fault_equivalence(naive_vs_spec(2))
 

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import _branch_canons, on_open_legs
+from reference import (Contraction as ReferenceContraction, _branch_canons,
+                       map_assignment, on_open_legs, spider_leaf)
+from test_circuit import DEFAULT_BUILDERS
+from test_feq import random_spec, syndrome_specs
 from zxfault import samples
+from zxfault.builders import build_gadget
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import (Contraction, OracleBudgetError, OutcomeMap,
-                            OutcomeTensor, equal_up_to_scalar, evaluate,
-                            is_total, port_masks)
+                            OutcomeTensor, _spider_leaf, equal_up_to_scalar,
+                            evaluate, is_total, port_masks)
 from zxfault.pauli import LETTERS, PauliString
+from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import web_basis
 
 
@@ -113,7 +118,7 @@ def test_equal_never_confuses_zero_and_nonzero():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_outcome_map_images_and_sign_masks(seed):
-    # images() and sign_mask() read the map as calling it does, with an
+    # images() and sign_mask() read the map as map_assignment does, with an
     # assignment's first variable as its index's highest bit
     rng = np.random.default_rng(seed)
     source = [f"s{i}" for i in range(rng.integers(0, 4))]
@@ -128,8 +133,8 @@ def test_outcome_map_images_and_sign_masks(seed):
     subset = [t for t in target if rng.random() < 0.5]
     mask, const = corr.sign_mask(subset)
     for a in itertools.product((0, 1), repeat=len(source)):
-        y = dict(zip(target, corr(a)))
-        assert images[index(a)] == index(corr(a))
+        y = dict(zip(target, map_assignment(corr, a)))
+        assert images[index(a)] == index(map_assignment(corr, a))
         assert (bin(index(a) & mask).count("1") + const) % 2 == \
             sum(y[t] for t in subset) % 2
 
@@ -168,8 +173,8 @@ def test_inverted_round_trips(m):
     inv = m.inverted()
     assert (inv.source_vars, inv.target_vars) == (m.target_vars, m.source_vars)
     for x in itertools.product((0, 1), repeat=len(m.source_vars)):
-        assert inv(m(x)) == x
-        assert m(inv(x)) == x
+        assert map_assignment(inv, map_assignment(m, x)) == x
+        assert map_assignment(m, map_assignment(inv, x)) == x
 
 
 def test_inverted_rejects_a_singular_map():
@@ -314,11 +319,16 @@ REPLAY_DIAGRAMS = [
 
 
 def assert_replay_is_dense(c: Contraction, f: PauliString):
+    # the replay equals the faulted diagram's contraction and the tensordot
+    # reference's replay of the same fault
     replayed = c.evaluate(f)
     dense = evaluate(apply_fault(c.diagram, f))
-    assert replayed.variables == dense.variables
-    assert replayed.array.shape == dense.array.shape
-    assert np.max(np.abs(replayed.array - dense.array), initial=0.0) <= 1e-12
+    reference = ReferenceContraction(c.diagram).evaluate(f)
+    for other in (dense, reference):
+        assert replayed.variables == other.variables
+        assert replayed.array.shape == other.array.shape
+        assert np.max(np.abs(replayed.array - other.array),
+                      initial=0.0) <= 1e-12
     assert _branch_canons(replayed) == _branch_canons(dense)
 
 
@@ -412,3 +422,53 @@ def test_budget_error_is_raised_at_compile_time():
         Contraction(d, budget=2)
     with pytest.raises(OracleBudgetError):
         evaluate(d, budget=2)
+
+
+# -- the compiled contraction against the tensordot reference -----------------
+
+
+def plan_corpus():
+    """(name, diagram) pairs whose plans are compared with the reference's."""
+    for name, make in REPLAY_DIAGRAMS:
+        yield name, make()
+    yield from samples.web_corpus()
+    for name in sorted(RULES):
+        rule = make_rule(name)
+        yield f"{name}-lhs", rule.lhs
+        yield f"{name}-rhs", rule.rhs
+    specs = [*syndrome_specs(),
+             *((f"random {seed}", random_spec(seed)) for seed in range(40))]
+    for name, spec in specs:
+        yield f"{name} a", spec.side_a.diagram
+        yield f"{name} b", spec.side_b.diagram
+    for name in DEFAULT_BUILDERS:
+        gadget = build_gadget(name)
+        yield f"{name} spec", gadget.spec
+        yield f"{name} implementation", gadget.implementation_diagram()[0]
+
+
+def plan(contraction_class, d):
+    """The (slot a, slot b) of each step, or "budget" if it exceeds it."""
+    try:
+        return [step[:2] for step in contraction_class(d)._steps]
+    except OracleBudgetError:
+        return "budget"
+
+
+def test_plans_match_the_reference():
+    for name, d in plan_corpus():
+        assert plan(Contraction, d) == plan(ReferenceContraction, d), name
+
+
+def test_leaves_match_the_reference():
+    # every spider leaf of up to six legs and two variables, with H on any
+    # set of legs, against H applied leg by leg to the Z core
+    for colour, degree, qturns, n_vars in itertools.product(
+            "ZX", range(7), range(4), range(3)):
+        for mask in range(2 ** degree):
+            had = [k for k in range(degree) if mask >> k & 1]
+            got = _spider_leaf(colour, degree, qturns, had, n_vars)
+            want = spider_leaf(colour, degree, qturns, had, n_vars)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14, \
+                (colour, degree, qturns, had, n_vars)

@@ -314,7 +314,7 @@ def test_rejected_web_solution_is_an_error(monkeypatch, capsys):
     an error, not a shorter basis; the CLI reports it as exit 2."""
     d = samples.two_zz_measurements()
     n = len(web_basis(d))
-    monkeypatch.setattr(webs, "check_web", lambda d, w: False)
+    monkeypatch.setattr(webs, "check_web", lambda d, w, inc=None: False)
     with pytest.raises(webs.WebBasisError, match=f"check_web rejected {n} "):
         web_basis(d)
     assert main(["webs", "two-zz"]) == 2
