@@ -139,10 +139,6 @@ class ZxDiagram:
                     inc[ep[1]].append((eid, ep))
         return inc
 
-    def degree(self, sid: int) -> int:
-        return sum(1 for e in self.edges.values() for ep in e.ends()
-                   if ep == ("s", sid) or (ep[0] == "s" and ep[1] == sid))
-
     def non_ideal_edges(self) -> list[int]:
         return sorted(eid for eid, e in self.edges.items() if not e.ideal)
 

@@ -13,18 +13,22 @@ diagram's Pauli webs a fault anticommutes with) in the two sides'
 On a diagram D != 0, two faults give equal diagrams up to a global scalar
 and per-outcome signs exactly when their syndromes are equal.  Across the
 sides, each side-b web is a stabiliser of D_b, so the signs with which a
-side-a replay, read through the correspondence, is an eigenvector of those
+side-a tensor, read through the correspondence, is an eigenvector of those
 stabilisers name the side-b class it equals.  That read-out is an affine
-map M of side-a syndromes, fixed by one replay per side-a syndrome outside
-the span of those already read, and checked against the dense oracle by
-three guards.  Each read costs one pass over the replay plus its support:
-the stabilisers are bit masks on its flat index (:func:`_stabilisers`),
-and only the entries that can exceed the tolerance are compared
-(:func:`_eigenvalues`).  A class that makes the diagram zero matches only
-such classes.  The circuit distance concerns one diagram and needs no map:
-a fault of a diagram D != 0 changes it exactly when its web syndrome is
-nonzero.  Each fault's syndrome and detectability come from one
-per-diagram pass, :class:`~zxfault.webs.FaultClasses`.
+map M of side-a syndromes.  It is read once, on side a's reference, and
+solved from there by GF(2) algebra, with no tensor: by the push-out, every
+side-a class is the reference under a boundary Pauli and outcome flips,
+whose side-a syndromes and whose signs against the side-b stabilisers are
+bit rows (:func:`_pushout_rows`).  Three guards check M against the dense
+oracle, with one side-a replay per check.  Each read costs one pass over
+the tensor plus its support: the stabilisers are bit masks on its flat
+index (:func:`_stabilisers`), and only the entries that can exceed the
+tolerance are compared (:func:`_eigenvalues`).  A class that makes the
+diagram zero matches only such classes.  The circuit distance concerns
+one diagram and needs no map: a fault of a diagram D != 0 changes it
+exactly when its web syndrome is nonzero.  Each fault's syndrome and
+detectability come from one per-diagram pass,
+:class:`~zxfault.webs.FaultClasses`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
-                     OutcomeTensor, equal_up_to_scalar, evaluate, port_masks)
+                     OutcomeTensor, equal_up_to_scalar, evaluate, port_masks,
+                     ports)
 from .pauli import PauliString
 from .webs import FaultClasses, flipped_by
 
@@ -176,9 +181,9 @@ def _stabilisers(d: ZxDiagram, web_list: list, *maps: OutcomeMap) -> list:
     and the sign mask of the outcomes it flips; it sends entry j to
     (-1)^(|((j ^ x) & z) ^ (j >> P & o)| + c) times entry j ^ x, where P is
     the number of ports."""
-    ports = port_masks(d, [w.pauli for w in web_list])
+    legs = port_masks(d, [w.pauli for w in web_list])
     flips = [flipped_by(d, w) for w in web_list]
-    return [([(*xz, *m.sign_mask(f)) for xz, f in zip(ports, flips)],
+    return [([(*xz, *m.sign_mask(f)) for xz, f in zip(legs, flips)],
              m.images()) for m in maps]
 
 
@@ -220,16 +225,16 @@ def _eigenvalues(t: OutcomeTensor, webs: list, images: np.ndarray):
     return out, int(np.count_nonzero(np.bincount(covered)))
 
 
-def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
-              corr: OutcomeMap, base_syndrome: int):
+def _read_out(own: tuple, through: tuple, base: OutcomeTensor,
+              base_syndrome: int):
     """The side-b web syndrome of a side-a tensor read through the
     correspondence: ``base_syndrome``, that of the nonzero side-b tensor
     ``base``, with bit i flipped where the tensor's eigenvalue under web
     i's stabiliser is minus base's.  None if an eigenvalue is neither, or if
     the nonzero branches cover another number of side-b assignments than
-    base's, a count no fault changes and the signs cannot see."""
-    own, read_through = _stabilisers(d, web_list,
-                                     OutcomeMap.identity(d.variables), corr)
+    base's, a count no fault changes and the signs cannot see.  ``own`` and
+    ``through`` are side b's :func:`_stabilisers` read through the identity
+    and through the correspondence."""
     first = _eigenvalues(base, *own)
     if first is None:
         raise ClassKeyError("a Pauli web of side b does not stabilise its"
@@ -237,7 +242,7 @@ def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
     sigma, size = first
 
     def read(t: OutcomeTensor) -> int | None:
-        got = _eigenvalues(t, *read_through)
+        got = _eigenvalues(t, *through)
         if got is None or got[1] != size:
             return None
         s = base_syndrome
@@ -250,20 +255,63 @@ def _read_out(d: ZxDiagram, web_list: list, base: OutcomeTensor,
     return read
 
 
+def _pushout_rows(d: ZxDiagram, classes: FaultClasses,
+                  stabilisers: list) -> list[int]:
+    """The push-out generators of side a, ``d``, as bit rows s | l << n,
+    n the number of its webs: s is the generator's side-a web syndrome and
+    l the side-b stabilisers ``stabilisers`` (side b's
+    :func:`_stabilisers` read through the correspondence) whose sign it
+    flips.  The generators are X and Z on each port's leg, each a fault on
+    the port's edge (a bare wire's at its a end only, since the edge's one
+    Pauli acts on one of its legs), which flips the stabilisers whose port
+    Paulis it anticommutes with; and each outcome flip, which flips the
+    webs that fire an odd number of the spiders reading the outcome
+    (:func:`~zxfault.webs.flipped_by`) and the stabilisers whose sign mask
+    reads it."""
+    n = len(classes.webs)
+    rows = []
+    for eid, port, bit, swapped in ports(d):
+        a_end = d.edges[eid].a
+        if a_end[0] == "b" and a_end != port:
+            continue
+        for letter, (x, z) in (("X", (bit, 0)), ("Z", (0, bit))):
+            if swapped:
+                x, z = z, x
+            flips = sum(((x & zs ^ z & xs).bit_count() & 1) << j
+                        for j, (xs, zs, _, _) in enumerate(stabilisers))
+            rows.append(classes.syndrome(PauliString({eid: letter}))
+                        | flips << n)
+    webs = [flipped_by(d, w) for w in classes.webs]
+    for i, v in enumerate(d.variables):
+        bit = 1 << len(d.variables) - 1 - i  # as in OutcomeMap.sign_mask
+        s = sum((v in vs) << j for j, vs in enumerate(webs))
+        flips = sum(bool(o & bit) << j
+                    for j, (_, _, o, _) in enumerate(stabilisers))
+        rows.append(s | flips << n)
+    return rows
+
+
 class SyndromeMap:
-    """Both sides' fault tables and the affine map M from side-a web
-    syndromes to side-b ones under which classes match.
+    """Both sides' fault tables, the affine map M from side-a web
+    syndromes to side-b ones under which classes match, and each class's
+    key (``keys``, computed once per class).
 
     Each side's reference is its first nonzero class: the empty fault when
     D != 0, else one replay per :meth:`FaultTable.pattern` finds it.  Zero
-    classes, of another pattern, match only zero classes.  M(s) is the
-    :func:`_read_out` of a replay of class s against side b's reference;
-    side a's classes are read in scan order, skipping each whose difference
-    from side a's reference (read as the offset) is in the GF(2) span of
-    those read.  Guards: the offset is 0 exactly when the oracle calls the
-    nonzero noise-free diagrams equal, and any other match of it is
-    confirmed; the first non-empty side-a replay is compared with a dense
-    contraction; the first match M predicts is replayed on both sides."""
+    classes, of another pattern, match only zero classes.  M(origin), the
+    offset, is the :func:`_read_out` of side a's reference (the origin)
+    against side b's.  Every other nonzero class is the origin under a
+    boundary Pauli and outcome flips (the push-out), so M is solved without
+    a tensor: echelon the :func:`_pushout_rows`, and M(s) is the offset
+    XOR the side-b flips of the generators that sum to s XOR origin.  A
+    class the generators cannot reach, or a kernel row that gives one
+    syndrome two images, is a :class:`ClassKeyError`.  Guards: the offset
+    is 0 exactly when the oracle calls the nonzero noise-free diagrams
+    equal, and any other match of it is confirmed; one nonzero side-a
+    class other than the origin (:meth:`_guard`) is replayed and read, its
+    read must be M's prediction, and the side-b class predicted, if any,
+    must equal it under the oracle; that replay, and each of side a's
+    reference search, is compared with a dense contraction."""
 
     def __init__(self, spec: EquivalenceSpec, max_weight: int):
         da, db = spec.side_a.diagram, spec.side_b.diagram
@@ -278,12 +326,14 @@ class SyndromeMap:
                                         x.noise, max_weight)
                        for side, x in (("a", spec.side_a), ("b", spec.side_b))}
         a, b = self.tables.values()
-        self._dense_checked = False
         t_a, t_b = a.replay(PauliString()), b.replay(PauliString())
         ref_a, ref_b = self._reference("a", t_a), self._reference("b", t_b)
         self.offset = None  # M(origin), None when no nonzero class matches
         if ref_a and ref_b:
-            self._read = _read_out(db, b.classes.webs, ref_b[1], corr,
+            own, through = _stabilisers(db, b.classes.webs,
+                                        OutcomeMap.identity(db.variables),
+                                        corr)
+            self._read = _read_out(own, through, ref_b[1],
                                    b.classes.syndrome(ref_b[0]))
             self._origin = a.classes.syndrome(ref_a[0])
             self.offset = self._read(ref_a[1])
@@ -295,43 +345,41 @@ class SyndromeMap:
         del t_a, t_b  # at most two tensors are kept while the oracle compares
         self._alive = {side: ref and self.tables[side].pattern(ref[0])
                        for side, ref in (("a", ref_a), ("b", ref_b))}
-        # rows (s ^ origin) | (M(s) ^ offset) << |webs_a|
-        self._pivots: dict[int, int] = {}
+        if self.offset is not None:
+            self._pivots = gf2.echelon(_pushout_rows(da, a.classes,
+                                                     through[0]))
+            if max(self._pivots, default=-1) >= len(a.classes.webs):
+                raise ClassKeyError("the push-out gives one side-a web"
+                                    " syndrome two side-b images")
+        self.keys = {"a": {}, "b": {}}  # syndrome -> class key
         self._first = {"a": {}, "b": {}}  # class key -> first fault
-        for f in b.firsts.values():
-            self._first["b"].setdefault(self._key("b", f), f)
+        self._index("b")
         g = None if self.offset is None else self._first["b"].get(self.offset)
         if g and not equal_up_to_scalar(b.replay(g), ref_a[1], corr):
             raise ClassKeyError(
                 f"side a's reference (fault '{ref_a[0].to_text()}') reads as"
                 f" side-b fault {g.to_text()}, which the oracle refutes")
         del ref_a, ref_b
-        guard = None  # the first class whose match M predicts, not reads
-        for s, f in a.firsts.items():
-            replays = a.replays
-            k = self._key("a", f)
-            self._first["a"].setdefault(k, f)
-            if guard is None and a.replays == replays and k is not None \
-                    and k >= 0 and s != self._origin and k in self._first["b"]:
-                guard = f, self._first["b"][k]
-        if guard and not equal_up_to_scalar(b.replay(guard[1]),
-                                            self._replay(guard[0]), corr):
-            raise ClassKeyError(
-                f"side-a fault {guard[0].to_text()} is predicted to match"
-                f" side-b fault {guard[1].to_text()}, which the oracle"
-                f" refutes")
+        self._index("a")
+        self._guard(corr)
 
-    def _key(self, side: str, f: PauliString) -> int | None:
-        """The key that two matching classes share: -1 for a zero class,
-        else M(s) for a side-a class of syndrome s and s for a side-b one;
-        None when no nonzero class matches."""
+    def _index(self, side: str) -> None:
+        """Each class's key, and the first fault of each key, on one side."""
+        for s, f in self.tables[side].firsts.items():
+            k = self.keys[side][s] = self._key(side, s, f)
+            self._first[side].setdefault(k, f)
+
+    def _key(self, side: str, s: int, f: PauliString) -> int | None:
+        """The key that two matching classes share, for the class of
+        syndrome ``s`` and its fault ``f``: -1 for a zero class, else M(s)
+        for a side-a class and s for a side-b one; None when no nonzero
+        class matches."""
         alive = self._alive[side]
         if alive is None or self.tables[side].pattern(f) != alive:
             return -1
         if self.offset is None:
             return None
-        s = self.tables[side].classes.syndrome(f)
-        return self._image(f, s) if side == "a" else s
+        return self._image(s, f) if side == "a" else s
 
     def _reference(self, side: str, t: OutcomeTensor):
         """(fault, tensor) of the side's first nonzero class, given its
@@ -349,40 +397,70 @@ class SyndromeMap:
         return None
 
     def _replay(self, f: PauliString) -> OutcomeTensor:
-        """A side-a replay; the first is compared with a dense contraction."""
+        """A side-a replay, compared with a dense contraction."""
         table = self.tables["a"]
         t = table.replay(f)
-        if not self._dense_checked:
-            self._dense_checked = True
-            dense = evaluate(apply_fault(table.diagram, f),
-                             table.contraction.budget)
-            if not equal_up_to_scalar(dense, t):
-                raise ClassKeyError(
-                    f"replayed contraction and dense oracle disagree on"
-                    f" fault {f.to_text()}")
+        dense = evaluate(apply_fault(table.diagram, f),
+                         table.contraction.budget)
+        if not equal_up_to_scalar(dense, t):
+            raise ClassKeyError(f"replayed contraction and dense oracle"
+                                f" disagree on fault {f.to_text()}")
         return t
 
-    def _image(self, f: PauliString, s: int) -> int:
-        """M(s), read from a replay of ``f`` when s is outside the span of
-        the classes read so far."""
+    def pushout(self, s: int) -> int | None:
+        """M(s) of a nonzero side-a class from the push-out generators;
+        None when they cannot reach s."""
         n = len(self.tables["a"].classes.webs)
         v = gf2.reduce(self._pivots, s ^ self._origin)
-        if not v & ((1 << n) - 1):
-            return (v >> n) ^ self.offset
-        r = self._read(self._replay(f))
+        return None if v & ((1 << n) - 1) else (v >> n) ^ self.offset
+
+    def _image(self, s: int, f: PauliString) -> int:
+        """M(s) for the nonzero side-a class of ``f``."""
+        if s == self._origin:
+            return self.offset
+        predicted = self.pushout(s)
+        if predicted is None:
+            raise ClassKeyError(f"side-a fault {f.to_text()} is out of reach"
+                                f" of the push-out generators")
+        return predicted
+
+    def _guard(self, corr: OutcomeMap) -> None:
+        """Replay one nonzero side-a class other than the origin and check
+        M's prediction for it: its read must be the prediction, and the
+        side-b class predicted, if any, must equal it under the oracle.  The
+        class is the first in scan order whose prediction has a side-b
+        class, else the first."""
+        keys = self.keys["a"]
+        live = [(s, f) for s, f in self.tables["a"].firsts.items()
+                if keys[s] not in (None, -1) and s != self._origin]
+        guard = next(((s, f) for s, f in live if keys[s] in self._first["b"]),
+                     next(iter(live), None))
+        if guard is None:
+            return
+        s, f = guard
+        t = self._replay(f)
+        r = self._read(t)
         if r is None:
             raise ClassKeyError(f"side-a fault {f.to_text()} of a nonzero"
                                 f" class reads no definite side-b syndrome")
-        row = (s ^ self._origin) | (r ^ self.offset) << n
-        self._pivots = gf2.echelon([*self._pivots.values(), row])
-        return r
+        if r != keys[s]:
+            raise ClassKeyError(
+                f"side-a fault {f.to_text()} reads as side-b syndrome {r},"
+                f" not the push-out's prediction {keys[s]}")
+        g = self._first["b"].get(r)
+        if g is not None and not equal_up_to_scalar(
+                self.tables["b"].replay(g), t, corr):
+            raise ClassKeyError(
+                f"side-a fault {f.to_text()} is predicted to match side-b"
+                f" fault {g.to_text()}, which the oracle refutes")
 
     def match(self, side: str, f: PauliString,
               max_weight: int) -> PauliString | None:
         """The first fault of the other side whose class matches ``f``'s,
         if its weight is at most ``max_weight``."""
         other = "b" if side == "a" else "a"
-        k = self._key(side, f)
+        s, keys = self.tables[side].classes.syndrome(f), self.keys[side]
+        k = keys[s] if s in keys else self._key(side, s, f)
         g = None if k is None else self._first[other].get(k)
         if g is None or self.tables[other].weight[g] > max_weight:
             return None
@@ -415,10 +493,14 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     counterexamples = []
     for side in ("a", "b"):
         other = tables["b" if side == "a" else "a"]
-        for f, w, _, undetectable in tables[side].faults:
+        matches = {}  # syndrome -> the class's match, found once per class
+        for f, w, s, undetectable in tables[side].faults:
             if not undetectable:
                 continue
-            g = find_equivalent_fault(spec, side, f, syndrome_map, spec.w - 1)
+            if s not in matches:
+                matches[s] = find_equivalent_fault(spec, side, f,
+                                                   syndrome_map, spec.w - 1)
+            g = matches[s]
             if g is not None and other.weight[g] <= w:
                 continue
             reason = "match-heavier" if g is not None else "no-match-found"

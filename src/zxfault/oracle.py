@@ -344,26 +344,35 @@ def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
     return Contraction(d, budget).evaluate()
 
 
-def port_masks(d: ZxDiagram, paulis: list) -> list[tuple[int, int]]:
-    """Each Pauli's letters on ``d``'s ports as bit masks (x, z) on the flat
-    index of an :class:`OutcomeTensor` of d's boundary shape, whose lowest
-    bits are the ports: output i at bit n_out - 1 - i, input i at bit
-    n_in + n_out - 1 - i.  A letter acts on its port's leg, with X and Z
-    swapped at the b end of a hadamard edge, so the Pauli sends entry j to
-    (-1)^|(j ^ x) & z| times entry j ^ x (Y is Z then X, as in ``_PAULI``).
-    A Pauli web's edge Paulis give the boundary half of its stabiliser."""
+def ports(d: ZxDiagram) -> list[tuple[int, tuple, int, bool]]:
+    """Each port of ``d`` as (edge id, port, bit, swapped): the port's bit
+    on the flat index of an :class:`OutcomeTensor` of d's boundary shape,
+    whose lowest bits are the ports (output i at bit n_out - 1 - i, input i
+    at bit n_in + n_out - 1 - i), and whether X and Z swap between the
+    edge and the port's leg, as at the b end of a hadamard edge."""
     ins, outs = d.inputs, d.outputs  # each read scans every edge
-    ports = []
+    out = []
     for kind, eids, top in (("in", ins, len(ins) + len(outs)),
                             ("out", outs, len(outs))):
         for i, eid in enumerate(eids):
-            e = d.edges[eid]
-            ports.append((eid, 1 << (top - 1 - i),
-                          e.had and e.b == ("b", kind, i)))
+            e, port = d.edges[eid], ("b", kind, i)
+            out.append((eid, port, 1 << (top - 1 - i),
+                        e.had and e.b == port))
+    return out
+
+
+def port_masks(d: ZxDiagram, paulis: list) -> list[tuple[int, int]]:
+    """Each Pauli's letters on ``d``'s ports as bit masks (x, z) on the flat
+    index of an :class:`OutcomeTensor` of d's boundary shape (see
+    :func:`ports`).  A letter acts on its port's leg, with X and Z swapped
+    at the b end of a hadamard edge, so the Pauli sends entry j to
+    (-1)^|(j ^ x) & z| times entry j ^ x (Y is Z then X, as in ``_PAULI``).
+    A Pauli web's edge Paulis give the boundary half of its stabiliser."""
+    legs = ports(d)
     out = []
     for p in paulis:
         x = z = 0
-        for eid, bit, swapped in ports:
+        for eid, _, bit, swapped in legs:
             letter = p.letter(eid)
             if swapped:
                 letter = {"X": "Z", "Z": "X"}.get(letter, letter)

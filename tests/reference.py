@@ -20,7 +20,11 @@
   the precomputed transpose-and-dot steps, closed-form leaves and
   signed-permutation faults of :class:`zxfault.oracle.Contraction`
   replaced: :class:`Contraction`, with the same plan.
-* Graph isomorphism of diagrams with their ports fixed.
+* The side-b syndrome of each side-a class read from a replay of it
+  (:func:`replay_read`), which the push-out generators of
+  :class:`zxfault.feq.SyndromeMap` replaced.
+* Graph isomorphism of diagrams with their ports fixed, and a spider's
+  degree (:func:`degree`).
 * The binding of a rule's inverse that undoes one rewrite step.
 """
 
@@ -272,6 +276,20 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
     return True
 
 
+def replay_read(syndrome_map, f: PauliString) -> int | None:
+    """The side-b syndrome that a replay of side-a fault ``f``, read
+    through the correspondence, is an eigenvector for: M at f's class as
+    one replay per class read it, before the push-out generators."""
+    return syndrome_map._read(
+        syndrome_map.tables["a"].contraction.evaluate(f))
+
+
+def degree(d: ZxDiagram, sid: int) -> int:
+    """The number of edge ends at spider ``sid``; a self-loop counts
+    twice."""
+    return sum(ep == ("s", sid) for e in d.edges.values() for ep in e.ends())
+
+
 def isomorphic(d1, d2) -> bool:
     """Spider-relabelling isomorphism with ports, edge attributes, variables
     and constraints matched exactly."""
@@ -294,7 +312,7 @@ def isomorphic(d1, d2) -> bool:
     def sig(d, sid):
         s = d.spiders[sid]
         return (s.colour, s.phase.qturns, tuple(sorted(s.phase.pivars)),
-                d.degree(sid))
+                degree(d, sid))
 
     c1, c2 = conn(d1), conn(d2)
     ports1 = {ep for key in c1 for ep in key if ep[0] == "b"}

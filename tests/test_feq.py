@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from reference import class_keys, dense_read, key_matches, syndrome
-from zxfault import feq, oracle, samples, webs
-from zxfault.diagram import ZxDiagram, apply_fault, compose
+from zxfault import feq, gf2, oracle, samples, webs
+from zxfault.diagram import Edge, ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          Verdict, check_w_fault_equivalence, circuit_distance,
                          find_equivalent_fault, is_trivial)
@@ -424,8 +425,8 @@ def test_engine_verdict_matches_pairwise_reference(spec):
 def random_spec(seed: int) -> EquivalenceSpec:
     """Two random small Clifford diagrams of one boundary shape: spiders of
     any quarter-turn phase reading random outcome variables, hadamard and
-    ideal edges, leg-less spiders, under a random affine correspondence,
-    which may be many-to-one."""
+    ideal edges with a port at either end, leg-less spiders, under a random
+    affine correspondence, which may be many-to-one."""
     rng = random.Random(seed)
     ports = [("b", "in", i) for i in range(rng.randint(0, 2))] + \
         [("b", "out", i) for i in range(rng.randint(1, 2))]
@@ -436,7 +437,8 @@ def random_spec(seed: int) -> EquivalenceSpec:
         sids = [d.add_spider(rng.choice("ZX"), rng.randrange(4),
                              [v for v in names if rng.random() < 0.4])
                 for _ in range(rng.randint(1, 5))]
-        ends = [(p, ("s", rng.choice(sids))) for p in ports]
+        ends = [(p, ("s", rng.choice(sids)))[::rng.choice((1, -1))]
+                for p in ports]  # a port at either end of its edge
         if len(sids) > 1:
             ends += [tuple(("s", sid) for sid in rng.sample(sids, 2))
                      for _ in range(rng.randint(0, 4))]
@@ -498,8 +500,8 @@ def made_maps(monkeypatch) -> list:
 
 
 def test_replays_are_bounded_by_the_side_a_webs(monkeypatch):
-    # one replay per basis class, the noise-free diagram and the guard's on
-    # side a; the noise-free diagram and at most two guards' on side b.
+    # the noise-free diagram and the guard's on side a; the noise-free
+    # diagram and at most two guards' on side b, however many webs.
     # These two checks took 550 and 430 replays with tensor class keys.
     from zxfault.builders import build_gadget
     made = made_maps(monkeypatch)
@@ -509,7 +511,33 @@ def test_replays_are_bounded_by_the_side_a_webs(monkeypatch):
             build_gadget(builder, **params).equivalence_spec(w)).equivalent
         a, b = made[-1].tables.values()
         assert len(a.classes.webs) == webs_a
-        assert a.replays <= webs_a + 2 and b.replays <= 3
+        assert a.replays <= 2 and b.replays <= 3
+
+
+# sha256 of Verdict.dumps() for the larger checks; builder None is
+# naive-cat4 against cat_spec(4), the negative control
+LARGER_CHECKS = [
+    ("flagged-cat", {}, 3,
+     "7c2de6744979680f5f441171d205086ae97e5c42df3b4356de35ba860d4914a3"),
+    ("shor-ft", {}, 3,
+     "f4da1d2908c76f5a69ddc8bf25466177b6adfead039f72b543ecb3d6ce56858a"),
+    ("recursive-cat", {"n": 8}, 3,
+     "00044c6b60fa9acc1e1161a6f8697db5a258469de8c6a6f2e3d9b977f8171d8c"),
+    ("steane", {}, 3,
+     "68286ea93e527ec43ffb74ae803b57d58bbe754ee1e79d6843569039b62eb0c6"),
+    (None, {}, 3,
+     "727589fa4f5d4fd05dd474ce6342e5c086128fb4fb879a157f3ce23f8ff39e4a"),
+]
+
+
+@pytest.mark.parametrize("builder,params,w,digest", [
+    pytest.param(*case, id=case[0] or "naive-cat4") for case in LARGER_CHECKS])
+def test_larger_check_verdicts_are_pinned(builder, params, w, digest):
+    from zxfault.builders import build_gadget
+    spec = (build_gadget(builder, **params).equivalence_spec(w) if builder
+            else naive_vs_spec(w))
+    got = check_w_fault_equivalence(spec).dumps()
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 # -- circuit distance ------------------------------------------------------------------
@@ -751,8 +779,8 @@ def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
 
 
 def test_predicted_match_guard(monkeypatch):
-    # a read-out off by one web on the first replayed class: the first
-    # class whose match comes from that class by linearity must be caught
+    # a read-out off by one web on the guard's replay, the read after the
+    # offset's: it must refute the push-out's prediction
     real = feq._read_out
 
     def off_once(*args):
@@ -764,8 +792,134 @@ def test_predicted_match_guard(monkeypatch):
         return once
     monkeypatch.setattr(feq, "_read_out", off_once)
     d = samples.wire()
-    with pytest.raises(ClassKeyError, match="is predicted to match"):
+    with pytest.raises(ClassKeyError, match=PREDICTION_REFUTED):
         check_w_fault_equivalence(spec_of(d, d))
+
+
+# the guard's two errors: its read against M's prediction, and the side-b
+# class predicted against its replay under the oracle
+PREDICTION_REFUTED = (r"^side-a fault \S+ reads as side-b syndrome \d+, not the"
+                      r" push-out's prediction \d+$")
+MATCH_REFUTED = (r"^side-a fault \S+ is predicted to match side-b fault \S+,"
+                 r" which the oracle refutes$")
+
+
+def test_predicted_match_is_confirmed_by_the_oracle(monkeypatch):
+    # a read that agrees with the push-out, but an oracle that tells the
+    # guard's replay from the side-b class predicted for it
+    guards, real_replay, real_equal = [], feq.SyndromeMap._replay, \
+        feq.equal_up_to_scalar
+
+    def replay(self, f):
+        guards.append(real_replay(self, f))
+        return guards[-1]
+
+    def equal(t1, t2, corr=None):
+        if corr is not None and any(t2 is t for t in guards):
+            return False
+        return real_equal(t1, t2, corr)
+    monkeypatch.setattr(feq.SyndromeMap, "_replay", replay)
+    monkeypatch.setattr(feq, "equal_up_to_scalar", equal)
+    d = samples.wire()
+    with pytest.raises(ClassKeyError, match=MATCH_REFUTED):
+        check_w_fault_equivalence(spec_of(d, d))
+    assert len(guards) == 1
+
+
+def test_class_out_of_reach_of_the_pushout_is_an_error(monkeypatch):
+    # with no generators, no class but the origin is reached: an error,
+    # never a verdict
+    monkeypatch.setattr(feq, "_pushout_rows", lambda *args: [])
+    d = samples.wire()
+    with pytest.raises(ClassKeyError,
+                       match="is out of reach of the push-out generators$"):
+        check_w_fault_equivalence(spec_of(d, d))
+
+
+@pytest.mark.parametrize("spec", [
+    spec_of(samples.wire(), samples.wire()),
+    spec_of(samples.wire(had=True), samples.wire(had=True)),
+    naive_vs_spec(3), flipped_two_zz_spec(2), many_to_one_spec(2)])
+def test_wrong_pushout_generator_is_caught_by_the_guard(monkeypatch, spec):
+    # every generator that some fault reaches flips side-b web 0 as well:
+    # the guard's read refutes M's prediction, and no verdict is returned
+    real = feq._pushout_rows
+
+    def off(d, classes, stabilisers):
+        n = len(classes.webs)
+        return [r ^ 1 << n if r & (1 << n) - 1 else r
+                for r in real(d, classes, stabilisers)]
+    monkeypatch.setattr(feq, "_pushout_rows", off)
+    with pytest.raises(ClassKeyError, match=PREDICTION_REFUTED):
+        check_w_fault_equivalence(spec)
+
+
+def gadget_specs():
+    """(name, spec, max_weight) for builders' pairs at w=3 beyond those of
+    :func:`syndrome_specs`; the differential test reads the classes up to
+    max_weight, which on the two largest is 1, so that the replay reads
+    stay cheap."""
+    from zxfault.builders import build_gadget
+    for name, params, max_weight in [
+            ("shor-ft", {}, 2), ("shor-optimised", {}, 2),
+            ("truncated-cat", {"n": 4, "w": 2}, 2),
+            ("steane", {}, 1), ("recursive-cat", {"n": 8}, 1)]:
+        yield f"{name} w=3", \
+            build_gadget(name, **params).equivalence_spec(3), max_weight
+
+
+def pushout_mismatches(spec, max_weight) -> list:
+    """The nonzero side-a classes, up to ``max_weight``, whose M from the
+    push-out generators differs from the reference replay read; checks
+    that those classes span the syndromes of all of them."""
+    syndrome_map = feq.SyndromeMap(spec, spec.w - 1)
+    a = syndrome_map.tables["a"]
+    live = {s: f for s, f in a.firsts.items()
+            if syndrome_map.keys["a"][s] not in (None, -1)}
+    read = {s: f for s, f in live.items() if a.weight[f] <= max_weight}
+    origin = next(iter(live), 0)
+    assert len(gf2.echelon(s ^ origin for s in read)) == \
+        len(gf2.echelon(s ^ origin for s in live))
+    return [f for s, f in read.items() if syndrome_map.pushout(s) !=
+            reference.replay_read(syndrome_map, f)]
+
+
+def pushout_specs():
+    """(name, spec, max_weight): every spec the push-out map is checked on."""
+    named = [*syndrome_specs(), *rule_pair_specs(), *zero_and_support_specs(),
+             ("flipped two-zz", flipped_two_zz_spec(3)),
+             ("many-to-one", many_to_one_spec(3)),
+             ("many-to-one ideal", many_to_one_spec(3, ideal=True)),
+             ("three-zz", three_zz_spec(3)), ("naive-cat4", naive_vs_spec(3))]
+    for name, spec in named:
+        yield name, spec, spec.w - 1
+    yield from gadget_specs()
+
+
+@pytest.mark.parametrize("spec,max_weight", [
+    pytest.param(spec, max_weight, id=name)
+    for name, spec, max_weight in pushout_specs()])
+def test_pushout_map_matches_the_replay_read(spec, max_weight):
+    assert pushout_mismatches(spec, max_weight) == []
+
+
+def reversed_edges(d):
+    """The diagram with the ends of every edge swapped: the same tensor,
+    with each port at the other end of its edge."""
+    out = d.copy()
+    out.edges = {eid: Edge(e.b, e.a, e.had, e.ideal)
+                 for eid, e in d.edges.items()}
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pushout_map_matches_the_replay_read_on_random_diagrams(seed):
+    # a random pair seldom matches at all, so side a is also checked
+    # against itself with its edges reversed, which matches
+    spec = random_spec(seed)
+    a = spec.side_a.diagram
+    for s in (spec, spec_of(a, reversed_edges(a), w=3)):
+        assert pushout_mismatches(s, s.w - 1) == []
 
 
 @pytest.mark.parametrize("eid,message", [(1, "ideal edge 1"),
@@ -800,8 +954,8 @@ def test_one_replay_per_web_syndrome(monkeypatch):
         build_gadget("recursive-cat", n=4).equivalence_spec(3)).equivalent
     impl = made[0].tables["a"]
     assert len(impl.firsts) == 32
-    # at most one replay per syndrome, and no more than the basis needs
-    assert impl.replays <= len(impl.classes.webs) + 2 < len(impl.firsts)
+    # the noise-free diagram and the guard's, not one per syndrome
+    assert impl.replays <= 2 < len(impl.firsts)
     # detection is decided once per syndrome, not once per fault
     for t in made[0].tables.values():
         assert 0 < sum(d is t.diagram for d in detected) \
