@@ -357,6 +357,9 @@ def main(argv=None) -> int:
             WebBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a contraction too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

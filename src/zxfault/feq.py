@@ -26,9 +26,14 @@ index (:func:`_stabilisers`), and only the entries that can exceed the
 tolerance are compared (:func:`_eigenvalues`).  A class that makes the
 diagram zero matches only such classes.  The circuit distance concerns
 one diagram and needs no map: a fault of a diagram D != 0 changes it
-exactly when its web syndrome is nonzero.  Each fault's syndrome and
-detectability come from one per-diagram pass,
-:class:`~zxfault.webs.FaultClasses`.
+exactly when its web syndrome is nonzero.
+
+So a verdict and a distance need, per class, only its least weight, its
+detection flag and, for a verdict, its image under M: both sides'
+least-weight tables (:class:`~zxfault.webs.ClassTable`), from one
+breadth-first search over the distinct atom syndromes per side, with the
+number of faults counted, not walked.  Only a negative verdict walks
+faults, those of its failing classes, to list them.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
                      OutcomeTensor, equal_up_to_scalar, evaluate, port_masks,
                      ports)
 from .pauli import PauliString
-from .webs import FaultClasses, flipped_by
+from .webs import ClassTable, FaultClasses, flipped_by
 
 
 @dataclass
@@ -142,22 +147,17 @@ def _constant_regions(d: ZxDiagram, regions: list) -> list[PauliString]:
     return out
 
 
-class FaultTable:
-    """One diagram's faults up to a weight in enumeration order (weight,
-    then lex), as :meth:`~zxfault.webs.FaultClasses.of` yields them, the
-    first fault of each web syndrome, and the diagram's compiled
+class FaultTable(ClassTable):
+    """One diagram's least-weight table of fault classes up to a weight
+    (:class:`~zxfault.webs.ClassTable`: least weight, first fault and
+    detection flag per web syndrome, breadth first) and its compiled
     :class:`~zxfault.oracle.Contraction`, whose replays are counted."""
 
     def __init__(self, contraction: Contraction, noise: NoiseModel,
                  max_weight: int):
         self.contraction = contraction
         self.diagram = contraction.diagram
-        self.classes = FaultClasses(self.diagram)
-        self.faults = list(self.classes.of(noise, max_weight))
-        self.weight = {f: w for f, w, _, _ in self.faults}
-        self.firsts: dict[int, PauliString] = {}  # syndrome -> first fault
-        for f, _, s, _ in self.faults:
-            self.firsts.setdefault(s, f)
+        super().__init__(FaultClasses(self.diagram), noise, max_weight)
         self._constant = _constant_regions(self.diagram, self.classes.regions)
         self.replays = 0
 
@@ -352,9 +352,9 @@ class SyndromeMap:
                 raise ClassKeyError("the push-out gives one side-a web"
                                     " syndrome two side-b images")
         self.keys = {"a": {}, "b": {}}  # syndrome -> class key
-        self._first = {"a": {}, "b": {}}  # class key -> first fault
+        self._first = {"a": {}, "b": {}}  # class key -> its first class
         self._index("b")
-        g = None if self.offset is None else self._first["b"].get(self.offset)
+        g = None if self.offset is None else self._first_fault("b", self.offset)
         if g and not equal_up_to_scalar(b.replay(g), ref_a[1], corr):
             raise ClassKeyError(
                 f"side a's reference (fault '{ref_a[0].to_text()}') reads as"
@@ -364,10 +364,16 @@ class SyndromeMap:
         self._guard(corr)
 
     def _index(self, side: str) -> None:
-        """Each class's key, and the first fault of each key, on one side."""
+        """Each class's key, and the first class of each key, which has the
+        key's least weight, on one side."""
         for s, f in self.tables[side].firsts.items():
             k = self.keys[side][s] = self._key(side, s, f)
-            self._first[side].setdefault(k, f)
+            self._first[side].setdefault(k, s)
+
+    def _first_fault(self, side: str, k: int) -> PauliString | None:
+        """The first fault of the first class of key ``k`` on one side."""
+        s = self._first[side].get(k)
+        return None if s is None else self.tables[side].firsts[s]
 
     def _key(self, side: str, s: int, f: PauliString) -> int | None:
         """The key that two matching classes share, for the class of
@@ -447,7 +453,7 @@ class SyndromeMap:
             raise ClassKeyError(
                 f"side-a fault {f.to_text()} reads as side-b syndrome {r},"
                 f" not the push-out's prediction {keys[s]}")
-        g = self._first["b"].get(r)
+        g = self._first_fault("b", r)
         if g is not None and not equal_up_to_scalar(
                 self.tables["b"].replay(g), t, corr):
             raise ClassKeyError(
@@ -456,24 +462,27 @@ class SyndromeMap:
 
     def match(self, side: str, f: PauliString,
               max_weight: int) -> PauliString | None:
-        """The first fault of the other side whose class matches ``f``'s,
-        if its weight is at most ``max_weight``."""
+        """The first fault of the other side's first class that matches
+        ``f``'s, if its least weight is at most ``max_weight``."""
         other = "b" if side == "a" else "a"
         s, keys = self.tables[side].classes.syndrome(f), self.keys[side]
         k = keys[s] if s in keys else self._key(side, s, f)
         g = None if k is None else self._first[other].get(k)
-        if g is None or self.tables[other].weight[g] > max_weight:
+        table = self.tables[other]
+        if g is None or table.least[g] > max_weight:
             return None
-        return g
+        return table.firsts[g]
 
 
 def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
                           syndrome_map: SyndromeMap | None = None,
                           max_weight: int | None = None):
-    """First fault on the other side, in nondecreasing weight then lex order,
-    whose faulted diagram equals the faulted source diagram under the
-    correspondence; None if none exists up to ``max_weight``, which defaults
-    to the weight of ``f`` in its side's noise model."""
+    """A least-weight fault on the other side whose faulted diagram equals
+    the faulted source diagram under the correspondence: the first fault
+    of the matching class, the first one the breadth-first search of its
+    table reaches (:meth:`~zxfault.webs.FaultClasses.search`); None if
+    none exists up to ``max_weight``, which defaults to the weight of ``f``
+    in its side's noise model."""
     if max_weight is None:
         noise = (spec.side_a if side == "a" else spec.side_b).noise
         max_weight = fault_weight(f, noise, len(noise.atoms))
@@ -486,27 +495,36 @@ def find_equivalent_fault(spec: EquivalenceSpec, side: str, f: PauliString,
 
 
 def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
+    """The verdict is one comparison per class: an undetectable class of
+    least weight w on one side fails exactly when it has no match up to
+    weight ``spec.w - 1`` on the other side, or its match's least weight is
+    greater than w.  Only a failing class's faults are walked
+    (:meth:`~zxfault.webs.ClassTable.faults`), up to the weight below its
+    match's, to list them as counterexamples."""
     if spec.w < 1:
         raise ValueError(f"w must be at least 1, got {spec.w}")
     syndrome_map = SyndromeMap(spec, spec.w - 1)
     tables = syndrome_map.tables
     counterexamples = []
-    for side in ("a", "b"):
-        other = tables["b" if side == "a" else "a"]
-        matches = {}  # syndrome -> the class's match, found once per class
-        for f, w, s, undetectable in tables[side].faults:
-            if not undetectable:
+    for side, other in (("a", tables["b"]), ("b", tables["a"])):
+        table = tables[side]
+        failing = {}  # syndrome -> (the weight its faults fail below, reason)
+        for s, f in table.firsts.items():
+            if not table.undetectable[s]:
                 continue
-            if s not in matches:
-                matches[s] = find_equivalent_fault(spec, side, f,
-                                                   syndrome_map, spec.w - 1)
-            g = matches[s]
-            if g is not None and other.weight[g] <= w:
-                continue
-            reason = "match-heavier" if g is not None else "no-match-found"
-            counterexamples.append(Counterexample(side, f, w, reason))
+            g = find_equivalent_fault(spec, side, f, syndrome_map, spec.w - 1)
+            if g is None:
+                failing[s] = spec.w, "no-match-found"
+            elif (weight := other.least[other.classes.syndrome(g)]) > \
+                    table.least[s]:
+                failing[s] = weight, "match-heavier"
+        if failing:
+            top = max(bound for bound, _ in failing.values()) - 1
+            counterexamples += [Counterexample(side, f, w, failing[s][1])
+                                for f, w, s, _ in table.faults(top, failing)
+                                if w < failing[s][0]]
     counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
-    checked = sum(len(t.faults) for t in tables.values())
+    checked = sum(t.checked for t in tables.values())
     return Verdict(not counterexamples, counterexamples, checked)
 
 
@@ -514,14 +532,16 @@ def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
                      budget: int = DEFAULT_BUDGET):
     """Minimum weight of an undetectable fault that changes the diagram,
     ABOVE_CAP if none of weight <= cap exists.  On D != 0 those are the
-    faults with a nonzero web syndrome, and the dense oracle confirms the
-    first one; on D = 0 every fault is trivial."""
+    faults with a nonzero web syndrome, so the distance is the least weight
+    of a nonzero undetectable class, the first that the breadth-first
+    search of the classes reaches, and the dense oracle confirms its first
+    fault; on D = 0 every fault is trivial."""
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
     base = evaluate(d, budget)
     if base.max_abs() < TOL:
         return ABOVE_CAP
-    for f, w, s, undetectable in FaultClasses(d).of(m, cap):
+    for s, w, f, undetectable in FaultClasses(d).search(m, cap):
         if undetectable and s:
             if is_trivial(d, f, base, budget):
                 raise ClassKeyError(

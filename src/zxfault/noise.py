@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from . import gf2
@@ -167,13 +168,69 @@ def _layers(atoms: list[int], max_weight: int):
             yield k, w
 
 
-def enumerate_faults(m: NoiseModel, max_weight: int):
+def enumerate_faults(m: NoiseModel, max_weight: int,
+                     code: Nibbles | None = None):
     """Yield each element of the generated group with weight <= max_weight,
     exactly once, as (PauliString, weight), in nondecreasing weight order
     and, within a weight, in ``PauliString.sort_key`` order.  The walk runs
     on packed ints (:class:`~zxfault.pauli.Nibbles`) and builds a
-    PauliString only for the faults it yields."""
+    PauliString only for the faults it yields.  Given ``code``, which must
+    be ``Nibbles(m.paulis())``, it yields each fault packed under it
+    instead, and builds no PauliString."""
     atoms = m.paulis()
-    code = Nibbles(atoms)
-    for k, w in _layers([code.pack(a) for a in atoms], max_weight):
-        yield code.unpack(k), w
+    packer = Nibbles(atoms) if code is None else code
+    layers = _layers([packer.pack(a) for a in atoms], max_weight)
+    if code is not None:
+        yield from layers
+        return
+    for k, w in layers:
+        yield packer.unpack(k), w
+
+
+def _convolve(p: list[int], q: list[int], max_weight: int) -> list[int]:
+    """Per-weight counts of a product of two groups with disjoint supports,
+    up to ``max_weight``."""
+    return [sum(c * q[w - i] for i, c in enumerate(p) if 0 <= w - i < len(q))
+            for w in range(max_weight + 1)]
+
+
+def count_faults(m: NoiseModel, max_weight: int) -> int:
+    """The number of faults :func:`enumerate_faults` yields, without the
+    walk.  Atoms fall into blocks with pairwise disjoint supports, and a
+    product's weight is the sum of its parts' weights in their blocks, so
+    the count per weight is the convolution of the blocks' counts.  A block
+    on one location is counted in closed form: its group is {I, P}, with
+    counts [1, 1], or all four Paulis, with counts [1, 3] when X, Y and Z
+    are atoms and [1, 2, 1] = (1 + x)^2 when two are, since the third has
+    weight 2.  So n locations with X, Y and Z each give C(n, k)·3^k.  A
+    block over several locations is walked.  The walk yields the identity
+    at any bound, so a negative one counts as 0."""
+    max_weight = max(max_weight, 0)
+    by_mask: dict[int, list] = {}  # location mask -> atoms
+    for a in m.paulis():
+        x, z = a.xz
+        by_mask.setdefault(x | z, []).append(a)
+    blocks: dict[int, list] = {}  # the same, with overlapping masks merged
+    for mask, group in by_mask.items():
+        for other in [b for b in blocks if b & mask]:
+            mask |= other
+            group = blocks.pop(other) + group
+        blocks[mask] = group
+    ones = threes = 0  # one-location blocks: (1 + x)^ones (1 + 3x)^threes
+    counts = [1]
+    for mask, group in blocks.items():
+        if mask & mask - 1:
+            code = Nibbles(group)
+            walked = [0] * (max_weight + 1)
+            for _, w in _layers([code.pack(a) for a in group], max_weight):
+                walked[w] += 1
+            counts = _convolve(counts, walked, max_weight)
+        elif len(group) == 3:
+            threes += 1
+        else:
+            ones += len(group)
+    closed = [0] * (max_weight + 1)
+    for i in range(min(ones, max_weight) + 1):
+        for j in range(min(threes, max_weight - i) + 1):
+            closed[i + j] += math.comb(ones, i) * math.comb(threes, j) * 3 ** j
+    return sum(_convolve(counts, closed, max_weight))

@@ -115,7 +115,7 @@ class OutcomeTensor:
         return self.array[tuple(assignment)]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.array))) if self.array.size else 0.0
+        return float(np.abs(self.array).max()) if self.array.size else 0.0
 
 
 def _port_label(d: ZxDiagram, eid: int, port: tuple):
@@ -293,17 +293,17 @@ class Contraction:
 
         self._final = next(iter(nodes), None)
         final_labels = nodes[self._final][0] if nodes else []
+        ins, outs = d.inputs, d.outputs  # each read scans every edge
         in_labels = [_port_label(d, eid, ("b", "in", i))
-                     for i, eid in enumerate(d.inputs)]
+                     for i, eid in enumerate(ins)]
         out_labels = [_port_label(d, eid, ("b", "out", i))
-                      for i, eid in enumerate(d.outputs)]
+                      for i, eid in enumerate(outs)]
         wanted = [("var", v) for v in d.variables] + in_labels + out_labels
         if sorted(map(str, wanted)) != sorted(map(str, final_labels)):
             raise ValueError(f"contraction label mismatch: wanted {wanted},"
                              f" got {final_labels}")
         self._perm = [final_labels.index(l) for l in wanted]
-        nv, self._n_in, self._n_out = (len(d.variables), len(d.inputs),
-                                       len(d.outputs))
+        nv, self._n_in, self._n_out = len(d.variables), len(ins), len(outs)
         self._shape = (2,) * nv + (2**self._n_in, 2**self._n_out)
 
     def evaluate(self, fault: PauliString | None = None) -> OutcomeTensor:

@@ -30,11 +30,11 @@ from . import gf2, samples
 from .builders import as_int, build_gadget, call_bound, key_values
 from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
-from .noise import AtomicFault, NoiseModel, edge_flip_atoms, enumerate_faults
+from .noise import AtomicFault, NoiseModel, count_faults, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import FaultClasses, flipped_by
+from .webs import ClassTable, FaultClasses, flipped_by, least_weights
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -867,33 +867,50 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     the outcome variables.  On a diagram D != 0 that holds for two faults
     exactly when their web syndromes are equal modulo the webs that each
     outcome flip toggles (:func:`~zxfault.webs.flipped_by`); on D = 0 every
-    fault is trivial."""
+    fault is trivial.
+
+    Both sides are least-weight tables, with no walk: the least weight of
+    each boundary class is a breadth-first search over the boundary atoms'
+    syndromes reduced by the flip rows (:func:`~zxfault.webs.least_weights`),
+    and the internal classes are a :class:`~zxfault.webs.ClassTable`.  An
+    undetectable internal class fails when its least weight is below that
+    of its boundary class, and only the faults of failing classes are
+    walked, to list them."""
     internal = sorted(eid for eid, e in d.edges.items()
                       if not e.ideal and e.a[0] == "s" and e.b[0] == "s")
     boundary = [eid for eid in d.non_ideal_edges() if eid not in set(internal)]
     if not internal:
         return PushoutReport(True, [], 0)
-    zero = evaluate(d, budget).max_abs() < TOL
-    classes = FaultClasses(d)
-    flips = [flipped_by(d, w) for w in classes.webs]
-    rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
-                       for v in d.variables)
 
     def model(eids):
         return NoiseModel([AtomicFault(PauliString({eid: l}), "edge-flip")
                            for eid in eids for l in LETTERS], "edge-flip")
 
+    inner = model(internal)
+    if evaluate(d, budget).max_abs() < TOL:
+        # D = 0: every non-empty internal fault counts and none fails
+        return PushoutReport(True, [], count_faults(inner, max_weight) - 1)
+    classes = FaultClasses(d)
+    flips = [flipped_by(d, w) for w in classes.webs]
+    rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
+                       for v in d.variables)
     # boundary faults need only their class, not their detectability
-    least: dict[int, int] = {}
-    for f, wt in enumerate_faults(model(boundary), max_weight):
-        least.setdefault(gf2.reduce(rows, classes.syndrome(f)), wt)
-    # every non-empty internal fault counts, detectable or not
-    inner = [(f, wt, s, u)
-             for f, wt, s, u in classes.of(model(internal), max_weight) if f]
-    violations = [] if zero else [
-        (f, wt) for f, wt, s, undetectable in inner
-        if undetectable and least.get(gf2.reduce(rows, s), wt + 1) > wt]
-    return PushoutReport(not violations, violations, len(inner))
+    steps = dict.fromkeys((gf2.reduce(rows, classes.syndrome(a))
+                           for a in model(boundary).paulis()), 0)
+    steps.pop(0, None)
+    least = {s: w for s, w, _ in least_weights(steps, max_weight)}
+    table = ClassTable(classes, inner, max_weight)
+    failing = {}  # syndrome -> the weight its faults fail below
+    for s, w in table.least.items():
+        bound = least.get(gf2.reduce(rows, s), max_weight + 1)
+        if table.undetectable[s] and bound > w:
+            failing[s] = bound
+    violations = []
+    if failing:
+        top = max(failing.values()) - 1
+        violations = [(f, wt) for f, wt, s, _ in table.faults(top, failing)
+                      if wt < failing[s]]
+    return PushoutReport(not violations, violations, table.checked - 1)
 
 
 # -- proof scripts ---------------------------------------------------------------

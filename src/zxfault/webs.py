@@ -1,5 +1,13 @@
 """Pauli webs, detecting regions, signs and per-diagram fault classes.
 
+A fault's class is its web syndrome, the set of basis webs it anticommutes
+with, which is linear in the fault.  :class:`ClassTable` holds, per class
+up to a weight, the least weight, a least-weight fault and the detection
+flag, from one breadth-first search over the distinct atom syndromes
+(:func:`least_weights`), and the number of faults, counted in closed form
+(:func:`~zxfault.noise.count_faults`).  Faults themselves are walked only
+to list those of chosen classes (:meth:`ClassTable.faults`).
+
 A web assigns each edge a highlight in {none, green, red, both}; highlights
 are stored in the edge's a-side view and swap green<->red across a hadamard
 edge.  The defining per-spider rules are encoded as one GF(2) linear system:
@@ -19,8 +27,8 @@ from functools import cached_property
 
 from . import gf2
 from .diagram import ZxDiagram
-from .noise import NoiseModel, enumerate_faults
-from .pauli import PauliString
+from .noise import NoiseModel, count_faults, enumerate_faults
+from .pauli import Nibbles, PauliString
 
 # Each highlight's (green, red) bits in the edge's a-side view, and the Pauli
 # it puts on the edge: green is Z, red is X and both is Y.
@@ -137,10 +145,11 @@ class WebBasisError(Exception):
     mistake it for a negative verdict or a failed step."""
 
 
-def web_basis(d: ZxDiagram) -> list[PauliWeb]:
-    """A basis of the diagram's Pauli webs: every solution of the web system,
-    each confirmed by :func:`check_web`."""
-    rows, n_vars, edge_order, spider_order = _build_system(d)
+def web_basis(d: ZxDiagram, system: tuple | None = None) -> list[PauliWeb]:
+    """A basis of the diagram's Pauli webs: every solution of the web system
+    (``system``, the diagram's :func:`_build_system`, built here when not
+    given), each confirmed by :func:`check_web`."""
+    rows, n_vars, edge_order, spider_order = system or _build_system(d)
     webs = [_vector_to_web(v, edge_order, spider_order)
             for v in gf2.nullspace(rows, n_vars)]
     inc = d.incidence()
@@ -196,8 +205,12 @@ def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
     return (n_const + m) % 2, flipped_by(d, w)
 
 
-def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
-    rows, n_vars, edge_order, spider_order = _build_system(d)
+def detecting_region_basis(d: ZxDiagram,
+                           system: tuple | None = None) -> list[DetectingRegion]:
+    """A basis of the diagram's detecting regions: the webs with a bare
+    boundary, from the web system ``system`` as in :func:`web_basis`."""
+    rows, n_vars, edge_order, spider_order = system or _build_system(d)
+    rows = list(rows)
     for eid in d.boundary_edges():  # a region leaves the boundary bare
         i = 2 * edge_order[eid]
         rows += (1 << i, 1 << i + 1)
@@ -235,19 +248,47 @@ def is_detectable(d: ZxDiagram, f: PauliString,
     return False
 
 
+def least_weights(steps: dict[int, int], max_weight: int):
+    """Breadth-first search of the GF(2) span of the ``steps`` keys from 0,
+    stopped at ``max_weight`` steps: yield (s, w, k) for each s reached,
+    with w the least number of keys whose XOR is s and k the XOR of their
+    values, by weight and, within a weight, in the order the search first
+    reaches s (each s of the last layer times each key, in ``steps``
+    order)."""
+    yield 0, 0, 0
+    reached, frontier = {0: 0}, [0]
+    for w in range(1, max_weight + 1):
+        layer = []
+        for p in frontier:
+            kp = reached[p]
+            for a, k in steps.items():
+                s = p ^ a
+                if s not in reached:
+                    reached[s] = kp ^ k
+                    layer.append(s)
+                    yield s, w, kp ^ k
+        frontier = layer
+
+
 class FaultClasses:
     """One diagram's web basis and detecting regions, each solved once, and
-    the class of every fault a noise model generates.
+    the classes of the faults a noise model generates.
 
-    A fault's class is its :meth:`syndrome`.  Every detecting region is a
-    web with a bare boundary, so a sum of basis webs, and anticommutation is
-    bilinear: detection is a function of the syndrome and is decided once
-    per syndrome, by :func:`is_detectable` on its first fault."""
+    A fault's class is its :meth:`syndrome`, which is linear in the fault.
+    So the least weight of a class is its distance from 0 in the graph on
+    syndromes whose steps are the atoms' syndromes, and :meth:`search`
+    finds every class up to a weight by one breadth-first search over the
+    distinct atom syndromes, with no walk over faults.  Every detecting
+    region is a web with a bare boundary, so a sum of basis webs, and
+    anticommutation is bilinear: detection is a function of the syndrome
+    and is decided once per class, by :func:`is_detectable` on its first
+    fault.  Only :meth:`ClassTable.faults` walks the faults themselves."""
 
     def __init__(self, d: ZxDiagram):
         self.diagram = d
-        self.webs = web_basis(d)
-        self.regions = detecting_region_basis(d)
+        system = _build_system(d)
+        self.webs = web_basis(d, system)
+        self.regions = detecting_region_basis(d, system)
         # bit i of a fault's x mask flips the webs whose z mask has bit i,
         # and bit i of its z mask those whose x mask has it
         self._rows: tuple[dict, dict] = ({}, {})
@@ -271,16 +312,79 @@ class FaultClasses:
                 mask &= mask - 1
         return s
 
-    def of(self, noise: NoiseModel, max_weight: int):
+    def search(self, noise: NoiseModel, max_weight: int,
+               code: Nibbles | None = None):
+        """Yield (syndrome, least weight, first fault, undetectable) for each
+        class of a fault of weight at most ``max_weight``, breadth first
+        (:func:`least_weights`), so in nondecreasing weight.  The first
+        fault is a least-weight fault of the class: the product of the
+        atoms on the search's path to it, each the first atom of its
+        syndrome in the noise model's order.  ``code`` is
+        ``Nibbles(noise.paulis())``, built here when not given.  A noise
+        atom on an unknown or ideal edge raises ValueError before the
+        search; each location is checked once."""
+        atoms, seen = noise.paulis(), 0
+        for a in atoms:  # the locations no earlier atom has, as it reaches them
+            x, z = a.xz
+            if (x | z) & ~seen:
+                _check_locations(self.diagram,
+                                 PauliString.from_xz((x | z) & ~seen, 0))
+                seen |= x | z
+        if code is None:
+            code = Nibbles(atoms)
+        steps: dict[int, int] = {}  # atom syndrome -> its first atom, packed
+        for a in atoms:
+            s = self.syndrome(a)
+            if s and s not in steps:
+                steps[s] = code.pack(a)
+        for s, w, k in least_weights(steps, max_weight):
+            f = code.unpack(k)
+            yield s, w, f, not is_detectable(self.diagram, f, self.regions)
+
+
+class ClassTable:
+    """The least-weight table of one diagram's fault classes under a noise
+    model up to a weight, ``max_weight``, from :meth:`FaultClasses.search`:
+    for each syndrome of a fault of weight at most that, its least weight
+    (``least``), its first fault (``firsts``) and whether its faults are
+    undetectable (``undetectable``), each in the search's order; and
+    ``checked``, the number of faults up to ``max_weight``, counted without
+    a walk (:func:`~zxfault.noise.count_faults`)."""
+
+    def __init__(self, classes: FaultClasses, noise: NoiseModel,
+                 max_weight: int):
+        self.classes, self.noise, self.max_weight = classes, noise, max_weight
+        self.code = Nibbles(noise.paulis())
+        self.least: dict[int, int] = {}
+        self.firsts: dict[int, PauliString] = {}
+        self.undetectable: dict[int, bool] = {}
+        for s, w, f, undetectable in classes.search(noise, max_weight,
+                                                    self.code):
+            self.least[s], self.firsts[s] = w, f
+            self.undetectable[s] = undetectable
+        self.checked = count_faults(noise, max_weight)
+
+    def faults(self, max_weight: int, syndromes):
         """Yield (fault, weight, syndrome, undetectable) in
-        :func:`~zxfault.noise.enumerate_faults` order.  A noise atom on an
-        unknown or ideal edge raises ValueError before the walk."""
-        for a in noise.paulis():
-            _check_locations(self.diagram, a)
-        undetectable: dict[int, bool] = {}
-        for f, w in enumerate_faults(noise, max_weight):
-            s = self.syndrome(f)
-            if s not in undetectable:
-                undetectable[s] = not is_detectable(self.diagram, f,
-                                                    self.regions)
-            yield f, w, s, undetectable[s]
+        :func:`~zxfault.noise.enumerate_faults` order for each fault up to
+        ``max_weight``, at most the table's, whose syndrome is in
+        ``syndromes``: the walk that lists counterexamples.  Each syndrome
+        is read from the packed fault, one row per letter, and its
+        detection flag from the table."""
+        undetectable, code = self.undetectable, self.code
+        # each rank's syndromes of I, X, Z and Y, by its nibble's low bits
+        rows = []
+        for m in code.masks():
+            i = m.bit_length() - 1
+            x, z = (self.classes._rows[0].get(i, 0),
+                    self.classes._rows[1].get(i, 0))
+            rows.append((0, x, z, x ^ z))
+        for k, w in enumerate_faults(self.noise, max_weight, code):
+            s, rest = 0, k
+            while rest:
+                r = (rest & -rest).bit_length() - 1 >> 2
+                nibble = rest >> 4 * r & 3
+                s ^= rows[r][nibble]
+                rest ^= nibble << 4 * r
+            if s in syndromes:
+                yield code.unpack(k), w, s, undetectable[s]

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
-from zxfault import samples
+from zxfault import oracle, samples
 from zxfault.cli import main
 from zxfault.diagram import Phase, Spider
 
@@ -129,6 +129,26 @@ def test_oracle_budget_exceeded_is_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "two-zz"],
+    ["check-feq", "--a", "naive-cat4", "--b", "ideal-cat4", "--w", "2"],
+    ["distance", "--in", "rep3-sandwich", "--cap", "2"],
+])
+def test_unallocatable_contraction_is_exit_2(capsys, monkeypatch, argv):
+    # every contraction step fails to allocate its array, as numpy reports
+    # it for recursive-cat n=16's side a (a 32 GiB step): an error, never a
+    # traceback or a verdict's exit code
+    def dot(*args):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with"
+                          " shape (2, 2, 2) and data type complex128")
+    monkeypatch.setattr(oracle.np, "dot", dot)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 32.0 GiB")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("w", ["0", "-1"])

@@ -527,17 +527,46 @@ LARGER_CHECKS = [
      "68286ea93e527ec43ffb74ae803b57d58bbe754ee1e79d6843569039b62eb0c6"),
     (None, {}, 3,
      "727589fa4f5d4fd05dd474ce6342e5c086128fb4fb879a157f3ce23f8ff39e4a"),
+    ("flagged-cat", {}, 4,
+     "89f6267cf1d308b13b5bce64e2733024659131bce754afc4602170b926fcef32"),
+    ("recursive-cat", {"n": 8}, 4,
+     "6cd113eefea28849e09eeed6a1e9e4269e3df9b71a52cbb3f92052cd764a0c84"),
+    ("steane", {}, 4,
+     "e01fc9418af4a48031c2a51c3b4e4e76cc728b106600c79326a2151d3274fc36"),
 ]
 
 
 @pytest.mark.parametrize("builder,params,w,digest", [
-    pytest.param(*case, id=case[0] or "naive-cat4") for case in LARGER_CHECKS])
+    pytest.param(*case, id=(case[0] or "naive-cat4")
+                 + (f" w={case[2]}" if case[2] != 3 else ""))
+    for case in LARGER_CHECKS])
 def test_larger_check_verdicts_are_pinned(builder, params, w, digest):
     from zxfault.builders import build_gadget
     spec = (build_gadget(builder, **params).equivalence_spec(w) if builder
             else naive_vs_spec(w))
     got = check_w_fault_equivalence(spec).dumps()
     assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+def test_only_a_negative_verdict_walks_faults(monkeypatch):
+    # a positive check decides every class from the tables alone; only the
+    # failing classes of a negative one are walked, to list their faults
+    from zxfault.builders import build_gadget
+    positives = [build_gadget("steane").equivalence_spec(3),
+                 build_gadget("flagged-cat").equivalence_spec(3),
+                 rule_spec("split-meas", m=2), rule_spec("fuse-4"),
+                 many_to_one_spec(3), three_zz_spec(3),
+                 spec_of(loop_beside_wire(), samples.wire(), w=3),
+                 spec_of(zero_diagram(samples.wire()),
+                         zero_diagram(samples.wire()), w=3)]
+
+    def walk(*args):
+        raise AssertionError("a positive check walked its faults")
+    monkeypatch.setattr(webs.ClassTable, "faults", walk)
+    for spec in positives:
+        assert check_w_fault_equivalence(spec).equivalent
+    with pytest.raises(AssertionError, match="walked its faults"):
+        check_w_fault_equivalence(naive_vs_spec(2))
 
 
 # -- circuit distance ------------------------------------------------------------------
@@ -674,12 +703,20 @@ def fault_tables(spec, max_weight) -> dict:
             for side, s in (("a", spec.side_a), ("b", spec.side_b))}
 
 
+def walk(table) -> list:
+    """Every fault of the table's noise model up to its weight, in
+    enumeration order, as (fault, weight, syndrome, undetectable): the
+    walk that the tables replace, here the oracle they are checked
+    against."""
+    return list(table.faults(table.max_weight, table.least))
+
+
 def syndrome_key_mismatches(table, key) -> list:
     """Faults whose reference class key, from a fresh replay, differs from
     the key of the first fault with their web syndrome."""
     first = {s: key(table.contraction.evaluate(f))
              for s, f in table.firsts.items()}
-    return [f for f, _, s, _ in table.faults
+    return [f for f, _, s, _ in walk(table)
             if key(table.contraction.evaluate(f)) != first[s]]
 
 
@@ -737,9 +774,10 @@ def test_syndromes_match_the_column_rule(spec):
     # location bit; it must agree with one anticommutation test per web
     for table in fault_tables(spec, 2).values():
         web_list = table.classes.webs
-        got = [s for _, _, s, _ in table.faults]
-        assert got == [syndrome(web_list, f) for f, *_ in table.faults]
-        assert got == [table.classes.syndrome(f) for f, *_ in table.faults]
+        faults = walk(table)
+        got = [s for _, _, s, _ in faults]
+        assert got == [syndrome(web_list, f) for f, *_ in faults]
+        assert got == [table.classes.syndrome(f) for f, *_ in faults]
         assert any(got)
 
 
@@ -755,7 +793,7 @@ def detection_flag_mismatches(d, classes) -> list:
                                   for name, spec in syndrome_specs()])
 def test_detection_flags_match_per_fault_detection(spec):
     for table in fault_tables(spec, 2).values():
-        assert detection_flag_mismatches(table.diagram, table.faults) == []
+        assert detection_flag_mismatches(table.diagram, walk(table)) == []
 
 
 def test_detection_flags_match_per_fault_detection_on_samples():
@@ -765,14 +803,15 @@ def test_detection_flags_match_per_fault_detection_on_samples():
         d = make()
         cases.append((d, model(d), cap))
     for d, m, cap in cases:
-        classes = webs.FaultClasses(d).of(m, cap)
-        assert detection_flag_mismatches(d, classes) == []
+        table = webs.ClassTable(webs.FaultClasses(d), m, cap)
+        assert detection_flag_mismatches(d, walk(table)) == []
 
 
 def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
     # a coarser syndrome basis merges classes: the comparison must see it
     real = webs.web_basis
-    monkeypatch.setattr(webs, "web_basis", lambda d: real(d)[1:])
+    monkeypatch.setattr(webs, "web_basis",
+                        lambda d, *system: real(d, *system)[1:])
     assert any(syndrome_key_mismatches(t, class_keys(spec)[side])
                for _, spec in syndrome_specs()
                for side, t in fault_tables(spec, 2).items())
@@ -876,7 +915,7 @@ def pushout_mismatches(spec, max_weight) -> list:
     a = syndrome_map.tables["a"]
     live = {s: f for s, f in a.firsts.items()
             if syndrome_map.keys["a"][s] not in (None, -1)}
-    read = {s: f for s, f in live.items() if a.weight[f] <= max_weight}
+    read = {s: f for s, f in live.items() if a.least[s] <= max_weight}
     origin = next(iter(live), 0)
     assert len(gf2.echelon(s ^ origin for s in read)) == \
         len(gf2.echelon(s ^ origin for s in live))
@@ -959,7 +998,7 @@ def test_one_replay_per_web_syndrome(monkeypatch):
     # detection is decided once per syndrome, not once per fault
     for t in made[0].tables.values():
         assert 0 < sum(d is t.diagram for d in detected) \
-            <= len({s for _, _, s, _ in t.faults})
+            <= len({s for _, _, s, _ in walk(t)})
 
 
 # -- the support read-out and the row-wise comparison, against the loops ---

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import time
 
 import pytest
@@ -8,7 +10,7 @@ import reference
 from zxfault import samples
 from zxfault.circuit import Circuit
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
-                           circuit_level_atoms, edge_flip_atoms,
+                           circuit_level_atoms, count_faults, edge_flip_atoms,
                            enumerate_faults, fault_weight, x_flip_atoms)
 from zxfault.pauli import PauliString
 
@@ -323,3 +325,33 @@ def test_json_dump():
     assert j["label"] == "edge-flip"
     assert len(j["atoms"]) == 3
     assert all(a["provenance"] == "edge-flip" for a in j["atoms"])
+
+
+# -- counting without the walk ----------------------------------------------------
+
+def random_model(seed: int, spread: float) -> NoiseModel:
+    """Atoms on six locations, each on one location with probability
+    1 - spread, else on two or three."""
+    rng = random.Random(seed)
+    atoms = []
+    for _ in range(rng.randint(1, 12)):
+        n = rng.choice((2, 3)) if rng.random() < spread else 1
+        atoms.append(PauliString({loc: rng.choice("XYZ")
+                                  for loc in rng.sample(range(6), n)}))
+    return NoiseModel([AtomicFault(p, "gate-fault") for p in atoms], "random")
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.3])
+@pytest.mark.parametrize("seed", range(30))
+def test_count_faults_is_the_walk_count(seed, spread):
+    m = random_model(seed, spread)
+    for max_weight in range(-1, 5):  # the walk yields I even below 0
+        assert count_faults(m, max_weight) == \
+            sum(1 for _ in enumerate_faults(m, max_weight))
+
+
+def test_count_faults_closed_form():
+    # X, Y and Z on each of n edges: C(n, k)·3^k faults of weight k
+    m = edge_flip_atoms(samples.spider_tree("Z", 0, 7))
+    assert count_faults(m, 3) == sum(math.comb(7, k) * 3 ** k
+                                     for k in range(4))

@@ -1,7 +1,7 @@
 import pytest
 
 from reference import _branch_canons, inverse_binding, isomorphic
-from zxfault import samples
+from zxfault import samples, webs
 from zxfault.diagram import ZxDiagram, apply_fault
 from zxfault.noise import AtomicFault, NoiseModel, enumerate_faults
 from zxfault.oracle import (OracleBudgetError, OutcomeMap, equal_up_to_scalar,
@@ -287,6 +287,10 @@ PUSHOUT_DIAGRAMS = [(f"corpus-{n}", d, 2) for n, d in samples.web_corpus()] + [
      with_legless_spider(samples.naive_cat(4), 2, "m"), 2),
     ("zz3-reader",
      with_legless_spider(samples.zz_measurement(n=3), 0, "k"), 2),
+    # below weight 0 the walk yields only the identity: nothing is counted
+    ("zz3-below-0", samples.zz_measurement(n=3), -1),
+    ("zero-naive-cat4-below-0",
+     with_legless_spider(samples.naive_cat(4), 2), -1),
 ]
 
 
@@ -294,6 +298,23 @@ PUSHOUT_DIAGRAMS = [(f"corpus-{n}", d, 2) for n, d in samples.web_corpus()] + [
                                    for i, d, c in PUSHOUT_DIAGRAMS])
 def test_boundary_pushout_matches_reference_on_samples(d, cap):
     assert check_boundary_pushout(d, cap) == reference_pushout(d, cap)
+
+
+def test_only_a_failing_pushout_walks_faults(monkeypatch):
+    # a push-out that holds is decided from least-weight tables alone; the
+    # failing one of zz3's reader lists its violations by the walk
+    walked = []
+    real = webs.ClassTable.faults
+    monkeypatch.setattr(webs.ClassTable, "faults",
+                        lambda *args: walked.append(args) or real(*args))
+    for name, params in [("fuse-4", {}), ("split-meas", {"m": 2})]:
+        rule = make_rule(name, **params)
+        for side in (rule.lhs, rule.rhs):
+            assert check_boundary_pushout(side, 3).ok
+    assert walked == []
+    d = with_legless_spider(samples.zz_measurement(n=3), 0, "k")
+    assert not check_boundary_pushout(d, 2).ok
+    assert len(walked) == 1
 
 
 # -- proof scripts ------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from reference import anticommutes
+from reference import anticommutes, syndrome
 from test_feq import WIRE_POOL
 from test_gf2 import reference_nullspace
 from zxfault import gf2, samples, webs
 from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
+from zxfault.noise import (AtomicFault, NoiseModel, edge_flip_atoms,
+                           enumerate_faults, fault_weight, x_flip_atoms)
 from zxfault.oracle import evaluate
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
@@ -321,3 +324,122 @@ def test_rejected_web_solution_is_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: check_web rejected") and err.count("\n") == 1
+
+
+# -- least-weight tables against the fault walk --------------------------------
+
+def walked_table(d, m, max_weight) -> tuple[dict, dict, int]:
+    """The walk that the tables replace: the first weight of each web
+    syndrome in enumeration order (one anticommutation test per web), the
+    detection of its first fault, and the number of faults."""
+    web_list, regions = web_basis(d), detecting_region_basis(d)
+    least, undetectable, count = {}, {}, 0
+    for f, w in enumerate_faults(m, max_weight):
+        count += 1
+        s = syndrome(web_list, f)
+        if s not in least:
+            least[s] = w
+            undetectable[s] = not is_detectable(d, f, regions)
+    return least, undetectable, count
+
+
+def table_mismatches(d, m, max_weight) -> list:
+    """Where the least-weight table differs from the walk: its syndromes and
+    least weights, detection flags and count, and any first fault that is
+    not a least-weight fault of its class."""
+    table = webs.ClassTable(webs.FaultClasses(d), m, max_weight)
+    least, undetectable, count = walked_table(d, m, max_weight)
+    out = []
+    if table.least != least:
+        out.append(("least", sorted(table.least.items() ^ least.items())))
+    if table.undetectable != undetectable:
+        out.append(("undetectable", sorted(table.undetectable.items()
+                                           ^ undetectable.items())))
+    if table.checked != count:
+        out.append(("checked", table.checked, count))
+    if list(table.least.values()) != sorted(table.least.values()):
+        out.append(("not breadth first", list(table.least.values())))
+    for s, f in table.firsts.items():
+        if syndrome(table.classes.webs, f) != s or \
+                fault_weight(f, m, max_weight) != table.least[s]:
+            out.append(("first fault", s, f.to_text()))
+    return out
+
+
+def corpus_tables():
+    """(name, diagram, noise model, max weight): the web corpus under edge
+    flips, and builders' sides under their own noise."""
+    from zxfault.builders import build_gadget
+    for name, d in samples.web_corpus():
+        yield name, d, edge_flip_atoms(d), 3
+    for name, params in [("flagged-cat", {}), ("shor-ft", {}),
+                         ("recursive-cat", {"n": 4}),
+                         ("truncated-cat", {"n": 4, "w": 2})]:
+        spec = build_gadget(name, **params).equivalence_spec(3)
+        for side, s in (("impl", spec.side_a), ("spec", spec.side_b)):
+            yield f"{name} {side}", s.diagram, s.noise, 2
+
+
+@pytest.mark.parametrize("d,m,max_weight", [
+    pytest.param(d, m, w, id=name) for name, d, m, w in corpus_tables()])
+def test_tables_match_the_walk_on_the_corpus(d, m, max_weight):
+    assert table_mismatches(d, m, max_weight) == []
+
+
+def random_noise(d, seed: int) -> NoiseModel:
+    """A random noise model on the diagram's fault-prone edges: each edge
+    with 1, 2 or 3 of its letters as atoms, or none, and atoms across two or
+    three edges, when the diagram has that many."""
+    rng = random.Random(seed)
+    eids = d.non_ideal_edges()
+    atoms = [PauliString({e: l}) for e in eids
+             for l in rng.sample("XYZ", rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 3) if len(eids) > 1 else 0):
+        locs = rng.sample(eids, rng.randint(2, min(3, len(eids))))
+        atoms.append(PauliString({e: rng.choice("XYZ") for e in locs}))
+    return NoiseModel([AtomicFault(p, "edge-flip") for p in atoms], "random")
+
+
+def random_tables():
+    """(name, diagram, noise model): each corpus diagram with four
+    fault-prone edges or more under random noise models."""
+    for name, d in samples.web_corpus():
+        if len(d.non_ideal_edges()) >= 4:
+            for seed in range(4):
+                yield f"{name} seed {seed}", d, random_noise(d, seed)
+
+
+@pytest.mark.parametrize("d,m", [pytest.param(d, m, id=name)
+                                 for name, d, m in random_tables()])
+def test_tables_match_the_walk_on_random_noise(d, m):
+    assert table_mismatches(d, m, 3) == []
+
+
+def test_random_noise_reaches_both_counts():
+    # atoms across several edges are walked as one block, and edges with
+    # one or two letters are counted in closed form as well as edges with
+    # three: each of the three occurs in the random models
+    seen = set()
+    for _, d, m in random_tables():
+        letters: dict = {}
+        for p in m.paulis():
+            locs = p.locations()
+            if len(locs) > 1:
+                seen.add("several edges")
+            else:
+                letters[locs[0]] = letters.get(locs[0], 0) + 1
+        seen.update(f"{n} letters" for n in letters.values())
+    assert seen == {"several edges", "1 letters", "2 letters", "3 letters"}
+
+
+def test_search_reaches_the_weight_bound():
+    # the repetition sandwich under bit flips has classes of least weight 3,
+    # the weight bound here: a search one layer short loses them, and a
+    # bound above the last class's weight adds none
+    d = samples.repetition_sandwich()
+    m = x_flip_atoms(d)
+    least, _, _ = walked_table(d, m, 3)
+    assert max(least.values()) == 3
+    for max_weight in (3, 4):
+        assert webs.ClassTable(webs.FaultClasses(d), m,
+                               max_weight).least == least
