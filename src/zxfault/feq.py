@@ -20,10 +20,11 @@ solved from there by GF(2) algebra, with no tensor: by the push-out, every
 side-a class is the reference under a boundary Pauli and outcome flips,
 whose side-a syndromes and whose signs against the side-b stabilisers are
 bit rows (:func:`_pushout_rows`).  Three guards check M against the dense
-oracle, with one side-a replay per check.  Each read costs one pass over
-the tensor plus its support: the stabilisers are bit masks on its flat
-index (:func:`_stabilisers`), and only the entries that can exceed the
-tolerance are compared (:func:`_eigenvalues`).  A class that makes the
+oracle, with one side-a replay per check; a replay is the contraction of
+the faulted diagram, ``evaluate(apply_fault(d, f))``.  Each read costs one
+pass over the tensor plus its support: the stabilisers are bit masks on
+its flat index (:func:`_stabilisers`), and only the entries that can
+exceed the tolerance are compared (:func:`_eigenvalues`).  A class that makes the
 diagram zero matches only such classes.  The circuit distance concerns
 one diagram and needs no map: a fault of a diagram D != 0 changes it
 exactly when its web syndrome is nonzero.
@@ -46,9 +47,8 @@ import numpy as np
 from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
-from .oracle import (DEFAULT_BUDGET, TOL, Contraction, OutcomeMap,
-                     OutcomeTensor, equal_up_to_scalar, evaluate, port_masks,
-                     ports)
+from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, OutcomeTensor,
+                     equal_up_to_scalar, evaluate, port_masks, ports)
 from .pauli import PauliString
 from .webs import ClassTable, FaultClasses, flipped_by
 
@@ -150,14 +150,13 @@ def _constant_regions(d: ZxDiagram, regions: list) -> list[PauliString]:
 class FaultTable(ClassTable):
     """One diagram's least-weight table of fault classes up to a weight
     (:class:`~zxfault.webs.ClassTable`: least weight, first fault and
-    detection flag per web syndrome, breadth first) and its compiled
-    :class:`~zxfault.oracle.Contraction`, whose replays are counted."""
+    detection flag per web syndrome, breadth first) and its replays, each
+    the dense contraction of a faulted diagram, counted."""
 
-    def __init__(self, contraction: Contraction, noise: NoiseModel,
-                 max_weight: int):
-        self.contraction = contraction
-        self.diagram = contraction.diagram
-        super().__init__(FaultClasses(self.diagram), noise, max_weight)
+    def __init__(self, d: ZxDiagram, noise: NoiseModel, max_weight: int,
+                 budget: int):
+        self.diagram, self.budget = d, budget
+        super().__init__(FaultClasses(d), noise, max_weight)
         self._constant = _constant_regions(self.diagram, self.classes.regions)
         self.replays = 0
 
@@ -169,8 +168,10 @@ class FaultTable(ClassTable):
                    for i, p in enumerate(self._constant))
 
     def replay(self, f: PauliString) -> OutcomeTensor:
+        """The tensor family of the diagram with fault ``f`` applied."""
         self.replays += 1
-        return self.contraction.evaluate(f)
+        d = apply_fault(self.diagram, f) if f else self.diagram
+        return evaluate(d, self.budget)
 
 
 def _stabilisers(d: ZxDiagram, web_list: list, *maps: OutcomeMap) -> list:
@@ -281,10 +282,8 @@ def _pushout_rows(d: ZxDiagram, classes: FaultClasses,
                         for j, (xs, zs, _, _) in enumerate(stabilisers))
             rows.append(classes.syndrome(PauliString({eid: letter}))
                         | flips << n)
-    webs = [flipped_by(d, w) for w in classes.webs]
-    for i, v in enumerate(d.variables):
+    for i, s in enumerate(classes.outcome_flips):
         bit = 1 << len(d.variables) - 1 - i  # as in OutcomeMap.sign_mask
-        s = sum((v in vs) << j for j, vs in enumerate(webs))
         flips = sum(bool(o & bit) << j
                     for j, (_, _, o, _) in enumerate(stabilisers))
         rows.append(s | flips << n)
@@ -310,8 +309,7 @@ class SyndromeMap:
     equal, and any other match of it is confirmed; one nonzero side-a
     class other than the origin (:meth:`_guard`) is replayed and read, its
     read must be M's prediction, and the side-b class predicted, if any,
-    must equal it under the oracle; that replay, and each of side a's
-    reference search, is compared with a dense contraction."""
+    must equal it under the oracle."""
 
     def __init__(self, spec: EquivalenceSpec, max_weight: int):
         da, db = spec.side_a.diagram, spec.side_b.diagram
@@ -322,8 +320,8 @@ class SyndromeMap:
         if corr.source_vars != da.variables or corr.target_vars != db.variables:
             raise ValueError("correspondence registries do not match the"
                              " sides")
-        self.tables = {side: FaultTable(Contraction(x.diagram, spec.budget),
-                                        x.noise, max_weight)
+        self.tables = {side: FaultTable(x.diagram, x.noise, max_weight,
+                                        spec.budget)
                        for side, x in (("a", spec.side_a), ("b", spec.side_b))}
         a, b = self.tables.values()
         t_a, t_b = a.replay(PauliString()), b.replay(PauliString())
@@ -397,21 +395,10 @@ class SyndromeMap:
         for f in table.firsts.values():
             if table.pattern(f) not in tried:
                 tried.add(table.pattern(f))
-                t = self._replay(f) if side == "a" else table.replay(f)
+                t = table.replay(f)
                 if t.max_abs() >= TOL:
                     return f, t
         return None
-
-    def _replay(self, f: PauliString) -> OutcomeTensor:
-        """A side-a replay, compared with a dense contraction."""
-        table = self.tables["a"]
-        t = table.replay(f)
-        dense = evaluate(apply_fault(table.diagram, f),
-                         table.contraction.budget)
-        if not equal_up_to_scalar(dense, t):
-            raise ClassKeyError(f"replayed contraction and dense oracle"
-                                f" disagree on fault {f.to_text()}")
-        return t
 
     def pushout(self, s: int) -> int | None:
         """M(s) of a nonzero side-a class from the push-out generators;
@@ -444,7 +431,7 @@ class SyndromeMap:
         if guard is None:
             return
         s, f = guard
-        t = self._replay(f)
+        t = self.tables["a"].replay(f)
         r = self._read(t)
         if r is None:
             raise ClassKeyError(f"side-a fault {f.to_text()} of a nonzero"
@@ -499,8 +486,8 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     least weight w on one side fails exactly when it has no match up to
     weight ``spec.w - 1`` on the other side, or its match's least weight is
     greater than w.  Only a failing class's faults are walked
-    (:meth:`~zxfault.webs.ClassTable.faults`), up to the weight below its
-    match's, to list them as counterexamples."""
+    (:meth:`~zxfault.webs.ClassTable.faults_below`), up to the weight below
+    its match's, to list them as counterexamples."""
     if spec.w < 1:
         raise ValueError(f"w must be at least 1, got {spec.w}")
     syndrome_map = SyndromeMap(spec, spec.w - 1)
@@ -508,21 +495,20 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     counterexamples = []
     for side, other in (("a", tables["b"]), ("b", tables["a"])):
         table = tables[side]
-        failing = {}  # syndrome -> (the weight its faults fail below, reason)
+        failing = {}  # syndrome -> the weight its faults fail below
+        reasons = {}  # syndrome -> why they fail
         for s, f in table.firsts.items():
             if not table.undetectable[s]:
                 continue
             g = find_equivalent_fault(spec, side, f, syndrome_map, spec.w - 1)
             if g is None:
-                failing[s] = spec.w, "no-match-found"
+                failing[s], reasons[s] = spec.w, "no-match-found"
             elif (weight := other.least[other.classes.syndrome(g)]) > \
                     table.least[s]:
-                failing[s] = weight, "match-heavier"
+                failing[s], reasons[s] = weight, "match-heavier"
         if failing:
-            top = max(bound for bound, _ in failing.values()) - 1
-            counterexamples += [Counterexample(side, f, w, failing[s][1])
-                                for f, w, s, _ in table.faults(top, failing)
-                                if w < failing[s][0]]
+            counterexamples += [Counterexample(side, f, w, reasons[s])
+                                for f, w, s, _ in table.faults_below(failing)]
     counterexamples.sort(key=lambda c: (c.weight, c.fault.sort_key(), c.side))
     checked = sum(t.checked for t in tables.values())
     return Verdict(not counterexamples, counterexamples, checked)

@@ -6,10 +6,10 @@ extra binary tensor leg (tied across its occurrences by a copy tensor), so one
 contraction yields the full outcome-indexed family.
 
 There is one contraction path, :class:`Contraction`: it builds a diagram's
-leaf tensors, plans its pairwise contraction order and lays out each step's
-transposes and matrix shapes once, and replays the steps for the diagram
-itself or for any fault on it, with the fault's Paulis applied to the leaves
-as signed permutations.  :func:`evaluate` is a compile and one replay.
+leaf tensors, plans its pairwise contraction order, lays out each step's
+transposes and matrix shapes, and replays the steps.  :func:`evaluate` is a
+compile and one replay; a faulted diagram is contracted as
+``evaluate(apply_fault(d, f))``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import gf2
 from .diagram import ZxDiagram
-from .pauli import PauliString
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -126,57 +125,28 @@ def _port_label(d: ZxDiagram, eid: int, port: tuple):
     return ("e", eid) if e.a == port else ("e", eid, "b")
 
 
-def _signed_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A signed permutation matrix as (perm, sign), so that m @ v is
-    sign * v[perm]."""
-    perm = np.abs(m).argmax(axis=1)
-    return perm, m[np.arange(len(m)), perm].astype(float)
-
-
-# A faulted edge's Pauli as the matrix of the pi-spider chain that
-# apply_fault inserts at its a-end, indexed [a-end, b-end]: Y is X then Z.
-_PAULI = {"X": np.array([[0, 1], [1, 0]]), "Z": np.array([[1, 0], [0, -1]])}
-_PAULI["Y"] = _PAULI["X"] @ _PAULI["Z"]
-_H2 = np.array([[1, 1], [1, -1]])  # sqrt(2) H: H m H is _H2 m _H2 / 2
-# The same Pauli on the leg of the leaf that holds the edge's a-end, as a
-# signed permutation of the leg's index: "P" when the a-end is a port (the
-# leg is the port's), "Pt" at a spider, "HPtH" at a spider that absorbed
-# the edge's Hadamard.
-_FAULT_PERM = {(kind, letter): _signed_permutation(m)
-               for letter, p in _PAULI.items()
-               for kind, m in (("P", p), ("Pt", p.T),
-                               ("HPtH", _H2 @ p.T @ _H2 // 2))}
-
-
 class Contraction:
-    """A diagram's contraction, compiled once and replayed per fault.
+    """A diagram's contraction, compiled once.
 
     Compiling builds one leaf tensor per spider, bare wire and outcome
-    variable, plans the greedy pairwise order (smallest node first, with
-    its cheapest partner) on the leaves' labels alone, so one plan serves
-    every fault of the diagram, and lays out each step as ``np.tensordot``
-    would: the transposes that put a's contracted axes last and b's first,
-    the 2-D shapes of the matrix product and the shape of its result.  A
-    spider's leaf is built in closed form when it carries an H or an outcome
-    variable.  :meth:`evaluate` applies a fault's Paulis to the leaves as
-    signed permutations of their legs and replays the steps as
+    variable, each with its self-loops traced, plans the greedy pairwise
+    order (smallest node first, with its cheapest partner) on the leaves'
+    labels alone, and lays out each step as ``np.tensordot`` would: the
+    transposes that put a's contracted axes last and b's first, the 2-D
+    shapes of the matrix product and the shape of its result.  A spider's
+    leaf is built in closed form when it carries an H or an outcome
+    variable.  :meth:`evaluate` replays the steps as
     transpose-reshape-``np.dot``; no intermediate is kept between
     replays."""
 
     def __init__(self, d: ZxDiagram, budget: int = DEFAULT_BUDGET):
         self.diagram = d
-        self.budget = budget
         total_budget = budget * (2 ** len(d.variables))
-        self._raw: list = []     # leaf tensors before their self-loop traces
-        self._loops: list = []   # each leaf's self-loop traces
-        self._leaves: list = []  # leaf tensors as the fault-free replay uses them
-        self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_PERM kind)
+        self._leaves: list = []  # leaf tensors, self-loops traced
         labels_of: list = []
 
         def add_leaf(t: np.ndarray, labels: list) -> None:
             loops, labels = _self_loops(labels)
-            self._raw.append(t)
-            self._loops.append(loops)
             self._leaves.append(_trace(t, loops))
             labels_of.append(labels)
 
@@ -189,11 +159,6 @@ class Contraction:
             for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
                 e = d.edges[eid]
                 at_a = e.a == ("s", sid) and ("e", eid) not in legs
-                if at_a:
-                    kind = "HPtH" if e.had else "Pt"
-                    self._site[eid] = (len(self._raw), len(legs), kind)
-                elif e.a[0] != "s":
-                    self._site[eid] = (len(self._raw), len(legs), "P")
                 # absorb the H of a hadamard edge exactly once, at the
                 # a-side endpoint if that is a spider, else here
                 if e.had and (at_a or e.a[0] != "s"):
@@ -213,7 +178,6 @@ class Contraction:
         # bare wires (both endpoints are ports)
         for eid, e in sorted(d.edges.items()):
             if all(ep[0] != "s" for ep in e.ends()):
-                self._site[eid] = (len(self._raw), 0, "P")
                 add_leaf(H.copy() if e.had else np.eye(2, dtype=complex),
                          [("e", eid), ("e", eid, "b")])
 
@@ -306,23 +270,10 @@ class Contraction:
         nv, self._n_in, self._n_out = len(d.variables), len(ins), len(outs)
         self._shape = (2,) * nv + (2**self._n_in, 2**self._n_out)
 
-    def evaluate(self, fault: PauliString | None = None) -> OutcomeTensor:
-        """The outcome-indexed tensor family of the diagram with the fault's
-        Paulis on their edges, as ``evaluate(apply_fault(d, fault))`` gives
-        it, by one replay of the compiled steps."""
+    def evaluate(self) -> OutcomeTensor:
+        """The outcome-indexed tensor family of the diagram, by one replay
+        of the compiled steps."""
         tensors = list(self._leaves)
-        if fault:
-            faulted: dict = {}
-            for eid, letter in fault.entries.items():
-                if self.diagram.edges[eid].ideal:
-                    raise ValueError(f"fault touches ideal edge {eid}")
-                leaf, axis, kind = self._site[eid]
-                perm, sign = _FAULT_PERM[kind, letter]
-                t = faulted.get(leaf, self._raw[leaf])
-                faulted[leaf] = t.take(perm, axis) * \
-                    sign.reshape((2,) + (1,) * (t.ndim - 1 - axis))
-            for leaf, t in faulted.items():
-                tensors[leaf] = _trace(t, self._loops[leaf])
         for a, b, pa, sa, pb, sb, out, loops in self._steps:
             t = np.dot(tensors[a].transpose(pa).reshape(sa),
                        tensors[b].transpose(pb).reshape(sb)).reshape(out)
@@ -366,7 +317,8 @@ def port_masks(d: ZxDiagram, paulis: list) -> list[tuple[int, int]]:
     index of an :class:`OutcomeTensor` of d's boundary shape (see
     :func:`ports`).  A letter acts on its port's leg, with X and Z swapped
     at the b end of a hadamard edge, so the Pauli sends entry j to
-    (-1)^|(j ^ x) & z| times entry j ^ x (Y is Z then X, as in ``_PAULI``).
+    (-1)^|(j ^ x) & z| times entry j ^ x (Y is the matrix product XZ, as
+    :func:`~zxfault.diagram.apply_fault`'s chain of an X and a Z spider).
     A Pauli web's edge Paulis give the boundary half of its stabiliser."""
     legs = ports(d)
     out = []

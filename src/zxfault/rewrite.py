@@ -34,7 +34,7 @@ from .noise import AtomicFault, NoiseModel, count_faults, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import ClassTable, FaultClasses, flipped_by, least_weights
+from .webs import ClassTable, FaultClasses, least_weights
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -866,7 +866,8 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     respective restricted edge-flip models), up to a constant relabelling of
     the outcome variables.  On a diagram D != 0 that holds for two faults
     exactly when their web syndromes are equal modulo the webs that each
-    outcome flip toggles (:func:`~zxfault.webs.flipped_by`); on D = 0 every
+    outcome flip toggles
+    (:attr:`~zxfault.webs.FaultClasses.outcome_flips`); on D = 0 every
     fault is trivial.
 
     Both sides are least-weight tables, with no walk: the least weight of
@@ -891,9 +892,7 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
         # D = 0: every non-empty internal fault counts and none fails
         return PushoutReport(True, [], count_faults(inner, max_weight) - 1)
     classes = FaultClasses(d)
-    flips = [flipped_by(d, w) for w in classes.webs]
-    rows = gf2.echelon(sum((v in fl) << i for i, fl in enumerate(flips))
-                       for v in d.variables)
+    rows = gf2.echelon(classes.outcome_flips)
     # boundary faults need only their class, not their detectability
     steps = dict.fromkeys((gf2.reduce(rows, classes.syndrome(a))
                            for a in model(boundary).paulis()), 0)
@@ -907,9 +906,7 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
             failing[s] = bound
     violations = []
     if failing:
-        top = max(failing.values()) - 1
-        violations = [(f, wt) for f, wt, s, _ in table.faults(top, failing)
-                      if wt < failing[s]]
+        violations = [(f, wt) for f, wt, _, _ in table.faults_below(failing)]
     return PushoutReport(not violations, violations, table.checked - 1)
 
 

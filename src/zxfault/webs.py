@@ -6,7 +6,7 @@ up to a weight, the least weight, a least-weight fault and the detection
 flag, from one breadth-first search over the distinct atom syndromes
 (:func:`least_weights`), and the number of faults, counted in closed form
 (:func:`~zxfault.noise.count_faults`).  Faults themselves are walked only
-to list those of chosen classes (:meth:`ClassTable.faults`).
+to list those of chosen classes (:meth:`ClassTable.faults_below`).
 
 A web assigns each edge a highlight in {none, green, red, both}; highlights
 are stored in the edge's a-side view and swap green<->red across a hadamard
@@ -282,7 +282,8 @@ class FaultClasses:
     region is a web with a bare boundary, so a sum of basis webs, and
     anticommutation is bilinear: detection is a function of the syndrome
     and is decided once per class, by :func:`is_detectable` on its first
-    fault.  Only :meth:`ClassTable.faults` walks the faults themselves."""
+    fault.  Only :meth:`ClassTable.faults_below` walks the faults
+    themselves."""
 
     def __init__(self, d: ZxDiagram):
         self.diagram = d
@@ -298,6 +299,15 @@ class FaultClasses:
                     i = (mask & -mask).bit_length() - 1
                     rows[i] = rows.get(i, 0) ^ 1 << j
                     mask &= mask - 1
+
+    @cached_property
+    def outcome_flips(self) -> list[int]:
+        """The syndrome of flipping each outcome variable, in
+        ``d.variables`` order: bit j is set when web j fires an odd number
+        of the spiders reading it (:func:`flipped_by`)."""
+        flips = [flipped_by(self.diagram, w) for w in self.webs]
+        return [sum((v in fl) << j for j, fl in enumerate(flips))
+                for v in self.diagram.variables]
 
     def syndrome(self, f: PauliString) -> int:
         """Bit j is set when the fault anticommutes with web j: the XOR of
@@ -364,13 +374,14 @@ class ClassTable:
             self.undetectable[s] = undetectable
         self.checked = count_faults(noise, max_weight)
 
-    def faults(self, max_weight: int, syndromes):
+    def faults_below(self, bounds: dict[int, int]):
         """Yield (fault, weight, syndrome, undetectable) in
-        :func:`~zxfault.noise.enumerate_faults` order for each fault up to
-        ``max_weight``, at most the table's, whose syndrome is in
-        ``syndromes``: the walk that lists counterexamples.  Each syndrome
-        is read from the packed fault, one row per letter, and its
-        detection flag from the table."""
+        :func:`~zxfault.noise.enumerate_faults` order for each fault whose
+        syndrome is a key of ``bounds`` and whose weight is below that
+        syndrome's bound, at most the table's ``max_weight`` + 1: the walk
+        that lists counterexamples.  Each syndrome is read from the packed
+        fault, one row per letter, and its detection flag from the
+        table."""
         undetectable, code = self.undetectable, self.code
         # each rank's syndromes of I, X, Z and Y, by its nibble's low bits
         rows = []
@@ -379,12 +390,13 @@ class ClassTable:
             x, z = (self.classes._rows[0].get(i, 0),
                     self.classes._rows[1].get(i, 0))
             rows.append((0, x, z, x ^ z))
-        for k, w in enumerate_faults(self.noise, max_weight, code):
+        top = max(bounds.values()) - 1
+        for k, w in enumerate_faults(self.noise, top, code):
             s, rest = 0, k
             while rest:
                 r = (rest & -rest).bit_length() - 1 >> 2
                 nibble = rest >> 4 * r & 3
                 s ^= rows[r][nibble]
                 rest ^= nibble << 4 * r
-            if s in syndromes:
+            if w < bounds.get(s, 0):
                 yield code.unpack(k), w, s, undetectable[s]

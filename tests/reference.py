@@ -17,9 +17,10 @@
   which :meth:`zxfault.oracle.OutcomeMap.images` replaced.
 * The compiled contraction that replays each step with ``np.tensordot``
   and builds and faults its leaves by 2x2 matrices on their legs, which
-  the precomputed transpose-and-dot steps, closed-form leaves and
-  signed-permutation faults of :class:`zxfault.oracle.Contraction`
-  replaced: :class:`Contraction`, with the same plan.
+  the precomputed transpose-and-dot steps and closed-form leaves of
+  :class:`zxfault.oracle.Contraction` replaced, with the same plan:
+  :class:`Contraction`.  Its faulted replay is the reference for
+  ``evaluate(apply_fault(d, f))``.
 * The side-b syndrome of each side-a class read from a replay of it
   (:func:`replay_read`), which the push-out generators of
   :class:`zxfault.feq.SyndromeMap` replaced.
@@ -140,7 +141,7 @@ def key_matches(syndrome_map, spec) -> dict:
     the other side whose key equals the key of the syndrome's first fault,
     or None: the class-key match that the syndrome map must reproduce."""
     keys = class_keys(spec)
-    key_of = {side: {s: keys[side](table.contraction.evaluate(f))
+    key_of = {side: {s: keys[side](table.replay(f))
                      for s, f in table.firsts.items()}
               for side, table in syndrome_map.tables.items()}
     first = {}
@@ -280,8 +281,7 @@ def replay_read(syndrome_map, f: PauliString) -> int | None:
     """The side-b syndrome that a replay of side-a fault ``f``, read
     through the correspondence, is an eigenvector for: M at f's class as
     one replay per class read it, before the push-out generators."""
-    return syndrome_map._read(
-        syndrome_map.tables["a"].contraction.evaluate(f))
+    return syndrome_map._read(syndrome_map.tables["a"].replay(f))
 
 
 def degree(d: ZxDiagram, sid: int) -> int:

@@ -304,8 +304,8 @@ def test_only_a_failing_pushout_walks_faults(monkeypatch):
     # a push-out that holds is decided from least-weight tables alone; the
     # failing one of zz3's reader lists its violations by the walk
     walked = []
-    real = webs.ClassTable.faults
-    monkeypatch.setattr(webs.ClassTable, "faults",
+    real = webs.ClassTable.faults_below
+    monkeypatch.setattr(webs.ClassTable, "faults_below",
                         lambda *args: walked.append(args) or real(*args))
     for name, params in [("fuse-4", {}), ("split-meas", {"m": 2})]:
         rule = make_rule(name, **params)
