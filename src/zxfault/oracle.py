@@ -5,11 +5,10 @@ totality.  Outcome variables are handled exactly: every variable becomes an
 extra binary tensor leg (tied across its occurrences by a copy tensor), so one
 contraction yields the full outcome-indexed family.
 
-There is one contraction path, :class:`Contraction`: it builds a diagram's
-leaf tensors, plans its pairwise contraction order, lays out each step's
-transposes and matrix shapes, and replays the steps.  :func:`evaluate` is a
-compile and one replay; a faulted diagram is contracted as
-``evaluate(apply_fault(d, f))``.
+There is one contraction path, :func:`evaluate`: it builds a diagram's
+leaf tensors (:func:`_leaves`), plans its whole pairwise contraction order
+(:func:`_plan`) and runs the steps; nothing is kept between calls.  A
+faulted diagram is contracted as ``evaluate(apply_fault(d, f))``.
 """
 
 from __future__ import annotations
@@ -125,174 +124,164 @@ def _port_label(d: ZxDiagram, eid: int, port: tuple):
     return ("e", eid) if e.a == port else ("e", eid, "b")
 
 
-class Contraction:
-    """A diagram's contraction, compiled once.
+def _leaves(d: ZxDiagram, limit: int) -> tuple[list, list]:
+    """The leaf tensors of ``d``, one per spider, bare wire and outcome
+    variable, each with its self-loops traced, and each leaf's labels.  A
+    spider's leaf is built in closed form when it carries an H or an outcome
+    variable.  A leaf of more than ``limit`` entries is refused before it is
+    built."""
+    leaves: list = []
+    labels_of: list = []
 
-    Compiling builds one leaf tensor per spider, bare wire and outcome
-    variable, each with its self-loops traced, plans the greedy pairwise
-    order (smallest node first, with its cheapest partner) on the leaves'
-    labels alone, and lays out each step as ``np.tensordot`` would: the
-    transposes that put a's contracted axes last and b's first, the 2-D
-    shapes of the matrix product and the shape of its result.  A spider's
-    leaf is built in closed form when it carries an H or an outcome
-    variable.  :meth:`evaluate` replays the steps as
-    transpose-reshape-``np.dot``; no intermediate is kept between
-    replays."""
+    def add(what: str, labels: list, build) -> None:
+        if 2 ** len(labels) > limit:
+            raise OracleBudgetError(f"{what} tensor exceeds budget")
+        loops, labels = _self_loops(labels)
+        leaves.append(_trace(build(), loops))
+        labels_of.append(labels)
 
-    def __init__(self, d: ZxDiagram, budget: int = DEFAULT_BUDGET):
-        self.diagram = d
-        total_budget = budget * (2 ** len(d.variables))
-        self._leaves: list = []  # leaf tensors, self-loops traced
-        labels_of: list = []
+    inc = d.incidence()
+    var_occurrences: dict[str, int] = {v: 0 for v in d.variables}
+    for sid, s in sorted(d.spiders.items()):
+        legs: list = []
+        had_legs: list[int] = []
+        # a self-loop appears twice; its first leg is its a-end
+        for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
+            e = d.edges[eid]
+            at_a = e.a == ("s", sid) and ("e", eid) not in legs
+            # absorb the H of a hadamard edge exactly once, at the
+            # a-side endpoint if that is a spider, else here
+            if e.had and (at_a or e.a[0] != "s"):
+                had_legs.append(len(legs))
+            legs.append(("e", eid))
+        vlegs = sorted(s.phase.pivars)
+        labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
+        for v in vlegs:
+            var_occurrences[v] += 1
+        add(f"spider {sid}", labels, lambda: _spider_leaf(
+            s.colour, len(legs), s.phase.qturns, had_legs, len(vlegs)))
 
-        def add_leaf(t: np.ndarray, labels: list) -> None:
-            loops, labels = _self_loops(labels)
-            self._leaves.append(_trace(t, loops))
-            labels_of.append(labels)
+    # bare wires (both endpoints are ports)
+    for eid, e in sorted(d.edges.items()):
+        if all(ep[0] != "s" for ep in e.ends()):
+            add(f"wire {eid}", [("e", eid), ("e", eid, "b")],
+                lambda: H.copy() if e.had else np.eye(2, dtype=complex))
 
-        inc = d.incidence()
-        var_occurrences: dict[str, int] = {v: 0 for v in d.variables}
-        for sid, s in sorted(d.spiders.items()):
-            legs: list = []
-            had_legs: list[int] = []
-            # a self-loop appears twice; its first leg is its a-end
-            for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
-                e = d.edges[eid]
-                at_a = e.a == ("s", sid) and ("e", eid) not in legs
-                # absorb the H of a hadamard edge exactly once, at the
-                # a-side endpoint if that is a spider, else here
-                if e.had and (at_a or e.a[0] != "s"):
-                    had_legs.append(len(legs))
-                legs.append(("e", eid))
-            vlegs = sorted(s.phase.pivars)
-            deg = len(legs)
-            if 2 ** (deg + len(vlegs)) > total_budget:
-                raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
-            t = _spider_leaf(s.colour, deg, s.phase.qturns, had_legs,
-                             len(vlegs))
-            labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
-            for v in vlegs:
-                var_occurrences[v] += 1
-            add_leaf(t, labels)
+    # copy tensor per variable ties its occurrences and exposes one open leg
+    for v in d.variables:
+        occ = var_occurrences[v]
+        add(f"variable {v}", [("v", v, i) for i in range(occ)] + [("var", v)],
+            lambda: _z_core(occ + 1, 0))
+    return leaves, labels_of
 
-        # bare wires (both endpoints are ports)
-        for eid, e in sorted(d.edges.items()):
-            if all(ep[0] != "s" for ep in e.ends()):
-                add_leaf(H.copy() if e.had else np.eye(2, dtype=complex),
-                         [("e", eid), ("e", eid, "b")])
 
-        # copy tensor per variable ties its occurrences and exposes one open leg
-        for v in d.variables:
-            occ = var_occurrences[v]
-            add_leaf(_z_core(occ + 1, 0),
-                     [("v", v, i) for i in range(occ)] + [("var", v)])
+def _plan(labels_of: list, limit: int) -> tuple[list, list]:
+    """The greedy pairwise order of the leaves with labels ``labels_of``,
+    each step laid out as ``np.tensordot`` would, and the final labels.
 
-        # greedy plan: the smallest node first, by (number of labels, label
-        # strings, slot), with its cheapest partner among the nodes that
-        # share a label with it, ties going to the smallest, or else the
-        # next smallest node (an outer product); each step's result takes
-        # the next slot after the leaves.  A heap holds every node's order
-        # key, and a popped key whose node is gone is skipped.
-        strs: dict = {}
-        nodes: dict = {}    # live slot -> (labels, label set, order key)
-        holders: dict = {}  # label -> the live slots holding it
-        heap: list = []
+    The smallest node goes first, by (number of labels, label strings,
+    slot), with its cheapest partner among the nodes that share a label
+    with it, ties going to the smallest, or else the next smallest node (an
+    outer product); each step's result takes the next slot after the
+    leaves.  A step is (slot a, slot b, the transpose that puts a's
+    contracted axes last, a's matrix shape, the transpose that puts b's
+    first, b's matrix shape, the result's shape).  A step of more than
+    ``limit`` entries is refused.  A step's labels are its operands' free
+    labels, and no label is on more than two leaves, so no step needs a
+    trace."""
+    # A heap holds every node's order key, and a popped key whose node is
+    # gone is skipped.
+    strs: dict = {}
+    nodes: dict = {}    # live slot -> (labels, label set, order key)
+    holders: dict = {}  # label -> the live slots holding it
+    heap: list = []
 
-        def push(slot: int, labels: list) -> None:
-            key = []
-            for l in labels:
-                s = strs.get(l)
-                if s is None:
-                    s = strs[l] = str(l)
-                key.append(s)
-            order = (len(labels), key, slot)
-            nodes[slot] = (labels, set(labels), order)
-            for l in labels:
-                holders.setdefault(l, []).append(slot)
-            heapq.heappush(heap, order)
+    def push(slot: int, labels: list) -> None:
+        key = []
+        for l in labels:
+            s = strs.get(l)
+            if s is None:
+                s = strs[l] = str(l)
+            key.append(s)
+        order = (len(labels), key, slot)
+        nodes[slot] = (labels, set(labels), order)
+        for l in labels:
+            holders.setdefault(l, []).append(slot)
+        heapq.heappush(heap, order)
 
-        def pop(slot: int) -> tuple:
-            labels, label_set, _ = nodes.pop(slot)
-            for l in labels:
-                holders[l].remove(slot)
-            return labels, label_set
+    def pop(slot: int) -> tuple:
+        labels, label_set, _ = nodes.pop(slot)
+        for l in labels:
+            holders[l].remove(slot)
+        return labels, label_set
 
-        def smallest() -> int:
-            while heap[0][2] not in nodes:
-                heapq.heappop(heap)
-            return heapq.heappop(heap)[2]
+    def smallest() -> int:
+        while heap[0][2] not in nodes:
+            heapq.heappop(heap)
+        return heapq.heappop(heap)[2]
 
-        for i, labels in enumerate(labels_of):
-            push(i, labels)
-        self._steps: list = []   # (a, b, perm a, shape a, perm b, shape b,
-                                 #  result shape, loops)
-        while len(nodes) > 1:
-            a = smallest()
-            la, set_a = pop(a)
-            shared: dict = {}  # slot -> the number of labels it shares with a
-            for l in la:
-                for o in holders[l]:
-                    shared[o] = shared.get(o, 0) + 1
-            if shared:
-                b = min(shared, key=lambda o: (
-                    len(la) + len(nodes[o][0]) - 2 * shared[o], nodes[o][2]))
-            else:
-                b = smallest()
-            lb, set_b = pop(b)
-            free_a = [k for k, l in enumerate(la) if l not in set_b]
-            free_b = [k for k, l in enumerate(lb) if l not in set_a]
-            ax_a = [k for k, l in enumerate(la) if l in set_b]
-            ax_b = [lb.index(la[k]) for k in ax_a]
-            out = [la[k] for k in free_a] + [lb[k] for k in free_b]
-            if 2 ** len(out) > total_budget:
-                raise OracleBudgetError(
-                    f"contraction intermediate of {len(out)} open legs"
-                    f" exceeds budget")
-            loops, out_labels = _self_loops(out)
-            self._steps.append((
-                a, b, free_a + ax_a, (2 ** len(free_a), 2 ** len(ax_a)),
-                ax_b + free_b, (2 ** len(ax_b), 2 ** len(free_b)),
-                (2,) * len(out), loops))
-            push(len(labels_of) + len(self._steps) - 1, out_labels)
-
-        self._final = next(iter(nodes), None)
-        final_labels = nodes[self._final][0] if nodes else []
-        ins, outs = d.inputs, d.outputs  # each read scans every edge
-        in_labels = [_port_label(d, eid, ("b", "in", i))
-                     for i, eid in enumerate(ins)]
-        out_labels = [_port_label(d, eid, ("b", "out", i))
-                      for i, eid in enumerate(outs)]
-        wanted = [("var", v) for v in d.variables] + in_labels + out_labels
-        if sorted(map(str, wanted)) != sorted(map(str, final_labels)):
-            raise ValueError(f"contraction label mismatch: wanted {wanted},"
-                             f" got {final_labels}")
-        self._perm = [final_labels.index(l) for l in wanted]
-        nv, self._n_in, self._n_out = len(d.variables), len(ins), len(outs)
-        self._shape = (2,) * nv + (2**self._n_in, 2**self._n_out)
-
-    def evaluate(self) -> OutcomeTensor:
-        """The outcome-indexed tensor family of the diagram, by one replay
-        of the compiled steps."""
-        tensors = list(self._leaves)
-        for a, b, pa, sa, pb, sb, out, loops in self._steps:
-            t = np.dot(tensors[a].transpose(pa).reshape(sa),
-                       tensors[b].transpose(pb).reshape(sb)).reshape(out)
-            tensors[a] = tensors[b] = None
-            tensors.append(_trace(t, loops) if loops else t)
-        if self._final is None:
-            final = np.array(1, dtype=complex)
+    for i, labels in enumerate(labels_of):
+        push(i, labels)
+    steps: list = []
+    while len(nodes) > 1:
+        a = smallest()
+        la, set_a = pop(a)
+        shared: dict = {}  # slot -> the number of labels it shares with a
+        for l in la:
+            for o in holders[l]:
+                shared[o] = shared.get(o, 0) + 1
+        if shared:
+            b = min(shared, key=lambda o: (
+                len(la) + len(nodes[o][0]) - 2 * shared[o], nodes[o][2]))
         else:
-            # a copy, so that no caller can write into a compiled leaf
-            final = tensors[self._final] if self._steps \
-                else tensors[self._final].copy()
-        t = np.transpose(final, self._perm).reshape(self._shape)
-        return OutcomeTensor(self.diagram.variables, self._n_in, self._n_out,
-                             t)
+            b = smallest()
+        lb, set_b = pop(b)
+        free_a = [k for k, l in enumerate(la) if l not in set_b]
+        free_b = [k for k, l in enumerate(lb) if l not in set_a]
+        ax_a = [k for k, l in enumerate(la) if l in set_b]
+        ax_b = [lb.index(la[k]) for k in ax_a]
+        out = [la[k] for k in free_a] + [lb[k] for k in free_b]
+        if 2 ** len(out) > limit:
+            raise OracleBudgetError(
+                f"contraction intermediate of {len(out)} open legs"
+                f" exceeds budget")
+        steps.append((
+            a, b, free_a + ax_a, (2 ** len(free_a), 2 ** len(ax_a)),
+            ax_b + free_b, (2 ** len(ax_b), 2 ** len(free_b)),
+            (2,) * len(out)))
+        push(len(labels_of) + len(steps) - 1, out)
+    final = next(iter(nodes.values()), None)
+    return steps, final[0] if final else []
 
 
 def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
-    """Contract the diagram into its outcome-indexed tensor family."""
-    return Contraction(d, budget).evaluate()
+    """Contract the diagram into its outcome-indexed tensor family.
+
+    The leaves are built and the whole order is planned before any product
+    runs, so an over-budget leaf or step is refused up front; a leaf or an
+    intermediate may have ``budget`` times 2^(number of variables)
+    entries.  Each step then runs as transpose-reshape-``np.dot``."""
+    limit = budget * 2 ** len(d.variables)
+    tensors, labels_of = _leaves(d, limit)
+    steps, final_labels = _plan(labels_of, limit)
+    ins, outs = d.inputs, d.outputs  # each read scans every edge
+    in_labels = [_port_label(d, eid, ("b", "in", i))
+                 for i, eid in enumerate(ins)]
+    out_labels = [_port_label(d, eid, ("b", "out", i))
+                  for i, eid in enumerate(outs)]
+    wanted = [("var", v) for v in d.variables] + in_labels + out_labels
+    if sorted(map(str, wanted)) != sorted(map(str, final_labels)):
+        raise ValueError(f"contraction label mismatch: wanted {wanted},"
+                         f" got {final_labels}")
+    for a, b, pa, sa, pb, sb, out in steps:
+        t = np.dot(tensors[a].transpose(pa).reshape(sa),
+                   tensors[b].transpose(pb).reshape(sb)).reshape(out)
+        tensors[a] = tensors[b] = None
+        tensors.append(t)
+    final = tensors[-1] if tensors else np.array(1, dtype=complex)
+    t = np.transpose(final, [final_labels.index(l) for l in wanted])
+    shape = (2,) * len(d.variables) + (2 ** len(ins), 2 ** len(outs))
+    return OutcomeTensor(d.variables, len(ins), len(outs), t.reshape(shape))
 
 
 def ports(d: ZxDiagram) -> list[tuple[int, tuple, int, bool]]:

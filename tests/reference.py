@@ -15,12 +15,12 @@
   :func:`zxfault.oracle.equal_up_to_scalar` replaced.
 * Calling an outcome map on one assignment (:func:`map_assignment`),
   which :meth:`zxfault.oracle.OutcomeMap.images` replaced.
-* The compiled contraction that replays each step with ``np.tensordot``
-  and builds and faults its leaves by 2x2 matrices on their legs, which
-  the precomputed transpose-and-dot steps and closed-form leaves of
-  :class:`zxfault.oracle.Contraction` replaced, with the same plan:
-  :class:`Contraction`.  Its faulted replay is the reference for
-  ``evaluate(apply_fault(d, f))``.
+* The compiled contraction that runs each step with ``np.tensordot``,
+  traces the self-loops of each step's result, and builds and faults its
+  leaves by 2x2 matrices on their legs, which the transpose-and-dot steps
+  and closed-form leaves of :func:`zxfault.oracle.evaluate` replaced, with
+  the same plan: :class:`Contraction`.  Its faulted replay is the
+  reference for ``evaluate(apply_fault(d, f))``.
 * The side-b syndrome of each side-a class read from a replay of it
   (:func:`replay_read`), which the push-out generators of
   :class:`zxfault.feq.SyndromeMap` replaced.
@@ -425,8 +425,8 @@ def spider_leaf(colour: str, degree: int, qturns: int, had_legs: list,
 
 
 class Contraction:
-    """A diagram's contraction as :class:`zxfault.oracle.Contraction`
-    plans it, with each step replayed by ``np.tensordot``, each leaf built
+    """A diagram's contraction as :func:`zxfault.oracle.evaluate` plans
+    it, with each step replayed by ``np.tensordot``, each leaf built
     by applying H leg by leg, and each fault applied as a 2x2 matrix on its
     leg.  ``_steps`` holds (slot a, slot b, tensordot axes, loops)."""
 

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from zxfault.builders import BUILDERS, build_gadget
-from zxfault.circuit import Circuit, Operation
+from zxfault.circuit import Circuit
 from zxfault.translate import to_zx
 
 

@@ -3,11 +3,10 @@ import gc
 import pytest
 
 from reference import isomorphic
-from zxfault import samples
 from zxfault.builders import build_gadget
 from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram
-from zxfault.extract import (DEFAULT_TEMPLATES, ExtractionError, Template,
+from zxfault.extract import (DEFAULT_TEMPLATES, ExtractionError,
                              TemplateLibrary, default_templates,
                              extract_circuit)
 from zxfault.translate import to_zx

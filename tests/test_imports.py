@@ -1,5 +1,6 @@
-"""Every module of the package reads each name it imports, and none of
-them imports numpy.ma on a check or a proof script."""
+"""Every module of the package and of its tests reads each name it
+imports, and no module of the package imports numpy.ma on a check or a
+proof script."""
 
 import ast
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zxfault"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "zxfault"
 
 
 def unused_imports(source: str) -> list:
@@ -28,8 +30,8 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,9 +11,10 @@ from test_feq import random_spec, syndrome_specs
 from zxfault import samples
 from zxfault.builders import build_gadget
 from zxfault.diagram import ZxDiagram, apply_fault, compose
-from zxfault.oracle import (Contraction, OracleBudgetError, OutcomeMap,
-                            OutcomeTensor, _spider_leaf, equal_up_to_scalar,
-                            evaluate, is_total, port_masks)
+from zxfault.oracle import (DEFAULT_BUDGET, OracleBudgetError, OutcomeMap,
+                            OutcomeTensor, _leaves, _plan, _spider_leaf,
+                            equal_up_to_scalar, evaluate, is_total,
+                            port_masks)
 from zxfault.pauli import LETTERS, PauliString
 from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import web_basis
@@ -218,6 +218,19 @@ def test_budget_error():
         d.add_edge(("s", s), ("b", "out", q))
     with pytest.raises(OracleBudgetError):
         evaluate(d, budget=2**8)
+    with pytest.raises(OracleBudgetError):
+        evaluate(samples.naive_cat(4), budget=2)
+    # a bare wire's leaf has four entries
+    with pytest.raises(OracleBudgetError, match="wire"):
+        evaluate(samples.wire(), budget=0)
+    # a variable read by five leg-less spiders: its copy tensor has 64
+    # entries, over the 16 * 2 allowed with one variable
+    d = ZxDiagram()
+    k = d.add_variable("k")
+    for _ in range(5):
+        d.add_spider("Z", 0, [k])
+    with pytest.raises(OracleBudgetError, match="variable k"):
+        evaluate(d, budget=16)
 
 
 def test_spider_fusion_axiom():
@@ -318,15 +331,17 @@ REPLAY_DIAGRAMS = [
 ]
 
 
+def assert_same_tensor(got: OutcomeTensor, want: OutcomeTensor, note=None):
+    assert got.variables == want.variables, note
+    assert got.array.shape == want.array.shape, note
+    assert np.max(np.abs(got.array - want.array), initial=0.0) <= 1e-12, note
+
+
 def assert_fault_matches_reference(d: ZxDiagram, f: PauliString):
     # the faulted diagram's contraction equals the tensordot reference's
     # contraction of d with the fault as a 2x2 matrix on its leg
-    dense = evaluate(apply_fault(d, f))
-    reference = ReferenceContraction(d).evaluate(f)
-    assert dense.variables == reference.variables
-    assert dense.array.shape == reference.array.shape
-    assert np.max(np.abs(dense.array - reference.array),
-                  initial=0.0) <= 1e-12
+    assert_same_tensor(evaluate(apply_fault(d, f)),
+                       ReferenceContraction(d).evaluate(f))
 
 
 def test_mixed_diagram_is_not_zero():
@@ -411,19 +426,35 @@ def test_replay_rejects_a_fault_on_an_ideal_edge():
         apply_fault(d, PauliString({ideal: "X"}))
 
 
-def test_budget_error_is_raised_at_compile_time():
-    d = samples.naive_cat(4)
+def test_an_over_budget_step_is_refused_before_any_product(monkeypatch):
+    # two spiders of six output legs joined by one edge, beside a wire of
+    # two spiders: every leaf fits 2^8 entries, and so does the wire's step,
+    # which is planned first, but no later step does
+    d = ZxDiagram()
+    a, b, c, e = (d.add_spider(colour) for colour in "ZXZX")
+    d.add_edge(("s", a), ("s", b))
+    for q in range(6):
+        d.add_edge(("s", a), ("b", "out", q))
+        d.add_edge(("s", b), ("b", "out", 6 + q))
+    d.add_edge(("b", "in", 0), ("s", c))
+    d.add_edge(("s", c), ("s", e))
+    d.add_edge(("s", e), ("b", "out", 12))
+    dots = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *args: dots.append(1) or dot(*args))
     with pytest.raises(OracleBudgetError):
-        Contraction(d, budget=2)
-    with pytest.raises(OracleBudgetError):
-        evaluate(d, budget=2)
+        evaluate(d, budget=2**8)
+    assert not dots
+    evaluate(d, budget=2**14)
+    assert len(dots) == 3
 
 
-# -- the compiled contraction against the tensordot reference -----------------
+# -- the contraction against the tensordot reference --------------------------
 
 
 def plan_corpus():
-    """(name, diagram) pairs whose plans are compared with the reference's."""
+    """(name, diagram) pairs whose plans and results are compared with the
+    reference's."""
     for name, make in REPLAY_DIAGRAMS:
         yield name, make()
     yield from samples.web_corpus()
@@ -442,17 +473,17 @@ def plan_corpus():
         yield f"{name} implementation", gadget.implementation_diagram()[0]
 
 
-def plan(contraction_class, d):
-    """The (slot a, slot b) of each step, or "budget" if it exceeds it."""
-    try:
-        return [step[:2] for step in contraction_class(d)._steps]
-    except OracleBudgetError:
-        return "budget"
-
-
 def test_plans_match_the_reference():
+    # the same (slot a, slot b) steps and the same tensor; no reference step
+    # traces a self-loop, so the contraction's steps need none
     for name, d in plan_corpus():
-        assert plan(Contraction, d) == plan(ReferenceContraction, d), name
+        limit = DEFAULT_BUDGET * 2 ** len(d.variables)
+        steps, _ = _plan(_leaves(d, limit)[1], limit)
+        reference = ReferenceContraction(d)
+        assert [s[:2] for s in steps] == \
+            [s[:2] for s in reference._steps], name
+        assert not any(loops for *_, loops in reference._steps), name
+        assert_same_tensor(evaluate(d), reference.evaluate(), name)
 
 
 def test_leaves_match_the_reference():

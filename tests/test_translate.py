@@ -5,7 +5,7 @@ from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram, apply_fault
 from zxfault.feq import (EquivalenceSpec, Side, check_w_fault_equivalence,
                          is_trivial)
-from zxfault.noise import circuit_level_atoms, edge_flip_atoms
+from zxfault.noise import circuit_level_atoms
 from zxfault.oracle import equal_up_to_scalar, evaluate
 from zxfault.pauli import PauliString
 from zxfault.translate import insert_fault_gadget, to_zx

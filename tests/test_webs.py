@@ -15,9 +15,8 @@ from zxfault.noise import (AtomicFault, NoiseModel, edge_flip_atoms,
 from zxfault.oracle import evaluate
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
-from zxfault.webs import (DetectingRegion, PauliWeb, check_web,
-                          detecting_region_basis, is_detectable, local_sign,
-                          region_sign, web_basis)
+from zxfault.webs import (PauliWeb, check_web, detecting_region_basis,
+                          is_detectable, local_sign, region_sign, web_basis)
 
 HLS = [None, "green", "red", "both"]
 
