@@ -345,9 +345,13 @@ def steane(hx=None, hz=None) -> GadgetPair:
     CNOTs and destructive single-qubit measurements whose parity reproduces
     the check outcome.
     """
-    hx = [list(r) for r in (hx if hx is not None else [[1, 1, 1, 1]])]
-    hz = [list(r) for r in (hz if hz is not None else [[1, 1, 1, 1]])]
-    n = len(hx[0]) if hx else len(hz[0])
+    try:
+        hx = [list(r) for r in (hx if hx is not None else [[1, 1, 1, 1]])]
+        hz = [list(r) for r in (hz if hz is not None else [[1, 1, 1, 1]])]
+        n = len(hx[0]) if hx else len(hz[0])
+    except (TypeError, IndexError):
+        raise ValueError("hx and hz must be lists of 0/1 rows, not both"
+                         " empty") from None
     _check_rows(hx, n, "hx")
     _check_rows(hz, n, "hz")
     for xr in hx:

@@ -88,42 +88,26 @@ class Template:
         return check_w_fault_equivalence(spec)
 
 
-class TemplateLibrary:
-    def __init__(self, templates):
-        self.templates = list(templates)
-        self._kinds = {t.kind for t in self.templates}
-
-    def has(self, kind: str) -> bool:
-        return kind in self._kinds
-
-    def __iter__(self):
-        return iter(self.templates)
-
-
-def default_templates() -> TemplateLibrary:
-    return TemplateLibrary([
-        Template("fault-gadget", "fault-gadget", "", 2),
-        Template("ft-parity-measurement", "mpp",
-                 "QUBITS 2\nMPP Z0*Z1 -> k !ft"),
-        Template("cnot-measure", "cnot-mz", "QUBITS 2\nCNOT 0 1\nMZ 1 -> k"),
-        Template("prep-plus-cnot", "cnot-prep", "QUBITS 2\nPREP_X 0\nCNOT 0 1"),
-        Template("cnot", "cnot", "QUBITS 2\nCNOT 0 1"),
-        Template("cz", "cz", "QUBITS 2\nCZ 0 1"),
-        Template("measure-z", "measure", "QUBITS 1\nMZ 0 -> k"),
-        Template("measure-x", "measure", "QUBITS 1\nMX 0 -> k"),
-        Template("prep-zero", "prep", "QUBITS 1\nPREP_Z 0"),
-        Template("prep-plus", "prep", "QUBITS 1\nPREP_X 0"),
-        Template("prep-minus", "prep", "QUBITS 1\nPREP_MINUS 0"),
-        Template("hadamard", "gate", "QUBITS 1\nH 0"),
-        Template("phase", "gate", "QUBITS 1\nS 0"),
-        Template("pauli-z", "gate", "QUBITS 1\nZ 0"),
-        Template("pauli-x", "gate", "QUBITS 1\nX 0"),
-        Template("conditional-pauli", "cpauli",
-                 "QUBITS 2\nMZ 1 -> k\nCPAULI X 0 IF k"),
-    ])
-
-
-DEFAULT_TEMPLATES = default_templates()
+DEFAULT_TEMPLATES = (
+    Template("fault-gadget", "fault-gadget", "", 2),
+    Template("ft-parity-measurement", "mpp",
+             "QUBITS 2\nMPP Z0*Z1 -> k !ft"),
+    Template("cnot-measure", "cnot-mz", "QUBITS 2\nCNOT 0 1\nMZ 1 -> k"),
+    Template("prep-plus-cnot", "cnot-prep", "QUBITS 2\nPREP_X 0\nCNOT 0 1"),
+    Template("cnot", "cnot", "QUBITS 2\nCNOT 0 1"),
+    Template("cz", "cz", "QUBITS 2\nCZ 0 1"),
+    Template("measure-z", "measure", "QUBITS 1\nMZ 0 -> k"),
+    Template("measure-x", "measure", "QUBITS 1\nMX 0 -> k"),
+    Template("prep-zero", "prep", "QUBITS 1\nPREP_Z 0"),
+    Template("prep-plus", "prep", "QUBITS 1\nPREP_X 0"),
+    Template("prep-minus", "prep", "QUBITS 1\nPREP_MINUS 0"),
+    Template("hadamard", "gate", "QUBITS 1\nH 0"),
+    Template("phase", "gate", "QUBITS 1\nS 0"),
+    Template("pauli-z", "gate", "QUBITS 1\nZ 0"),
+    Template("pauli-x", "gate", "QUBITS 1\nX 0"),
+    Template("conditional-pauli", "cpauli",
+             "QUBITS 2\nMZ 1 -> k\nCPAULI X 0 IF k"),
+)
 
 
 class _Fail(Exception):
@@ -140,13 +124,13 @@ _WIRE_VALENCE = {"gadget-hub": (0,), "gadget-tip": (0,), "mpp": (0,),
                  "measure": (1,), "fused-mz": (1,), "prep": (1,),
                  "gate": (2,), "cpauli": (2,), "tap": (2,),
                  "gadget-box": (2,), "auto": (1, 2)}
+# Candidate roles the cover search may try before it gives up.
+_NODE_BUDGET = 500_000
 
 
 class _Matcher:
-    def __init__(self, d: ZxDiagram, lib: TemplateLibrary,
-                 node_budget: int = 500_000):
+    def __init__(self, d: ZxDiagram):
         self.d = d
-        self.lib = lib
         self.inc = {sid: sorted((eid, e.a if e.b == ("s", sid) else e.b)
                                 for eid, e in d.edges.items()
                                 if ("s", sid) in e.ends())
@@ -159,7 +143,7 @@ class _Matcher:
         self.internal: dict[int, str] = {}    # edge id -> internal label
         self.done: set[int] = set()           # spiders with a committed role
         self.best_fail: tuple[int, _Fail] | None = None
-        self.node_budget = node_budget
+        self.node_budget = _NODE_BUDGET
 
     # -- candidate generation ------------------------------------------------
 
@@ -248,45 +232,45 @@ class _Matcher:
         sp = self.d.spiders[sid]
         g = len(self.inc[sid])
         q, pivars = sp.phase.qturns, sp.phase.pivars
-        lib, out = self.lib, []
+        out = []
         if pivars:
             if len(pivars) == 1 and q == 0:
                 var = next(iter(pivars))
                 if sp.colour == "X":
-                    if g >= 2 and lib.has("mpp"):
+                    if g >= 2:
                         cand = self._try_mpp(sid, var)
                         if cand:
                             out.append(cand)
-                    if g == 2 and lib.has("cnot-mz"):
+                    if g == 2:
                         for eid in self._partner_options(sid, want_had=False):
                             if not self.d.edges[eid].ideal:
                                 out.append((("fused-mz", var, eid), {},
                                             {eid: "cnot-mz"}))
-                    if g == 1 and lib.has("measure"):
+                    if g == 1:
                         out.append((("measure", "MZ", var), {}, {}))
-                elif g == 1 and lib.has("measure"):
+                elif g == 1:
                     out.append((("measure", "MX", var), {}, {}))
-            if g == 2 and q in (0, 2) and lib.has("cpauli"):
+            if g == 2 and q in (0, 2):
                 out.append((("cpauli", sp.colour, tuple(sorted(pivars)),
                              q // 2), {}, {}))
         elif q == 0:
-            if sp.colour == "X" and g >= 2 and lib.has("fault-gadget"):
+            if sp.colour == "X" and g >= 2:
                 cand = self._try_gadget(sid)
                 if cand:
                     out.append(cand)
-            if sp.colour == "X" and g >= 3 and lib.has("cnot"):
+            if sp.colour == "X" and g >= 3:
                 for eid in self._partner_options(sid, want_had=False):
                     out.append((("auto",), {}, {eid: "cnot"}))
-            if sp.colour == "Z" and g >= 2 and lib.has("cz"):
+            if sp.colour == "Z" and g >= 2:
                 for eid in self._partner_options(sid, want_had=True):
                     out.append((("auto",), {}, {eid: "cz"}))
             out.append((("auto",), {}, {}))
         elif q == 2:
-            if g == 1 and sp.colour == "Z" and lib.has("prep"):
+            if g == 1 and sp.colour == "Z":
                 out.append((("prep", "PREP_MINUS"), {}, {}))
-            if g == 2 and lib.has("gate"):
+            if g == 2:
                 out.append((("gate", sp.colour), {}, {}))
-        elif q == 1 and g == 2 and sp.colour == "Z" and lib.has("gate"):
+        elif q == 1 and g == 2 and sp.colour == "Z":
             out.append((("gate", "S"), {}, {}))
         return out
 
@@ -700,8 +684,7 @@ def _topological_order(after: dict, key) -> list:
     return order
 
 
-def extract_circuit(d: ZxDiagram,
-                    templates: TemplateLibrary | None = None) -> Circuit:
+def extract_circuit(d: ZxDiagram) -> Circuit:
     """Rebuild a circuit from a diagram covered by the template library.
 
     Raises :class:`ExtractionError` when some spiders match no template, when
@@ -710,4 +693,4 @@ def extract_circuit(d: ZxDiagram,
     errs = d.validate()
     if errs:
         raise ExtractionError("invalid diagram: " + "; ".join(errs))
-    return _Matcher(d, templates or DEFAULT_TEMPLATES).run()
+    return _Matcher(d).run()

@@ -95,7 +95,6 @@ class RewriteRule:
     """
 
     name: str
-    params: dict
     lhs: ZxDiagram
     rhs: ZxDiagram
     guarantee: str
@@ -141,7 +140,7 @@ class RewriteRule:
         if self.lhs.variables or self.rhs.variables or self.lhs.constraints \
                 or self.rhs.constraints:
             raise ValueError("only variable-free rules can be inverted")
-        return RewriteRule(self.name + "~", dict(self.params),
+        return RewriteRule(self.name + "~",
                            self.rhs.copy(), self.lhs.copy(),
                            self.guarantee, self.w)
 
@@ -153,7 +152,7 @@ def _rule_elim(colour: str = "Z") -> RewriteRule:
     lhs.add_edge(("s", s), ("b", "out", 1))
     rhs = ZxDiagram()
     rhs.add_edge(("b", "out", 0), ("b", "out", 1))
-    return RewriteRule("elim", {"colour": colour}, lhs, rhs, FAULT_EQUIVALENT)
+    return RewriteRule("elim", lhs, rhs, FAULT_EQUIVALENT)
 
 
 def _rule_fuse_1(colour: str = "Z", n: int = 2) -> RewriteRule:
@@ -167,7 +166,7 @@ def _rule_fuse_1(colour: str = "Z", n: int = 2) -> RewriteRule:
     for k in range(n):
         rhs.add_edge(("s", hub), ("b", "out", k))
     rhs.add_edge(("s", hub), ("s", cap))
-    return RewriteRule("fuse-1", {"colour": colour, "n": n}, lhs, rhs,
+    return RewriteRule("fuse-1", lhs, rhs,
                        FAULT_EQUIVALENT)
 
 
@@ -190,14 +189,14 @@ def _fuse_4_shape(drop_edge: bool) -> tuple[ZxDiagram, ZxDiagram]:
 
 def _rule_fuse_4() -> RewriteRule:
     lhs, rhs = _fuse_4_shape(drop_edge=False)
-    return RewriteRule("fuse-4", {}, lhs, rhs, FAULT_EQUIVALENT)
+    return RewriteRule("fuse-4", lhs, rhs, FAULT_EQUIVALENT)
 
 
 def _rule_mutated_fuse_4() -> RewriteRule:
     """fuse-4 with one cycle edge removed: an unsound certificate candidate,
     kept as a negative control for the verifier."""
     lhs, rhs = _fuse_4_shape(drop_edge=True)
-    return RewriteRule("mutated-fuse-4", {}, lhs, rhs, FAULT_EQUIVALENT)
+    return RewriteRule("mutated-fuse-4", lhs, rhs, FAULT_EQUIVALENT)
 
 
 def _rule_pi_copy(colour: str = "Z", n: int = 2, a: int = 0) -> RewriteRule:
@@ -216,7 +215,7 @@ def _rule_pi_copy(colour: str = "Z", n: int = 2, a: int = 0) -> RewriteRule:
         pk = rhs.add_spider(op, 2)
         rhs.add_edge(("s", hub2), ("s", pk))
         rhs.add_edge(("s", pk), ("b", "out", k))
-    return RewriteRule("pi-copy", {"colour": colour, "n": n, "a": a},
+    return RewriteRule("pi-copy",
                        lhs, rhs, FAULT_EQUIVALENT)
 
 
@@ -232,7 +231,7 @@ def _rule_unfuse(colour: str = "Z", a: int = 1, n: int = 2) -> RewriteRule:
     rhs.add_edge(("s", ph), ("s", hub))
     for k in range(1, n):
         rhs.add_edge(("s", hub), ("b", "out", k))
-    return RewriteRule("unfuse", {"colour": colour, "a": a, "n": n},
+    return RewriteRule("unfuse",
                        lhs, rhs, FAULT_EQUIVALENT)
 
 
@@ -245,7 +244,7 @@ def _rule_pi_pi_id(colour: str = "Z") -> RewriteRule:
     lhs.add_edge(("s", s2), ("b", "out", 1))
     rhs = ZxDiagram()
     rhs.add_edge(("b", "out", 0), ("b", "out", 1))
-    return RewriteRule("pi-pi-id", {"colour": colour}, lhs, rhs,
+    return RewriteRule("pi-pi-id", lhs, rhs,
                        FAULT_EQUIVALENT)
 
 
@@ -266,8 +265,6 @@ def _rule_perfect_fuse(colour: str = "Z", a1: int = 0, a2: int = 0,
     for k in range(n1 + n2 - 2):
         rhs.add_edge(("s", m), ("b", "out", k))
     return RewriteRule("perfect-fuse",
-                       {"colour": colour, "a1": a1, "a2": a2,
-                        "n1": n1, "n2": n2},
                        lhs, rhs, FAULT_EQUIVALENT)
 
 
@@ -285,7 +282,7 @@ def _rule_copy(colour: str = "Z", n: int = 2) -> RewriteRule:
     for k in range(n):
         c = rhs.add_spider(op)
         rhs.add_edge(("s", c), ("b", "out", k))
-    return RewriteRule("copy", {"colour": colour, "n": n}, lhs, rhs,
+    return RewriteRule("copy", lhs, rhs,
                        FAULT_EQUIVALENT)
 
 
@@ -303,7 +300,7 @@ def _rule_cat_xs(n: int = 3, colour: str = "Z") -> RewriteRule:
     hub2 = rhs.add_spider(colour)
     for k in range(n):
         rhs.add_edge(("s", hub2), ("b", "out", k))
-    return RewriteRule("cat-xs", {"n": n, "colour": colour}, lhs, rhs,
+    return RewriteRule("cat-xs", lhs, rhs,
                        FAULT_EQUIVALENT)
 
 
@@ -335,7 +332,7 @@ def _fuse_n_shape(n: int, chains: int, colour: str) -> tuple[ZxDiagram, ZxDiagra
 
 def _rule_fuse_n(n: int = 2, colour: str = "Z") -> RewriteRule:
     lhs, rhs = _fuse_n_shape(n, n, colour)
-    return RewriteRule("fuse-n", {"n": n, "colour": colour}, lhs, rhs,
+    return RewriteRule("fuse-n", lhs, rhs,
                        FAULT_EQUIVALENT)
 
 
@@ -343,7 +340,7 @@ def _rule_fuse_n_w(n: int = 4, w: int = 2, colour: str = "Z") -> RewriteRule:
     if not 0 <= w <= n:
         raise ValueError("need 0 <= w <= n")
     lhs, rhs = _fuse_n_shape(n, w, colour)
-    return RewriteRule("fuse-n-w", {"n": n, "w": w, "colour": colour},
+    return RewriteRule("fuse-n-w",
                        lhs, rhs, W_FAULT_EQUIVALENT, w=w)
 
 
@@ -376,7 +373,7 @@ def _rule_split_meas(m: int = 2, basis: str = "Z") -> RewriteRule:
         rhs.add_edge(("s", r), ("s", t))
         rhs.add_edge(("b", "out", 2 * i), ("s", t))
         rhs.add_edge(("s", t), ("b", "out", 2 * i + 1))
-    return RewriteRule("split-meas", {"m": m, "basis": basis}, lhs, rhs,
+    return RewriteRule("split-meas", lhs, rhs,
                        W_FAULT_EQUIVALENT, w=3,
                        corr_exprs={"v0": "^".join(wnames)},
                        subst={"v0": tuple(wnames)})
@@ -399,7 +396,7 @@ def _rule_flag_taps(m: int = 3, colour: str = "Z") -> RewriteRule:
         rhs.add_edge(("s", t), ("b", "out", 2 * i + 1), ideal=True)
         rhs.add_edge(("s", t), ("s", flag), ideal=True)
     rhs.add_constraint(["v0"], 0)
-    return RewriteRule("flag-taps", {"m": m, "colour": colour}, lhs, rhs,
+    return RewriteRule("flag-taps", lhs, rhs,
                        IDEAL_REGION, check_total=True)
 
 
@@ -408,7 +405,7 @@ def _wire_rule(name: str, lhs_ideal: bool, rhs_ideal: bool) -> RewriteRule:
     lhs.add_edge(("b", "out", 0), ("b", "out", 1), ideal=lhs_ideal)
     rhs = ZxDiagram()
     rhs.add_edge(("b", "out", 0), ("b", "out", 1), ideal=rhs_ideal)
-    return RewriteRule(name, {}, lhs, rhs, IDEAL_REGION)
+    return RewriteRule(name, lhs, rhs, IDEAL_REGION)
 
 
 def _rule_expose() -> RewriteRule:
@@ -430,7 +427,7 @@ def _rule_pi_state(colour: str = "Z") -> RewriteRule:
     ph = rhs.add_spider(colour, 2)
     rhs.add_edge(("s", cap2), ("s", ph), ideal=True)
     rhs.add_edge(("s", ph), ("b", "out", 0))
-    return RewriteRule("pi-state", {"colour": colour}, lhs, rhs, IDEAL_REGION)
+    return RewriteRule("pi-state", lhs, rhs, IDEAL_REGION)
 
 
 def _rule_fire_spider(colour: str = "Z", a: int = 0, n: int = 2) -> RewriteRule:
@@ -447,7 +444,7 @@ def _rule_fire_spider(colour: str = "Z", a: int = 0, n: int = 2) -> RewriteRule:
         pk = rhs.add_spider(op, 2)
         rhs.add_edge(("s", hub2), ("s", pk), ideal=True)
         rhs.add_edge(("s", pk), ("b", "out", k))
-    return RewriteRule("fire-spider", {"colour": colour, "a": a, "n": n},
+    return RewriteRule("fire-spider",
                        lhs, rhs, IDEAL_REGION)
 
 
@@ -458,7 +455,7 @@ def _rule_hadamard_hadamard(colour: str = "Z") -> RewriteRule:
     lhs.add_edge(("s", s), ("b", "out", 1), had=True)
     rhs = ZxDiagram()
     rhs.add_edge(("b", "out", 0), ("b", "out", 1))
-    return RewriteRule("hadamard-hadamard", {"colour": colour}, lhs, rhs,
+    return RewriteRule("hadamard-hadamard", lhs, rhs,
                        IDEAL_REGION)
 
 
@@ -467,7 +464,7 @@ def _rule_encode_steane_goto() -> RewriteRule:
     flagless eight-CNOT encoder wireframe, everything fault-free.  This is the
     synthesis step of the optimised preparation derivation; faults are
     introduced afterwards by exposing edges and attaching the flag."""
-    return RewriteRule("encode-steane-goto", {},
+    return RewriteRule("encode-steane-goto",
                        samples.steane_zero_spec(),
                        samples.goto_encoder_frame(), IDEAL_REGION)
 
@@ -510,11 +507,6 @@ def make_rule(name: str, **params) -> RewriteRule:
 
 @dataclass
 class StepLog:
-    rule: str
-    params: dict
-    rhs_spiders: dict       # rhs spider id -> created host spider id
-    rhs_edges: dict         # rhs internal edge id -> created host edge id
-    port_edges: dict        # port index -> host edge id after the rewrite
     corr_exprs: dict        # consumed host var -> expression in fresh vars
     before_region: ZxDiagram
     after_region: ZxDiagram
@@ -584,23 +576,7 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
             return RuleBindingError(f"binding mismatch: no edge {deid}")
         le, de = lhs.edges[leid], d.edges[deid]
         kind = _edge_kind(le)
-        if kind[0] == "internal":
-            u, v = smap[kind[1]], smap[kind[2]]
-            if {de.a, de.b} != {("s", u), ("s", v)}:
-                return RuleBindingError(
-                    f"binding mismatch: edge {deid} does not join spiders"
-                    f" {u} and {v}")
-            if de.had != le.had:
-                return RuleBindingError(
-                    f"binding mismatch: edge {deid} hadamard flag differs")
-            if de.ideal != le.ideal:
-                if le.ideal:
-                    return IdealRegionError(
-                        f"ideal-region precondition violated: edge {deid}"
-                        f" is fault-prone")
-                return RuleBindingError(
-                    f"binding mismatch: edge {deid} is fault-free")
-        elif kind[0] == "boundary":
+        if kind[0] == "boundary":
             u = smap[kind[1]]
             if ("s", u) not in (de.a, de.b):
                 return RuleBindingError(
@@ -613,22 +589,30 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
                 return RuleBindingError(
                     f"binding mismatch: edge {deid} joins two matched spiders"
                     f" but the rule treats it as boundary")
-        else:  # wire: the edge is consumed whole, attributes must match
+            return None
+        if kind[0] == "internal":
+            u, v = smap[kind[1]], smap[kind[2]]
+            if {de.a, de.b} != {("s", u), ("s", v)}:
+                return RuleBindingError(
+                    f"binding mismatch: edge {deid} does not join spiders"
+                    f" {u} and {v}")
+        else:  # wire: the edge is consumed whole
             for ep in (de.a, de.b):
                 if ep[0] == "s" and ep[1] in matched:
                     return RuleBindingError(
                         f"binding mismatch: wire slot bound to edge {deid}"
                         f" touching a matched spider")
-            if de.had != le.had:
-                return RuleBindingError(
-                    f"binding mismatch: edge {deid} hadamard flag differs")
-            if de.ideal != le.ideal:
-                if le.ideal:
-                    return IdealRegionError(
-                        f"ideal-region precondition violated: edge {deid}"
-                        f" is fault-prone")
-                return RuleBindingError(
-                    f"binding mismatch: edge {deid} is fault-free")
+        # an internal or wire edge must match the rule's attributes
+        if de.had != le.had:
+            return RuleBindingError(
+                f"binding mismatch: edge {deid} hadamard flag differs")
+        if de.ideal != le.ideal:
+            if le.ideal:
+                return IdealRegionError(
+                    f"ideal-region precondition violated: edge {deid}"
+                    f" is fault-prone")
+            return RuleBindingError(
+                f"binding mismatch: edge {deid} is fault-free")
         return None
 
     emap = {}
@@ -712,36 +696,32 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
         rsp[rsid] = res.add_spider(s.colour, s.phase.qturns,
                                    [new[v] for v in s.phase.pivars])
 
-    redge, port_edges = {}, {}
-
     def place(a, b, had, ideal, reuse):
-        if reuse is not None:
+        if reuse is None:
+            res.add_edge(a, b, had, ideal)
+        else:
             res.edges[reuse] = Edge(a, b, had, ideal)
-            return reuse
-        return res.add_edge(a, b, had, ideal)
 
     for reid in sorted(rhs.edges):
         re = rhs.edges[reid]
         kind = _edge_kind(re)
         if kind[0] == "internal":
-            redge[reid] = res.add_edge(("s", rsp[kind[1]]), ("s", rsp[kind[2]]),
-                                       re.had, re.ideal)
+            res.add_edge(("s", rsp[kind[1]]), ("s", rsp[kind[2]]),
+                         re.had, re.ideal)
         elif kind[0] == "boundary":
             # ports matched leniently keep the host flag; ports consumed from
             # exact-matched wire slots take the flag the rule declares
             u, k = rsp[kind[1]], kind[2]
             ideal = re.ideal if k in wire_ports else ctx_ideal[k]
-            eid = place(("s", u), far[k], resid[k] != re.had, ideal, orig[k])
-            port_edges[k] = eid
+            place(("s", u), far[k], resid[k] != re.had, ideal, orig[k])
         else:
             k1, k2 = kind[1], kind[2]
             reuse = orig[k1] if orig[k1] is not None else orig[k2]
             if orig[k1] is not None and orig[k2] is not None:
                 reuse = min(orig[k1], orig[k2])
-            eid = place(far[k1], far[k2],
-                        bool(resid[k1]) ^ re.had ^ bool(resid[k2]),
-                        ctx_ideal[k1] and re.ideal and ctx_ideal[k2], reuse)
-            port_edges[k1] = port_edges[k2] = eid
+            place(far[k1], far[k2],
+                  bool(resid[k1]) ^ re.had ^ bool(resid[k2]),
+                  ctx_ideal[k1] and re.ideal and ctx_ideal[k2], reuse)
 
     for vs, rhs_bit in rhs.constraints:
         res.add_constraint([new[v] for v in vs], rhs_bit)
@@ -787,8 +767,7 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
         corr_exprs[vars[lv]] = "^".join(
             t if t in ("0", "1") else new[t] for t in terms)
 
-    log = StepLog(rule.name, dict(rule.params), rsp, redge, port_edges,
-                  corr_exprs, before_region, after_region)
+    log = StepLog(corr_exprs, before_region, after_region)
 
     if rule.guarantee == IDEAL_REGION:
         rows = {v: v for v in d.variables}
@@ -839,17 +818,10 @@ def verify_step(before: ZxDiagram, after: ZxDiagram, w: int,
     return check_w_fault_equivalence(spec)
 
 
-_CERT_CACHE: dict = {}
-
-
 def rule_certificate(rule: RewriteRule, w: int,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Verify the rule's own lhs/rhs pair at the given weight (cached)."""
-    key = (rule.name, tuple(sorted(rule.params.items())), w, budget)
-    if key not in _CERT_CACHE:
-        _CERT_CACHE[key] = verify_step(rule.lhs, rule.rhs, w,
-                                       rule.corr_exprs, budget)
-    return _CERT_CACHE[key]
+    """Verify the rule's own lhs/rhs pair at the given weight."""
+    return verify_step(rule.lhs, rule.rhs, w, rule.corr_exprs, budget)
 
 
 @dataclass

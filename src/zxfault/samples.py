@@ -187,6 +187,8 @@ def naive_cat(n: int = 4) -> ZxDiagram:
     """Unprotected n-qubit cat-state preparation, star layout: |+> on the hub
     qubit, CNOTs fanning out to |0> targets.  One green spider per CNOT on the
     hub wire, one red spider per target; every edge is fault-prone."""
+    if n < 2:
+        raise ValueError(f"naive_cat needs n >= 2, got {n}")
     d = ZxDiagram()
     zs = [d.add_spider("Z", 0) for _ in range(n - 1)]
     xs = [d.add_spider("X", 0) for _ in range(n - 1)]
@@ -229,6 +231,8 @@ def repetition_sandwich() -> ZxDiagram:
 
 def green_chain(n_spiders: int) -> ZxDiagram:
     """Identity wire written as a chain of phaseless green spiders."""
+    if n_spiders < 1:
+        raise ValueError(f"green_chain needs n_spiders >= 1, got {n_spiders}")
     d = ZxDiagram()
     ss = [d.add_spider("Z", 0) for _ in range(n_spiders)]
     d.add_edge(("b", "in", 0), ("s", ss[0]))

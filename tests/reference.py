@@ -42,7 +42,7 @@ from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
                             OutcomeMap, OutcomeTensor, _port_label,
                             _self_loops, _trace, _z_core)
 from zxfault.pauli import PauliString
-from zxfault.rewrite import RewriteRule, StepLog, _edge_kind
+from zxfault.rewrite import RewriteRule, _edge_kind
 from zxfault.webs import PauliWeb, flipped_by
 
 
@@ -365,22 +365,31 @@ def isomorphic(d1, d2) -> bool:
 
 
 
-def inverse_binding(log: StepLog, rule: RewriteRule) -> dict:
-    """Binding of ``rule.inverse()`` on the rewritten diagram that undoes
-    the logged step (variable-free rules only)."""
+def inverse_binding(host: ZxDiagram, mid: ZxDiagram,
+                    rule: RewriteRule) -> dict:
+    """Binding of ``rule.inverse()`` on ``mid`` that undoes the step
+    ``host`` -> ``mid``, for a variable-free rule bound with its ports at
+    ``host``'s own output ports.  ``apply_rule`` gives the rhs spiders, and
+    then the rhs internal edges, ``host``'s next ids in sorted rhs order;
+    a port's edge is the edge of ``mid`` at that port."""
     inv = rule.inverse()
     skey, ekey = inv.slots()
-    binding = {}
-    for key, sid in skey.items():
-        binding[key] = log.rhs_spiders[sid]
+    spiders = {sid: host._next_spider + i
+               for i, sid in enumerate(sorted(rule.rhs.spiders))}
+    internal = [eid for eid in sorted(rule.rhs.edges)
+                if _edge_kind(rule.rhs.edges[eid])[0] == "internal"]
+    edges = {eid: host._next_edge + i for i, eid in enumerate(internal)}
+    at_port = {ep[2]: eid for eid, e in mid.edges.items()
+               for ep in e.ends() if ep[:2] == ("b", "out")}
+    binding = {key: spiders[sid] for key, sid in skey.items()}
     for key, eid in ekey.items():
         kind = _edge_kind(inv.lhs.edges[eid])
         if kind[0] == "internal":
-            binding[key] = log.rhs_edges[eid]
+            binding[key] = edges[eid]
         elif kind[0] == "boundary":
-            binding[key] = log.port_edges[kind[2]]
+            binding[key] = at_port[kind[2]]
         else:
-            binding[key] = log.port_edges[kind[1]]
+            binding[key] = at_port[kind[1]]
     return binding
 
 
@@ -440,7 +449,11 @@ class Contraction:
         self._site: dict = {}    # edge id -> (leaf, axis, _FAULT_MATRIX kind)
         labels_of: list = []
 
-        def add_leaf(t: np.ndarray, labels: list) -> None:
+        def add_leaf(what: str, labels: list, build) -> None:
+            # every leaf is refused before it is built, as evaluate does
+            if 2 ** len(labels) > total_budget:
+                raise OracleBudgetError(f"{what} tensor exceeds budget")
+            t = build()
             loops, labels = _self_loops(labels)
             self._raw.append(t)
             self._loops.append(loops)
@@ -467,28 +480,26 @@ class Contraction:
                     had_legs.append(len(legs))
                 legs.append(("e", eid))
             vlegs = sorted(s.phase.pivars)
-            deg = len(legs)
-            if 2 ** (deg + len(vlegs)) > total_budget:
-                raise OracleBudgetError(f"spider {sid} tensor exceeds budget")
-            t = spider_leaf(s.colour, deg, s.phase.qturns, had_legs,
-                            len(vlegs))
             labels = legs + [("v", v, var_occurrences[v]) for v in vlegs]
             for v in vlegs:
                 var_occurrences[v] += 1
-            add_leaf(t, labels)
+            add_leaf(f"spider {sid}", labels, lambda: spider_leaf(
+                s.colour, len(legs), s.phase.qturns, had_legs, len(vlegs)))
 
         # bare wires (both endpoints are ports)
         for eid, e in sorted(d.edges.items()):
             if all(ep[0] != "s" for ep in e.ends()):
                 self._site[eid] = (len(self._raw), 0, "P")
-                add_leaf(H.copy() if e.had else np.eye(2, dtype=complex),
-                         [("e", eid), ("e", eid, "b")])
+                add_leaf(f"wire {eid}", [("e", eid), ("e", eid, "b")],
+                         lambda: H.copy() if e.had
+                         else np.eye(2, dtype=complex))
 
         # copy tensor per variable ties its occurrences and exposes one open leg
         for v in d.variables:
             occ = var_occurrences[v]
-            add_leaf(_z_core(occ + 1, 0),
-                     [("v", v, i) for i in range(occ)] + [("var", v)])
+            add_leaf(f"variable {v}",
+                     [("v", v, i) for i in range(occ)] + [("var", v)],
+                     lambda: _z_core(occ + 1, 0))
 
         # greedy plan: smallest node first, with its cheapest partner; a node
         # is (sort key, slot, labels, label set), and each step's result takes

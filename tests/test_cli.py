@@ -327,6 +327,22 @@ INPUT_ERRORS = [
      ["prove", "name t\nsource sample:cat_spec:4\nclaim w=2\n"
                "target sample:nosuch\n"],
      "line 4: unknown sample 'nosuch'"),
+    ("sample parameter out of range, source line",
+     ["prove", "name t\nsource sample:naive_cat:1\nclaim w=2\n"],
+     "line 2: naive_cat needs n >= 2, got 1"),
+    ("builder reference rows",
+     ["eval", "builder:steane:hx=1:impl"],
+     "hx and hz must be lists of 0/1 rows"),
+    ("builder reference rows, spec",
+     ["eval", "builder:steane:hz=1:spec"],
+     "hx and hz must be lists of 0/1 rows"),
+] + [
+    (f"sample parameter out of range {ref}", ["eval", ref], message)
+    for ref, message in [
+        ("sample:naive_cat:1", "naive_cat needs n >= 2, got 1"),
+        ("sample:naive_cat:0", "naive_cat needs n >= 2, got 0"),
+        ("sample:naive_cat:-1", "naive_cat needs n >= 2, got -1"),
+        ("sample:green_chain:0", "green_chain needs n_spiders >= 1, got 0")]
 ] + [
     (f"repeated step key {key}",
      ["prove", f"name t\nsource sample:cat_spec:4\nstep {step}\n"

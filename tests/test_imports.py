@@ -1,6 +1,7 @@
 """Every module of the package and of its tests reads each name it
-imports, and no module of the package imports numpy.ma on a check or a
-proof script."""
+imports, every module of the package reads each private name it defines,
+and no module of the package imports numpy.ma on a check or a proof
+script."""
 
 import ast
 import os
@@ -39,6 +40,46 @@ def test_every_import_is_read(path):
 def test_an_unread_import_is_found():
     assert unused_imports("import json\nfrom os import path, sep\n"
                           "print(sep)\n") == ["json", "path"]
+
+
+def unread_private_names(source: str) -> list:
+    """Module-level ``_names`` (defs, classes and assignments) and ``_methods``
+    of module-level classes that the module never reads, in source order."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [f"{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef)]
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+    return [name for name in defined
+            if (short := name.rpartition(".")[2]).startswith("_")
+            and not short.endswith("__") and short not in read]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_an_unread_private_name_is_found():
+    source = ("_LIMIT = 3\n_USED = 4\ndef _helper():\n    return _USED\n"
+              "class A:\n    def __init__(self):\n        self._go()\n"
+              "    def _go(self):\n        pass\n    def _stop(self):\n"
+              "        pass\n")
+    assert unread_private_names(source) == ["_LIMIT", "_helper", "A._stop"]
 
 
 # numpy.ma, which np.unique imports on its first call, adds about 1.7 MB to

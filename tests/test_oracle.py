@@ -212,25 +212,25 @@ def test_totality_of_a_zero_tensor():
 
 
 def test_budget_error():
-    d = ZxDiagram()
-    s = d.add_spider("Z")
+    """evaluate and the reference contraction refuse the same budgets."""
+    wide = ZxDiagram()
+    s = wide.add_spider("Z")
     for q in range(12):
-        d.add_edge(("s", s), ("b", "out", q))
-    with pytest.raises(OracleBudgetError):
-        evaluate(d, budget=2**8)
-    with pytest.raises(OracleBudgetError):
-        evaluate(samples.naive_cat(4), budget=2)
-    # a bare wire's leaf has four entries
-    with pytest.raises(OracleBudgetError, match="wire"):
-        evaluate(samples.wire(), budget=0)
+        wide.add_edge(("s", s), ("b", "out", q))
     # a variable read by five leg-less spiders: its copy tensor has 64
     # entries, over the 16 * 2 allowed with one variable
-    d = ZxDiagram()
-    k = d.add_variable("k")
+    shared = ZxDiagram()
+    k = shared.add_variable("k")
     for _ in range(5):
-        d.add_spider("Z", 0, [k])
-    with pytest.raises(OracleBudgetError, match="variable k"):
-        evaluate(d, budget=16)
+        shared.add_spider("Z", 0, [k])
+    cases = [(wide, 2**8, "spider"), (samples.naive_cat(4), 2, "spider"),
+             # a bare wire's leaf has four entries
+             (samples.wire(), 0, "wire"), (shared, 16, "variable k")]
+    for d, budget, what in cases:
+        with pytest.raises(OracleBudgetError, match=what):
+            evaluate(d, budget=budget)
+        with pytest.raises(OracleBudgetError, match=what):
+            ReferenceContraction(d, budget).evaluate()
 
 
 def test_spider_fusion_axiom():
