@@ -489,9 +489,10 @@ def build_gadget(name: str, **params) -> GadgetPair:
 
 
 def call_bound(fn, what: str, *args, **params):
-    """``fn(*args, **params)`` once the arguments bind to ``fn``'s signature
-    and every value bound to an ``int`` parameter is an int; a ValueError
-    naming ``what`` and the problem if not."""
+    """``fn(*args, **params)`` once the arguments bind to ``fn``'s signature,
+    every value bound to an ``int`` parameter is an int and every value
+    bound to a ``bool`` parameter is 0 or 1, passed on as False or True; a
+    ValueError naming ``what`` and the problem if not."""
     sig = inspect.signature(fn)
     try:
         bound = sig.bind(*args, **params)
@@ -501,11 +502,16 @@ def call_bound(fn, what: str, *args, **params):
         raise ValueError(f"{what}: {problem}; its parameters are"
                          f" ({', '.join(sig.parameters)})") from None
     for name, value in bound.arguments.items():
-        if sig.parameters[name].annotation in (int, "int") \
-                and not isinstance(value, int):
+        kind = sig.parameters[name].annotation
+        if kind in (bool, "bool"):
+            if not isinstance(value, int) or value not in (0, 1):
+                raise ValueError(f"{what}: parameter {name!r} must be 0 or"
+                                 f" 1, got {value!r}")
+            bound.arguments[name] = bool(value)
+        elif kind in (int, "int") and not isinstance(value, int):
             raise ValueError(f"{what}: parameter {name!r} must be an"
                              f" integer, got {value!r}")
-    return fn(*args, **params)
+    return fn(*bound.args, **bound.kwargs)
 
 
 def key_values(items, what: str) -> dict:

@@ -149,6 +149,9 @@ class ZxDiagram:
         out: list[str] = []
         ports_seen: dict[tuple, int] = {}
         for eid, e in self.edges.items():
+            for flag in ("had", "ideal"):
+                if not isinstance(getattr(e, flag), bool):
+                    out.append(f"edge {eid}: {flag} flag {getattr(e, flag)!r} is not a bool")
             for ep in e.ends():
                 if ep[0] == "s":
                     if ep[1] not in self.spiders:

@@ -76,3 +76,31 @@ def parity(v, width: int):
         shift >>= 1
         v = v ^ (v >> shift)
     return v & 1
+
+
+def layers(steps: dict[int, int], max_weight: int):
+    """Breadth-first search of the GF(2) span of ``steps``' nonzero,
+    distinct keys from 0: yield, for w = 0 to ``max_weight``, the layer
+    {s: payload} of the s whose fewest keys with XOR s number w, in the
+    order first reached (the last layer times each key, in ``steps``
+    order), with payload the XOR of the values of the keys on that path.
+    A key is its own inverse, so a neighbour of layer w - 1 is in layer
+    w - 2, w - 1 or w, and only two layers are kept.  Layer 1 is the keys
+    in order, so weight 2 pairs each only with those after it: (j, i) with
+    j < i reaches what (i, j) reached, with the same payload."""
+    older, last = {}, {0: 0}
+    yield last
+    items = list(steps.items())
+    for w in range(1, max_weight + 1):
+        layer: dict[int, int] = {}
+        for i, (p, kp) in enumerate(last.items()):
+            for a, k in items[i + 1:] if w == 2 else items:
+                s = p ^ a
+                if s not in layer:  # the first path to s wins
+                    layer[s] = kp ^ k
+        for s in last:  # reached by a shorter path
+            layer.pop(s, None)
+        for s in older:
+            layer.pop(s, None)
+        older, last = last, layer
+        yield layer

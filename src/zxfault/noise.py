@@ -4,6 +4,9 @@ A noise model is a list of atomic faults (phase-free Pauli strings over fault
 locations); the weight of a fault is the minimal number of atoms whose product
 equals it.  Diagram fault locations are edge ids; circuit fault locations are
 ``(qubit, timestep)`` pairs, with segment ``(q, t)`` entering moment ``t``.
+
+The group is the GF(2) span of the atoms' symplectic bits: one breadth-first
+search of it (:func:`~zxfault.gf2.layers`) lists, weighs and counts faults.
 """
 
 from __future__ import annotations
@@ -121,70 +124,44 @@ def circuit_level_atoms(c: Circuit) -> NoiseModel:
     return NoiseModel(atoms, "circuit-level")
 
 
-def _generates(atoms: list[PauliString], f: PauliString) -> bool:
-    """Whether f is a product of atoms: the phase-free group is the GF(2)
-    span of the atoms' symplectic (x, z) bits, read as one row each with the
-    x bits above every z bit."""
-    bits = [p.xz for p in (f, *atoms)]
+def _rows(paulis) -> list[int]:
+    """Each Pauli's symplectic (x, z) bits as one GF(2) bit row, with the x
+    bits above every z bit, so that a product's row is the XOR of its
+    factors' rows."""
+    bits = [p.xz for p in paulis]
     shift = max(z.bit_length() for _, z in bits)
-    rows = [x << shift | z for x, z in bits]
-    return gf2.in_span(rows[1:], rows[0])
+    return [x << shift | z for x, z in bits]
 
 
 def fault_weight(f: PauliString, m: NoiseModel, cap: int):
     """Exact minimal generator count if <= cap, else ABOVE_CAP.
 
-    A fault outside the generated group is rejected by one GF(2) membership
-    test; otherwise its weight is read off the group's enumeration."""
-    atoms = m.paulis()
-    if not _generates(atoms, f):
+    The phase-free group is the GF(2) span of the atoms' rows, so a fault
+    outside it is rejected by one membership test; otherwise its weight is
+    that of the first layer of the breadth-first search of the span
+    (:func:`~zxfault.gf2.layers`) that holds it."""
+    target, *atoms = _rows([f, *m.paulis()])
+    if not gf2.in_span(atoms, target):
         return ABOVE_CAP
-    code = Nibbles(atoms)
-    target = code.pack(f)
-    for k, w in _layers([code.pack(a) for a in atoms], cap):
-        if k == target:
+    for w, layer in enumerate(gf2.layers(dict.fromkeys(atoms, 0), cap)):
+        if target in layer:
             return w
     return ABOVE_CAP
 
 
-def _layers(atoms: list[int], max_weight: int):
-    """Yield (k, w) for each packed product k of the packed atoms with least
-    weight w <= max_weight, breadth first, each layer in ``Nibbles.key``
-    order.  A product of weight w times an atom has weight w - 1, w or
-    w + 1, so only the two layers before the next one need be kept.  The
-    weight-1 layer is the distinct atoms, so weight 2 XORs each of them
-    only with those after it."""
-    yield 0, 0
-    older, last, frontier = set(), {0}, [0]
-    for w in range(1, max_weight + 1):
-        layer = set()
-        for i, g in enumerate(frontier):
-            layer.update(map(g.__xor__, frontier[i + 1:] if w == 2 else atoms))
-        layer -= last
-        layer -= older
-        frontier = sorted(layer, key=Nibbles.key)
-        older, last = last, layer
-        for k in frontier:
-            yield k, w
-
-
-def enumerate_faults(m: NoiseModel, max_weight: int,
-                     code: Nibbles | None = None):
+def enumerate_faults(m: NoiseModel, max_weight: int):
     """Yield each element of the generated group with weight <= max_weight,
     exactly once, as (PauliString, weight), in nondecreasing weight order
-    and, within a weight, in ``PauliString.sort_key`` order.  The walk runs
-    on packed ints (:class:`~zxfault.pauli.Nibbles`) and builds a
-    PauliString only for the faults it yields.  Given ``code``, which must
-    be ``Nibbles(m.paulis())``, it yields each fault packed under it
-    instead, and builds no PauliString."""
+    and, within a weight, in ``PauliString.sort_key`` order.  The
+    breadth-first search (:func:`~zxfault.gf2.layers`) runs on packed ints
+    (:class:`~zxfault.pauli.Nibbles`), and each layer is sorted by
+    ``Nibbles.key`` and unpacked as it is yielded."""
     atoms = m.paulis()
-    packer = Nibbles(atoms) if code is None else code
-    layers = _layers([packer.pack(a) for a in atoms], max_weight)
-    if code is not None:
-        yield from layers
-        return
-    for k, w in layers:
-        yield packer.unpack(k), w
+    code = Nibbles(atoms)
+    steps = dict.fromkeys(map(code.pack, atoms), 0)
+    for w, layer in enumerate(gf2.layers(steps, max_weight)):
+        for k in sorted(layer, key=Nibbles.key):
+            yield code.unpack(k), w
 
 
 def _convolve(p: list[int], q: list[int], max_weight: int) -> list[int]:
@@ -203,8 +180,10 @@ def count_faults(m: NoiseModel, max_weight: int) -> int:
     counts [1, 1], or all four Paulis, with counts [1, 3] when X, Y and Z
     are atoms and [1, 2, 1] = (1 + x)^2 when two are, since the third has
     weight 2.  So n locations with X, Y and Z each give C(n, k)·3^k.  A
-    block over several locations is walked.  The walk yields the identity
-    at any bound, so a negative one counts as 0."""
+    block over several locations is counted by the sizes of the layers of
+    the breadth-first search of its span (:func:`~zxfault.gf2.layers`).
+    The walk yields the identity at any bound, so a negative one counts as
+    0."""
     max_weight = max(max_weight, 0)
     by_mask: dict[int, list] = {}  # location mask -> atoms
     for a in m.paulis():
@@ -220,11 +199,8 @@ def count_faults(m: NoiseModel, max_weight: int) -> int:
     counts = [1]
     for mask, group in blocks.items():
         if mask & mask - 1:
-            code = Nibbles(group)
-            walked = [0] * (max_weight + 1)
-            for _, w in _layers([code.pack(a) for a in group], max_weight):
-                walked[w] += 1
-            counts = _convolve(counts, walked, max_weight)
+            walked = gf2.layers(dict.fromkeys(_rows(group), 0), max_weight)
+            counts = _convolve(counts, list(map(len, walked)), max_weight)
         elif len(group) == 3:
             threes += 1
         else:

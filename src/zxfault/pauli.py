@@ -183,11 +183,6 @@ class Nibbles:
             m &= m - 1
         return k
 
-    def masks(self) -> list[int]:
-        """Each rank's location, as its one bit of the (x, z) masks of
-        :attr:`PauliString.xz`."""
-        return list(self._masks)
-
     def unpack(self, k: int) -> PauliString:
         x = z = 0
         masks = self._masks

@@ -34,7 +34,7 @@ from .noise import AtomicFault, NoiseModel, count_faults, edge_flip_atoms
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
-from .webs import ClassTable, FaultClasses, least_weights
+from .webs import ClassTable, FaultClasses
 
 FAULT_EQUIVALENT = "fault-equivalent"
 W_FAULT_EQUIVALENT = "w-fault-equivalent"
@@ -844,7 +844,7 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
 
     Both sides are least-weight tables, with no walk: the least weight of
     each boundary class is a breadth-first search over the boundary atoms'
-    syndromes reduced by the flip rows (:func:`~zxfault.webs.least_weights`),
+    syndromes reduced by the flip rows (:func:`~zxfault.gf2.layers`),
     and the internal classes are a :class:`~zxfault.webs.ClassTable`.  An
     undetectable internal class fails when its least weight is below that
     of its boundary class, and only the faults of failing classes are
@@ -869,7 +869,8 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
     steps = dict.fromkeys((gf2.reduce(rows, classes.syndrome(a))
                            for a in model(boundary).paulis()), 0)
     steps.pop(0, None)
-    least = {s: w for s, w, _ in least_weights(steps, max_weight)}
+    least = {s: w for w, layer in enumerate(gf2.layers(steps, max_weight))
+             for s in layer}
     table = ClassTable(classes, inner, max_weight)
     failing = {}  # syndrome -> the weight its faults fail below
     for s, w in table.least.items():

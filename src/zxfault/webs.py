@@ -4,9 +4,11 @@ A fault's class is its web syndrome, the set of basis webs it anticommutes
 with, which is linear in the fault.  :class:`ClassTable` holds, per class
 up to a weight, the least weight, a least-weight fault and the detection
 flag, from one breadth-first search over the distinct atom syndromes
-(:func:`least_weights`), and the number of faults, counted in closed form
-(:func:`~zxfault.noise.count_faults`).  Faults themselves are walked only
-to list those of chosen classes (:meth:`ClassTable.faults_below`).
+(:func:`~zxfault.gf2.layers`), and the number of faults, counted in closed
+form (:func:`~zxfault.noise.count_faults`).  Faults themselves are walked
+only to list those of chosen classes (:meth:`ClassTable.faults_below`), by
+the same search over packed faults
+(:func:`~zxfault.noise.enumerate_faults`).
 
 A web assigns each edge a highlight in {none, green, red, both}; highlights
 are stored in the edge's a-side view and swap green<->red across a hadamard
@@ -248,28 +250,6 @@ def is_detectable(d: ZxDiagram, f: PauliString,
     return False
 
 
-def least_weights(steps: dict[int, int], max_weight: int):
-    """Breadth-first search of the GF(2) span of the ``steps`` keys from 0,
-    stopped at ``max_weight`` steps: yield (s, w, k) for each s reached,
-    with w the least number of keys whose XOR is s and k the XOR of their
-    values, by weight and, within a weight, in the order the search first
-    reaches s (each s of the last layer times each key, in ``steps``
-    order)."""
-    yield 0, 0, 0
-    reached, frontier = {0: 0}, [0]
-    for w in range(1, max_weight + 1):
-        layer = []
-        for p in frontier:
-            kp = reached[p]
-            for a, k in steps.items():
-                s = p ^ a
-                if s not in reached:
-                    reached[s] = kp ^ k
-                    layer.append(s)
-                    yield s, w, kp ^ k
-        frontier = layer
-
-
 class FaultClasses:
     """One diagram's web basis and detecting regions, each solved once, and
     the classes of the faults a noise model generates.
@@ -322,17 +302,15 @@ class FaultClasses:
                 mask &= mask - 1
         return s
 
-    def search(self, noise: NoiseModel, max_weight: int,
-               code: Nibbles | None = None):
+    def search(self, noise: NoiseModel, max_weight: int):
         """Yield (syndrome, least weight, first fault, undetectable) for each
         class of a fault of weight at most ``max_weight``, breadth first
-        (:func:`least_weights`), so in nondecreasing weight.  The first
-        fault is a least-weight fault of the class: the product of the
-        atoms on the search's path to it, each the first atom of its
-        syndrome in the noise model's order.  ``code`` is
-        ``Nibbles(noise.paulis())``, built here when not given.  A noise
-        atom on an unknown or ideal edge raises ValueError before the
-        search; each location is checked once."""
+        (:func:`~zxfault.gf2.layers`) over the distinct atom syndromes, so
+        in nondecreasing weight.  Each step's payload is its first atom in
+        the noise model's order, packed, so a class's first fault, the
+        product of the atoms on the search's path to it, is a least-weight
+        fault of it.  A noise atom on an unknown or ideal edge raises
+        ValueError before the search; each location is checked once."""
         atoms, seen = noise.paulis(), 0
         for a in atoms:  # the locations no earlier atom has, as it reaches them
             x, z = a.xz
@@ -340,16 +318,16 @@ class FaultClasses:
                 _check_locations(self.diagram,
                                  PauliString.from_xz((x | z) & ~seen, 0))
                 seen |= x | z
-        if code is None:
-            code = Nibbles(atoms)
+        code = Nibbles(atoms)
         steps: dict[int, int] = {}  # atom syndrome -> its first atom, packed
         for a in atoms:
             s = self.syndrome(a)
             if s and s not in steps:
                 steps[s] = code.pack(a)
-        for s, w, k in least_weights(steps, max_weight):
-            f = code.unpack(k)
-            yield s, w, f, not is_detectable(self.diagram, f, self.regions)
+        for w, layer in enumerate(gf2.layers(steps, max_weight)):
+            for s, k in layer.items():
+                f = code.unpack(k)
+                yield s, w, f, not is_detectable(self.diagram, f, self.regions)
 
 
 class ClassTable:
@@ -364,12 +342,10 @@ class ClassTable:
     def __init__(self, classes: FaultClasses, noise: NoiseModel,
                  max_weight: int):
         self.classes, self.noise, self.max_weight = classes, noise, max_weight
-        self.code = Nibbles(noise.paulis())
         self.least: dict[int, int] = {}
         self.firsts: dict[int, PauliString] = {}
         self.undetectable: dict[int, bool] = {}
-        for s, w, f, undetectable in classes.search(noise, max_weight,
-                                                    self.code):
+        for s, w, f, undetectable in classes.search(noise, max_weight):
             self.least[s], self.firsts[s] = w, f
             self.undetectable[s] = undetectable
         self.checked = count_faults(noise, max_weight)
@@ -379,24 +355,11 @@ class ClassTable:
         :func:`~zxfault.noise.enumerate_faults` order for each fault whose
         syndrome is a key of ``bounds`` and whose weight is below that
         syndrome's bound, at most the table's ``max_weight`` + 1: the walk
-        that lists counterexamples.  Each syndrome is read from the packed
-        fault, one row per letter, and its detection flag from the
+        that lists counterexamples.  Each walked fault's syndrome is read
+        by :meth:`FaultClasses.syndrome`, and its detection flag from the
         table."""
-        undetectable, code = self.undetectable, self.code
-        # each rank's syndromes of I, X, Z and Y, by its nibble's low bits
-        rows = []
-        for m in code.masks():
-            i = m.bit_length() - 1
-            x, z = (self.classes._rows[0].get(i, 0),
-                    self.classes._rows[1].get(i, 0))
-            rows.append((0, x, z, x ^ z))
-        top = max(bounds.values()) - 1
-        for k, w in enumerate_faults(self.noise, top, code):
-            s, rest = 0, k
-            while rest:
-                r = (rest & -rest).bit_length() - 1 >> 2
-                nibble = rest >> 4 * r & 3
-                s ^= rows[r][nibble]
-                rest ^= nibble << 4 * r
+        syndrome, undetectable = self.classes.syndrome, self.undetectable
+        for f, w in enumerate_faults(self.noise, max(bounds.values()) - 1):
+            s = syndrome(f)
             if w < bounds.get(s, 0):
-                yield code.unpack(k), w, s, undetectable[s]
+                yield f, w, s, undetectable[s]

@@ -2,6 +2,9 @@
 
 * The breadth-first fault walk on PauliString objects that the packed walk
   of :func:`zxfault.noise.enumerate_faults` replaced.
+* The breadth-first search of a GF(2) span that keeps every element it has
+  reached (:func:`least_weights`), which :func:`zxfault.gf2.layers`, keeping
+  only its last two layers, replaced.
 * The per-web syndrome rule that the bit rows of
   :meth:`zxfault.webs.FaultClasses.syndrome` replaced.
 * The tensor class keys that matched faults across two diagrams before the
@@ -64,6 +67,28 @@ def enumerate_faults(m: NoiseModel, max_weight: int):
         seen |= layer
         for h in frontier:
             yield h, w
+
+
+def least_weights(steps: dict[int, int], max_weight: int):
+    """Breadth-first search of the GF(2) span of the ``steps`` keys from 0,
+    stopped at ``max_weight`` steps: yield (s, w, k) for each s reached,
+    with w the least number of keys whose XOR is s and k the XOR of their
+    values, by weight and, within a weight, in the order the search first
+    reaches s (each s of the last layer times each key, in ``steps``
+    order)."""
+    yield 0, 0, 0
+    reached, frontier = {0: 0}, [0]
+    for w in range(1, max_weight + 1):
+        layer = []
+        for p in frontier:
+            kp = reached[p]
+            for a, k in steps.items():
+                s = p ^ a
+                if s not in reached:
+                    reached[s] = kp ^ k
+                    layer.append(s)
+                    yield s, w, kp ^ k
+        frontier = layer
 
 
 def anticommutes(w: PauliWeb, f: PauliString) -> bool:

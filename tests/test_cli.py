@@ -8,6 +8,7 @@ from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
 from zxfault import oracle, samples
 from zxfault.cli import main
 from zxfault.diagram import Phase, Spider
+from zxfault.rewrite import resolve_ref
 
 
 def run(capsys, *argv):
@@ -280,6 +281,13 @@ INPUT_ERRORS = [
      "gadget 'recursive-cat': parameter 'n' must be an integer, got 'x'"),
     ("sample argument type", ["webs", "sample:cat_spec:abc"],
      "sample 'cat_spec': parameter 'n' must be an integer, got 'abc'"),
+    # a bool parameter takes 0 or 1, not any string as a truthy flag
+    ("sample bool argument", ["eval", "sample:wire:False"],
+     "sample 'wire': parameter 'had' must be 0 or 1, got 'False'"),
+    ("sample bool argument after others",
+     ["eval", "sample:zz_measurement:k:2:yes"],
+     "sample 'zz_measurement': parameter 'ideal_internal' must be 0 or 1,"
+     " got 'yes'"),
     ("sample that is not a diagram", ["webs", "sample:web_corpus"],
      "sample 'web_corpus' is not a diagram"),
     # a repeated key is an error, not a silent overwrite by the last value
@@ -363,6 +371,13 @@ INPUT_ERRORS = [
                        ("target", "sample:cat_spec:4"),
                        ("restriction", "all"), ("claim", "w=3")]
 ]
+
+
+def test_a_sample_bool_argument_of_1_is_true():
+    (e,) = resolve_ref("sample:wire:1").edges.values()
+    assert e.had is True and e.ideal is False
+    (e,) = resolve_ref("sample:wire:0:1").edges.values()
+    assert e.had is False and e.ideal is True
 
 
 @pytest.mark.parametrize("argv,fragment", [pytest.param(a, f, id=i)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zxfault import samples
-from zxfault.diagram import ZxDiagram, compose, apply_fault
+from zxfault.diagram import Edge, ZxDiagram, compose, apply_fault
 from zxfault.oracle import evaluate, equal_up_to_scalar
 from zxfault.pauli import PauliString
 
@@ -32,6 +32,15 @@ def test_validate_duplicate_port():
     d.add_edge(("s", s), ("b", "out", 0))
     d.add_edge(("s", s), ("b", "out", 0))
     assert any("already used" in e for e in d.validate())
+
+
+def test_validate_non_bool_edge_flags():
+    d = samples.wire()
+    ((eid, e),) = d.edges.items()
+    d.edges[eid] = Edge(e.a, e.b, had="False", ideal=1)
+    errs = d.validate()
+    assert any("had flag 'False' is not a bool" in e for e in errs)
+    assert any("ideal flag 1 is not a bool" in e for e in errs)
 
 
 def test_compose_identity_wires():

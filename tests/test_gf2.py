@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from reference import least_weights
 from zxfault import gf2
 
 
@@ -125,3 +126,25 @@ def test_parity_of_ints_and_arrays(values):
     want = [bin(v).count("1") % 2 for v in values]
     assert [gf2.parity(v, width) for v in values] == want
     assert gf2.parity(np.array(values), width).tolist() == want
+
+
+# nonzero, distinct keys over few bits, so that the span has many sums of
+# several keys, each with a random payload
+step_dicts = st.dictionaries(st.integers(1, 2 ** 6 - 1),
+                             st.integers(0, 2 ** 8 - 1), max_size=9)
+
+
+@given(step_dicts, st.integers(0, 5))
+def test_layers_match_the_search_that_keeps_every_element(steps, max_weight):
+    layers = list(gf2.layers(steps, max_weight))
+    assert len(layers) == max_weight + 1
+    got = [(s, w, k) for w, layer in enumerate(layers)
+           for s, k in layer.items()]
+    assert got == list(least_weights(steps, max_weight))
+
+
+def test_a_step_back_two_layers_reaches_nothing_new():
+    # X on two edges: the weight-3 search reaches only the two weight-1
+    # faults again, from the weight-2 fault, so its layer is empty
+    assert list(gf2.layers({0b01: 1, 0b10: 2}, 3)) == [
+        {0: 0}, {0b01: 1, 0b10: 2}, {0b11: 3}, {}]

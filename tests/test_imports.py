@@ -1,18 +1,21 @@
 """Every module of the package and of its tests reads each name it
 imports, every module of the package reads each private name it defines,
-and no module of the package imports numpy.ma on a check or a proof
+every public name of the package is read outside its definition, and no
+module of the package imports numpy.ma on a check or a proof
 script."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "zxfault"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -80,6 +83,63 @@ def test_an_unread_private_name_is_found():
               "    def _go(self):\n        pass\n    def _stop(self):\n"
               "        pass\n")
     assert unread_private_names(source) == ["_LIMIT", "_helper", "A._stop"]
+
+
+def loads(node) -> Counter:
+    """How often each name is read under ``node``: ``name`` as a bare name
+    and ``.name`` as an attribute."""
+    read = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read["." + n.attr] += 1
+    return read
+
+
+def unread_public_names(definers: dict, readers: list) -> list:
+    """Public module-level defs and classes, and public methods of
+    module-level classes, of the ``definers`` sources (module name ->
+    source) that no source of ``readers`` reads outside the definition
+    itself, as ``module:name`` in source order.  A module-level name is
+    read as a bare name or as an attribute, a method only as an
+    attribute."""
+    read = Counter()
+    for source in readers:
+        read.update(loads(ast.parse(source)))
+    out = []
+    for module, source in definers.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found = [(node.name, node, (node.name, "." + node.name))]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m, ("." + m.name,))
+                          for m in node.body if isinstance(m, ast.FunctionDef)]
+            for name, n, keys in found:
+                inside = loads(n)
+                if not n.name.startswith("_") \
+                        and all(read[k] == inside[k] for k in keys):
+                    out.append(f"{module}:{name}")
+    return out
+
+
+def test_every_public_name_is_read():
+    readers = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))]
+    definers = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_names(definers, readers) == []
+
+
+def test_an_unread_public_name_is_found():
+    source = ("def used():\n    return 1\ndef again():\n    return again()\n"
+              "class A:\n    def go(self):\n        return used()\n"
+              "    def stop(self):\n        pass\n    def _hidden(self):\n"
+              "        pass\n")
+    # a bare name ``stop`` elsewhere does not read the method A.stop
+    reader = "A().go()\nstop = 0\nprint(stop)\n"
+    assert unread_public_names({"m": source}, [source, reader]) == [
+        "m:again", "m:A.stop"]
 
 
 # numpy.ma, which np.unique imports on its first call, adds about 1.7 MB to

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -383,6 +384,43 @@ def corpus_tables():
     pytest.param(d, m, w, id=name) for name, d, m, w in corpus_tables()])
 def test_tables_match_the_walk_on_the_corpus(d, m, max_weight):
     assert table_mismatches(d, m, max_weight) == []
+
+
+def first_fault_cases():
+    """(name, [(diagram, noise model, max weight)], digest): the web corpus
+    under edge flips at w=3, and both sides of four builders at w=2.  The
+    digest is the sha256 of (syndrome, least weight, first fault,
+    undetectable) over each class of FaultClasses.search, in search order:
+    the first fault is the one the guards, the error messages and
+    find_equivalent_fault name."""
+    from zxfault.builders import build_gadget
+    yield ("web corpus w=3",
+           [(d, edge_flip_atoms(d), 3) for _, d in samples.web_corpus()],
+           "7011ce9f62ccb074b268a58cf2a31b260cd7186af6564a46107b6becd1f09b3e")
+    for name, params, digest in [
+            ("flagged-cat", {},
+             "4886931cb00a792f3cb455d0c1e60df2a89bf362525544ff4c083999d15db583"),
+            ("shor-ft", {},
+             "496c71d8fd71d61df6519e7715109d24b48c51a7380661ff98cfe25400e4b640"),
+            ("recursive-cat", {"n": 4},
+             "e8f5a86ebc9008b73cd9659a109764161c61c7a0314ea0134b84d63628fd8b5d"),
+            ("steane", {},
+             "ad74ea1b944d978fa150ed1aad6cccd9cbc54f30fd80a33b7fff5e9ca4a74c3b")]:
+        spec = build_gadget(name, **params).equivalence_spec(2)
+        yield (f"{name} w=2", [(x.diagram, x.noise, 2)
+                               for x in (spec.side_a, spec.side_b)], digest)
+
+
+@pytest.mark.parametrize("cases,digest", [
+    pytest.param(cases, digest, id=name)
+    for name, cases, digest in first_fault_cases()])
+def test_the_first_fault_of_each_class_is_pinned(cases, digest):
+    h = hashlib.sha256()
+    for d, m, max_weight in cases:
+        for s, w, f, undetectable in webs.FaultClasses(d).search(m,
+                                                                 max_weight):
+            h.update(repr((s, w, f.to_text(), undetectable)).encode())
+    assert h.hexdigest() == digest
 
 
 def random_noise(d, seed: int) -> NoiseModel:
