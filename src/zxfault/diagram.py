@@ -216,7 +216,7 @@ class ZxDiagram:
             d.spiders[s["id"]] = Spider(s["colour"], Phase(s["qturns"], frozenset(s.get("pivars", []))))
         for e in j.get("edges", []):
             d.edges[e["id"]] = Edge(cls._ep_from_json(e["a"]), cls._ep_from_json(e["b"]),
-                                    bool(e.get("h", False)), bool(e.get("ideal", False)))
+                                    e.get("h", False), e.get("ideal", False))
         d.variables = list(j.get("variables", []))
         for c in j.get("constraints", []):
             d.constraints.append((frozenset(c["vars"]), c["rhs"] % 2))

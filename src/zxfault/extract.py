@@ -10,11 +10,20 @@ through the remaining wire edges and rebuilds a circuit, mapping fault-free
 edges back to fault-free wire segments.
 
 Where several partitions cover the diagram the matcher is deterministic:
-larger templates are tried first, then candidates in spider-id order.  Any
-spider no template accounts for raises :class:`ExtractionError` listing the
-offending spiders; diagrams whose only readings need a classically-controlled
-operation before its outcome exists (specification-only objects) are refused
-the same way.
+larger templates are tried first, then candidates in spider-id order.  The
+depth-first cover search skips dead branches by conflict-directed
+backjumping: a spider that runs out of roles sends the search back to the
+latest earlier choice its failures depend on, past choices that cannot
+matter.  A skipped branch holds no cover, so the first cover found is the
+one chronological backtracking finds.  With no cover, the error names the
+latest of the deepest failures met, and the tests compare it with
+chronological backtracking's on builders, rules, proof scripts and random
+circuits.  Only a diagram on which chronological backtracking ran out of its
+node budget may read differently: it may now extract, or fail with another
+error.  Any spider no template accounts for raises :class:`ExtractionError`
+listing the offending spiders; diagrams whose only readings need a
+classically-controlled operation before its outcome exists
+(specification-only objects) are refused the same way.
 
 Out of scope: outcome constraints on the diagram are post-selection metadata
 with no circuit counterpart and are ignored, and a plain (neither fault-free
@@ -131,13 +140,20 @@ _NODE_BUDGET = 500_000
 class _Matcher:
     def __init__(self, d: ZxDiagram):
         self.d = d
-        self.inc = {sid: sorted((eid, e.a if e.b == ("s", sid) else e.b)
-                                for eid, e in d.edges.items()
-                                if ("s", sid) in e.ends())
-                    for sid in d.spiders}
+        # sid -> sorted (edge id, far endpoint); a self-loop is listed once
+        self.inc: dict[int, list] = {sid: [] for sid in d.spiders}
+        for eid, e in d.edges.items():
+            if e.a[0] == "s":
+                self.inc[e.a[1]].append((eid, e.b))
+            if e.b[0] == "s" and e.b != e.a:
+                self.inc[e.b[1]].append((eid, e.a))
+        for edges in self.inc.values():
+            edges.sort()
         # spiders with outcome variables first: they claim their taps
         self.order = sorted(d.spiders,
                             key=lambda s: (not d.spiders[s].phase.pivars, s))
+        self.level = {sid: i for i, sid in enumerate(self.order)}
+        self.ball: dict[int, tuple] = {}      # sid -> spiders within distance 2
         self.claims: dict[int, tuple] = {}    # roles imposed by other spiders
         self.decided: dict[int, tuple] = {}   # roles chosen at a spider's turn
         self.internal: dict[int, str] = {}    # edge id -> internal label
@@ -309,12 +325,40 @@ class _Matcher:
                              {t})
         return None
 
+    def _blame(self, sid: int) -> set[int]:
+        """The levels of the decided spiders within distance 2 of ``sid``.
+
+        Whatever the search reads about a spider is set within that distance:
+        its role by itself or by a neighbour that claims it, the labels on its
+        edges by itself or a neighbour, whether a neighbour is free or done by
+        that neighbour or by a spider next to it, and whether a tap is
+        claimable by the labels its neighbours put on its edges.  So the
+        candidates of ``sid`` and a wire count that fails at ``sid`` depend on
+        no other choice."""
+        ball = self.ball.get(sid)
+        if ball is None:
+            ring = {far[1] for _, far in self.inc[sid] if far[0] == "s"}
+            near = {sid} | ring
+            for u in ring:
+                near.update(far[1] for _, far in self.inc[u] if far[0] == "s")
+            ball = self.ball[sid] = tuple(near)
+        return {self.level[u] for u in ball if u in self.decided}
+
     def _search(self) -> Circuit:
         """Depth-first cover search over ``order``: one choice generator per
         deciding spider on a list, as a diagram may have more spiders than
-        the recursion limit.  A failed level hands its _Fail to the level
-        below, which undoes its choice and tries its next."""
-        stack: list[tuple] = []  # (order index, choice generator)
+        the recursion limit.
+
+        Each level keeps the set of earlier levels its failures depend on
+        (conflict-directed backjumping, Prosser 1993).  An exhausted level
+        hands its _Fail down to the deepest level in its set, closing the
+        generators above it; their choices cannot matter, so the branches
+        skipped hold no cover and the first cover found is that of plain
+        chronological backtracking.  The target merges the set and tries its
+        next choice.  A failure of the builder, which checks the whole
+        diagram, and running out of budget blame every level, and so step
+        back one level."""
+        stack: list[tuple] = []  # (order index, choice generator, conflict set)
         i = 0
         while True:
             while i < len(self.order) and self.order[i] in self.claims:
@@ -325,25 +369,37 @@ class _Matcher:
                 except _Fail as f:
                     fail = f.with_traceback(None)
                     self._note(i, fail)
+                blame = {j for j, _, _ in stack}
             else:
-                stack.append((i, self._choices(i)))
+                conflict: set[int] = set()
+                stack.append((i, self._choices(i, conflict), conflict))
+                blame = None
             while True:
-                if not stack:
-                    raise fail
-                i, level = stack[-1]
+                if blame is not None:
+                    target = max(blame, default=-1)
+                    while stack and stack[-1][0] > target:
+                        stack.pop()[1].close()
+                    if not stack:
+                        raise fail
+                    stack[-1][2].update(j for j in blame if j < stack[-1][0])
+                i, level, conflict = stack[-1]
                 try:
                     next(level)
                     break
                 except _Fail as f:
                     stack.pop()
                     fail = f.with_traceback(None)
+                    blame = conflict
             i += 1
 
-    def _choices(self, i: int):
+    def _choices(self, i: int, conflict: set[int]):
         """Commit the candidate roles of spider ``order[i]`` one at a time,
-        yielding while one stands and undoing it when resumed; raise the
-        level's failure once none is left."""
+        yielding while one stands and undoing it when resumed or closed;
+        raise the level's failure once none is left.  ``conflict`` gathers
+        the earlier levels that the candidates and each failed choice
+        depend on."""
         sid = self.order[i]
+        conflict.update(self._blame(sid))
         cands = self._candidates(sid)
         if not cands:
             fail = _Fail("no template matches spider", {sid})
@@ -351,6 +407,7 @@ class _Matcher:
             raise fail
         for role, claims, labels in cands:
             if self.node_budget <= 0:
+                conflict.update(range(i))
                 raise _Fail("cover search budget exhausted", {sid})
             self.node_budget -= 1
             if any(t in self.claims
@@ -364,17 +421,22 @@ class _Matcher:
             self.internal.update(labels)
             fresh = {sid, *claims} - self.done
             self.done.update(fresh)
-            fail = self._local_fail({sid, *claims})
-            if fail is None:
-                yield
-            else:
-                self._note(i, fail)
-            del self.decided[sid]
-            for t in claims:
-                del self.claims[t]
-            for eid in labels:
-                del self.internal[eid]
-            self.done -= fresh
+            try:
+                fail = self._local_fail({sid, *claims})
+                if fail is None:
+                    yield
+                else:
+                    self._note(i, fail)
+                    for t in fail.spiders:
+                        conflict.update(self._blame(t))
+                    conflict.discard(i)
+            finally:
+                del self.decided[sid]
+                for t in claims:
+                    del self.claims[t]
+                for eid in labels:
+                    del self.internal[eid]
+                self.done -= fresh
         raise self.best_fail[1] if self.best_fail else _Fail(
             "no consistent reading", {sid})
 

@@ -30,6 +30,10 @@
 * Graph isomorphism of diagrams with their ports fixed, and a spider's
   degree (:func:`degree`).
 * The binding of a rule's inverse that undoes one rewrite step.
+* The extraction cover search with chronological backtracking
+  (:class:`ChronologicalMatcher`), which the conflict-directed
+  backjumping of ``zxfault.extract._Matcher`` replaced: each exhausted
+  level hands its failure to the level just below.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ import math
 
 import numpy as np
 
+from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram
+from zxfault.extract import _Builder, _Fail, _Matcher
 from zxfault.noise import NoiseModel
 from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
                             OutcomeMap, OutcomeTensor, _port_label,
@@ -611,3 +617,71 @@ class Contraction:
         t = np.transpose(final, self._perm).reshape(self._shape)
         return OutcomeTensor(self.diagram.variables, self._n_in, self._n_out,
                              t)
+
+
+class ChronologicalMatcher(_Matcher):
+    """The cover search that retries every choice between a failure and
+    its cause: an exhausted level hands its failure to the level below."""
+
+    def _search(self) -> Circuit:
+        stack: list[tuple] = []  # (order index, choice generator)
+        i = 0
+        while True:
+            while i < len(self.order) and self.order[i] in self.claims:
+                i += 1
+            if i == len(self.order):
+                try:
+                    return _Builder(self.d, self._roles(), self.internal).build()
+                except _Fail as f:
+                    fail = f.with_traceback(None)
+                    self._note(i, fail)
+            else:
+                stack.append((i, self._choices(i)))
+            while True:
+                if not stack:
+                    raise fail
+                i, level = stack[-1]
+                try:
+                    next(level)
+                    break
+                except _Fail as f:
+                    stack.pop()
+                    fail = f.with_traceback(None)
+            i += 1
+
+    def _choices(self, i: int):
+        sid = self.order[i]
+        cands = self._candidates(sid)
+        if not cands:
+            fail = _Fail("no template matches spider", {sid})
+            self._note(i, fail)
+            raise fail
+        for role, claims, labels in cands:
+            if self.node_budget <= 0:
+                raise _Fail("cover search budget exhausted", {sid})
+            self.node_budget -= 1
+            if any(t in self.claims
+                   or self.decided.get(t, ("auto",)) != ("auto",)
+                   for t in claims):
+                continue
+            if any(eid in self.internal for eid in labels):
+                continue
+            self.decided[sid] = role
+            self.claims.update(claims)
+            self.internal.update(labels)
+            fresh = {sid, *claims} - self.done
+            self.done.update(fresh)
+            fail = self._local_fail({sid, *claims})
+            if fail is None:
+                yield
+            else:
+                self._note(i, fail)
+            del self.decided[sid]
+            for t in claims:
+                del self.claims[t]
+            for eid in labels:
+                del self.internal[eid]
+            self.done -= fresh
+        raise self.best_fail[1] if self.best_fail else _Fail(
+            "no consistent reading", {sid})
+

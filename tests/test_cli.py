@@ -344,6 +344,12 @@ INPUT_ERRORS = [
     ("builder reference rows, spec",
      ["eval", "builder:steane:hz=1:spec"],
      "hx and hz must be lists of 0/1 rows"),
+    # a diagram file's edge flag is checked as it is, not read as bool()
+    ("diagram file edge flag",
+     ["extract", json.dumps({"edges": [{"id": 0, "a": {"port": "in:0"},
+                                        "b": {"port": "out:0"},
+                                        "h": "false"}]})],
+     "edge 0: had flag 'false' is not a bool"),
 ] + [
     (f"sample parameter out of range {ref}", ["eval", ref], message)
     for ref, message in [
@@ -388,6 +394,10 @@ def test_input_errors_are_exit_2(capsys, tmp_path, argv, fragment):
         script.write_text(argv[1])
         argv = ["prove", str(script), "--base-dir",
                 os.path.dirname(script_path("rep3-split.fzx"))]
+    elif argv[1].startswith("{"):  # a diagram file's text
+        diagram = tmp_path / "input.json"
+        diagram.write_text(argv[1])
+        argv = [argv[0], str(diagram), *argv[2:]]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

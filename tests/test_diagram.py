@@ -43,6 +43,27 @@ def test_validate_non_bool_edge_flags():
     assert any("ideal flag 1 is not a bool" in e for e in errs)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("h", "false", "had flag 'false' is not a bool"),
+    ("ideal", 1, "ideal flag 1 is not a bool"),
+])
+def test_from_json_rejects_non_bool_edge_flags(field, value, message):
+    # the file's value reaches validate as it is, not coerced by bool()
+    j = {"edges": [{"id": 0, "a": {"port": "in:0"}, "b": {"port": "out:0"},
+                    field: value}]}
+    with pytest.raises(ValueError, match=message):
+        ZxDiagram.from_json(j)
+
+
+def test_from_json_reads_json_flags():
+    j = {"edges": [{"id": 0, "a": {"port": "in:0"}, "b": {"port": "out:0"},
+                    "h": True},
+                   {"id": 1, "a": {"port": "in:1"}, "b": {"port": "out:1"}}]}
+    d = ZxDiagram.from_json(j)
+    assert (d.edges[0].had, d.edges[0].ideal) == (True, False)
+    assert (d.edges[1].had, d.edges[1].ideal) == (False, False)
+
+
 def test_compose_identity_wires():
     w = compose(samples.wire(), samples.wire())
     assert len(w.edges) == 1

@@ -1,12 +1,17 @@
 import gc
+from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from reference import isomorphic
+from reference import ChronologicalMatcher, isomorphic
 from zxfault.builders import build_gadget
 from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram
-from zxfault.extract import DEFAULT_TEMPLATES, ExtractionError, extract_circuit
+from zxfault.extract import (_NODE_BUDGET, DEFAULT_TEMPLATES, ExtractionError,
+                             _Matcher, extract_circuit)
+from zxfault.rewrite import RULES, make_rule, run_proof_script
 from zxfault.translate import to_zx
 
 ROUND_TRIP_BUILDERS = [
@@ -70,7 +75,8 @@ def test_deep_cover_search_keeps_its_own_stack():
 @pytest.mark.parametrize("name", ["shor-alternative", "cat-like"],
                          ids=["extracts", "refused"])
 def test_cover_search_leaves_no_reference_cycles(name):
-    # shor-alternative backtracks through thousands of failed choices, and
+    # shor-alternative backtracks through thousands of failed choices and
+    # closes the generators of hundreds of levels it jumps over, and
     # cat-like fails every reading; the search's frames must be freed when
     # it ends, not at the collector's next full pass, which may come
     # several diagrams later
@@ -85,6 +91,156 @@ def test_cover_search_leaves_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- backjumping against the chronological search ------------------------------
+
+def outcome(matcher) -> str | tuple:
+    """The extracted circuit's text, or the error's message and spiders."""
+    try:
+        return matcher.run().to_text()
+    except ExtractionError as exc:
+        return str(exc), exc.spiders
+
+
+def same_as_chronological(d: ZxDiagram, budget: int = _NODE_BUDGET) -> bool:
+    """Whether the chronological search, given ``budget`` candidate roles,
+    stays within it; if it does, assert that backjumping gives the same
+    circuit or error."""
+    assert not d.validate()
+    reference = ChronologicalMatcher(d)
+    reference.node_budget = budget
+    want = outcome(reference)
+    if reference.node_budget <= 0:
+        # the budget error names where it ran out, and backjumping, which
+        # skips branches, runs out elsewhere or not at all
+        return False
+    matcher = _Matcher(d)
+    matcher.node_budget = budget
+    assert outcome(matcher) == want
+    return True
+
+
+# cat-like's gadget-complete translation is left out: both searches run out
+# of budget on it, and the chronological one takes about 10 s to do so
+DIFFERENTIAL_BUILDERS = [
+    pytest.param(name, params, strategy, id=f"{name}-{strategy}")
+    for name, params in ROUND_TRIP_BUILDERS + [("steane-optimised", {}),
+                                               ("cat-like", {})]
+    for strategy in ("template", "gadget-complete")
+    if (name, strategy) != ("cat-like", "gadget-complete")]
+
+
+@pytest.mark.parametrize("name,params,strategy", DIFFERENTIAL_BUILDERS)
+def test_builders_extract_as_chronologically(name, params, strategy):
+    c = build_gadget(name, **params).implementation
+    assert same_as_chronological(to_zx(c, strategy)[0])
+
+
+def shipped_scripts():
+    scripts = resources.files("zxfault").joinpath("scripts")
+    return sorted(p.name for p in scripts.iterdir() if p.name.endswith(".fzx"))
+
+
+@pytest.mark.parametrize("name", shipped_scripts())
+def test_script_final_diagrams_extract_as_chronologically(name):
+    scripts = resources.files("zxfault").joinpath("scripts")
+    with resources.as_file(scripts) as base:
+        rep = run_proof_script(scripts.joinpath(name).read_text(),
+                               base_dir=str(base), return_final=True)
+    assert same_as_chronological(rep["final_diagram"])
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_rule_sides_extract_as_chronologically(name):
+    rule = make_rule(name)
+    assert same_as_chronological(rule.lhs)
+    assert same_as_chronological(rule.rhs)
+
+
+@st.composite
+def small_circuits(draw):
+    """Valid circuits of at most 4 qubits and 10 operations: a qubit is
+    prepared only before its first use or after a destructive measurement,
+    and a CPAULI is conditioned on outcomes already measured."""
+    n = draw(st.integers(1, 4))
+    c = Circuit(n)
+    alive, used, measured = [True] * n, [False] * n, []
+    for kind in draw(st.lists(st.sampled_from(
+            ["CNOT", "CZ", "H", "S", "PREP", "MZ", "MX", "MPP", "CPAULI"]),
+            max_size=10)):
+        live = [q for q in range(n) if alive[q]]
+        if kind == "PREP":
+            free = [q for q in range(n) if not alive[q] or not used[q]]
+            if not free:
+                continue
+            q = draw(st.sampled_from(free))
+            c.gate(draw(st.sampled_from(["PREP_Z", "PREP_X", "PREP_MINUS"])), q)
+            alive[q], used[q] = True, True
+            continue
+        if not live or kind in ("CNOT", "CZ") and len(live) < 2 \
+                or kind == "CPAULI" and not measured:
+            continue
+        if kind in ("CNOT", "CZ"):
+            a, b = draw(st.permutations(live))[:2]
+            c.gate(kind, a, b, ideal=draw(st.booleans()))
+            qs = [a, b]
+        elif kind in ("H", "S"):
+            qs = [draw(st.sampled_from(live))]
+            c.gate(kind, *qs)
+        elif kind == "CPAULI":
+            qs = [draw(st.sampled_from(live))]
+            vars = draw(st.lists(st.sampled_from(measured), min_size=1,
+                                 unique=True))
+            c.cpauli(draw(st.sampled_from("XYZ")), qs[0], vars)
+        else:
+            var = f"m{len(measured)}"
+            if kind == "MPP":
+                qs = sorted(draw(st.lists(st.sampled_from(live), min_size=1,
+                                          unique=True)))
+                c.measure("MPP", qs, var,
+                          pauli="".join(draw(st.sampled_from("XZ"))
+                                        for _ in qs),
+                          ft=draw(st.booleans()))
+            else:
+                qs = [draw(st.sampled_from(live))]
+                c.measure(kind, qs, var)
+                alive[qs[0]] = False
+            measured.append(var)
+        for q in qs:
+            used[q] = True
+    assert not c.validate()
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_circuits(), st.sampled_from(["template", "gadget-complete"]))
+def test_small_circuits_extract_as_chronologically(c, strategy):
+    # many of these diagrams have no cover, and the chronological search
+    # may take seconds to run out of the full budget on one
+    assume(same_as_chronological(to_zx(c, strategy)[0], budget=10_000))
+
+
+@pytest.mark.parametrize("name,most", [("shor-alternative", 3000),
+                                       ("steane", 150)])
+def test_cover_search_size_is_pinned(name, most):
+    # chronological backtracking visits 35,276 and 1,472 candidate roles
+    d, _ = to_zx(build_gadget(name).implementation, "template")
+    matcher = _Matcher(d)
+    matcher.run()
+    assert _NODE_BUDGET - matcher.node_budget <= most
+
+
+def test_incidence_lists_each_edge_from_each_end():
+    d = ZxDiagram()
+    s, t = d.add_spider("Z"), d.add_spider("X")
+    out = d.add_edge(("s", t), ("b", "out", 0))
+    loop = d.add_edge(("s", t), ("s", t), had=True)
+    mid = d.add_edge(("s", s), ("s", t))
+    inp = d.add_edge(("b", "in", 0), ("s", s))
+    assert _Matcher(d).inc == {
+        s: [(mid, ("s", t)), (inp, ("b", "in", 0))],
+        t: [(out, ("b", "out", 0)), (loop, ("s", t)), (mid, ("s", s))]}
 
 
 def test_lone_green_spider_is_plus_preparation():
