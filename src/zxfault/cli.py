@@ -134,7 +134,7 @@ def _cmd_detect(args) -> int:
 def _cmd_distance(args) -> int:
     d = _load_diagram(args.input)
     m = _noise_for(d, args.noise)
-    dist = circuit_distance(d, m, args.cap, args.budget)
+    dist = circuit_distance(d, m, args.cap)
     _emit(str(dist), args.output)
     return 0 if dist != ABOVE_CAP else 1
 
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--noise", default="edge-flip", choices=("edge-flip", "x-flip"))
-    common(p, diagram_input=False)
+    inputs(p, diagram_input=False)
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("check-feq",

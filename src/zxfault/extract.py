@@ -406,9 +406,11 @@ class _Matcher:
             self._note(i, fail)
             raise fail
         for role, claims, labels in cands:
-            if self.node_budget <= 0:
+            if self.node_budget <= 0:  # every level reports this from now on
                 conflict.update(range(i))
-                raise _Fail("cover search budget exhausted", {sid})
+                self.best_fail = (len(self.order) + 1, _Fail(
+                    "cover search budget exhausted", {sid}))
+                raise self.best_fail[1]
             self.node_budget -= 1
             if any(t in self.claims
                    or self.decided.get(t, ("auto",)) != ("auto",)

@@ -1,5 +1,5 @@
-"""Fault triviality, fault correspondence search, w-fault-equivalence
-verdicts and circuit distance.
+"""Fault correspondence search, w-fault-equivalence verdicts and circuit
+distance.
 
 Two noisy diagrams are w-fault-equivalent when every fault of weight below w
 on either side is detectable there, or is matched by a fault of no greater
@@ -24,10 +24,12 @@ oracle, with one side-a replay per check; a replay is the contraction of
 the faulted diagram, ``evaluate(apply_fault(d, f))``.  Each read costs one
 pass over the tensor plus its support: the stabilisers are bit masks on
 its flat index (:func:`_stabilisers`), and only the entries that can
-exceed the tolerance are compared (:func:`_eigenvalues`).  A class that makes the
-diagram zero matches only such classes.  The circuit distance concerns
-one diagram and needs no map: a fault of a diagram D != 0 changes it
-exactly when its web syndrome is nonzero.
+exceed the tolerance are compared (:func:`_eigenvalues`).  Whether a
+class makes the diagram zero is read from the webs too, by the zero rule
+(:attr:`~zxfault.webs.FaultClasses.alive`), and a zero class matches only
+zero classes.  The circuit distance concerns one diagram and needs no map
+and no tensor: a fault of a diagram D != 0 changes it exactly when its web
+syndrome is nonzero.
 
 So a verdict and a distance need, per class, only its least weight, its
 detection flag and, for a verdict, its image under M: both sides'
@@ -108,43 +110,10 @@ class Verdict:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def is_trivial(d: ZxDiagram, f: PauliString, base: OutcomeTensor | None = None,
-               budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff applying the fault leaves the diagram's tensor family
-    unchanged up to one global scalar (identity correspondence)."""
-    if base is None:
-        base = evaluate(d, budget)
-    return equal_up_to_scalar(base, evaluate(apply_fault(d, f), budget))
-
-
 class ClassKeyError(Exception):
     """The web-syndrome map and the dense tensor oracle disagree.  Not a
     ValueError, so that no caller can mistake it for a negative verdict or a
     failed step."""
-
-
-def _constant_regions(d: ZxDiagram, regions: list) -> list[PauliString]:
-    """The Paulis of a basis of the detecting regions whose detecting sets
-    are empty: the sums of basis ``regions`` whose detecting sets cancel.
-    A leg-less Pauli spider is a region too, with no Pauli and its outcome
-    variables as detecting set, which the basis leaves out."""
-    column = {v: i for i, v in enumerate(d.variables)}
-    inc = d.incidence()
-    webs = [(r.web.pauli, r.detecting_set) for r in regions] + [
-        (PauliString(), s.phase.pivars) for sid, s in d.spiders.items()
-        if not inc[sid] and s.phase.is_pauli()]
-    sets = [sum(1 << column[v] for v in vs) for _, vs in webs]
-    # equation j: the chosen regions' detecting sets cancel at variable j
-    equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))
-                 for j in range(len(column))]
-    out = []
-    for v in gf2.nullspace(equations, len(webs)):
-        p = PauliString()
-        for i, (pauli, _) in enumerate(webs):
-            if v >> i & 1:
-                p = p * pauli
-        out.append(p)
-    return out
 
 
 class FaultTable(ClassTable):
@@ -157,15 +126,7 @@ class FaultTable(ClassTable):
                  budget: int):
         self.diagram, self.budget = d, budget
         super().__init__(FaultClasses(d), noise, max_weight)
-        self._constant = _constant_regions(self.diagram, self.classes.regions)
         self.replays = 0
-
-    def pattern(self, f: PauliString) -> int:
-        """Bit i: the fault flips the i-th region whose detecting set is
-        empty.  Such a region fixes the sign of the whole diagram, so the
-        faults that leave the diagram nonzero share one pattern."""
-        return sum((not p.commutes(f)) << i
-                   for i, p in enumerate(self._constant))
 
     def replay(self, f: PauliString) -> OutcomeTensor:
         """The tensor family of the diagram with fault ``f`` applied."""
@@ -295,15 +256,16 @@ class SyndromeMap:
     syndromes to side-b ones under which classes match, and each class's
     key (``keys``, computed once per class).
 
-    Each side's reference is its first nonzero class: the empty fault when
-    D != 0, else one replay per :meth:`FaultTable.pattern` finds it.  Zero
-    classes, of another pattern, match only zero classes.  M(origin), the
-    offset, is the :func:`_read_out` of side a's reference (the origin)
-    against side b's.  Every other nonzero class is the origin under a
-    boundary Pauli and outcome flips (the push-out), so M is solved without
-    a tensor: echelon the :func:`_pushout_rows`, and M(s) is the offset
-    XOR the side-b flips of the generators that sum to s XOR origin.  A
-    class the generators cannot reach, or a kernel row that gives one
+    Each side's reference is its first nonzero class by the zero rule, the
+    first whose :meth:`~zxfault.webs.FaultClasses.pattern` is ``alive``:
+    the empty fault when D != 0, else one replay, which must be nonzero.
+    Zero classes, of another pattern, match only zero classes.  M(origin),
+    the offset, is the :func:`_read_out` of side a's reference (the
+    origin) against side b's.  Every other nonzero class is the origin
+    under a boundary Pauli and outcome flips (the push-out), so M is solved
+    without a tensor: echelon the :func:`_pushout_rows`, and M(s) is the
+    offset XOR the side-b flips of the generators that sum to s XOR origin.
+    A class the generators cannot reach, or a kernel row that gives one
     syndrome two images, is a :class:`ClassKeyError`.  Guards: the offset
     is 0 exactly when the oracle calls the nonzero noise-free diagrams
     equal, and any other match of it is confirmed; one nonzero side-a
@@ -335,14 +297,12 @@ class SyndromeMap:
                                    b.classes.syndrome(ref_b[0]))
             self._origin = a.classes.syndrome(ref_a[0])
             self.offset = self._read(ref_a[1])
-        zero_a, zero_b = t_a.max_abs() < TOL, t_b.max_abs() < TOL
+        zero_a, zero_b = bool(a.classes.alive), bool(b.classes.alive)
         same = zero_a and zero_b if zero_a or zero_b else self.offset == 0
         if same != equal_up_to_scalar(t_b, t_a, corr):
             raise ClassKeyError("web syndromes and the tensor oracle disagree"
                                 " on the noise-free diagrams")
         del t_a, t_b  # at most two tensors are kept while the oracle compares
-        self._alive = {side: ref and self.tables[side].pattern(ref[0])
-                       for side, ref in (("a", ref_a), ("b", ref_b))}
         if self.offset is not None:
             self._pivots = gf2.echelon(_pushout_rows(da, a.classes,
                                                      through[0]))
@@ -378,27 +338,27 @@ class SyndromeMap:
         syndrome ``s`` and its fault ``f``: -1 for a zero class, else M(s)
         for a side-a class and s for a side-b one; None when no nonzero
         class matches."""
-        alive = self._alive[side]
-        if alive is None or self.tables[side].pattern(f) != alive:
+        classes = self.tables[side].classes
+        if classes.pattern(f) != classes.alive:
             return -1
         if self.offset is None:
             return None
         return self._image(s, f) if side == "a" else s
 
     def _reference(self, side: str, t: OutcomeTensor):
-        """(fault, tensor) of the side's first nonzero class, given its
-        noise-free tensor ``t``; None if every class is zero."""
-        table = self.tables[side]
-        if t.max_abs() >= TOL:
-            return PauliString(), t
-        tried = {0}
-        for f in table.firsts.values():
-            if table.pattern(f) not in tried:
-                tried.add(table.pattern(f))
-                t = table.replay(f)
-                if t.max_abs() >= TOL:
-                    return f, t
-        return None
+        """(fault, tensor) of the side's first nonzero class by the zero
+        rule, the first whose pattern is ``alive``, given its noise-free
+        tensor ``t``; None if there is none.  Its replay, ``t`` when D != 0,
+        is the only one, and with ``t`` it guards the rule."""
+        table, classes = self.tables[side], self.tables[side].classes
+        f = next((f for f in table.firsts.values()
+                  if classes.pattern(f) == classes.alive), None)
+        ref = None if f is None else (f, table.replay(f) if f else t)
+        if (t.max_abs() < TOL) != bool(classes.alive) or \
+                ref and ref[1].max_abs() < TOL:
+            raise ClassKeyError(f"the zero rule and the tensor oracle"
+                                f" disagree on side {side}'s diagram")
+        return ref
 
     def pushout(self, s: int) -> int | None:
         """M(s) of a nonzero side-a class from the push-out generators;
@@ -514,24 +474,20 @@ def check_w_fault_equivalence(spec: EquivalenceSpec) -> Verdict:
     return Verdict(not counterexamples, counterexamples, checked)
 
 
-def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int,
-                     budget: int = DEFAULT_BUDGET):
+def circuit_distance(d: ZxDiagram, m: NoiseModel, cap: int):
     """Minimum weight of an undetectable fault that changes the diagram,
     ABOVE_CAP if none of weight <= cap exists.  On D != 0 those are the
     faults with a nonzero web syndrome, so the distance is the least weight
     of a nonzero undetectable class, the first that the breadth-first
-    search of the classes reaches, and the dense oracle confirms its first
-    fault; on D = 0 every fault is trivial."""
+    search of the classes reaches; on D = 0, which the zero rule
+    (:attr:`~zxfault.webs.FaultClasses.alive`) reads from the webs, every
+    fault is trivial."""
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
-    base = evaluate(d, budget)
-    if base.max_abs() < TOL:
+    classes = FaultClasses(d)
+    if classes.alive:
         return ABOVE_CAP
-    for s, w, f, undetectable in FaultClasses(d).search(m, cap):
+    for s, w, _, undetectable in classes.search(m, cap):
         if undetectable and s:
-            if is_trivial(d, f, base, budget):
-                raise ClassKeyError(
-                    f"fault {f.to_text()} has a nonzero web syndrome but"
-                    f" leaves the diagram unchanged")
             return w
     return ABOVE_CAP

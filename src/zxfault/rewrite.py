@@ -31,7 +31,7 @@ from .builders import as_int, build_gadget, call_bound, key_values
 from .diagram import Edge, Phase, Spider, ZxDiagram
 from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
 from .noise import AtomicFault, NoiseModel, count_faults, edge_flip_atoms
-from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, equal_up_to_scalar,
+from .oracle import (DEFAULT_BUDGET, OutcomeMap, equal_up_to_scalar,
                      evaluate, is_total)
 from .pauli import LETTERS, PauliString
 from .webs import ClassTable, FaultClasses
@@ -831,16 +831,16 @@ class PushoutReport:
     checked: int
 
 
-def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
-                           budget: int = DEFAULT_BUDGET) -> PushoutReport:
+def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3) -> PushoutReport:
     """Every undetectable internal fault up to the given weight must act like
     some boundary-only fault of no greater weight (weights counted in the
     respective restricted edge-flip models), up to a constant relabelling of
     the outcome variables.  On a diagram D != 0 that holds for two faults
     exactly when their web syndromes are equal modulo the webs that each
     outcome flip toggles
-    (:attr:`~zxfault.webs.FaultClasses.outcome_flips`); on D = 0 every
-    fault is trivial.
+    (:attr:`~zxfault.webs.FaultClasses.outcome_flips`); on D = 0, which
+    the zero rule (:attr:`~zxfault.webs.FaultClasses.alive`) reads from the
+    webs, every fault is trivial.
 
     Both sides are least-weight tables, with no walk: the least weight of
     each boundary class is a breadth-first search over the boundary atoms'
@@ -860,10 +860,10 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3,
                            for eid in eids for l in LETTERS], "edge-flip")
 
     inner = model(internal)
-    if evaluate(d, budget).max_abs() < TOL:
+    classes = FaultClasses(d)
+    if classes.alive:
         # D = 0: every non-empty internal fault counts and none fails
         return PushoutReport(True, [], count_faults(inner, max_weight) - 1)
-    classes = FaultClasses(d)
     rows = gf2.echelon(classes.outcome_flips)
     # boundary faults need only their class, not their detectability
     steps = dict.fromkeys((gf2.reduce(rows, classes.syndrome(a))

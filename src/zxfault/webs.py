@@ -289,6 +289,46 @@ class FaultClasses:
         return [sum((v in fl) << j for j, fl in enumerate(flips))
                 for v in self.diagram.variables]
 
+    @cached_property
+    def _constant(self) -> list[tuple[PauliString, int]]:
+        """The Pauli and expected parity of each of a basis of the constant
+        sums: the sums of ``regions`` and leg-less Pauli spiders (regions
+        with no Pauli, their outcome variables as detecting set and their
+        half turns as parity) whose detecting sets cancel.  A sum's parity
+        is the XOR of its terms'."""
+        d = self.diagram
+        column = {v: i for i, v in enumerate(d.variables)}
+        inc = d.incidence()
+        terms = [(r.web.pauli, r.detecting_set, r.expected_parity)
+                 for r in self.regions] + [
+            (PauliString(), s.phase.pivars, s.phase.qturns // 2)
+            for sid, s in d.spiders.items()
+            if not inc[sid] and s.phase.is_pauli()]
+        sets = [sum(1 << column[v] for v in vs) for _, vs, _ in terms]
+        # equation j: the chosen terms' detecting sets cancel at variable j
+        equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))
+                     for j in range(len(column))]
+        out = []
+        for v in gf2.nullspace(equations, len(terms)):
+            p, parity = PauliString(), 0
+            for i, (pauli, _, bit) in enumerate(terms):
+                if v >> i & 1:
+                    p, parity = p * pauli, parity ^ bit
+            out.append((p, parity))
+        return out
+
+    @cached_property
+    def alive(self) -> int:
+        """The zero rule: bit i is the parity of the i-th constant sum, which
+        fixes the sign of the whole diagram.  So D != 0 exactly when ``alive``
+        is 0, and D with a fault f applied exactly when pattern(f) == alive."""
+        return sum(parity << i for i, (_, parity) in enumerate(self._constant))
+
+    def pattern(self, f: PauliString) -> int:
+        """Bit i: the fault flips the i-th constant sum's parity."""
+        return sum((not p.commutes(f)) << i
+                   for i, (p, _) in enumerate(self._constant))
+
     def syndrome(self, f: PauliString) -> int:
         """Bit j is set when the fault anticommutes with web j: the XOR of
         the rows of the fault's set bits.  On a diagram D != 0, faults with

@@ -27,6 +27,10 @@
 * The side-b syndrome of each side-a class read from a replay of it
   (:func:`replay_read`), which the push-out generators of
   :class:`zxfault.feq.SyndromeMap` replaced.
+* Whether a fault leaves a diagram's tensor family unchanged, by two
+  dense contractions (:func:`is_trivial`), which the zero rule and the web
+  syndromes of :class:`zxfault.webs.FaultClasses` replaced in the circuit
+  distance and the push-out.
 * Graph isomorphism of diagrams with their ports fixed, and a spider's
   degree (:func:`degree`).
 * The binding of a rule's inverse that undoes one rewrite step.
@@ -43,8 +47,9 @@ import math
 
 import numpy as np
 
+from zxfault import oracle
 from zxfault.circuit import Circuit
-from zxfault.diagram import ZxDiagram
+from zxfault.diagram import ZxDiagram, apply_fault
 from zxfault.extract import _Builder, _Fail, _Matcher
 from zxfault.noise import NoiseModel
 from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
@@ -73,6 +78,15 @@ def enumerate_faults(m: NoiseModel, max_weight: int):
         seen |= layer
         for h in frontier:
             yield h, w
+
+
+def is_trivial(d: ZxDiagram, f: PauliString,
+               base: OutcomeTensor | None = None) -> bool:
+    """True iff applying the fault leaves the diagram's tensor family
+    unchanged up to one global scalar (identity correspondence)."""
+    if base is None:
+        base = oracle.evaluate(d)
+    return oracle.equal_up_to_scalar(base, oracle.evaluate(apply_fault(d, f)))
 
 
 def least_weights(steps: dict[int, int], max_weight: int):

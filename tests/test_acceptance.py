@@ -10,14 +10,14 @@ from importlib import resources
 
 import numpy as np
 
-from reference import isomorphic
+from reference import is_trivial, isomorphic
 from test_webs import brute_force_webs, span_highlights
 
 from zxfault import samples
 from zxfault.builders import build_gadget
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.feq import (EquivalenceSpec, Side, check_w_fault_equivalence,
-                         circuit_distance, find_equivalent_fault, is_trivial)
+                         circuit_distance, find_equivalent_fault)
 from zxfault.noise import edge_flip_atoms, x_flip_atoms
 from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate, is_total
 from zxfault.pauli import PauliString

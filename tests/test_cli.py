@@ -1,11 +1,12 @@
 import json
 import os
+import time
 from importlib import resources
 
 import pytest
 
 from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
-from zxfault import oracle, samples
+from zxfault import cli, oracle, samples
 from zxfault.cli import main
 from zxfault.diagram import Phase, Spider
 from zxfault.rewrite import resolve_ref
@@ -121,7 +122,6 @@ def test_output_file_flag(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["check-feq", "--a", "naive-cat4", "--b", "ideal-cat4", "--w", "2",
      "--budget", "2"],
-    ["distance", "--in", "rep3-sandwich", "--cap", "2", "--budget", "2"],
     ["prove", "truncated-cat.fzx", "--budget", "2"],
 ])
 def test_oracle_budget_exceeded_is_exit_2(capsys, argv):
@@ -135,7 +135,6 @@ def test_oracle_budget_exceeded_is_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["eval", "two-zz"],
     ["check-feq", "--a", "naive-cat4", "--b", "ideal-cat4", "--w", "2"],
-    ["distance", "--in", "rep3-sandwich", "--cap", "2"],
 ])
 def test_unallocatable_contraction_is_exit_2(capsys, monkeypatch, argv):
     # every contraction step fails to allocate its array, as numpy reports
@@ -150,6 +149,30 @@ def test_unallocatable_contraction_is_exit_2(capsys, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: Unable to allocate 32.0 GiB")
     assert err.count("\n") == 1
+
+
+def test_only_the_commands_that_contract_take_a_budget(capsys):
+    # the distance reads D != 0 from the webs and contracts nothing, so a
+    # budget there would bound nothing
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert {name for name, p in commands.items()
+            if "--budget" in p.format_help()} == {"eval", "check-feq", "prove"}
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--in", "rep3-sandwich", "--cap", "2",
+              "--budget", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 2" in capsys.readouterr().err
+
+
+def test_distance_of_a_diagram_too_large_to_contract(capsys):
+    # side a of recursive-cat n=16 needs a 32 GiB contraction step, and
+    # the distance needs none
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "distance", "--in",
+                       "builder:recursive-cat:n=16:impl", "--cap", "3")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, "1\n")
 
 
 @pytest.mark.parametrize("w", ["0", "-1"])

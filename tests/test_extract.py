@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import ChronologicalMatcher, isomorphic
+from zxfault import extract
 from zxfault.builders import build_gadget
 from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram
@@ -229,6 +230,16 @@ def test_cover_search_size_is_pinned(name, most):
     matcher = _Matcher(d)
     matcher.run()
     assert _NODE_BUDGET - matcher.node_budget <= most
+
+
+def test_running_out_of_budget_is_the_reported_failure(monkeypatch):
+    # levels below the one that runs out have no candidates left and used
+    # to report their deepest earlier failure, a wire that runs into a
+    # wire-starting spider, as if the search had been complete
+    monkeypatch.setattr(extract, "_NODE_BUDGET", 50)
+    d, _ = to_zx(build_gadget("shor-alternative").implementation, "template")
+    with pytest.raises(ExtractionError, match="cover search budget exhausted"):
+        extract_circuit(d)
 
 
 def test_incidence_lists_each_edge_from_each_end():

@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import itertools
+import pkgutil
 import random
 
 import numpy as np
@@ -6,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from reference import class_keys, dense_read, key_matches, syndrome
+import zxfault
+from reference import (class_keys, dense_read, is_trivial, key_matches,
+                       syndrome)
 from zxfault import feq, gf2, oracle, samples, webs
 from zxfault.diagram import Edge, ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          Verdict, check_w_fault_equivalence, circuit_distance,
-                         find_equivalent_fault, is_trivial)
+                         find_equivalent_fault)
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            edge_flip_atoms, enumerate_faults)
 from zxfault.oracle import (DEFAULT_BUDGET, OutcomeMap, OutcomeTensor,
@@ -650,16 +655,26 @@ def test_distance_matches_reference_loop(name, make, model, cap):
     assert circuit_distance(d, m, cap) == reference_distance(d, m, cap)
 
 
-def test_distance_answer_guard(monkeypatch):
-    # the green state's X flip is trivial; a syndrome that calls every
-    # non-empty fault non-trivial must be caught by the dense check
-    d = samples.z_state()
-    m = NoiseModel([AtomicFault(PauliString({0: "X"}), "edge-flip")], "x")
-    assert circuit_distance(d, m, 1) == ABOVE_CAP
-    monkeypatch.setattr(webs.FaultClasses, "syndrome",
-                        lambda self, f: int(bool(f)))
-    with pytest.raises(ClassKeyError, match="leaves the diagram unchanged"):
-        circuit_distance(d, m, 1)
+def forbid_contractions(monkeypatch) -> None:
+    """Make ``oracle.evaluate`` raise under every name that a module of the
+    package binds it to."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a diagram was contracted")
+    real = oracle.evaluate
+    for info in pkgutil.iter_modules(zxfault.__path__):
+        module = importlib.import_module(f"zxfault.{info.name}")
+        if getattr(module, "evaluate", None) is real:
+            monkeypatch.setattr(module, "evaluate", refuse)
+
+
+@pytest.mark.parametrize("name,make,model,cap", DISTANCE_CASES,
+                         ids=[c[0] for c in DISTANCE_CASES])
+def test_distance_contracts_nothing(monkeypatch, name, make, model, cap):
+    d = make()
+    m = model(d)
+    want = reference_distance(d, m, cap)
+    forbid_contractions(monkeypatch)
+    assert circuit_distance(d, m, cap) == want
 
 
 def test_distance_stops_at_the_first_hit():
@@ -671,6 +686,140 @@ def test_distance_stops_at_the_first_hit():
     start = time.perf_counter()
     assert circuit_distance(d, m, 3) == 1
     assert time.perf_counter() - start < 2
+
+
+# -- the zero rule against the dense oracle --------------------------------------
+
+def zero_rule_diagrams():
+    """(name, diagram, noise) triples on which the zero rule is checked
+    fault by fault: the web corpus and each of its diagrams beside a
+    leg-less pi spider, the loops beside a wire, the measured states and
+    their pinned outcomes, both sides of every rule, under edge flips, and
+    three gadget implementations under their circuit noise."""
+    from zxfault.builders import build_gadget
+    out = []
+    for name, d in samples.web_corpus():
+        out += [(name, d), (f"zero {name}", zero_diagram(d))]
+    out += [("loop", loop_beside_wire(0)),
+            ("half-turn loop", loop_beside_wire(2))]
+    for colour in "ZX":
+        out += [(f"measured {colour}", measured_state(colour)),
+                (f"pinned {colour}", pinned(measured_state(colour)))]
+    for name in sorted(RULES):
+        rule = make_rule(name)
+        out += [(f"{name} lhs", rule.lhs), (f"{name} rhs", rule.rhs)]
+    out = [(name, d, edge_flip_atoms(d)) for name, d in out]
+    for builder, params in [("flagged-cat", {}), ("recursive-cat", {"n": 4}),
+                            ("shor-ft", {})]:
+        pair = build_gadget(builder, **params)
+        out.append((builder, *pair.implementation_diagram()))
+    return out
+
+
+def zero_rule_mismatches(d, m) -> list:
+    """The faults up to weight 2 whose faulted diagram the zero rule calls
+    zero (a pattern other than ``alive``) and the dense oracle does not,
+    or the other way round."""
+    classes = webs.FaultClasses(d)
+    return [f for f, _ in enumerate_faults(m, 2)
+            if (classes.pattern(f) != classes.alive)
+            != (evaluate(apply_fault(d, f)).max_abs() < oracle.TOL)]
+
+
+@pytest.mark.parametrize("d,m", [pytest.param(d, m, id=name)
+                                 for name, d, m in zero_rule_diagrams()])
+def test_zero_rule_matches_the_oracle(d, m):
+    assert zero_rule_mismatches(d, m) == []
+
+
+def web_sum(web_list) -> PauliWeb:
+    """The sum of webs: their highlights' (green, red) bits and their
+    indicators, each XORed."""
+    bits = {"green": (1, 0), "red": (0, 1), "both": (1, 1)}
+    of = {v: h for h, v in bits.items()}
+    hl, ind = {}, {}
+    for w in web_list:
+        for eid, h in w.highlight:
+            g, r = hl.get(eid, (0, 0))
+            hl[eid] = (g ^ bits[h][0], r ^ bits[h][1])
+        for sid, b in w.indicators:
+            ind[sid] = ind.get(sid, 0) ^ b
+    return PauliWeb(tuple(sorted((e, of[v]) for e, v in hl.items()
+                                 if v != (0, 0))), tuple(sorted(ind.items())))
+
+
+def sum_parity_mismatches(d) -> list:
+    """The sums of two or more basis regions whose expected parity, by
+    :func:`~zxfault.webs.region_sign` on the summed web, is not the XOR of
+    the regions' parities, or whose detecting set is not the symmetric
+    difference of theirs."""
+    regions = detecting_region_basis(d)
+    out = []
+    for k in range(2, len(regions) + 1):
+        for chosen in itertools.combinations(regions, k):
+            parity, det = 0, frozenset()
+            for r in chosen:
+                parity, det = parity ^ r.expected_parity, det ^ r.detecting_set
+            got = webs.region_sign(d, web_sum([r.web for r in chosen]))
+            if got != (parity, det):
+                out.append(chosen)
+    return out
+
+
+def many_region_diagrams():
+    """(name, diagram) pairs with two to six basis regions."""
+    from zxfault.builders import build_gadget
+    yield "repetition-sandwich", samples.repetition_sandwich()
+    steane = build_gadget("steane")
+    yield "steane", steane.implementation_diagram()[0]
+    yield "steane spec", steane.spec
+    for n in (3, 4):
+        pair = build_gadget("repeating-measurement", n=n, rounds=3,
+                            stabilisers=[("ZZ", (i, i + 1))
+                                         for i in range(n - 1)])
+        yield f"repeating-measurement n={n}", pair.implementation_diagram()[0]
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in [
+    *((name, d) for name, d, _ in zero_rule_diagrams()),
+    *many_region_diagrams()]])
+def test_expected_parity_of_a_sum_is_the_xor(d):
+    assert sum_parity_mismatches(d) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random_spec))
+def test_zero_rule_matches_the_oracle_on_random_diagrams(spec):
+    for side in (spec.side_a, spec.side_b):
+        assert zero_rule_mismatches(side.diagram, side.noise) == []
+        assert sum_parity_mismatches(side.diagram) == []
+
+
+def test_a_zero_side_replays_only_its_noise_free_diagram(monkeypatch):
+    # no class of a diagram beside a leg-less pi spider is nonzero, so
+    # there is no reference to replay
+    replayed = []
+    real = feq.FaultTable.replay
+    monkeypatch.setattr(feq.FaultTable, "replay", lambda table, f:
+                        replayed.append((table, f)) or real(table, f))
+    made = made_maps(monkeypatch)
+    check_w_fault_equivalence(spec_of(zero_diagram(samples.wire()),
+                                      samples.wire()))
+    a = made[0].tables["a"]
+    assert [f for table, f in replayed if table is a] == [PauliString()]
+
+
+@pytest.mark.parametrize("d,name,value", [
+    # calls the nonzero noise-free diagram zero, then the zero one nonzero
+    (samples.wire(), "alive", 1),
+    (zero_diagram(samples.wire()), "alive", 0),
+    # calls every non-empty fault of a zero diagram nonzero, so the
+    # reference is a fault whose replay is zero
+    (zero_diagram(samples.wire()), "pattern", lambda self, f: int(bool(f)))])
+def test_zero_rule_is_guarded_by_the_replays(monkeypatch, d, name, value):
+    monkeypatch.setattr(webs.FaultClasses, name, value)
+    with pytest.raises(ClassKeyError, match="disagree on side a's diagram"):
+        check_w_fault_equivalence(spec_of(d, samples.wire()))
 
 
 # -- web syndromes against fresh replays -----------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from reference import _branch_canons, inverse_binding, isomorphic
+from test_feq import forbid_contractions
 from zxfault import samples, webs
 from zxfault.diagram import ZxDiagram, apply_fault
 from zxfault.noise import AtomicFault, NoiseModel, enumerate_faults
@@ -296,6 +297,14 @@ PUSHOUT_DIAGRAMS = [(f"corpus-{n}", d, 2) for n, d in samples.web_corpus()] + [
                                    for i, d, c in PUSHOUT_DIAGRAMS])
 def test_boundary_pushout_matches_reference_on_samples(d, cap):
     assert check_boundary_pushout(d, cap) == reference_pushout(d, cap)
+
+
+@pytest.mark.parametrize("d,cap", [pytest.param(d, c, id=i)
+                                   for i, d, c in PUSHOUT_DIAGRAMS])
+def test_boundary_pushout_contracts_nothing(monkeypatch, d, cap):
+    want = reference_pushout(d, cap)
+    forbid_contractions(monkeypatch)
+    assert check_boundary_pushout(d, cap) == want
 
 
 def test_only_a_failing_pushout_walks_faults(monkeypatch):
