@@ -107,21 +107,23 @@ class ZxDiagram:
 
     # -- views ------------------------------------------------------------
 
-    def _boundary(self, kind: str) -> list[int]:
-        ports = []
+    def boundary(self) -> tuple[list[int], list[int]]:
+        """The input and the output edge ids, each in port order, read in
+        one scan of the edges."""
+        ports: dict = {"in": [], "out": []}
         for eid, e in self.edges.items():
             for ep in e.ends():
-                if ep[0] == "b" and ep[1] == kind:
-                    ports.append((ep[2], eid))
-        return [eid for _, eid in sorted(ports)]
+                if ep[0] == "b" and ep[1] in ports:
+                    ports[ep[1]].append((ep[2], eid))
+        return tuple([eid for _, eid in sorted(p)] for p in ports.values())
 
     @property
     def inputs(self) -> list[int]:
-        return self._boundary("in")
+        return self.boundary()[0]
 
     @property
     def outputs(self) -> list[int]:
-        return self._boundary("out")
+        return self.boundary()[1]
 
     def boundary_edges(self) -> set[int]:
         return {eid for eid, e in self.edges.items()

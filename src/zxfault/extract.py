@@ -27,8 +27,8 @@ classically-controlled operation before its outcome exists
 
 Out of scope: outcome constraints on the diagram are post-selection metadata
 with no circuit counterpart and are ignored, and a plain (neither fault-free
-nor fault-tolerant) multi-qubit parity measurement extracts as a fault-free
-one because its fault bookkeeping lives in separate gadgets.
+nor fault-tolerant) parity measurement, of one qubit or more, extracts as a
+fault-free one because its fault bookkeeping lives in separate gadgets.
 """
 
 from __future__ import annotations
@@ -264,6 +264,9 @@ class _Matcher:
                                             {eid: "cnot-mz"}))
                     if g == 1:
                         out.append((("measure", "MZ", var), {}, {}))
+                        cand = self._try_mpp(sid, var)  # one-qubit MPP
+                        if cand:
+                            out.append(cand)
                 elif g == 1:
                     out.append((("measure", "MX", var), {}, {}))
             if g == 2 and q in (0, 2):

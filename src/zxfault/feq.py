@@ -275,8 +275,7 @@ class SyndromeMap:
 
     def __init__(self, spec: EquivalenceSpec, max_weight: int):
         da, db = spec.side_a.diagram, spec.side_b.diagram
-        if (len(da.inputs), len(da.outputs)) != \
-                (len(db.inputs), len(db.outputs)):
+        if list(map(len, da.boundary())) != list(map(len, db.boundary())):
             raise ValueError("incompatible boundary shapes")
         corr = spec.corr()
         if corr.source_vars != da.variables or corr.target_vars != db.variables:

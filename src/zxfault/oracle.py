@@ -7,12 +7,15 @@ contraction yields the full outcome-indexed family.
 
 There is one contraction path, :func:`evaluate`: it builds a diagram's
 leaf tensors (:func:`_leaves`), plans its whole pairwise contraction order
-(:func:`_plan`) and runs the steps; nothing is kept between calls.  A
-faulted diagram is contracted as ``evaluate(apply_fault(d, f))``.
+(:func:`_plan`) and runs the steps.  The only thing kept between calls is a
+bounded table of small spider leaves (:func:`_spider_leaf`), read-only
+arrays that every contraction shares.  A faulted diagram is contracted as
+``evaluate(apply_fault(d, f))``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -23,6 +26,13 @@ from . import gf2
 from .diagram import ZxDiagram
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# A bare wire's leaf, read-only: the identity, or H on a hadamard edge.
+_WIRE, _HAD_WIRE = np.eye(2, dtype=complex), H.copy()
+_WIRE.flags.writeable = _HAD_WIRE.flags.writeable = False
+# Spider leaves of at most _LEAF_CAP entries are kept in a table of at most
+# _LEAF_SLOTS leaves; a contraction meets few distinct ones.
+_LEAF_CAP = 2**10
+_LEAF_SLOTS = 256
 
 DEFAULT_BUDGET = 2**22
 # Absolute tolerance of every float comparison of tensor entries: zero tests,
@@ -44,17 +54,33 @@ def _z_core(degree: int, qturns: int) -> np.ndarray:
     return t
 
 
-def _spider_leaf(colour: str, degree: int, qturns: int, had_legs: list,
+def _spider_leaf(colour: str, degree: int, qturns: int, had_legs: list | tuple,
                  n_vars: int) -> np.ndarray:
     """A spider's leaf tensor, whose axes are its ``degree`` legs and then
     ``n_vars`` outcome-variable legs, with an H on each leg in ``had_legs``.
+    A leaf of at most ``_LEAF_CAP`` entries comes from a bounded table and
+    is read-only."""
+    key = (colour, degree, qturns, tuple(had_legs), n_vars)
+    if 2 ** (degree + n_vars) > _LEAF_CAP:
+        return _build_leaf(*key)
+    return _leaf_table(*key)
 
-    An X spider is a Z spider with H on every leg, and H twice is none, so
-    the leaf is a Z spider with H on the legs of a set S.  With x the legs'
-    bits and v the variables', its entry is 2^(-|S|/2) ([x off S = 0] +
-    phase (-1)^|x on S| [x off S = 1]), where phase = i^(qturns + 2|v|),
-    built on the flat index, whose bit n - 1 - j is axis j of n axes.  A
-    leaf with no H and no variable is ``_z_core``."""
+
+@functools.lru_cache(maxsize=_LEAF_SLOTS)
+def _leaf_table(*key) -> np.ndarray:
+    t = _build_leaf(*key)
+    t.flags.writeable = False
+    return t
+
+
+def _build_leaf(colour: str, degree: int, qturns: int, had_legs: tuple,
+                n_vars: int) -> np.ndarray:
+    """:func:`_spider_leaf`, built.  An X spider is a Z spider with H on
+    every leg, and H twice is none, so the leaf is a Z spider with H on the
+    legs of a set S.  With x the legs' bits and v the variables', its entry
+    is 2^(-|S|/2) ([x off S = 0] + phase (-1)^|x on S| [x off S = 1]), where
+    phase = i^(qturns + 2|v|), built on the flat index, whose bit n - 1 - j
+    is axis j of n axes.  A leaf with no H and no variable is ``_z_core``."""
     n = degree + n_vars
     h_mask = ((1 << degree) - 1) << n_vars if colour == "X" else 0
     for ax in had_legs:
@@ -128,16 +154,19 @@ def _leaves(d: ZxDiagram, limit: int) -> tuple[list, list]:
     """The leaf tensors of ``d``, one per spider, bare wire and outcome
     variable, each with its self-loops traced, and each leaf's labels.  A
     spider's leaf is built in closed form when it carries an H or an outcome
-    variable.  A leaf of more than ``limit`` entries is refused before it is
-    built."""
+    variable; an untraced leaf may be read-only.  A leaf of more than
+    ``limit`` entries is refused before it is built."""
     leaves: list = []
     labels_of: list = []
 
-    def add(what: str, labels: list, build) -> None:
+    def add(what: str, labels: list, build, looped: bool = False) -> None:
         if 2 ** len(labels) > limit:
             raise OracleBudgetError(f"{what} tensor exceeds budget")
-        loops, labels = _self_loops(labels)
-        leaves.append(_trace(build(), loops))
+        t = build()
+        if looped:
+            loops, labels = _self_loops(labels)
+            t = _trace(t, loops)
+        leaves.append(t)
         labels_of.append(labels)
 
     inc = d.incidence()
@@ -145,13 +174,15 @@ def _leaves(d: ZxDiagram, limit: int) -> tuple[list, list]:
     for sid, s in sorted(d.spiders.items()):
         legs: list = []
         had_legs: list[int] = []
+        looped = False
         # a self-loop appears twice; its first leg is its a-end
-        for eid, _ in sorted(inc[sid], key=lambda ie: ie[0]):
+        for eid in sorted([eid for eid, _ in inc[sid]]):
             e = d.edges[eid]
-            at_a = e.a == ("s", sid) and ("e", eid) not in legs
+            again = bool(legs) and legs[-1][1] == eid
+            looped |= again
             # absorb the H of a hadamard edge exactly once, at the
             # a-side endpoint if that is a spider, else here
-            if e.had and (at_a or e.a[0] != "s"):
+            if e.had and (e.a[0] != "s" or e.a == ("s", sid) and not again):
                 had_legs.append(len(legs))
             legs.append(("e", eid))
         vlegs = sorted(s.phase.pivars)
@@ -159,19 +190,20 @@ def _leaves(d: ZxDiagram, limit: int) -> tuple[list, list]:
         for v in vlegs:
             var_occurrences[v] += 1
         add(f"spider {sid}", labels, lambda: _spider_leaf(
-            s.colour, len(legs), s.phase.qturns, had_legs, len(vlegs)))
+            s.colour, len(legs), s.phase.qturns, had_legs, len(vlegs)),
+            looped)
 
     # bare wires (both endpoints are ports)
     for eid, e in sorted(d.edges.items()):
         if all(ep[0] != "s" for ep in e.ends()):
             add(f"wire {eid}", [("e", eid), ("e", eid, "b")],
-                lambda: H.copy() if e.had else np.eye(2, dtype=complex))
+                lambda: _HAD_WIRE if e.had else _WIRE)
 
     # copy tensor per variable ties its occurrences and exposes one open leg
     for v in d.variables:
         occ = var_occurrences[v]
         add(f"variable {v}", [("v", v, i) for i in range(occ)] + [("var", v)],
-            lambda: _z_core(occ + 1, 0))
+            lambda: _spider_leaf("Z", occ + 1, 0, (), 0))
     return leaves, labels_of
 
 
@@ -189,31 +221,26 @@ def _plan(labels_of: list, limit: int) -> tuple[list, list]:
     ``limit`` entries is refused.  A step's labels are its operands' free
     labels, and no label is on more than two leaves, so no step needs a
     trace."""
-    # A heap holds every node's order key, and a popped key whose node is
-    # gone is skipped.
-    strs: dict = {}
-    nodes: dict = {}    # live slot -> (labels, label set, order key)
-    holders: dict = {}  # label -> the live slots holding it
+    # Labels are planned as their ranks in string order, so a list of ranks
+    # orders as the list of strings.  A heap holds every node's order key,
+    # and a popped key whose node is gone is skipped.
+    names = sorted({l for labels in labels_of for l in labels}, key=str)
+    rank = {l: r for r, l in enumerate(names)}
+    nodes: dict = {}  # live slot -> its order key
+    holders: list = [[] for _ in names]  # rank -> the live slots holding it
     heap: list = []
 
     def push(slot: int, labels: list) -> None:
-        key = []
+        nodes[slot] = order = (len(labels), labels, slot)
         for l in labels:
-            s = strs.get(l)
-            if s is None:
-                s = strs[l] = str(l)
-            key.append(s)
-        order = (len(labels), key, slot)
-        nodes[slot] = (labels, set(labels), order)
-        for l in labels:
-            holders.setdefault(l, []).append(slot)
+            holders[l].append(slot)
         heapq.heappush(heap, order)
 
-    def pop(slot: int) -> tuple:
-        labels, label_set, _ = nodes.pop(slot)
+    def pop(slot: int) -> list:
+        labels = nodes.pop(slot)[1]
         for l in labels:
             holders[l].remove(slot)
-        return labels, label_set
+        return labels
 
     def smallest() -> int:
         while heap[0][2] not in nodes:
@@ -221,26 +248,31 @@ def _plan(labels_of: list, limit: int) -> tuple[list, list]:
         return heapq.heappop(heap)[2]
 
     for i, labels in enumerate(labels_of):
-        push(i, labels)
+        push(i, [rank[l] for l in labels])
     steps: list = []
     while len(nodes) > 1:
         a = smallest()
-        la, set_a = pop(a)
+        la = pop(a)
         shared: dict = {}  # slot -> the number of labels it shares with a
         for l in la:
             for o in holders[l]:
                 shared[o] = shared.get(o, 0) + 1
         if shared:
             b = min(shared, key=lambda o: (
-                len(la) + len(nodes[o][0]) - 2 * shared[o], nodes[o][2]))
+                len(la) + nodes[o][0] - 2 * shared[o], nodes[o]))
         else:
             b = smallest()
-        lb, set_b = pop(b)
-        free_a = [k for k, l in enumerate(la) if l not in set_b]
-        free_b = [k for k, l in enumerate(lb) if l not in set_a]
-        ax_a = [k for k, l in enumerate(la) if l in set_b]
-        ax_b = [lb.index(la[k]) for k in ax_a]
-        out = [la[k] for k in free_a] + [lb[k] for k in free_b]
+        at_b = {l: k for k, l in enumerate(pop(b))}  # left: b's free labels
+        free_a, ax_a, ax_b = [], [], []
+        for k, l in enumerate(la):
+            j = at_b.pop(l, None)
+            if j is None:
+                free_a.append(k)
+            else:
+                ax_a.append(k)
+                ax_b.append(j)
+        free_b = list(at_b.values())
+        out = [la[k] for k in free_a] + list(at_b)
         if 2 ** len(out) > limit:
             raise OracleBudgetError(
                 f"contraction intermediate of {len(out)} open legs"
@@ -251,7 +283,7 @@ def _plan(labels_of: list, limit: int) -> tuple[list, list]:
             (2,) * len(out)))
         push(len(labels_of) + len(steps) - 1, out)
     final = next(iter(nodes.values()), None)
-    return steps, final[0] if final else []
+    return steps, [names[l] for l in final[1]] if final else []
 
 
 def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
@@ -264,7 +296,7 @@ def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
     limit = budget * 2 ** len(d.variables)
     tensors, labels_of = _leaves(d, limit)
     steps, final_labels = _plan(labels_of, limit)
-    ins, outs = d.inputs, d.outputs  # each read scans every edge
+    ins, outs = d.boundary()
     in_labels = [_port_label(d, eid, ("b", "in", i))
                  for i, eid in enumerate(ins)]
     out_labels = [_port_label(d, eid, ("b", "out", i))
@@ -274,11 +306,15 @@ def evaluate(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> OutcomeTensor:
         raise ValueError(f"contraction label mismatch: wanted {wanted},"
                          f" got {final_labels}")
     for a, b, pa, sa, pb, sb, out in steps:
+        if tensors[b] is tensors[a]:  # one shared leaf twice, which np.dot
+            tensors[b] = tensors[b].copy()  # would multiply as A A^T
         t = np.dot(tensors[a].transpose(pa).reshape(sa),
                    tensors[b].transpose(pb).reshape(sb)).reshape(out)
         tensors[a] = tensors[b] = None
         tensors.append(t)
     final = tensors[-1] if tensors else np.array(1, dtype=complex)
+    if not final.flags.writeable:  # a shared leaf, with no step
+        final = np.array(final)
     t = np.transpose(final, [final_labels.index(l) for l in wanted])
     shape = (2,) * len(d.variables) + (2 ** len(ins), 2 ** len(outs))
     return OutcomeTensor(d.variables, len(ins), len(outs), t.reshape(shape))
@@ -290,7 +326,7 @@ def ports(d: ZxDiagram) -> list[tuple[int, tuple, int, bool]]:
     whose lowest bits are the ports (output i at bit n_out - 1 - i, input i
     at bit n_in + n_out - 1 - i), and whether X and Z swap between the
     edge and the port's leg, as at the b end of a hadamard edge."""
-    ins, outs = d.inputs, d.outputs  # each read scans every edge
+    ins, outs = d.boundary()
     out = []
     for kind, eids, top in (("in", ins, len(ins) + len(outs)),
                             ("out", outs, len(outs))):

@@ -19,6 +19,10 @@ LETTERS = ("X", "Y", "Z")
 _LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LOCS: list = []          # bit 2k + 1 -> _LOCS[k], for other than small ints
 _INDEX: dict = {}         # location -> k, append-only and process-wide
+# Python hashes an int mod 2**61 - 1, under which 2**k repeats every 61 bits,
+# so a Pauli hashes its masks mod this safe prime p, under which 2**k repeats
+# only every (p - 1) / 2 = 536,870,219 bits.
+_HASH_PRIME = 2**30 - 1385
 
 
 def _bit(loc) -> int | None:
@@ -117,7 +121,7 @@ class PauliString:
                 and self._x == other._x and self._z == other._z)
 
     def __hash__(self) -> int:
-        return hash((self._x, self._z))
+        return hash((self._x % _HASH_PRIME, self._z % _HASH_PRIME))
 
     def __repr__(self) -> str:
         return f"PauliString({self.to_text()!r})"

@@ -1042,7 +1042,7 @@ E2E_COST_CAP = 2 ** 26
 def _e2e_cost(d: ZxDiagram, w: int) -> int:
     atoms = 3 * len(d.non_ideal_edges())
     n_faults = sum(math.comb(atoms, k) for k in range(w))
-    entries = 2 ** (len(d.variables) + len(d.inputs) + len(d.outputs))
+    entries = 2 ** (len(d.variables) + sum(map(len, d.boundary())))
     return n_faults * entries
 
 

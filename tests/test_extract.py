@@ -65,6 +65,17 @@ def test_mixed_letter_parity_measurement_round_trip():
     assert_round_trip(c)
 
 
+@pytest.mark.parametrize("letter", "ZX")
+def test_one_qubit_parity_measurement_round_trip(letter):
+    c = Circuit.from_text(f"QUBITS 1\nMPP {letter}0 -> m\n")
+    c2 = extract_circuit(to_zx(c, "template")[0])
+    assert [(op.kind, op.pauli) for moment in c2.moments
+            for op in moment] == [("MPP", letter)]
+    ft = Circuit(1)
+    ft.measure("MPP", (0,), "m", pauli=letter, ft=True)
+    assert_round_trip(ft)
+
+
 def test_deep_cover_search_keeps_its_own_stack():
     # 1492 spiders: one search level per spider, deeper than Python's stack
     c = build_gadget("shor-optimised").implementation

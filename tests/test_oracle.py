@@ -11,8 +11,9 @@ from test_feq import random_spec, syndrome_specs
 from zxfault import samples
 from zxfault.builders import build_gadget
 from zxfault.diagram import ZxDiagram, apply_fault, compose
-from zxfault.oracle import (DEFAULT_BUDGET, OracleBudgetError, OutcomeMap,
-                            OutcomeTensor, _leaves, _plan, _spider_leaf,
+from zxfault.oracle import (_LEAF_CAP, DEFAULT_BUDGET, OracleBudgetError,
+                            OutcomeMap, OutcomeTensor, _build_leaf,
+                            _leaf_table, _leaves, _plan, _spider_leaf,
                             equal_up_to_scalar, evaluate, is_total,
                             port_masks)
 from zxfault.pauli import LETTERS, PauliString
@@ -498,3 +499,74 @@ def test_leaves_match_the_reference():
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14, \
                 (colour, degree, qturns, had, n_vars)
+
+
+# -- the leaf table -----------------------------------------------------------
+
+
+def test_a_one_leaf_result_is_a_writable_copy():
+    spider = ZxDiagram()
+    s = spider.add_spider("X", 1)
+    spider.add_edge(("s", s), ("b", "out", 0))
+    for d in (spider, samples.wire(), samples.wire(had=True)):
+        t = evaluate(d)
+        assert t.array.flags.writeable
+        want = t.array.copy()
+        t.array[...] = 7
+        assert np.array_equal(evaluate(d).array, want)
+
+
+def test_a_leaf_above_the_cap_is_not_kept():
+    degree = _LEAF_CAP.bit_length()  # 2**degree entries, twice the cap
+    _leaf_table.cache_clear()
+    big = _spider_leaf("X", degree, 0, [], 0)
+    assert big.flags.writeable
+    assert _leaf_table.cache_info().currsize == 0
+    small = _spider_leaf("X", degree - 1, 0, [], 0)
+    assert not small.flags.writeable
+    assert _leaf_table.cache_info().currsize == 1
+    assert _spider_leaf("X", degree - 1, 0, (), 0) is small
+
+
+def test_a_kept_leaf_met_twice_is_multiplied_as_two_arrays(monkeypatch):
+    # two pi spiders in series share one kept leaf, and the plan multiplies
+    # it by its own transpose, for which np.dot takes another path, whose
+    # zeros lose their sign
+    d = ZxDiagram()
+    late, early = d.add_spider("Z", 2), d.add_spider("Z", 2)
+    d.add_edge(("b", "in", 0), ("s", early))
+    d.add_edge(("s", late), ("b", "out", 0))
+    d.add_edge(("s", early), ("s", late))
+    got = evaluate(d).array
+    monkeypatch.setattr("zxfault.oracle._spider_leaf",
+                        lambda c, n, q, had, v: _build_leaf(c, n, q, had, v))
+    assert got.tobytes() == evaluate(d).array.tobytes()
+
+
+def test_a_warm_leaf_table_gives_the_cold_tensors():
+    for name, d in plan_corpus():
+        _leaf_table.cache_clear()
+        cold = evaluate(d).array
+        assert np.array_equal(evaluate(d).array, cold), name
+
+
+def test_budgets_match_the_reference():
+    # the least budget that passes is a power of two, and one below it is
+    # refused with the reference's error
+    for name, d in plan_corpus():
+        least = next(b for b in (2**j for j in range(23))
+                     if passes(lambda: evaluate(d, b)))
+        assert passes(lambda: ReferenceContraction(d, least).evaluate()), name
+        with pytest.raises(OracleBudgetError) as ours:
+            evaluate(d, least - 1)
+        with pytest.raises(OracleBudgetError) as reference:
+            ReferenceContraction(d, least - 1).evaluate()
+        assert str(ours.value) == str(reference.value), name
+
+
+def passes(contract) -> bool:
+    try:
+        contract()
+    except OracleBudgetError:
+        return False
+    return True

@@ -182,3 +182,11 @@ def test_letter_of_an_unseen_location_is_identity_and_adds_nothing():
     assert p.letter(("never", "seen")) == "I" and p.letter(8) == "I"
     assert len(pauli._LOCS) == before
     assert ("never", "seen") not in pauli._INDEX
+
+
+def test_single_edge_paulis_hash_apart():
+    # Python hashes an int mod 2**61 - 1, under which edges 61 bits apart
+    # would share a hash
+    paulis = [PauliString({eid: letter}) for eid in range(4096)
+              for letter in "XYZ"]
+    assert len({hash(p) for p in paulis}) == len(paulis)
