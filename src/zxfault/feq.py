@@ -9,9 +9,9 @@ magnitude and per-outcome phase, under the outcome correspondence).
 Every match is a lookup in one engine, :class:`SyndromeMap`, on the web
 syndromes (:meth:`~zxfault.webs.FaultClasses.syndrome`, the set of a
 diagram's Pauli webs a fault anticommutes with) in the two sides'
-:class:`FaultTable`.
-On a diagram D != 0, two faults give equal diagrams up to a global scalar
-and per-outcome signs exactly when their syndromes are equal.  Across the
+least-weight tables (:class:`~zxfault.webs.ClassTable`).  On a diagram
+D != 0, two faults give equal diagrams up to a global scalar and
+per-outcome signs exactly when their syndromes are equal.  Across the
 sides, each side-b web is a stabiliser of D_b, so the signs with which a
 side-a tensor, read through the correspondence, is an eigenvector of those
 stabilisers name the side-b class it equals.  That read-out is an affine
@@ -25,9 +25,11 @@ the faulted diagram, ``evaluate(apply_fault(d, f))``.  Each read costs one
 pass over the tensor plus its support: the stabilisers are bit masks on
 its flat index (:func:`_stabilisers`), and only the entries that can
 exceed the tolerance are compared (:func:`_eigenvalues`).  Whether a
-class makes the diagram zero is read from the webs too, by the zero rule
-(:attr:`~zxfault.webs.FaultClasses.alive`), and a zero class matches only
-zero classes.  The circuit distance concerns one diagram and needs no map
+class makes the diagram zero is read from its syndrome too, by the zero
+rule: its :meth:`~zxfault.webs.FaultClasses.pattern`, the parities of
+the constant web sums it flips, against
+:attr:`~zxfault.webs.FaultClasses.alive`; a zero class matches only zero
+classes.  The circuit distance concerns one diagram and needs no map
 and no tensor: a fault of a diagram D != 0 changes it exactly when its web
 syndrome is nonzero.
 
@@ -114,25 +116,6 @@ class ClassKeyError(Exception):
     """The web-syndrome map and the dense tensor oracle disagree.  Not a
     ValueError, so that no caller can mistake it for a negative verdict or a
     failed step."""
-
-
-class FaultTable(ClassTable):
-    """One diagram's least-weight table of fault classes up to a weight
-    (:class:`~zxfault.webs.ClassTable`: least weight, first fault and
-    detection flag per web syndrome, breadth first) and its replays, each
-    the dense contraction of a faulted diagram, counted."""
-
-    def __init__(self, d: ZxDiagram, noise: NoiseModel, max_weight: int,
-                 budget: int):
-        self.diagram, self.budget = d, budget
-        super().__init__(FaultClasses(d), noise, max_weight)
-        self.replays = 0
-
-    def replay(self, f: PauliString) -> OutcomeTensor:
-        """The tensor family of the diagram with fault ``f`` applied."""
-        self.replays += 1
-        d = apply_fault(self.diagram, f) if f else self.diagram
-        return evaluate(d, self.budget)
 
 
 def _stabilisers(d: ZxDiagram, web_list: list, *maps: OutcomeMap) -> list:
@@ -252,9 +235,10 @@ def _pushout_rows(d: ZxDiagram, classes: FaultClasses,
 
 
 class SyndromeMap:
-    """Both sides' fault tables, the affine map M from side-a web
-    syndromes to side-b ones under which classes match, and each class's
-    key (``keys``, computed once per class).
+    """Both sides' least-weight tables, the affine map M from side-a web
+    syndromes to side-b ones under which classes match, each class's key
+    (``keys``, computed once per class), and the replays, counted per side
+    in ``replays``.
 
     Each side's reference is its first nonzero class by the zero rule, the
     first whose :meth:`~zxfault.webs.FaultClasses.pattern` is ``alive``:
@@ -281,11 +265,12 @@ class SyndromeMap:
         if corr.source_vars != da.variables or corr.target_vars != db.variables:
             raise ValueError("correspondence registries do not match the"
                              " sides")
-        self.tables = {side: FaultTable(x.diagram, x.noise, max_weight,
-                                        spec.budget)
+        self.tables = {side: ClassTable(FaultClasses(x.diagram), x.noise,
+                                        max_weight)
                        for side, x in (("a", spec.side_a), ("b", spec.side_b))}
+        self.budget, self.replays = spec.budget, {"a": 0, "b": 0}
         a, b = self.tables.values()
-        t_a, t_b = a.replay(PauliString()), b.replay(PauliString())
+        t_a, t_b = (self.replay(side, PauliString()) for side in "ab")
         ref_a, ref_b = self._reference("a", t_a), self._reference("b", t_b)
         self.offset = None  # M(origin), None when no nonzero class matches
         if ref_a and ref_b:
@@ -312,13 +297,20 @@ class SyndromeMap:
         self._first = {"a": {}, "b": {}}  # class key -> its first class
         self._index("b")
         g = None if self.offset is None else self._first_fault("b", self.offset)
-        if g and not equal_up_to_scalar(b.replay(g), ref_a[1], corr):
+        if g and not equal_up_to_scalar(self.replay("b", g), ref_a[1], corr):
             raise ClassKeyError(
                 f"side a's reference (fault '{ref_a[0].to_text()}') reads as"
                 f" side-b fault {g.to_text()}, which the oracle refutes")
         del ref_a, ref_b
         self._index("a")
         self._guard(corr)
+
+    def replay(self, side: str, f: PauliString) -> OutcomeTensor:
+        """The tensor family of one side's diagram with fault ``f`` applied,
+        counted in ``replays``."""
+        self.replays[side] += 1
+        d = self.tables[side].classes.diagram
+        return evaluate(apply_fault(d, f) if f else d, self.budget)
 
     def _index(self, side: str) -> None:
         """Each class's key, and the first class of each key, which has the
@@ -335,14 +327,20 @@ class SyndromeMap:
     def _key(self, side: str, s: int, f: PauliString) -> int | None:
         """The key that two matching classes share, for the class of
         syndrome ``s`` and its fault ``f``: -1 for a zero class, else M(s)
-        for a side-a class and s for a side-b one; None when no nonzero
-        class matches."""
+        (:meth:`pushout`) for a side-a class and s for a side-b one; None
+        when no nonzero class matches."""
         classes = self.tables[side].classes
-        if classes.pattern(f) != classes.alive:
+        if classes.pattern(s) != classes.alive:
             return -1
         if self.offset is None:
             return None
-        return self._image(s, f) if side == "a" else s
+        if side == "b":
+            return s
+        image = self.pushout(s)
+        if image is None:
+            raise ClassKeyError(f"side-a fault {f.to_text()} is out of reach"
+                                f" of the push-out generators")
+        return image
 
     def _reference(self, side: str, t: OutcomeTensor):
         """(fault, tensor) of the side's first nonzero class by the zero
@@ -350,9 +348,9 @@ class SyndromeMap:
         tensor ``t``; None if there is none.  Its replay, ``t`` when D != 0,
         is the only one, and with ``t`` it guards the rule."""
         table, classes = self.tables[side], self.tables[side].classes
-        f = next((f for f in table.firsts.values()
-                  if classes.pattern(f) == classes.alive), None)
-        ref = None if f is None else (f, table.replay(f) if f else t)
+        f = next((f for s, f in table.firsts.items()
+                  if classes.pattern(s) == classes.alive), None)
+        ref = None if f is None else (f, self.replay(side, f) if f else t)
         if (t.max_abs() < TOL) != bool(classes.alive) or \
                 ref and ref[1].max_abs() < TOL:
             raise ClassKeyError(f"the zero rule and the tensor oracle"
@@ -365,16 +363,6 @@ class SyndromeMap:
         n = len(self.tables["a"].classes.webs)
         v = gf2.reduce(self._pivots, s ^ self._origin)
         return None if v & ((1 << n) - 1) else (v >> n) ^ self.offset
-
-    def _image(self, s: int, f: PauliString) -> int:
-        """M(s) for the nonzero side-a class of ``f``."""
-        if s == self._origin:
-            return self.offset
-        predicted = self.pushout(s)
-        if predicted is None:
-            raise ClassKeyError(f"side-a fault {f.to_text()} is out of reach"
-                                f" of the push-out generators")
-        return predicted
 
     def _guard(self, corr: OutcomeMap) -> None:
         """Replay one nonzero side-a class other than the origin and check
@@ -390,7 +378,7 @@ class SyndromeMap:
         if guard is None:
             return
         s, f = guard
-        t = self.tables["a"].replay(f)
+        t = self.replay("a", f)
         r = self._read(t)
         if r is None:
             raise ClassKeyError(f"side-a fault {f.to_text()} of a nonzero"
@@ -401,7 +389,7 @@ class SyndromeMap:
                 f" not the push-out's prediction {keys[s]}")
         g = self._first_fault("b", r)
         if g is not None and not equal_up_to_scalar(
-                self.tables["b"].replay(g), t, corr):
+                self.replay("b", g), t, corr):
             raise ClassKeyError(
                 f"side-a fault {f.to_text()} is predicted to match side-b"
                 f" fault {g.to_text()}, which the oracle refutes")

@@ -37,9 +37,11 @@ class NoiseModel:
         self.atoms: list[AtomicFault] = []
         seen = set()
         for a in atoms:  # dedup as group elements, first provenance wins
-            if a.pauli and a.pauli not in seen:
+            if a.pauli:
+                n = len(seen)
                 seen.add(a.pauli)
-                self.atoms.append(a)
+                if len(seen) > n:
+                    self.atoms.append(a)
 
     def paulis(self) -> list[PauliString]:
         return [a.pauli for a in self.atoms]
@@ -124,23 +126,16 @@ def circuit_level_atoms(c: Circuit) -> NoiseModel:
     return NoiseModel(atoms, "circuit-level")
 
 
-def _rows(paulis) -> list[int]:
-    """Each Pauli's symplectic (x, z) bits as one GF(2) bit row, with the x
-    bits above every z bit, so that a product's row is the XOR of its
-    factors' rows."""
-    bits = [p.xz for p in paulis]
-    shift = max(z.bit_length() for _, z in bits)
-    return [x << shift | z for x, z in bits]
-
-
 def fault_weight(f: PauliString, m: NoiseModel, cap: int):
     """Exact minimal generator count if <= cap, else ABOVE_CAP.
 
-    The phase-free group is the GF(2) span of the atoms' rows, so a fault
-    outside it is rejected by one membership test; otherwise its weight is
-    that of the first layer of the breadth-first search of the span
-    (:func:`~zxfault.gf2.layers`) that holds it."""
-    target, *atoms = _rows([f, *m.paulis()])
+    The phase-free group is the GF(2) span of the atoms, packed
+    (:class:`~zxfault.pauli.Nibbles`), so a fault outside it is rejected by
+    one membership test; otherwise its weight is that of the first layer of
+    the breadth-first search of the span (:func:`~zxfault.gf2.layers`) that
+    holds it."""
+    paulis = [f, *m.paulis()]
+    target, *atoms = map(Nibbles(paulis).pack, paulis)
     if not gf2.in_span(atoms, target):
         return ABOVE_CAP
     for w, layer in enumerate(gf2.layers(dict.fromkeys(atoms, 0), cap)):
@@ -181,7 +176,8 @@ def count_faults(m: NoiseModel, max_weight: int) -> int:
     are atoms and [1, 2, 1] = (1 + x)^2 when two are, since the third has
     weight 2.  So n locations with X, Y and Z each give C(n, k)·3^k.  A
     block over several locations is counted by the sizes of the layers of
-    the breadth-first search of its span (:func:`~zxfault.gf2.layers`).
+    the breadth-first search of its span (:func:`~zxfault.gf2.layers`), on
+    its atoms packed as :func:`enumerate_faults` packs them.
     The walk yields the identity at any bound, so a negative one counts as
     0."""
     max_weight = max(max_weight, 0)
@@ -199,7 +195,8 @@ def count_faults(m: NoiseModel, max_weight: int) -> int:
     counts = [1]
     for mask, group in blocks.items():
         if mask & mask - 1:
-            walked = gf2.layers(dict.fromkeys(_rows(group), 0), max_weight)
+            steps = dict.fromkeys(map(Nibbles(group).pack, group), 0)
+            walked = gf2.layers(steps, max_weight)
             counts = _convolve(counts, list(map(len, walked)), max_weight)
         elif len(group) == 3:
             threes += 1

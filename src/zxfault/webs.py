@@ -95,6 +95,14 @@ def _build_system(d: ZxDiagram) -> tuple[list[int], int, dict, dict]:
     return rows, 2 * len(edge_order) + len(spider_order), edge_order, spider_order
 
 
+def _solve(d: ZxDiagram) -> tuple[list[int], dict, dict]:
+    """The one elimination of the diagram's web system: the basis vectors
+    of its solution space (:func:`~zxfault.gf2.nullspace`), with the
+    variable index maps of :func:`_build_system`."""
+    rows, n_vars, edge_order, spider_order = _build_system(d)
+    return gf2.nullspace(rows, n_vars), edge_order, spider_order
+
+
 def _vector_to_web(v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     hl = []
     for eid, i in edge_order.items():
@@ -147,13 +155,12 @@ class WebBasisError(Exception):
     mistake it for a negative verdict or a failed step."""
 
 
-def web_basis(d: ZxDiagram, system: tuple | None = None) -> list[PauliWeb]:
-    """A basis of the diagram's Pauli webs: every solution of the web system
-    (``system``, the diagram's :func:`_build_system`, built here when not
+def web_basis(d: ZxDiagram, space: tuple | None = None) -> list[PauliWeb]:
+    """A basis of the diagram's Pauli webs: every basis solution of the web
+    system (``space``, the diagram's :func:`_solve`, solved here when not
     given), each confirmed by :func:`check_web`."""
-    rows, n_vars, edge_order, spider_order = system or _build_system(d)
-    webs = [_vector_to_web(v, edge_order, spider_order)
-            for v in gf2.nullspace(rows, n_vars)]
+    vectors, edge_order, spider_order = space or _solve(d)
+    webs = [_vector_to_web(v, edge_order, spider_order) for v in vectors]
     inc = d.incidence()
     rejected = sum(not check_web(d, w, inc) for w in webs)
     if rejected:
@@ -208,22 +215,39 @@ def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
 
 
 def detecting_region_basis(d: ZxDiagram,
-                           system: tuple | None = None) -> list[DetectingRegion]:
-    """A basis of the diagram's detecting regions: the webs with a bare
-    boundary, from the web system ``system`` as in :func:`web_basis`."""
-    rows, n_vars, edge_order, spider_order = system or _build_system(d)
-    rows = list(rows)
-    for eid in d.boundary_edges():  # a region leaves the boundary bare
-        i = 2 * edge_order[eid]
-        rows += (1 << i, 1 << i + 1)
+                           space: tuple | None = None) -> list[DetectingRegion]:
+    """A basis of the diagram's detecting regions: the sums of basis webs
+    (``space`` as in :func:`web_basis`) that leave the boundary bare
+    (:func:`_bare_sums`), less those with no highlight, the leg-less Pauli
+    spiders'.  It is the basis, in order, of the web system eliminated
+    with the boundary bits zeroed: each basis web is 1 at its own free
+    column and 0 at the others, and its highest bit is that column; so a
+    sum is 1 exactly at its terms' columns and its highest bit is its
+    highest term's, and the sums, each 1 at its own column of the small
+    solve and 0 at the others', are the region space's echelon basis
+    reduced by highest bits, as :func:`~zxfault.gf2.nullspace` gives it."""
     regions = []
-    for v in gf2.nullspace(rows, n_vars):
-        w = _vector_to_web(v, edge_order, spider_order)
-        if not w.highlight:
-            continue
-        parity, det = region_sign(d, w)
-        regions.append(DetectingRegion(w, det, parity))
+    for _, w in _bare_sums(d, space or _solve(d)):
+        if w.highlight:
+            parity, det = region_sign(d, w)
+            regions.append(DetectingRegion(w, det, parity))
     return regions
+
+
+def _bare_sums(d: ZxDiagram, space: tuple, rows: list | tuple = ()):
+    """(mask, web) for each of a basis of the sums of the basis webs of
+    ``space`` (bit j of the mask takes web j) that leave the boundary bare
+    and solve the bit ``rows`` over the webs: one small solve, with a row
+    per boundary edge bit of the webs that highlight it."""
+    vectors, edge_order, spider_order = space
+    rows = [sum((v >> 2 * edge_order[eid] + k & 1) << j
+                for j, v in enumerate(vectors))
+            for eid in d.boundary_edges() for k in (0, 1)] + list(rows)
+    for mask in gf2.nullspace(rows, len(vectors)):
+        v = 0
+        for j, u in enumerate(vectors):
+            v ^= u * (mask >> j & 1)
+        yield mask, _vector_to_web(v, edge_order, spider_order)
 
 
 def _check_locations(d: ZxDiagram, f: PauliString) -> None:
@@ -251,8 +275,9 @@ def is_detectable(d: ZxDiagram, f: PauliString,
 
 
 class FaultClasses:
-    """One diagram's web basis and detecting regions, each solved once, and
-    the classes of the faults a noise model generates.
+    """One diagram's web basis, from one solve of its web system
+    (:func:`_solve`), its regions and zero rule, read off the basis by
+    small solves, and the classes of the faults a noise model generates.
 
     A fault's class is its :meth:`syndrome`, which is linear in the fault.
     So the least weight of a class is its distance from 0 in the graph on
@@ -267,9 +292,9 @@ class FaultClasses:
 
     def __init__(self, d: ZxDiagram):
         self.diagram = d
-        system = _build_system(d)
-        self.webs = web_basis(d, system)
-        self.regions = detecting_region_basis(d, system)
+        self._space = _solve(d)
+        self.webs = web_basis(d, self._space)
+        self.regions = detecting_region_basis(d, self._space)
         # bit i of a fault's x mask flips the webs whose z mask has bit i,
         # and bit i of its z mask those whose x mask has it
         self._rows: tuple[dict, dict] = ({}, {})
@@ -290,44 +315,30 @@ class FaultClasses:
                 for v in self.diagram.variables]
 
     @cached_property
-    def _constant(self) -> list[tuple[PauliString, int]]:
-        """The Pauli and expected parity of each of a basis of the constant
-        sums: the sums of ``regions`` and leg-less Pauli spiders (regions
-        with no Pauli, their outcome variables as detecting set and their
-        half turns as parity) whose detecting sets cancel.  A sum's parity
-        is the XOR of its terms'."""
-        d = self.diagram
-        column = {v: i for i, v in enumerate(d.variables)}
-        inc = d.incidence()
-        terms = [(r.web.pauli, r.detecting_set, r.expected_parity)
-                 for r in self.regions] + [
-            (PauliString(), s.phase.pivars, s.phase.qturns // 2)
-            for sid, s in d.spiders.items()
-            if not inc[sid] and s.phase.is_pauli()]
-        sets = [sum(1 << column[v] for v in vs) for _, vs, _ in terms]
-        # equation j: the chosen terms' detecting sets cancel at variable j
-        equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))
-                     for j in range(len(column))]
-        out = []
-        for v in gf2.nullspace(equations, len(terms)):
-            p, parity = PauliString(), 0
-            for i, (pauli, _, bit) in enumerate(terms):
-                if v >> i & 1:
-                    p, parity = p * pauli, parity ^ bit
-            out.append((p, parity))
-        return out
+    def _constant(self) -> list[tuple[int, int]]:
+        """The mask over the basis webs and the :func:`region_sign` parity
+        of each of a basis of the constant sums, the webs with a bare
+        boundary and an empty detecting set: :func:`_bare_sums` with the
+        :attr:`outcome_flips` as rows.  A leg-less Pauli spider needs no
+        case of its own: its indicator is a free column, its web a basis
+        web."""
+        return [(mask, region_sign(self.diagram, w)[0])
+                for mask, w in _bare_sums(self.diagram, self._space,
+                                          self.outcome_flips)]
 
     @cached_property
     def alive(self) -> int:
         """The zero rule: bit i is the parity of the i-th constant sum, which
-        fixes the sign of the whole diagram.  So D != 0 exactly when ``alive``
-        is 0, and D with a fault f applied exactly when pattern(f) == alive."""
+        fixes the sign of the whole diagram.  So D != 0 exactly when
+        ``alive`` is 0, and D with a fault of syndrome s applied exactly
+        when pattern(s) == alive."""
         return sum(parity << i for i, (_, parity) in enumerate(self._constant))
 
-    def pattern(self, f: PauliString) -> int:
-        """Bit i: the fault flips the i-th constant sum's parity."""
-        return sum((not p.commutes(f)) << i
-                   for i, (p, _) in enumerate(self._constant))
+    def pattern(self, s: int) -> int:
+        """Bit i: a fault of syndrome ``s`` flips the i-th constant sum's
+        parity, as it anticommutes with an odd number of its webs."""
+        return sum(((s & mask).bit_count() & 1) << i
+                   for i, (mask, _) in enumerate(self._constant))
 
     def syndrome(self, f: PauliString) -> int:
         """Bit j is set when the fault anticommutes with web j: the XOR of

@@ -27,6 +27,14 @@
 * The side-b syndrome of each side-a class read from a replay of it
   (:func:`replay_read`), which the push-out generators of
   :class:`zxfault.feq.SyndromeMap` replaced.
+* The second elimination of the web system, with the boundary bits
+  zeroed, that found the detecting regions
+  (:func:`detecting_region_basis`), and the zero rule's constant sums
+  built from those regions and the leg-less Pauli spiders as Paulis
+  (:func:`constant_sums`), which the small solves over the basis webs of
+  :class:`zxfault.webs.FaultClasses` replaced.
+* The sign of each web on its own diagram's tensor as a local count
+  (:func:`web_sign_count`).
 * Whether a fault leaves a diagram's tensor family unchanged, by two
   dense contractions (:func:`is_trivial`), which the zero rule and the web
   syndromes of :class:`zxfault.webs.FaultClasses` replaced in the circuit
@@ -47,7 +55,7 @@ import math
 
 import numpy as np
 
-from zxfault import oracle
+from zxfault import gf2, oracle
 from zxfault.circuit import Circuit
 from zxfault.diagram import ZxDiagram, apply_fault
 from zxfault.extract import _Builder, _Fail, _Matcher
@@ -57,7 +65,9 @@ from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
                             _self_loops, _trace, _z_core)
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, _edge_kind
-from zxfault.webs import PauliWeb, flipped_by
+from zxfault.webs import (DetectingRegion, PauliWeb, _build_system,
+                          _vector_to_web, flipped_by, local_sign,
+                          region_sign)
 
 
 def enumerate_faults(m: NoiseModel, max_weight: int):
@@ -186,7 +196,7 @@ def key_matches(syndrome_map, spec) -> dict:
     the other side whose key equals the key of the syndrome's first fault,
     or None: the class-key match that the syndrome map must reproduce."""
     keys = class_keys(spec)
-    key_of = {side: {s: keys[side](table.replay(f))
+    key_of = {side: {s: keys[side](syndrome_map.replay(side, f))
                      for s, f in table.firsts.items()}
               for side, table in syndrome_map.tables.items()}
     first = {}
@@ -326,7 +336,70 @@ def replay_read(syndrome_map, f: PauliString) -> int | None:
     """The side-b syndrome that a replay of side-a fault ``f``, read
     through the correspondence, is an eigenvector for: M at f's class as
     one replay per class read it, before the push-out generators."""
-    return syndrome_map._read(syndrome_map.tables["a"].replay(f))
+    return syndrome_map._read(syndrome_map.replay("a", f))
+
+
+def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
+    """A basis of the diagram's detecting regions from a second elimination
+    of the web system, with rows that zero every boundary edge's bits."""
+    rows, n_vars, edge_order, spider_order = _build_system(d)
+    for eid in d.boundary_edges():  # a region leaves the boundary bare
+        i = 2 * edge_order[eid]
+        rows += (1 << i, 1 << i + 1)
+    regions = []
+    for v in gf2.nullspace(rows, n_vars):
+        w = _vector_to_web(v, edge_order, spider_order)
+        if w.highlight:
+            parity, det = region_sign(d, w)
+            regions.append(DetectingRegion(w, det, parity))
+    return regions
+
+
+def constant_sums(d: ZxDiagram) -> list[tuple[PauliString, int]]:
+    """The Pauli and expected parity of each of a basis of the constant
+    sums: the sums of :func:`detecting_region_basis` and leg-less Pauli
+    spiders (regions with no Pauli, their outcome variables as detecting
+    set and their half turns as parity) whose detecting sets cancel.  A
+    sum's parity is the XOR of its terms'.  So D != 0 exactly when every
+    parity is 0, and D with a fault f applied exactly when each sum's
+    parity is whether its Pauli anticommutes with f."""
+    column = {v: i for i, v in enumerate(d.variables)}
+    inc = d.incidence()
+    terms = [(r.web.pauli, r.detecting_set, r.expected_parity)
+             for r in detecting_region_basis(d)] + [
+        (PauliString(), s.phase.pivars, s.phase.qturns // 2)
+        for sid, s in d.spiders.items()
+        if not inc[sid] and s.phase.is_pauli()]
+    sets = [sum(1 << column[v] for v in vs) for _, vs, _ in terms]
+    # equation j: the chosen terms' detecting sets cancel at variable j
+    equations = [sum((s >> j & 1) << i for i, s in enumerate(sets))
+                 for j in range(len(column))]
+    out = []
+    for v in gf2.nullspace(equations, len(terms)):
+        p, parity = PauliString(), 0
+        for i, (pauli, _, bit) in enumerate(terms):
+            if v >> i & 1:
+                p, parity = p * pauli, parity ^ bit
+        out.append((p, parity))
+    return out
+
+
+def web_sign_count(d: ZxDiagram, w: PauliWeb) -> int:
+    """:func:`zxfault.webs.region_sign`'s count for any web, its boundary
+    check dropped: the spiders it fires that it stabilises with sign -1
+    at the all-zero outcome assignment, and its both-colour plain edges.
+    On D != 0 the web's stabiliser, its port Paulis and its outcome signs,
+    has eigenvalue (-1)^count times i per port Y on D's tensor."""
+    hl = w.edges
+    inc = d.incidence()
+    count = 0
+    for sid, fired in w.indicators:
+        if fired:
+            s = d.spiders[sid]
+            y = sum(1 for eid, _ in inc[sid] if hl.get(eid) == "both")
+            count += local_sign(s.colour, s.phase.qturns, y) == -1
+    return count + sum(1 for eid, h in w.highlight
+                       if h == "both" and not d.edges[eid].had)
 
 
 def degree(d: ZxDiagram, sid: int) -> int:

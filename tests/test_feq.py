@@ -19,8 +19,8 @@ from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
                          find_equivalent_fault)
 from zxfault.noise import (ABOVE_CAP, AtomicFault, NoiseModel,
                            edge_flip_atoms, enumerate_faults)
-from zxfault.oracle import (DEFAULT_BUDGET, OutcomeMap, OutcomeTensor,
-                            equal_up_to_scalar, evaluate)
+from zxfault.oracle import (OutcomeMap, OutcomeTensor, equal_up_to_scalar,
+                            evaluate)
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import PauliWeb, detecting_region_basis, is_detectable
@@ -506,9 +506,8 @@ def test_replays_are_bounded_by_the_side_a_webs(monkeypatch):
                                        ("recursive-cat", {"n": 8}, 3, 13)]:
         assert check_w_fault_equivalence(
             build_gadget(builder, **params).equivalence_spec(w)).equivalent
-        a, b = made[-1].tables.values()
-        assert len(a.classes.webs) == webs_a
-        assert a.replays <= 2 and b.replays <= 3
+        assert len(made[-1].tables["a"].classes.webs) == webs_a
+        assert made[-1].replays["a"] <= 2 and made[-1].replays["b"] <= 3
 
 
 # sha256 of Verdict.dumps() for the larger checks; builder None is
@@ -722,7 +721,7 @@ def zero_rule_mismatches(d, m) -> list:
     or the other way round."""
     classes = webs.FaultClasses(d)
     return [f for f, _ in enumerate_faults(m, 2)
-            if (classes.pattern(f) != classes.alive)
+            if (classes.pattern(classes.syndrome(f)) != classes.alive)
             != (evaluate(apply_fault(d, f)).max_abs() < oracle.TOL)]
 
 
@@ -730,6 +729,26 @@ def zero_rule_mismatches(d, m) -> list:
                                  for name, d, m in zero_rule_diagrams()])
 def test_zero_rule_matches_the_oracle(d, m):
     assert zero_rule_mismatches(d, m) == []
+
+
+def zero_rule_verdict_mismatches(d, m) -> list:
+    """Where the zero rule read off the basis webs, as syndrome masks,
+    disagrees with the reference's constant sums of region Paulis and
+    leg-less spiders (:func:`reference.constant_sums`): None if on the
+    diagram itself, and each fault up to weight 2 that one calls zero and
+    the other does not."""
+    classes, sums = webs.FaultClasses(d), reference.constant_sums(d)
+    out = [] if bool(classes.alive) == any(p for _, p in sums) else [None]
+    return out + [
+        f for f, _ in enumerate_faults(m, 2)
+        if (classes.pattern(classes.syndrome(f)) == classes.alive)
+        != all((not p.commutes(f)) == parity for p, parity in sums)]
+
+
+@pytest.mark.parametrize("d,m", [pytest.param(d, m, id=name)
+                                 for name, d, m in zero_rule_diagrams()])
+def test_zero_rule_matches_the_pauli_sums(d, m):
+    assert zero_rule_verdict_mismatches(d, m) == []
 
 
 def web_sum(web_list) -> PauliWeb:
@@ -799,14 +818,12 @@ def test_a_zero_side_replays_only_its_noise_free_diagram(monkeypatch):
     # no class of a diagram beside a leg-less pi spider is nonzero, so
     # there is no reference to replay
     replayed = []
-    real = feq.FaultTable.replay
-    monkeypatch.setattr(feq.FaultTable, "replay", lambda table, f:
-                        replayed.append((table, f)) or real(table, f))
-    made = made_maps(monkeypatch)
+    real = feq.SyndromeMap.replay
+    monkeypatch.setattr(feq.SyndromeMap, "replay", lambda self, side, f:
+                        replayed.append((side, f)) or real(self, side, f))
     check_w_fault_equivalence(spec_of(zero_diagram(samples.wire()),
                                       samples.wire()))
-    a = made[0].tables["a"]
-    assert [f for table, f in replayed if table is a] == [PauliString()]
+    assert [f for side, f in replayed if side == "a"] == [PauliString()]
 
 
 @pytest.mark.parametrize("d,name,value", [
@@ -815,7 +832,7 @@ def test_a_zero_side_replays_only_its_noise_free_diagram(monkeypatch):
     (zero_diagram(samples.wire()), "alive", 0),
     # calls every non-empty fault of a zero diagram nonzero, so the
     # reference is a fault whose replay is zero
-    (zero_diagram(samples.wire()), "pattern", lambda self, f: int(bool(f)))])
+    (zero_diagram(samples.wire()), "pattern", lambda self, s: int(bool(s)))])
 def test_zero_rule_is_guarded_by_the_replays(monkeypatch, d, name, value):
     monkeypatch.setattr(webs.FaultClasses, name, value)
     with pytest.raises(ClassKeyError, match="disagree on side a's diagram"):
@@ -839,10 +856,17 @@ def syndrome_specs():
 
 
 def fault_tables(spec, max_weight) -> dict:
-    """Both sides' fault tables, without the map between them."""
-    return {side: feq.FaultTable(s.diagram, s.noise, max_weight,
-                                 DEFAULT_BUDGET)
+    """Both sides' least-weight tables, without the map between them."""
+    return {side: webs.ClassTable(webs.FaultClasses(s.diagram), s.noise,
+                                  max_weight)
             for side, s in (("a", spec.side_a), ("b", spec.side_b))}
+
+
+def replay(table, f: PauliString) -> OutcomeTensor:
+    """The tensor family of the table's diagram with fault ``f`` applied,
+    as :meth:`~zxfault.feq.SyndromeMap.replay` contracts it."""
+    d = table.classes.diagram
+    return evaluate(apply_fault(d, f) if f else d)
 
 
 def walk(table) -> list:
@@ -858,7 +882,7 @@ def syndrome_key_mismatches(table, key) -> list:
     """Faults whose reference class key, from a fresh replay by the
     reference contraction, differs from the key of the first fault with
     their web syndrome."""
-    replay = reference.Contraction(table.diagram).evaluate
+    replay = reference.Contraction(table.classes.diagram).evaluate
     first = {s: key(replay(f)) for s, f in table.firsts.items()}
     return [f for f, _, s, _ in walk(table) if key(replay(f)) != first[s]]
 
@@ -936,7 +960,8 @@ def detection_flag_mismatches(d, classes) -> list:
                                   for name, spec in syndrome_specs()])
 def test_detection_flags_match_per_fault_detection(spec):
     for table in fault_tables(spec, 2).values():
-        assert detection_flag_mismatches(table.diagram, walk(table)) == []
+        assert detection_flag_mismatches(table.classes.diagram,
+                                         walk(table)) == []
 
 
 def test_detection_flags_match_per_fault_detection_on_samples():
@@ -991,12 +1016,12 @@ def test_predicted_match_is_confirmed_by_the_oracle(monkeypatch):
     # guard's replay, side a's one replay of a fault, from the side-b class
     # predicted for it
     d = samples.wire()
-    guards, real_replay, real_equal = [], feq.FaultTable.replay, \
+    guards, real_replay, real_equal = [], feq.SyndromeMap.replay, \
         feq.equal_up_to_scalar
 
-    def replay(self, f):
-        t = real_replay(self, f)
-        if f and self.diagram is d:
+    def replay(self, side, f):
+        t = real_replay(self, side, f)
+        if f and side == "a":
             guards.append(t)
         return t
 
@@ -1004,7 +1029,7 @@ def test_predicted_match_is_confirmed_by_the_oracle(monkeypatch):
         if corr is not None and any(t2 is t for t in guards):
             return False
         return real_equal(t1, t2, corr)
-    monkeypatch.setattr(feq.FaultTable, "replay", replay)
+    monkeypatch.setattr(feq.SyndromeMap, "replay", replay)
     monkeypatch.setattr(feq, "equal_up_to_scalar", equal)
     with pytest.raises(ClassKeyError, match=MATCH_REFUTED):
         check_w_fault_equivalence(spec_of(d, samples.wire()))
@@ -1140,10 +1165,10 @@ def test_one_replay_per_web_syndrome(monkeypatch):
     impl = made[0].tables["a"]
     assert len(impl.firsts) == 32
     # the noise-free diagram and the guard's, not one per syndrome
-    assert impl.replays <= 2 < len(impl.firsts)
+    assert made[0].replays["a"] <= 2 < len(impl.firsts)
     # detection is decided once per syndrome, not once per fault
     for t in made[0].tables.values():
-        assert 0 < sum(d is t.diagram for d in detected) \
+        assert 0 < sum(d is t.classes.diagram for d in detected) \
             <= len({s for _, _, s, _ in walk(t)})
 
 
@@ -1161,7 +1186,7 @@ def read_outs(spec, max_weight):
                                                    maps["b"])))
     for side, table in tables.items():
         for f in table.firsts.values():
-            t = table.replay(f)
+            t = replay(table, f)
             yield (feq._eigenvalues(t, *stabilisers[side]),
                    dense_read(db, web_list, t, maps[side]))
 
@@ -1268,7 +1293,7 @@ def equal_cases(spec, max_weight):
     """(t1, t2, correspondence) for each pair of a side-b and a side-a
     class, as the oracle compares them, and each side with itself."""
     tables = fault_tables(spec, max_weight)
-    replays = {side: [table.replay(f) for f in table.firsts.values()]
+    replays = {side: [replay(table, f) for f in table.firsts.values()]
                for side, table in tables.items()}
     for t_b in replays["b"]:
         for t_a in replays["a"]:

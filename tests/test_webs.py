@@ -5,15 +5,18 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from reference import anticommutes, syndrome
-from test_feq import WIRE_POOL
+from test_builders import PARAMS
+from test_feq import WIRE_POOL, random_spec
 from test_gf2 import reference_nullspace
-from zxfault import gf2, samples, webs
+from zxfault import feq, gf2, samples, webs
+from zxfault.builders import BUILDERS, build_gadget
 from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.noise import (AtomicFault, NoiseModel, edge_flip_atoms,
                            enumerate_faults, fault_weight, x_flip_atoms)
-from zxfault.oracle import evaluate
+from zxfault.oracle import TOL, OutcomeMap, evaluate, port_masks
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import (PauliWeb, check_web, detecting_region_basis,
@@ -324,6 +327,95 @@ def test_rejected_web_solution_is_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: check_web rejected") and err.count("\n") == 1
+
+
+def builder_sides():
+    """(name, diagram): every builder's specification and implementation."""
+    for name in sorted(BUILDERS):
+        pair = build_gadget(name, **PARAMS.get(name, {}))
+        yield f"{name} spec", pair.spec
+        yield f"{name} impl", pair.implementation_diagram()[0]
+
+
+# the diagrams on which what FaultClasses reads off its one solve is checked
+SOLVE_GROUPS = {
+    **BASIS_GROUPS,
+    "builder-sides": builder_sides,
+    "random-sides": lambda: [(f"{seed}:{side}", getattr(random_spec(seed),
+                                                        side).diagram)
+                             for seed in range(40)
+                             for side in ("side_a", "side_b")],
+}
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_regions_match_the_second_solve(group):
+    """The regions read off the web basis are, list against list, those
+    of a second elimination of the web system with the boundary zeroed."""
+    for name, d in SOLVE_GROUPS[group]():
+        assert detecting_region_basis(d) == \
+            reference.detecting_region_basis(d), name
+
+
+@pytest.mark.parametrize("group", ["web-corpus", "rule-sides",
+                                   "builder-sides"])
+def test_the_web_system_is_eliminated_once(group, monkeypatch):
+    """FaultClasses, its zero rule included, eliminates the web system
+    once; its other solves are over the basis webs."""
+    real, calls = gf2.nullspace, []
+    monkeypatch.setattr(gf2, "nullspace", lambda rows, n: calls.append(
+        (list(rows), n)) or real(rows, n))
+    for name, d in SOLVE_GROUPS[group]():
+        calls.clear()
+        classes = webs.FaultClasses(d)
+        classes.alive
+        rows, n_vars, _, _ = webs._build_system(d)
+        assert calls.count((rows, n_vars)) == 1, name
+        assert [n for r, n in calls if (r, n) != (rows, n_vars)] == \
+            [len(classes.webs)] * (len(calls) - 1), name
+
+
+def nonzero_webs(group) -> list:
+    """(name, diagram, webs, stabilisers) for each nonzero diagram of a
+    solve group, of which there is one at least: its web basis and their
+    stabilisers (port Paulis and outcome signs,
+    :func:`~zxfault.feq._stabilisers`) read through the identity."""
+    out = []
+    for name, d in SOLVE_GROUPS[group]():
+        if evaluate(d).max_abs() >= TOL:
+            web_list = web_basis(d)
+            [(stabilisers, _)] = feq._stabilisers(
+                d, web_list, OutcomeMap.identity(d.variables))
+            out.append((name, d, web_list, stabilisers))
+    assert out
+    return out
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_web_signs_are_local_counts(group):
+    """On a nonzero diagram each web's stabiliser has eigenvalue
+    (-1)^count times i per port Y on the diagram's own tensor, the count
+    that region_sign makes for a region (reference.web_sign_count)."""
+    for name, d, web_list, stabilisers in nonzero_webs(group):
+        t = evaluate(d)
+        got = feq._eigenvalues(t, stabilisers, OutcomeMap.identity(
+            d.variables).images())
+        assert got is not None, name
+        want = [(-1) ** reference.web_sign_count(d, w)
+                * 1j ** (x & z).bit_count()
+                for w, (x, z, _, _) in zip(web_list, stabilisers)]
+        assert np.allclose(got[0], want, rtol=0, atol=TOL), name
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_webs_span_the_ports(group):
+    """On a nonzero diagram the webs' port Paulis have full rank, one per
+    port: the webs give a maximal stabiliser group of its tensor."""
+    for name, d, web_list, _ in nonzero_webs(group):
+        n = sum(map(len, d.boundary()))
+        rows = [x << n | z
+                for x, z in port_masks(d, [w.pauli for w in web_list])]
+        assert len(gf2.echelon(rows)) == n, name
 
 
 # -- least-weight tables against the fault walk --------------------------------
