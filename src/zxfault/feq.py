@@ -14,24 +14,20 @@ D != 0, two faults give equal diagrams up to a global scalar and
 per-outcome signs exactly when their syndromes are equal.  Across the
 sides, each side-b web is a stabiliser of D_b, so the signs with which a
 side-a tensor, read through the correspondence, is an eigenvector of those
-stabilisers name the side-b class it equals.  That read-out is an affine
-map M of side-a syndromes.  It is read once, on side a's reference, and
-solved from there by GF(2) algebra, with no tensor: by the push-out, every
-side-a class is the reference under a boundary Pauli and outcome flips,
-whose side-a syndromes and whose signs against the side-b stabilisers are
-bit rows (:func:`_pushout_rows`).  Three guards check M against the dense
-oracle, with one side-a replay per check; a replay is the contraction of
-the faulted diagram, ``evaluate(apply_fault(d, f))``.  Each read costs one
-pass over the tensor plus its support: the stabilisers are bit masks on
-its flat index (:func:`_stabilisers`), and only the entries that can
-exceed the tolerance are compared (:func:`_eigenvalues`).  Whether a
-class makes the diagram zero is read from its syndrome too, by the zero
-rule: its :meth:`~zxfault.webs.FaultClasses.pattern`, the parities of
-the constant web sums it flips, against
-:attr:`~zxfault.webs.FaultClasses.alive`; a zero class matches only zero
-classes.  The circuit distance concerns one diagram and needs no map
-and no tensor: a fault of a diagram D != 0 changes it exactly when its web
-syndrome is nonzero.
+stabilisers name the side-b class it equals.  That is an affine map M of
+side-a syndromes, solved by GF(2) algebra on the webs: its offset, M at
+side a's reference, by the sign and support facts (:func:`_offset`), and
+the rest by the push-out, since every side-a class is the reference under
+a boundary Pauli and outcome flips, whose side-a syndromes and signs
+against the side-b stabilisers are bit rows (:func:`_pushout_rows`).  The
+dense oracle only guards M, by a few replays per check, each the
+contraction ``evaluate(apply_fault(d, f))``.  Whether a class makes the
+diagram zero is read from its syndrome too, by the zero rule: its
+:meth:`~zxfault.webs.FaultClasses.pattern`, the parities of the constant
+web sums it flips, against :attr:`~zxfault.webs.FaultClasses.alive`; a
+zero class matches only zero classes.  The circuit distance concerns one
+diagram and needs no map and no tensor: a fault of a diagram D != 0
+changes it exactly when its web syndrome is nonzero.
 
 So a verdict and a distance need, per class, only its least weight, its
 detection flag and, for a verdict, its image under M: both sides'
@@ -46,15 +42,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
 from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, OutcomeTensor,
-                     equal_up_to_scalar, evaluate, port_masks, ports)
+                     equal_up_to_scalar, evaluate, ports)
 from .pauli import PauliString
-from .webs import ClassTable, FaultClasses, flipped_by
+from .webs import ClassTable, FaultClasses
 
 
 @dataclass
@@ -118,86 +112,64 @@ class ClassKeyError(Exception):
     failed step."""
 
 
-def _stabilisers(d: ZxDiagram, web_list: list, *maps: OutcomeMap) -> list:
-    """For each outcome map, each web's stabiliser of ``d`` read through it,
-    on the flat index of a tensor of the map's source registry, and the
-    map's :meth:`~zxfault.oracle.OutcomeMap.images`.  A stabiliser is
-    (x, z, o, c): its Paulis on the ports (:func:`~zxfault.oracle.port_masks`)
-    and the sign mask of the outcomes it flips; it sends entry j to
-    (-1)^(|((j ^ x) & z) ^ (j >> P & o)| + c) times entry j ^ x, where P is
+def _stabilisers(b: FaultClasses, corr: OutcomeMap) -> list:
+    """Each side-b basis web's stabiliser read through ``corr``: its port
+    Paulis x, z and the :meth:`~zxfault.oracle.OutcomeMap.sign_mask` o, c
+    of the outcomes it flips, so that on side a's flat index it sends entry
+    j to (-1)^(|((j ^ x) & z) ^ (j >> P & o)| + c) times entry j ^ x, P
     the number of ports."""
-    legs = port_masks(d, [w.pauli for w in web_list])
-    flips = [flipped_by(d, w) for w in web_list]
-    return [([(*xz, *m.sign_mask(f)) for xz, f in zip(legs, flips)],
-             m.images()) for m in maps]
+    names, n = b.diagram.variables, len(b.diagram.variables)
+    return [(x, z, *corr.sign_mask(
+        [v for i, v in enumerate(names) if o >> n - 1 - i & 1]))
+            for x, z, o in b.masks]
 
 
-def _eigenvalues(t: OutcomeTensor, webs: list, images: np.ndarray):
-    """The eigenvalue of ``t`` under each of the :func:`_stabilisers`
-    ``webs``, and the number of target assignments that t's nonzero
-    branches cover under ``images``; None if t is zero or not an
-    eigenvector of one, at ``TOL`` times t's max magnitude m.
+def _offset(a: FaultClasses, b: FaultClasses, stabilisers: list,
+            corr: OutcomeMap, origin: int) -> int | None:
+    """M(origin): the side-b syndrome of side a's reference, of syndrome
+    ``origin``, read through ``corr`` against side b's reference, from
+    both sides' webs read as stabilisers, with no tensor; None when a
+    stabiliser's sign is not constant on side a's support or the two
+    supports differ in size.
 
-    Only t's support is read: K, the entries above TOL*m/3, and their
-    images K ^ x.  That is exact, because elsewhere both entries that
-    S t/lambda - t subtracts are at most TOL*m/3, and |lambda| >= 1 - TOL,
-    so the difference is below TOL*m there."""
-    flat = t.array.reshape(-1)
-    mags = np.abs(flat)
-    i = int(np.argmax(mags))
-    m = mags[i]
-    if m < TOL:
+    Bit j compares side-b web j's stabiliser read through corr
+    (``stabilisers[j]``, from :func:`_stabilisers`) on the two
+    references.  One echelon of the rows x | z << P | o << 2P of side a's
+    :attr:`~zxfault.webs.FaultClasses.masks`, each tagged by its web above
+    the data bits, finds a sum of side-a webs, of mask m, with the same
+    port Paulis and outcome mask, so the same stabiliser up to the sign
+    (-1)^c_j; with none, that stabiliser's sign is not constant on side
+    a's support.  By the sign fact, a web's eigenvalue on D != 0 is
+    (-1)^count (:meth:`~zxfault.webs.FaultClasses.count`) times i per
+    port Y, and a fault, such as a zero side's reference, flips it where
+    its syndrome has odd parity on the web.  So bit j is count_a(m) +
+    |origin & m| + c_j + count_b(web j) mod 2.  Two factors cancel, so no
+    tensor of either side is read: the i per port Y, since both
+    stabilisers have the same port Paulis, and side b's reference
+    syndrome, which flips side b's eigenvalue exactly where it would flip
+    the bit back.  So a dropped i per port Y, or a Y read as Z.X, cannot
+    change the offset.  By the support fact
+    (:attr:`~zxfault.webs.FaultClasses.support`), side a's reference
+    covers as many side-b assignments as side b's exactly when corr's
+    linear part keeps, on the directions that side a's support leaves
+    free, the dimension of side b's support."""
+    ports = sum(map(len, a.diagram.boundary()))
+    linear = [corr.sign_mask([t])[0] for t in corr.target_vars]
+    free = len(gf2.echelon([*a.support, *linear])) - len(a.support)
+    if free != len(b.diagram.variables) - len(b.support):
         return None
-    ports = t.n_in + t.n_out
-    width = flat.size.bit_length() - 1
-    support = np.flatnonzero(mags > TOL * m / 3)
-    out = []
-    for x, z, o, c in webs:
-        o <<= ports
-        sign = -1.0 if ((i ^ x) & z ^ i & o).bit_count() + c & 1 else 1.0
-        lam = flat[i ^ x] * sign / flat[i]
-        if abs(abs(lam) - 1) > TOL:  # a stabiliser is unitary
+    data = 2 * ports + len(a.diagram.variables)
+    pivots = gf2.echelon(x | z << ports | o << 2 * ports | 1 << data + k
+                         for k, (x, z, o) in enumerate(a.masks))
+    offset = 0
+    for j, (x, z, o, c) in enumerate(stabilisers):
+        v = gf2.reduce(pivots, x | z << ports | o << 2 * ports)
+        if v & (1 << data) - 1:
             return None
-        j = np.concatenate([support, support ^ x])
-        u = flat[j ^ x]
-        u *= 1 - 2 * (gf2.parity((j ^ x) & z ^ j & o, width) ^ c)
-        u /= lam
-        u -= flat[j]
-        if np.max(np.abs(u)) > TOL * m:
-            return None
-        out.append(lam)
-    covered = images[np.flatnonzero(mags > TOL * m) >> ports]
-    return out, int(np.count_nonzero(np.bincount(covered)))
-
-
-def _read_out(own: tuple, through: tuple, base: OutcomeTensor,
-              base_syndrome: int):
-    """The side-b web syndrome of a side-a tensor read through the
-    correspondence: ``base_syndrome``, that of the nonzero side-b tensor
-    ``base``, with bit i flipped where the tensor's eigenvalue under web
-    i's stabiliser is minus base's.  None if an eigenvalue is neither, or if
-    the nonzero branches cover another number of side-b assignments than
-    base's, a count no fault changes and the signs cannot see.  ``own`` and
-    ``through`` are side b's :func:`_stabilisers` read through the identity
-    and through the correspondence."""
-    first = _eigenvalues(base, *own)
-    if first is None:
-        raise ClassKeyError("a Pauli web of side b does not stabilise its"
-                            " reference diagram")
-    sigma, size = first
-
-    def read(t: OutcomeTensor) -> int | None:
-        got = _eigenvalues(t, *through)
-        if got is None or got[1] != size:
-            return None
-        s = base_syndrome
-        for i, (l, m) in enumerate(zip(got[0], sigma)):
-            if abs(l / m + 1) <= TOL:
-                s ^= 1 << i
-            elif abs(l / m - 1) > TOL:
-                return None
-        return s
-    return read
+        m = v >> data
+        bit = a.count(m) + (origin & m).bit_count() + c + b.count(1 << j)
+        offset |= (bit & 1) << j
+    return offset
 
 
 def _pushout_rows(d: ZxDiagram, classes: FaultClasses,
@@ -244,18 +216,16 @@ class SyndromeMap:
     first whose :meth:`~zxfault.webs.FaultClasses.pattern` is ``alive``:
     the empty fault when D != 0, else one replay, which must be nonzero.
     Zero classes, of another pattern, match only zero classes.  M(origin),
-    the offset, is the :func:`_read_out` of side a's reference (the
-    origin) against side b's.  Every other nonzero class is the origin
-    under a boundary Pauli and outcome flips (the push-out), so M is solved
-    without a tensor: echelon the :func:`_pushout_rows`, and M(s) is the
-    offset XOR the side-b flips of the generators that sum to s XOR origin.
-    A class the generators cannot reach, or a kernel row that gives one
-    syndrome two images, is a :class:`ClassKeyError`.  Guards: the offset
-    is 0 exactly when the oracle calls the nonzero noise-free diagrams
-    equal, and any other match of it is confirmed; one nonzero side-a
-    class other than the origin (:meth:`_guard`) is replayed and read, its
-    read must be M's prediction, and the side-b class predicted, if any,
-    must equal it under the oracle."""
+    the offset, is solved on the webs of both sides (:func:`_offset`).
+    Every other nonzero class is the origin under a boundary Pauli and
+    outcome flips (the push-out): echelon the :func:`_pushout_rows`, and
+    M(s) is the offset XOR the side-b flips of the generators that sum to
+    s XOR origin.  So no tensor is read to solve M.  A class the generators
+    cannot reach, or a kernel row that gives one syndrome two images, is a
+    :class:`ClassKeyError`.  The dense oracle only confirms M: the offset
+    is 0 exactly when it calls the nonzero noise-free diagrams equal, any
+    other match of the offset is replayed, and so is one more predicted
+    match (:meth:`_guard`)."""
 
     def __init__(self, spec: EquivalenceSpec, max_weight: int):
         da, db = spec.side_a.diagram, spec.side_b.diagram
@@ -274,13 +244,10 @@ class SyndromeMap:
         ref_a, ref_b = self._reference("a", t_a), self._reference("b", t_b)
         self.offset = None  # M(origin), None when no nonzero class matches
         if ref_a and ref_b:
-            own, through = _stabilisers(db, b.classes.webs,
-                                        OutcomeMap.identity(db.variables),
-                                        corr)
-            self._read = _read_out(own, through, ref_b[1],
-                                   b.classes.syndrome(ref_b[0]))
+            stabilisers = _stabilisers(b.classes, corr)
             self._origin = a.classes.syndrome(ref_a[0])
-            self.offset = self._read(ref_a[1])
+            self.offset = _offset(a.classes, b.classes, stabilisers, corr,
+                                  self._origin)
         zero_a, zero_b = bool(a.classes.alive), bool(b.classes.alive)
         same = zero_a and zero_b if zero_a or zero_b else self.offset == 0
         if same != equal_up_to_scalar(t_b, t_a, corr):
@@ -289,7 +256,7 @@ class SyndromeMap:
         del t_a, t_b  # at most two tensors are kept while the oracle compares
         if self.offset is not None:
             self._pivots = gf2.echelon(_pushout_rows(da, a.classes,
-                                                     through[0]))
+                                                     stabilisers))
             if max(self._pivots, default=-1) >= len(a.classes.webs):
                 raise ClassKeyError("the push-out gives one side-a web"
                                     " syndrome two side-b images")
@@ -365,31 +332,17 @@ class SyndromeMap:
         return None if v & ((1 << n) - 1) else (v >> n) ^ self.offset
 
     def _guard(self, corr: OutcomeMap) -> None:
-        """Replay one nonzero side-a class other than the origin and check
-        M's prediction for it: its read must be the prediction, and the
-        side-b class predicted, if any, must equal it under the oracle.  The
-        class is the first in scan order whose prediction has a side-b
-        class, else the first."""
+        """Replay the first nonzero side-a class other than the origin, in
+        scan order, whose prediction has a side-b class, and check under
+        the oracle that it equals that class; with none, replay nothing."""
         keys = self.keys["a"]
-        live = [(s, f) for s, f in self.tables["a"].firsts.items()
-                if keys[s] not in (None, -1) and s != self._origin]
-        guard = next(((s, f) for s, f in live if keys[s] in self._first["b"]),
-                     next(iter(live), None))
-        if guard is None:
+        s, f = next(((s, f) for s, f in self.tables["a"].firsts.items()
+                     if keys[s] not in (None, -1) and s != self._origin
+                     and keys[s] in self._first["b"]), (None, None))
+        if f is None:
             return
-        s, f = guard
-        t = self.replay("a", f)
-        r = self._read(t)
-        if r is None:
-            raise ClassKeyError(f"side-a fault {f.to_text()} of a nonzero"
-                                f" class reads no definite side-b syndrome")
-        if r != keys[s]:
-            raise ClassKeyError(
-                f"side-a fault {f.to_text()} reads as side-b syndrome {r},"
-                f" not the push-out's prediction {keys[s]}")
-        g = self._first_fault("b", r)
-        if g is not None and not equal_up_to_scalar(
-                self.replay("b", g), t, corr):
+        g, t = self._first_fault("b", keys[s]), self.replay("a", f)
+        if not equal_up_to_scalar(self.replay("b", g), t, corr):
             raise ClassKeyError(
                 f"side-a fault {f.to_text()} is predicted to match side-b"
                 f" fault {g.to_text()}, which the oracle refutes")

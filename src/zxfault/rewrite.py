@@ -849,6 +849,8 @@ def check_boundary_pushout(d: ZxDiagram, max_weight: int = 3) -> PushoutReport:
     undetectable internal class fails when its least weight is below that
     of its boundary class, and only the faults of failing classes are
     walked, to list them."""
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be at least 0, got {max_weight}")
     internal = sorted(eid for eid, e in d.edges.items()
                       if not e.ideal and e.a[0] == "s" and e.b[0] == "s")
     boundary = [eid for eid in d.non_ideal_edges() if eid not in set(internal)]

@@ -30,6 +30,7 @@ from functools import cached_property
 from . import gf2
 from .diagram import ZxDiagram
 from .noise import NoiseModel, count_faults, enumerate_faults
+from .oracle import port_masks
 from .pauli import Nibbles, PauliString
 
 # Each highlight's (green, red) bits in the edge's a-side view, and the Pauli
@@ -191,34 +192,37 @@ def flipped_by(d: ZxDiagram, w: PauliWeb) -> frozenset:
     return frozenset(det)
 
 
-def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
-    """(expected_parity, detecting_set) of a detecting region.
-
-    expected_parity = (n_const + m) mod 2 where n_const counts spiders that
-    the region stabilises with sign -1 at the all-zero outcome assignment and
-    m counts both-colour plain edges; the detecting set is
-    :func:`flipped_by`.
-    """
+def sign_count(d: ZxDiagram, w: PauliWeb, inc: dict) -> int:
+    """The spiders the web fires that it stabilises with sign -1 at the
+    all-zero outcome assignment (:func:`local_sign`), plus its both-colour
+    plain edges; ``inc`` is ``d.incidence()``.  On D != 0 the web's
+    stabiliser, its port Paulis and its outcome signs, has eigenvalue
+    (-1)^count times i per port Y on D's tensor."""
     hl = w.edges
-    if any(eid in hl for eid in d.boundary_edges()):
-        raise ValueError("web touches boundary; not a detecting region")
-    inc = d.incidence()
-    n_const = 0
+    count = 0
     for sid, fired in w.indicators:
         if fired:
             s = d.spiders[sid]
             y = sum(1 for eid, _ in inc[sid] if hl.get(eid) == "both")
-            n_const += local_sign(s.colour, s.phase.qturns, y) == -1
-    m = sum(1 for eid, h in w.highlight
-            if h == "both" and not d.edges[eid].had)
-    return (n_const + m) % 2, flipped_by(d, w)
+            count += local_sign(s.colour, s.phase.qturns, y) == -1
+    return count + sum(1 for eid, h in w.highlight
+                       if h == "both" and not d.edges[eid].had)
+
+
+def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
+    """(expected_parity, detecting_set) of a detecting region: the parity
+    of its :func:`sign_count` and :func:`flipped_by`."""
+    hl = w.edges
+    if any(eid in hl for eid in d.boundary_edges()):
+        raise ValueError("web touches boundary; not a detecting region")
+    return sign_count(d, w, d.incidence()) % 2, flipped_by(d, w)
 
 
 def detecting_region_basis(d: ZxDiagram,
                            space: tuple | None = None) -> list[DetectingRegion]:
     """A basis of the diagram's detecting regions: the sums of basis webs
     (``space`` as in :func:`web_basis`) that leave the boundary bare
-    (:func:`_bare_sums`), less those with no highlight, the leg-less Pauli
+    (:func:`_bare_masks`), less those with no highlight, the leg-less Pauli
     spiders'.  It is the basis, in order, of the web system eliminated
     with the boundary bits zeroed: each basis web is 1 at its own free
     column and 0 at the others, and its highest bit is that column; so a
@@ -226,28 +230,34 @@ def detecting_region_basis(d: ZxDiagram,
     highest term's, and the sums, each 1 at its own column of the small
     solve and 0 at the others', are the region space's echelon basis
     reduced by highest bits, as :func:`~zxfault.gf2.nullspace` gives it."""
-    regions = []
-    for _, w in _bare_sums(d, space or _solve(d)):
+    regions, space = [], space or _solve(d)
+    for w in (_web_sum(space, m) for m in _bare_masks(d, space)):
         if w.highlight:
             parity, det = region_sign(d, w)
             regions.append(DetectingRegion(w, det, parity))
     return regions
 
 
-def _bare_sums(d: ZxDiagram, space: tuple, rows: list | tuple = ()):
-    """(mask, web) for each of a basis of the sums of the basis webs of
-    ``space`` (bit j of the mask takes web j) that leave the boundary bare
-    and solve the bit ``rows`` over the webs: one small solve, with a row
-    per boundary edge bit of the webs that highlight it."""
-    vectors, edge_order, spider_order = space
+def _bare_masks(d: ZxDiagram, space: tuple, rows: list | tuple = ()):
+    """The masks (bit j takes web j) of a basis of the sums of the basis
+    webs of ``space`` that leave the boundary bare and solve the bit
+    ``rows`` over the webs: one small solve, with a row per boundary edge
+    bit of the webs that highlight it."""
+    vectors, edge_order, _ = space
     rows = [sum((v >> 2 * edge_order[eid] + k & 1) << j
                 for j, v in enumerate(vectors))
             for eid in d.boundary_edges() for k in (0, 1)] + list(rows)
-    for mask in gf2.nullspace(rows, len(vectors)):
-        v = 0
-        for j, u in enumerate(vectors):
-            v ^= u * (mask >> j & 1)
-        yield mask, _vector_to_web(v, edge_order, spider_order)
+    return gf2.nullspace(rows, len(vectors))
+
+
+def _web_sum(space: tuple, mask: int) -> PauliWeb:
+    """The sum of the basis webs of ``space`` that ``mask`` takes."""
+    vectors, edge_order, spider_order = space
+    v = 0
+    for j, u in enumerate(vectors):
+        if mask >> j & 1:
+            v ^= u
+    return _vector_to_web(v, edge_order, spider_order)
 
 
 def _check_locations(d: ZxDiagram, f: PauliString) -> None:
@@ -295,6 +305,7 @@ class FaultClasses:
         self._space = _solve(d)
         self.webs = web_basis(d, self._space)
         self.regions = detecting_region_basis(d, self._space)
+        self._incidence = d.incidence()
         # bit i of a fault's x mask flips the webs whose z mask has bit i,
         # and bit i of its z mask those whose x mask has it
         self._rows: tuple[dict, dict] = ({}, {})
@@ -314,17 +325,50 @@ class FaultClasses:
         return [sum((v in fl) << j for j, fl in enumerate(flips))
                 for v in self.diagram.variables]
 
+    def outcome_mask(self, mask: int) -> int:
+        """The outcome variables that the sum of the basis webs in ``mask``
+        flips, as bits of an assignment read as by
+        :meth:`~zxfault.oracle.OutcomeMap.sign_mask`, first one highest."""
+        n = len(self.outcome_flips)
+        return sum(((s & mask).bit_count() & 1) << n - 1 - i
+                   for i, s in enumerate(self.outcome_flips))
+
+    @cached_property
+    def masks(self) -> list[tuple[int, int, int]]:
+        """Each basis web's port Paulis (x, z)
+        (:func:`~zxfault.oracle.port_masks`) and :meth:`outcome_mask`."""
+        return [(x, z, self.outcome_mask(1 << j)) for j, (x, z) in
+                enumerate(port_masks(self.diagram,
+                                     [w.pauli for w in self.webs]))]
+
+    @cached_property
+    def support(self) -> list[int]:
+        """The support fact: on D != 0 the outcome assignments with a
+        nonzero branch are those on which every bare-boundary web sum's
+        :meth:`outcome_mask` has the parity of its :meth:`count`.  These
+        are the echelon rows of those masks, one per dimension the support
+        loses.  Every sum counts: the regions drop those of leg-less Pauli
+        spiders, which highlight no edge but may read outcomes."""
+        return list(gf2.echelon(map(self.outcome_mask, _bare_masks(
+            self.diagram, self._space))).values())
+
+    def count(self, mask: int) -> int:
+        """The :func:`sign_count` of the sum of the basis webs in ``mask``."""
+        w = self.webs[mask.bit_length() - 1] if mask.bit_count() == 1 \
+            else _web_sum(self._space, mask)
+        return sign_count(self.diagram, w, self._incidence)
+
     @cached_property
     def _constant(self) -> list[tuple[int, int]]:
-        """The mask over the basis webs and the :func:`region_sign` parity
-        of each of a basis of the constant sums, the webs with a bare
-        boundary and an empty detecting set: :func:`_bare_sums` with the
+        """The mask over the basis webs and the :meth:`count` parity of
+        each of a basis of the constant sums, the webs with a bare
+        boundary and an empty detecting set: :func:`_bare_masks` with the
         :attr:`outcome_flips` as rows.  A leg-less Pauli spider needs no
         case of its own: its indicator is a free column, its web a basis
         web."""
-        return [(mask, region_sign(self.diagram, w)[0])
-                for mask, w in _bare_sums(self.diagram, self._space,
-                                          self.outcome_flips)]
+        return [(mask, self.count(mask) & 1)
+                for mask in _bare_masks(self.diagram, self._space,
+                                        self.outcome_flips)]
 
     @cached_property
     def alive(self) -> int:

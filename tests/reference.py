@@ -11,9 +11,11 @@
   web-syndrome map (:class:`zxfault.feq.SyndromeMap`) replaced them: two
   faulted diagrams have one key exactly when they are equal under the
   outcome correspondence, up to a global magnitude and per-outcome phases.
-* The dense web read-out that :func:`zxfault.feq._eigenvalues` replaced:
-  each web's stabiliser applied to the whole tensor (``on_open_legs``
-  and the outcome signs), and the covered count from every branch.
+* The dense web read-out that the sign and support algebra of
+  :func:`zxfault.feq._offset` replaced: each web's stabiliser applied to
+  the whole tensor (``on_open_legs`` and the outcome signs), the covered
+  count from every branch, and their comparison with side b's reference
+  (:func:`dense_reader`).
 * The per-assignment loop of ``equal_up_to_scalar`` that the row-wise
   :func:`zxfault.oracle.equal_up_to_scalar` replaced.
 * Calling an outcome map on one assignment (:func:`map_assignment`),
@@ -33,8 +35,6 @@
   built from those regions and the leg-less Pauli spiders as Paulis
   (:func:`constant_sums`), which the small solves over the basis webs of
   :class:`zxfault.webs.FaultClasses` replaced.
-* The sign of each web on its own diagram's tensor as a local count
-  (:func:`web_sign_count`).
 * Whether a fault leaves a diagram's tensor family unchanged, by two
   dense contractions (:func:`is_trivial`), which the zero rule and the web
   syndromes of :class:`zxfault.webs.FaultClasses` replaced in the circuit
@@ -66,8 +66,7 @@ from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, _edge_kind
 from zxfault.webs import (DetectingRegion, PauliWeb, _build_system,
-                          _vector_to_web, flipped_by, local_sign,
-                          region_sign)
+                          _vector_to_web, flipped_by, region_sign)
 
 
 def enumerate_faults(m: NoiseModel, max_weight: int):
@@ -332,11 +331,55 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
     return True
 
 
-def replay_read(syndrome_map, f: PauliString) -> int | None:
+def dense_reader(spec, syndrome_map):
+    """read(t): the side-b web syndrome of a side-a tensor ``t`` read
+    through the correspondence, densely: the syndrome of side b's
+    reference, its first class whose pattern is ``alive``, with bit j
+    flipped where t's eigenvalue under web j is minus the reference's;
+    None if an eigenvalue is neither, or if t's nonzero branches cover
+    another number of side-b assignments than the reference's."""
+    b = syndrome_map.tables["b"]
+    classes, db = b.classes, b.classes.diagram
+    base_syndrome, f = next((s, f) for s, f in b.firsts.items()
+                            if classes.pattern(s) == classes.alive)
+    base = dense_read(db, classes.webs, syndrome_map.replay("b", f),
+                      OutcomeMap.identity(db.variables))
+    assert base is not None, "a web of side b does not stabilise its reference"
+
+    def read(t: OutcomeTensor) -> int | None:
+        got = dense_read(db, classes.webs, t, spec.corr())
+        if got is None or got[1] != base[1]:
+            return None
+        s = base_syndrome
+        for j, (lam, mu) in enumerate(zip(got[0], base[0])):
+            if abs(lam / mu + 1) <= TOL:
+                s ^= 1 << j
+            elif abs(lam / mu - 1) > TOL:
+                return None
+        return s
+    return read
+
+
+def dense_offset(spec, syndrome_map) -> int | None:
+    """M(origin) by :func:`dense_reader`: the read of side a's reference,
+    its first class whose pattern is ``alive``; None when either side has
+    no such class."""
+    refs = {side: next((f for s, f in table.firsts.items()
+                        if table.classes.pattern(s) == table.classes.alive),
+                       None)
+            for side, table in syndrome_map.tables.items()}
+    if None in refs.values():
+        return None
+    read = dense_reader(spec, syndrome_map)
+    return read(syndrome_map.replay("a", refs["a"]))
+
+
+def replay_read(read, syndrome_map, f: PauliString) -> int | None:
     """The side-b syndrome that a replay of side-a fault ``f``, read
-    through the correspondence, is an eigenvector for: M at f's class as
-    one replay per class read it, before the push-out generators."""
-    return syndrome_map._read(syndrome_map.replay("a", f))
+    through the correspondence by ``read`` (:func:`dense_reader`), is an
+    eigenvector for: M at f's class as one replay per class read it,
+    before the push-out generators."""
+    return read(syndrome_map.replay("a", f))
 
 
 def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:
@@ -382,24 +425,6 @@ def constant_sums(d: ZxDiagram) -> list[tuple[PauliString, int]]:
                 p, parity = p * pauli, parity ^ bit
         out.append((p, parity))
     return out
-
-
-def web_sign_count(d: ZxDiagram, w: PauliWeb) -> int:
-    """:func:`zxfault.webs.region_sign`'s count for any web, its boundary
-    check dropped: the spiders it fires that it stabilises with sign -1
-    at the all-zero outcome assignment, and its both-colour plain edges.
-    On D != 0 the web's stabiliser, its port Paulis and its outcome signs,
-    has eigenvalue (-1)^count times i per port Y on D's tensor."""
-    hl = w.edges
-    inc = d.incidence()
-    count = 0
-    for sid, fired in w.indicators:
-        if fired:
-            s = d.spiders[sid]
-            y = sum(1 for eid, _ in inc[sid] if hl.get(eid) == "both")
-            count += local_sign(s.colour, s.phase.qturns, y) == -1
-    return count + sum(1 for eid, h in w.highlight
-                       if h == "both" and not d.edges[eid].had)
 
 
 def degree(d: ZxDiagram, sid: int) -> int:

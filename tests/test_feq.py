@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 import zxfault
-from reference import (class_keys, dense_read, is_trivial, key_matches,
-                       syndrome)
+from reference import class_keys, is_trivial, key_matches, syndrome
 from zxfault import feq, gf2, oracle, samples, webs
 from zxfault.diagram import Edge, ZxDiagram, apply_fault, compose
 from zxfault.feq import (ClassKeyError, Counterexample, EquivalenceSpec, Side,
@@ -231,9 +230,9 @@ def test_correlated_atom_match_is_weighed_in_the_noise_model():
 
 
 def test_key_oracle_disagreement_is_an_error(monkeypatch):
-    # a read-out that calls every tensor equal to side b's noise-free one,
-    # on two wires the oracle tells apart
-    monkeypatch.setattr(feq, "_read_out", lambda *args: lambda t: 0)
+    # an offset that calls side a's reference equal to side b's, on two
+    # wires the oracle tells apart
+    monkeypatch.setattr(feq, "_offset", lambda *args: 0)
     with pytest.raises(ClassKeyError, match="noise-free diagrams"):
         check_w_fault_equivalence(spec_of(samples.wire(),
                                           samples.wire(had=True)))
@@ -241,18 +240,15 @@ def test_key_oracle_disagreement_is_an_error(monkeypatch):
 
 def test_nonzero_offset_is_confirmed_by_the_oracle(monkeypatch):
     # the noise-free diagrams differ by a k1 flip, so the offset is the
-    # syndrome of side b's k1 flips; a read-out shifted to another side-b
+    # syndrome of side b's k1 flips; an offset shifted to another side-b
     # class must be refuted by that class's replay
     spec = flipped_two_zz_spec(2)
     offset = feq.SyndromeMap(spec, 1).offset
     other = feq.SyndromeMap(spec, 1).tables["b"].firsts
     wrong = next(s for s in other if s not in (0, offset))
-    real = feq._read_out
-
-    def shifted(*args):
-        read = real(*args)
-        return lambda t: read(t) ^ offset ^ wrong
-    monkeypatch.setattr(feq, "_read_out", shifted)
+    real = feq._offset
+    monkeypatch.setattr(feq, "_offset",
+                        lambda *args: real(*args) ^ offset ^ wrong)
     with pytest.raises(ClassKeyError, match="reads as side-b fault"
                                             f" {other[wrong].to_text()},"):
         check_w_fault_equivalence(spec)
@@ -986,28 +982,22 @@ def test_dropping_a_web_from_the_syndromes_is_caught(monkeypatch):
 
 
 def test_predicted_match_guard(monkeypatch):
-    # a read-out off by one web on the guard's replay, the read after the
-    # offset's: it must refute the push-out's prediction
-    real = feq._read_out
+    # a push-out off by one web at every class but the origin: the guard's
+    # replay of the side-b class it predicts must refute it
+    real = feq.SyndromeMap.pushout
 
-    def off_once(*args):
-        read, calls = real(*args), []
-
-        def once(t):
-            calls.append(t)
-            return read(t) ^ (len(calls) == 2)
-        return once
-    monkeypatch.setattr(feq, "_read_out", off_once)
+    def off(self, s):
+        image = real(self, s)
+        return None if image is None else image ^ (s != self._origin)
+    monkeypatch.setattr(feq.SyndromeMap, "pushout", off)
     d = samples.wire()
-    with pytest.raises(ClassKeyError, match=PREDICTION_REFUTED):
+    with pytest.raises(ClassKeyError, match=MATCH_REFUTED):
         check_w_fault_equivalence(spec_of(d, d))
 
 
-# the guard's two errors: its read against M's prediction, and the side-b
-# class predicted against its replay under the oracle
-PREDICTION_REFUTED = (r"^side-a fault \S+ reads as side-b syndrome \d+, not the"
-                      r" push-out's prediction \d+$")
-MATCH_REFUTED = (r"^side-a fault \S+ is predicted to match side-b fault \S+,"
+# the guard's error: the side-b class predicted against its replay under
+# the oracle
+MATCH_REFUTED = (r"^side-a fault \S+ is predicted to match side-b fault \S*,"
                  r" which the oracle refutes$")
 
 
@@ -1052,7 +1042,7 @@ def test_class_out_of_reach_of_the_pushout_is_an_error(monkeypatch):
     naive_vs_spec(3), flipped_two_zz_spec(2), many_to_one_spec(2)])
 def test_wrong_pushout_generator_is_caught_by_the_guard(monkeypatch, spec):
     # every generator that some fault reaches flips side-b web 0 as well:
-    # the guard's read refutes M's prediction, and no verdict is returned
+    # the guard's replay refutes M's prediction, and no verdict is returned
     real = feq._pushout_rows
 
     def off(d, classes, stabilisers):
@@ -1060,7 +1050,7 @@ def test_wrong_pushout_generator_is_caught_by_the_guard(monkeypatch, spec):
         return [r ^ 1 << n if r & (1 << n) - 1 else r
                 for r in real(d, classes, stabilisers)]
     monkeypatch.setattr(feq, "_pushout_rows", off)
-    with pytest.raises(ClassKeyError, match=PREDICTION_REFUTED):
+    with pytest.raises(ClassKeyError, match=MATCH_REFUTED):
         check_w_fault_equivalence(spec)
 
 
@@ -1086,12 +1076,15 @@ def pushout_mismatches(spec, max_weight) -> list:
     a = syndrome_map.tables["a"]
     live = {s: f for s, f in a.firsts.items()
             if syndrome_map.keys["a"][s] not in (None, -1)}
-    read = {s: f for s, f in live.items() if a.least[s] <= max_weight}
+    near = {s: f for s, f in live.items() if a.least[s] <= max_weight}
     origin = next(iter(live), 0)
-    assert len(gf2.echelon(s ^ origin for s in read)) == \
+    assert len(gf2.echelon(s ^ origin for s in near)) == \
         len(gf2.echelon(s ^ origin for s in live))
-    return [f for s, f in read.items() if syndrome_map.pushout(s) !=
-            reference.replay_read(syndrome_map, f)]
+    if not live:
+        return []
+    read = reference.dense_reader(spec, syndrome_map)
+    return [f for s, f in near.items() if syndrome_map.pushout(s) !=
+            reference.replay_read(read, syndrome_map, f)]
 
 
 def pushout_specs():
@@ -1130,6 +1123,58 @@ def test_pushout_map_matches_the_replay_read_on_random_diagrams(seed):
     a = spec.side_a.diagram
     for s in (spec, spec_of(a, reversed_edges(a), w=3)):
         assert pushout_mismatches(s, s.w - 1) == []
+
+
+def offset_mismatch(spec) -> tuple | None:
+    """(offset, dense) when the offset solved on the webs differs from the
+    dense read of side a's reference (:func:`reference.dense_offset`)."""
+    syndrome_map = feq.SyndromeMap(spec, spec.w - 1)
+    dense = reference.dense_offset(spec, syndrome_map)
+    return None if syndrome_map.offset == dense else \
+        (syndrome_map.offset, dense)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=name) for name, spec, _ in pushout_specs()])
+def test_offset_matches_the_dense_read(spec):
+    assert offset_mismatch(spec) is None
+
+
+def test_offsets_of_every_kind_are_read():
+    # the corpus has offsets 0, nonzero and None (no definite eigenvalue
+    # or supports of other sizes)
+    offsets = {feq.SyndromeMap(spec, spec.w - 1).offset
+               for _, spec, _ in pushout_specs()}
+    assert {0, None} < offsets
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_offset_matches_the_dense_read_on_random_diagrams(seed):
+    # each random pair, and each of its sides against itself with its
+    # edges reversed, which matches
+    spec = random_spec(seed)
+    for s in (spec, *(spec_of(d, reversed_edges(d), w=3)
+                      for d in (spec.side_a.diagram, spec.side_b.diagram))):
+        assert offset_mismatch(s) is None
+
+
+def test_the_offset_needs_no_tensor(monkeypatch):
+    # the [[7,1,3]] Steane extraction and recursive-cat n=16, whose dense
+    # tensors do not fit in memory, against their specifications
+    from zxfault.builders import build_gadget, steane
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor was contracted")
+    monkeypatch.setattr(oracle, "evaluate", refuse)
+    monkeypatch.setattr(feq, "evaluate", refuse)
+    h = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+    for pair in (steane(h, h), build_gadget("recursive-cat", n=16)):
+        spec = pair.equivalence_spec(3)
+        a, b = (webs.FaultClasses(side.diagram)
+                for side in (spec.side_a, spec.side_b))
+        assert not a.alive and not b.alive
+        corr = spec.corr()
+        assert feq._offset(a, b, feq._stabilisers(b, corr), corr, 0) == 0
 
 
 @pytest.mark.parametrize("eid,message", [(1, "ideal edge 1"),
@@ -1172,122 +1217,7 @@ def test_one_replay_per_web_syndrome(monkeypatch):
             <= len({s for _, _, s, _ in walk(t)})
 
 
-# -- the support read-out and the row-wise comparison, against the loops ---
-
-def read_outs(spec, max_weight):
-    """(support, dense) read-outs against side b's webs of a replay of every
-    class of both tables: side a's through the correspondence, side b's
-    through the identity."""
-    tables = fault_tables(spec, max_weight)
-    db = spec.side_b.diagram
-    web_list = tables["b"].classes.webs
-    maps = {"a": spec.corr(), "b": OutcomeMap.identity(db.variables)}
-    stabilisers = dict(zip("ab", feq._stabilisers(db, web_list, maps["a"],
-                                                   maps["b"])))
-    for side, table in tables.items():
-        for f in table.firsts.values():
-            t = replay(table, f)
-            yield (feq._eigenvalues(t, *stabilisers[side]),
-                   dense_read(db, web_list, t, maps[side]))
-
-
-def assert_reads_as_dense(spec, max_weight):
-    reads = list(read_outs(spec, max_weight))
-    for got, want in reads:
-        assert got == want
-    return reads
-
-
-@pytest.mark.parametrize("spec", [
-    pytest.param(spec, id=name) for name, spec in
-    [*syndrome_specs(),
-     *((name, spec) for name, spec in rule_pair_specs() if spec.w == 2),
-     *zero_and_support_specs()]])
-def test_support_read_out_matches_the_dense_reference(spec):
-    reads = assert_reads_as_dense(spec, 2)
-    assert any(got is not None for got, _ in reads)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1).map(random_spec))
-def test_support_read_out_matches_the_dense_reference_on_random_diagrams(
-        spec):
-    assert_reads_as_dense(spec, 2)
-
-
-def two_port_diagram():
-    """Two output legs, each on its own green spider, beside a spider that
-    reads outcome k: a boundary shape and registry for hand-built tensors."""
-    d = ZxDiagram()
-    d.add_variable("k")
-    ports = [d.add_edge(("s", d.add_spider("Z")), ("b", "out", i))
-             for i in range(2)]
-    return d, ports, d.add_spider("Z", 0, ["k"])
-
-
-def test_support_read_out_at_the_thresholds():
-    # t's k=0 branch is an eigenvector of an X on output 0 and of a Y on
-    # output 1 whose sign reads k, with max magnitude m = 1.  Pairs of
-    # entries of the zero k=1 branch, which one of the two webs' X masks
-    # swaps, take values just above and below TOL*m/3 and TOL*m: an entry
-    # the support keeps is mapped onto one it drops, and only the dropped
-    # one's difference may exceed TOL*m.  So does all of the k=1 branch, as
-    # an eigenvector of both.  Both the eigenvalues and the covered count
-    # (1 or 2 branches) must be the dense reference's.
-    d, (e0, e1), reader = two_port_diagram()
-    web_list = [PauliWeb(((e0, "red"),), ()),
-                PauliWeb(((e1, "both"),), ((reader, 1),))]
-    identity = OutcomeMap.identity(d.variables)
-    [stabilisers] = feq._stabilisers(d, web_list, identity)
-    base = np.zeros((2, 1, 4), dtype=complex)
-    base[0, 0] = [1, -1j, 1, -1j]
-    tol = oracle.TOL
-    values = [s * v * tol for v in (0.3, 0.34, 0.6, 0.9, 0.99, 1.01, 1.1)
-              for s in (1, -1, 1j)]
-    branches = [[p, q, 0, 0] for p in values for q in values]  # web 1
-    branches += [[p, 0, q, 0] for p in values for q in values]  # web 0
-    branches += [[p, 1j * p, p, 1j * p] for p in values]  # an eigenvector
-    outcomes = set()
-    for branch in branches:
-        array = base.copy()
-        array[1, 0] = branch
-        t = OutcomeTensor(d.variables, 0, 2, array)
-        got = feq._eigenvalues(t, *stabilisers)
-        assert got == dense_read(d, web_list, t, identity), branch
-        outcomes.add(None if got is None else got[1])
-    assert outcomes == {None, 1, 2}
-
-
-def test_support_read_out_reads_both_entries_of_a_pair():
-    # web 0's eigenvalue is lambda = 1 - TOL/4, so the two differences of a
-    # pair of entries that its X mask swaps differ by about TOL/4 times
-    # their sizes.  Here the larger one is at the entry below TOL*m/3, which
-    # only the K ^ x half of the index set reads; at the dense reference's
-    # boundary of that entry's size, the read-out must agree on both sides
-    d, (e0, _), _ = two_port_diagram()
-    web_list = [PauliWeb(((e0, "red"),), ())]
-    identity = OutcomeMap.identity(d.variables)
-    [stabilisers] = feq._stabilisers(d, web_list, identity)
-    tol = oracle.TOL
-
-    def tensor(p):
-        array = np.zeros((2, 1, 4), dtype=complex)
-        array[0, 0, [0, 2]] = 1, 1 - tol / 4
-        array[1, 0, [0, 2]] = -p, 0.8 * tol
-        return OutcomeTensor(d.variables, 0, 2, array)
-
-    def reads(p):
-        return dense_read(d, web_list, tensor(p), identity) is not None
-
-    lo, hi = 0.1 * tol, 0.3 * tol
-    assert reads(lo) and not reads(hi)
-    while (lo + hi) / 2 not in (lo, hi):
-        lo, hi = ((lo + hi) / 2, hi) if reads((lo + hi) / 2) \
-            else (lo, (lo + hi) / 2)
-    for p in (lo, hi):
-        assert feq._eigenvalues(tensor(p), *stabilisers) == \
-            dense_read(d, web_list, tensor(p), identity)
-
+# -- the row-wise comparison, against the loop --------------------------------
 
 def equal_cases(spec, max_weight):
     """(t1, t2, correspondence) for each pair of a side-b and a side-a

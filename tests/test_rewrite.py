@@ -286,10 +286,6 @@ PUSHOUT_DIAGRAMS = [(f"corpus-{n}", d, 2) for n, d in samples.web_corpus()] + [
      with_legless_spider(samples.naive_cat(4), 2, "m"), 2),
     ("zz3-reader",
      with_legless_spider(samples.zz_measurement(n=3), 0, "k"), 2),
-    # below weight 0 the walk yields only the identity: nothing is counted
-    ("zz3-below-0", samples.zz_measurement(n=3), -1),
-    ("zero-naive-cat4-below-0",
-     with_legless_spider(samples.naive_cat(4), 2), -1),
 ]
 
 
@@ -305,6 +301,17 @@ def test_boundary_pushout_contracts_nothing(monkeypatch, d, cap):
     want = reference_pushout(d, cap)
     forbid_contractions(monkeypatch)
     assert check_boundary_pushout(d, cap) == want
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(samples.zz_measurement(n=3), id="zz3-below-0"),
+    pytest.param(with_legless_spider(samples.naive_cat(4), 2),
+                 id="zero-naive-cat4-below-0")])
+def test_pushout_weight_below_zero_is_an_error(d):
+    # a negative weight is an error, never a push-out that holds
+    with pytest.raises(ValueError,
+                       match="^max_weight must be at least 0, got -1$"):
+        check_boundary_pushout(d, -1)
 
 
 def test_only_a_failing_pushout_walks_faults(monkeypatch):

@@ -10,7 +10,7 @@ from reference import anticommutes, syndrome
 from test_builders import PARAMS
 from test_feq import WIRE_POOL, random_spec
 from test_gf2 import reference_nullspace
-from zxfault import feq, gf2, samples, webs
+from zxfault import gf2, samples, webs
 from zxfault.builders import BUILDERS, build_gadget
 from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
@@ -375,35 +375,34 @@ def test_the_web_system_is_eliminated_once(group, monkeypatch):
             [len(classes.webs)] * (len(calls) - 1), name
 
 
-def nonzero_webs(group) -> list:
-    """(name, diagram, webs, stabilisers) for each nonzero diagram of a
-    solve group, of which there is one at least: its web basis and their
-    stabilisers (port Paulis and outcome signs,
-    :func:`~zxfault.feq._stabilisers`) read through the identity."""
-    out = []
-    for name, d in SOLVE_GROUPS[group]():
-        if evaluate(d).max_abs() >= TOL:
-            web_list = web_basis(d)
-            [(stabilisers, _)] = feq._stabilisers(
-                d, web_list, OutcomeMap.identity(d.variables))
-            out.append((name, d, web_list, stabilisers))
+def nonzero_classes(group) -> list:
+    """(name, FaultClasses) for each nonzero diagram of a solve group, of
+    which there is one at least."""
+    out = [(name, webs.FaultClasses(d)) for name, d in SOLVE_GROUPS[group]()
+           if evaluate(d).max_abs() >= TOL]
     assert out
     return out
 
 
 @pytest.mark.parametrize("group", SOLVE_GROUPS)
 def test_web_signs_are_local_counts(group):
-    """On a nonzero diagram each web's stabiliser has eigenvalue
-    (-1)^count times i per port Y on the diagram's own tensor, the count
-    that region_sign makes for a region (reference.web_sign_count)."""
-    for name, d, web_list, stabilisers in nonzero_webs(group):
-        t = evaluate(d)
-        got = feq._eigenvalues(t, stabilisers, OutcomeMap.identity(
-            d.variables).images())
+    """The sign fact: on a nonzero diagram each basis web's stabiliser,
+    its port Paulis and outcome signs, and each sum of them, has
+    eigenvalue (-1)^count times i per port Y on the diagram's own tensor,
+    the count that region_sign makes for a region (webs.sign_count)."""
+    rng = random.Random(group)
+    for name, classes in nonzero_classes(group):
+        d, n = classes.diagram, len(classes.webs)
+        masks = [1 << j for j in range(n)] + \
+            [rng.getrandbits(n) for _ in range(8)]
+        sums = [webs._web_sum(classes._space, m) for m in masks]
+        got = reference.dense_read(d, sums, evaluate(d),
+                                   OutcomeMap.identity(d.variables))
         assert got is not None, name
-        want = [(-1) ** reference.web_sign_count(d, w)
-                * 1j ** (x & z).bit_count()
-                for w, (x, z, _, _) in zip(web_list, stabilisers)]
+        inc = d.incidence()
+        want = [(-1) ** webs.sign_count(d, w, inc) * 1j ** (x & z).bit_count()
+                for w, (x, z) in zip(sums, port_masks(d, [w.pauli
+                                                          for w in sums]))]
         assert np.allclose(got[0], want, rtol=0, atol=TOL), name
 
 
@@ -411,11 +410,66 @@ def test_web_signs_are_local_counts(group):
 def test_webs_span_the_ports(group):
     """On a nonzero diagram the webs' port Paulis have full rank, one per
     port: the webs give a maximal stabiliser group of its tensor."""
-    for name, d, web_list, _ in nonzero_webs(group):
-        n = sum(map(len, d.boundary()))
-        rows = [x << n | z
-                for x, z in port_masks(d, [w.pauli for w in web_list])]
+    for name, classes in nonzero_classes(group):
+        n = sum(map(len, classes.diagram.boundary()))
+        rows = [x << n | z for x, z, _ in classes.masks]
         assert len(gf2.echelon(rows)) == n, name
+
+
+def cut_out(classes, sums) -> list[int]:
+    """The outcome assignments, read as ints as by OutcomeMap.sign_mask, on
+    which the outcome mask of each web sum of ``sums`` (masks over the
+    basis webs) has the parity of the sum's count."""
+    rows = []
+    for m in sums:
+        o = 0
+        for j, (_, _, mask) in enumerate(classes.masks):
+            o ^= mask * (m >> j & 1)
+        rows.append((o, classes.count(m) & 1))
+    return [a for a in range(2 ** len(classes.diagram.variables))
+            if all((a & o).bit_count() & 1 == c for o, c in rows)]
+
+
+def branch_magnitudes(d) -> np.ndarray:
+    """The largest magnitude of each outcome assignment's branch."""
+    t = evaluate(d)
+    return np.abs(t.array).reshape(2 ** len(d.variables), -1).max(axis=1)
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_the_support_is_cut_out_by_the_bare_sums(group):
+    """The support fact: on a nonzero diagram the assignments with a
+    nonzero branch are those cut out by every bare-boundary web sum, of
+    the dimension FaultClasses.support gives, and on them every branch has
+    the same largest magnitude."""
+    for name, classes in nonzero_classes(group):
+        d = classes.diagram
+        mags = branch_magnitudes(d)
+        support = list(np.flatnonzero(mags > TOL * mags.max()))
+        assert cut_out(classes, webs._bare_masks(d, classes._space)) == \
+            support, name
+        assert len(support) == 2 ** (len(d.variables) - len(classes.support))
+        assert np.allclose(mags[support], mags.max(), rtol=0, atol=TOL), name
+
+
+def test_the_regions_alone_miss_the_support():
+    # the bare sums that highlight no edge, those of leg-less Pauli
+    # spiders, may read outcomes: regions alone cut out too much
+    missed = set()
+    for seed in range(40):
+        spec = random_spec(seed)
+        for side in (spec.side_a, spec.side_b):
+            classes = webs.FaultClasses(side.diagram)
+            if classes.alive:
+                continue
+            mags = branch_magnitudes(side.diagram)
+            regions = [m for m in webs._bare_masks(side.diagram,
+                                                   classes._space)
+                       if webs._web_sum(classes._space, m).highlight]
+            if cut_out(classes, regions) != \
+                    list(np.flatnonzero(mags > TOL * mags.max())):
+                missed.add(seed)
+    assert sorted(missed) == [3, 14, 17, 18, 22, 29, 38]
 
 
 # -- least-weight tables against the fault walk --------------------------------
