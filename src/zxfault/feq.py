@@ -19,13 +19,15 @@ side-a syndromes, solved by GF(2) algebra on the webs: its offset, M at
 side a's reference, by the sign and support facts (:func:`_offset`), and
 the rest by the push-out, since every side-a class is the reference under
 a boundary Pauli and outcome flips, whose side-a syndromes and signs
-against the side-b stabilisers are bit rows (:func:`_pushout_rows`).  The
-dense oracle only guards M, by a few replays per check, each the
-contraction ``evaluate(apply_fault(d, f))``.  Whether a class makes the
-diagram zero is read from its syndrome too, by the zero rule: its
-:meth:`~zxfault.webs.FaultClasses.pattern`, the parities of the constant
-web sums it flips, against :attr:`~zxfault.webs.FaultClasses.alive`; a
-zero class matches only zero classes.  The circuit distance concerns one
+against the side-b stabilisers are bit rows (:func:`_pushout_rows`).
+Whether a class makes the diagram zero is read from its syndrome too, by
+the zero rule: its :meth:`~zxfault.webs.FaultClasses.pattern`, the
+parities of the constant web sums it flips, against
+:attr:`~zxfault.webs.FaultClasses.alive`; a zero class matches only zero
+classes, and each side's reference is its first nonzero class.  The dense
+oracle only guards M, by two checks per map, four contractions
+``evaluate(apply_fault(d, f))`` at most: the noise-free diagrams compared,
+and one predicted match replayed.  The circuit distance concerns one
 diagram and needs no map and no tensor: a fault of a diagram D != 0
 changes it exactly when its web syndrome is nonzero.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from . import gf2
 from .diagram import ZxDiagram, apply_fault
 from .noise import ABOVE_CAP, NoiseModel, fault_weight
-from .oracle import (DEFAULT_BUDGET, TOL, OutcomeMap, OutcomeTensor,
+from .oracle import (DEFAULT_BUDGET, OutcomeMap, OutcomeTensor,
                      equal_up_to_scalar, evaluate, ports)
 from .pauli import PauliString
 from .webs import ClassTable, FaultClasses
@@ -212,20 +214,20 @@ class SyndromeMap:
     (``keys``, computed once per class), and the replays, counted per side
     in ``replays``.
 
-    Each side's reference is its first nonzero class by the zero rule, the
-    first whose :meth:`~zxfault.webs.FaultClasses.pattern` is ``alive``:
-    the empty fault when D != 0, else one replay, which must be nonzero.
-    Zero classes, of another pattern, match only zero classes.  M(origin),
-    the offset, is solved on the webs of both sides (:func:`_offset`).
-    Every other nonzero class is the origin under a boundary Pauli and
-    outcome flips (the push-out): echelon the :func:`_pushout_rows`, and
-    M(s) is the offset XOR the side-b flips of the generators that sum to
-    s XOR origin.  So no tensor is read to solve M.  A class the generators
-    cannot reach, or a kernel row that gives one syndrome two images, is a
-    :class:`ClassKeyError`.  The dense oracle only confirms M: the offset
-    is 0 exactly when it calls the nonzero noise-free diagrams equal, any
-    other match of the offset is replayed, and so is one more predicted
-    match (:meth:`_guard`)."""
+    Each side's reference is its first nonzero class by the zero rule
+    (:meth:`_reference`), the empty fault's when D != 0; side a's is the
+    origin.  Zero classes, of another pattern, match only zero classes.
+    M(origin), the offset, is solved on the webs of both sides
+    (:func:`_offset`).  Every other nonzero class is the origin under a
+    boundary Pauli and outcome flips (the push-out): echelon the
+    :func:`_pushout_rows`, and M(s) is the offset XOR the side-b flips of
+    the generators that sum to s XOR origin.  So no tensor is read to solve
+    M.  A class the generators cannot reach, or a kernel row that gives one
+    syndrome two images, is a :class:`ClassKeyError`.  The dense oracle only
+    confirms M: the offset is 0 exactly when it calls the nonzero noise-free
+    diagrams equal, and one predicted match is replayed (:meth:`_guard`),
+    which a wrong nonzero offset fails too, as every image is the offset XOR
+    a push-out."""
 
     def __init__(self, spec: EquivalenceSpec, max_weight: int):
         da, db = spec.side_a.diagram, spec.side_b.diagram
@@ -240,20 +242,18 @@ class SyndromeMap:
                        for side, x in (("a", spec.side_a), ("b", spec.side_b))}
         self.budget, self.replays = spec.budget, {"a": 0, "b": 0}
         a, b = self.tables.values()
-        t_a, t_b = (self.replay(side, PauliString()) for side in "ab")
-        ref_a, ref_b = self._reference("a", t_a), self._reference("b", t_b)
+        self._origin = self._reference("a")
         self.offset = None  # M(origin), None when no nonzero class matches
-        if ref_a and ref_b:
+        if self._origin is not None and self._reference("b") is not None:
             stabilisers = _stabilisers(b.classes, corr)
-            self._origin = a.classes.syndrome(ref_a[0])
             self.offset = _offset(a.classes, b.classes, stabilisers, corr,
                                   self._origin)
         zero_a, zero_b = bool(a.classes.alive), bool(b.classes.alive)
         same = zero_a and zero_b if zero_a or zero_b else self.offset == 0
-        if same != equal_up_to_scalar(t_b, t_a, corr):
+        if same != equal_up_to_scalar(self.replay("b", PauliString()),
+                                      self.replay("a", PauliString()), corr):
             raise ClassKeyError("web syndromes and the tensor oracle disagree"
                                 " on the noise-free diagrams")
-        del t_a, t_b  # at most two tensors are kept while the oracle compares
         if self.offset is not None:
             self._pivots = gf2.echelon(_pushout_rows(da, a.classes,
                                                      stabilisers))
@@ -262,14 +262,8 @@ class SyndromeMap:
                                     " syndrome two side-b images")
         self.keys = {"a": {}, "b": {}}  # syndrome -> class key
         self._first = {"a": {}, "b": {}}  # class key -> its first class
-        self._index("b")
-        g = None if self.offset is None else self._first_fault("b", self.offset)
-        if g and not equal_up_to_scalar(self.replay("b", g), ref_a[1], corr):
-            raise ClassKeyError(
-                f"side a's reference (fault '{ref_a[0].to_text()}') reads as"
-                f" side-b fault {g.to_text()}, which the oracle refutes")
-        del ref_a, ref_b
-        self._index("a")
+        for side in "ab":
+            self._index(side)
         self._guard(corr)
 
     def replay(self, side: str, f: PauliString) -> OutcomeTensor:
@@ -285,11 +279,6 @@ class SyndromeMap:
         for s, f in self.tables[side].firsts.items():
             k = self.keys[side][s] = self._key(side, s, f)
             self._first[side].setdefault(k, s)
-
-    def _first_fault(self, side: str, k: int) -> PauliString | None:
-        """The first fault of the first class of key ``k`` on one side."""
-        s = self._first[side].get(k)
-        return None if s is None else self.tables[side].firsts[s]
 
     def _key(self, side: str, s: int, f: PauliString) -> int | None:
         """The key that two matching classes share, for the class of
@@ -309,20 +298,14 @@ class SyndromeMap:
                                 f" of the push-out generators")
         return image
 
-    def _reference(self, side: str, t: OutcomeTensor):
-        """(fault, tensor) of the side's first nonzero class by the zero
-        rule, the first whose pattern is ``alive``, given its noise-free
-        tensor ``t``; None if there is none.  Its replay, ``t`` when D != 0,
-        is the only one, and with ``t`` it guards the rule."""
-        table, classes = self.tables[side], self.tables[side].classes
-        f = next((f for s, f in table.firsts.items()
-                  if classes.pattern(s) == classes.alive), None)
-        ref = None if f is None else (f, self.replay(side, f) if f else t)
-        if (t.max_abs() < TOL) != bool(classes.alive) or \
-                ref and ref[1].max_abs() < TOL:
-            raise ClassKeyError(f"the zero rule and the tensor oracle"
-                                f" disagree on side {side}'s diagram")
-        return ref
+    def _reference(self, side: str) -> int | None:
+        """The syndrome of the side's reference, its first nonzero class by
+        the zero rule, the first in ``firsts`` whose pattern is ``alive``
+        (0 when D != 0); None if there is none.  It is read on the webs,
+        with no replay."""
+        classes = self.tables[side].classes
+        return next((s for s in self.tables[side].firsts
+                     if classes.pattern(s) == classes.alive), None)
 
     def pushout(self, s: int) -> int | None:
         """M(s) of a nonzero side-a class from the push-out generators;
@@ -341,11 +324,12 @@ class SyndromeMap:
                      and keys[s] in self._first["b"]), (None, None))
         if f is None:
             return
-        g, t = self._first_fault("b", keys[s]), self.replay("a", f)
-        if not equal_up_to_scalar(self.replay("b", g), t, corr):
+        g = self.tables["b"].firsts[self._first["b"][keys[s]]]
+        if not equal_up_to_scalar(self.replay("b", g), self.replay("a", f),
+                                  corr):
             raise ClassKeyError(
-                f"side-a fault {f.to_text()} is predicted to match side-b"
-                f" fault {g.to_text()}, which the oracle refutes")
+                f"side-a fault '{f.to_text()}' is predicted to match side-b"
+                f" fault '{g.to_text()}', which the oracle refutes")
 
     def match(self, side: str, f: PauliString,
               max_weight: int) -> PauliString | None:

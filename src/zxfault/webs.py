@@ -238,16 +238,15 @@ def detecting_region_basis(d: ZxDiagram,
     return regions
 
 
-def _bare_masks(d: ZxDiagram, space: tuple, rows: list | tuple = ()):
+def _bare_masks(d: ZxDiagram, space: tuple):
     """The masks (bit j takes web j) of a basis of the sums of the basis
-    webs of ``space`` that leave the boundary bare and solve the bit
-    ``rows`` over the webs: one small solve, with a row per boundary edge
-    bit of the webs that highlight it."""
+    webs of ``space`` that leave the boundary bare: one small solve, with a
+    row per boundary edge bit of the webs that highlight it."""
     vectors, edge_order, _ = space
-    rows = [sum((v >> 2 * edge_order[eid] + k & 1) << j
-                for j, v in enumerate(vectors))
-            for eid in d.boundary_edges() for k in (0, 1)] + list(rows)
-    return gf2.nullspace(rows, len(vectors))
+    return gf2.nullspace([sum((v >> 2 * edge_order[eid] + k & 1) << j
+                              for j, v in enumerate(vectors))
+                          for eid in d.boundary_edges() for k in (0, 1)],
+                         len(vectors))
 
 
 def _web_sum(space: tuple, mask: int) -> PauliWeb:
@@ -342,15 +341,26 @@ class FaultClasses:
                                      [w.pauli for w in self.webs]))]
 
     @cached_property
+    def _bare(self) -> tuple[list[int], list[int]]:
+        """One echelon of the bare-boundary sums' (:func:`_bare_masks`)
+        :meth:`outcome_mask`, each tagged by its mask above the n outcome
+        bits: the rows pivoted below n, untagged, echelon the outcome masks,
+        and the tags of the rest span the constant sums, whose is empty."""
+        n = len(self.diagram.variables)
+        pivots = gf2.echelon(self.outcome_mask(m) | m << n
+                             for m in _bare_masks(self.diagram, self._space))
+        return ([r & (1 << n) - 1 for c, r in pivots.items() if c < n],
+                [r >> n for c, r in pivots.items() if c >= n])
+
+    @property
     def support(self) -> list[int]:
         """The support fact: on D != 0 the outcome assignments with a
         nonzero branch are those on which every bare-boundary web sum's
         :meth:`outcome_mask` has the parity of its :meth:`count`.  These
-        are the echelon rows of those masks, one per dimension the support
-        loses.  Every sum counts: the regions drop those of leg-less Pauli
-        spiders, which highlight no edge but may read outcomes."""
-        return list(gf2.echelon(map(self.outcome_mask, _bare_masks(
-            self.diagram, self._space))).values())
+        are the echelon rows of those masks (:attr:`_bare`), one per
+        dimension the support loses.  Every sum counts: the regions drop
+        those that highlight no edge, which may still read outcomes."""
+        return self._bare[0]
 
     def count(self, mask: int) -> int:
         """The :func:`sign_count` of the sum of the basis webs in ``mask``."""
@@ -362,13 +372,10 @@ class FaultClasses:
     def _constant(self) -> list[tuple[int, int]]:
         """The mask over the basis webs and the :meth:`count` parity of
         each of a basis of the constant sums, the webs with a bare
-        boundary and an empty detecting set: :func:`_bare_masks` with the
-        :attr:`outcome_flips` as rows.  A leg-less Pauli spider needs no
-        case of its own: its indicator is a free column, its web a basis
-        web."""
-        return [(mask, self.count(mask) & 1)
-                for mask in _bare_masks(self.diagram, self._space,
-                                        self.outcome_flips)]
+        boundary and an empty detecting set (:attr:`_bare`).  A leg-less
+        Pauli spider needs no case of its own: its indicator is a free
+        column, its web a basis web."""
+        return [(mask, self.count(mask) & 1) for mask in self._bare[1]]
 
     @cached_property
     def alive(self) -> int:

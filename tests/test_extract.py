@@ -331,3 +331,26 @@ def test_template_shapes_translate():
                          ids=[t.name for t in DEFAULT_TEMPLATES])
 def test_unit_certificates_replay(template):
     assert template.certificate().equivalent
+
+
+@pytest.mark.parametrize("sid,equivalent", [(2, False), (0, True)])
+def test_mutated_fault_gadget_fails_its_certificate(monkeypatch, sid,
+                                                    equivalent):
+    # a half turn on the wire's red spider, sid 2, is an X on the wire, so
+    # the noise-free diagrams differ and the weight-0 class fails; one on
+    # the hub, sid 0, leaves the tensor unchanged
+    from zxfault.diagram import Phase, Spider
+    real = extract.insert_fault_gadget
+
+    def mutated(d, p):
+        out = real(d, p)
+        out.spiders[sid] = Spider(out.spiders[sid].colour, Phase(2))
+        return out
+    monkeypatch.setattr(extract, "insert_fault_gadget", mutated)
+    gadget = next(t for t in DEFAULT_TEMPLATES if t.kind == "fault-gadget")
+    verdict = gadget.certificate()
+    assert verdict.equivalent == equivalent
+    if not equivalent:
+        assert [(c.side, c.fault.to_text(), c.weight, c.reason)
+                for c in verdict.counterexamples] == \
+            [("a", "", 0, "match-heavier"), ("b", "", 0, "match-heavier")]
