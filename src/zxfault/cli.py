@@ -28,8 +28,7 @@ from .oracle import DEFAULT_BUDGET, OracleBudgetError, OutcomeMap, evaluate
 from .pauli import PauliString
 from .rewrite import ScriptError, resolve_ref, run_proof_script
 from .translate import to_zx
-from .webs import (WebBasisError, detecting_region_basis, is_detectable,
-                   web_basis)
+from .webs import detecting_region_basis, is_detectable, web_basis
 
 # convenience names for inputs used throughout the examples
 ALIASES = {
@@ -353,8 +352,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, ScriptError, ExtractionError, OSError,
-            json.JSONDecodeError, OracleBudgetError, ClassKeyError,
-            WebBasisError) as exc:
+            json.JSONDecodeError, OracleBudgetError, ClassKeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a contraction too large to allocate

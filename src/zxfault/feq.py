@@ -27,8 +27,10 @@ parities of the constant web sums it flips, against
 classes, and each side's reference is its first nonzero class.  The dense
 oracle only guards M, by two checks per map, four contractions
 ``evaluate(apply_fault(d, f))`` at most: the noise-free diagrams compared,
-and one predicted match replayed.  The circuit distance concerns one
-diagram and needs no map and no tensor: a fault of a diagram D != 0
+and one predicted match replayed.  The comparison of two noise-free
+diagrams that the rewrite checks make (:func:`equal_on_webs`) needs no
+map and no tensor either: the zero rule and the offset at origin 0.  The
+circuit distance concerns one diagram: a fault of a diagram D != 0
 changes it exactly when its web syndrome is nonzero.
 
 So a verdict and a distance need, per class, only its least weight, its
@@ -172,6 +174,22 @@ def _offset(a: FaultClasses, b: FaultClasses, stabilisers: list,
         bit = a.count(m) + (origin & m).bit_count() + c + b.count(1 << j)
         offset |= (bit & 1) << j
     return offset
+
+
+def equal_on_webs(da: ZxDiagram, db: ZxDiagram, corr: OutcomeMap) -> bool:
+    """Whether the two diagrams are equal, up to a global magnitude and
+    per-outcome phases, under ``corr`` (side-a variables to side-b ones),
+    as the exact comparison of their tensor families would say, with no
+    tensor: two diagrams that the zero rule calls zero are equal, a zero
+    and a nonzero one are not, and two nonzero ones are equal exactly when
+    the offset of side a's noise-free diagram (:func:`_offset` at origin 0)
+    is 0.  Boundaries of other shapes are a ValueError."""
+    if list(map(len, da.boundary())) != list(map(len, db.boundary())):
+        raise ValueError("incompatible shapes")
+    a, b = FaultClasses(da), FaultClasses(db)
+    if a.alive or b.alive:
+        return bool(a.alive and b.alive)
+    return _offset(a, b, _stabilisers(b, corr), corr, 0) == 0
 
 
 def _pushout_rows(d: ZxDiagram, classes: FaultClasses,

@@ -1,9 +1,10 @@
-"""Exact dense-tensor evaluation of small diagrams.
+"""Dense-tensor evaluation of small diagrams, in complex128.
 
-Ground truth for equality up to a global scalar, fault triviality, and
-totality.  Outcome variables are handled exactly: every variable becomes an
-extra binary tensor leg (tied across its occurrences by a copy tensor), so one
-contraction yields the full outcome-indexed family.
+The package decides its semantic facts on the webs; the dense tensors only
+guard the syndrome map (:class:`~zxfault.feq.SyndromeMap`) and print
+``zxfault eval``.  Outcome variables are handled exactly: every variable
+becomes an extra binary tensor leg (tied across its occurrences by a copy
+tensor), so one contraction yields the full outcome-indexed family.
 
 There is one contraction path, :func:`evaluate`: it builds a diagram's
 leaf tensors (:func:`_leaves`), plans its whole pairwise contraction order
@@ -519,16 +520,3 @@ def equal_up_to_scalar(t1: OutcomeTensor, t2: OutcomeTensor,
             return False
     return True
 
-
-def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> bool:
-    """Tensor nonzero exactly on constraint-satisfying outcome assignments."""
-    t = evaluate(d, budget)
-    m = t.max_abs()
-    arr = t.array / m if m else t.array
-    for b in t.assignments():
-        vals = dict(zip(d.variables, b))
-        sat = all(sum(vals[v] for v in vs) % 2 == rhs for vs, rhs in d.constraints)
-        nz = bool(np.max(np.abs(arr[b])) > TOL)
-        if nz != sat:
-            return False
-    return True

@@ -6,7 +6,9 @@ of boundary ports, together with a guarantee:
 * ``fault-equivalent``      -- the sides are fault-equivalent at every weight;
 * ``w-fault-equivalent``    -- fault-equivalence holds up to the stated weight;
 * ``ideal-region``          -- the rule is only sound inside a fault-free
-  region; applying it triggers a whole-diagram oracle equality check.
+  region; applying it checks on the webs that the whole diagram keeps its
+  semantics (:func:`~zxfault.feq.equal_on_webs`), and, for a rule that
+  asks, that it stays total (:attr:`~zxfault.webs.FaultClasses.total`).
 
 ``apply_rule`` splices the rhs into a host diagram at an explicit binding of
 the lhs shape and returns the rewritten diagram plus a :class:`StepLog` that
@@ -29,10 +31,10 @@ from dataclasses import dataclass, field
 from . import gf2, samples
 from .builders import as_int, build_gadget, call_bound, key_values
 from .diagram import Edge, Phase, Spider, ZxDiagram
-from .feq import EquivalenceSpec, Side, Verdict, check_w_fault_equivalence
+from .feq import (EquivalenceSpec, Side, Verdict, check_w_fault_equivalence,
+                  equal_on_webs)
 from .noise import AtomicFault, NoiseModel, count_faults, edge_flip_atoms
-from .oracle import (DEFAULT_BUDGET, OutcomeMap, equal_up_to_scalar,
-                     evaluate, is_total)
+from .oracle import DEFAULT_BUDGET, OutcomeMap
 from .pauli import LETTERS, PauliString
 from .webs import ClassTable, FaultClasses
 
@@ -517,8 +519,8 @@ def _slot_of(lhs_eids: list, leid: int) -> str:
 
 
 def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
-               vars: dict | None = None, new: dict | None = None,
-               budget: int = DEFAULT_BUDGET) -> tuple[ZxDiagram, StepLog]:
+               vars: dict | None = None,
+               new: dict | None = None) -> tuple[ZxDiagram, StepLog]:
     """Rewrite ``d`` at the given binding of ``rule``'s lhs.
 
     ``binding`` maps slot names (s1.., e1.. in sorted lhs id order) to host
@@ -772,12 +774,11 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
     if rule.guarantee == IDEAL_REGION:
         rows = {v: v for v in d.variables}
         corr = OutcomeMap.parse(res.variables, d.variables, rows)
-        if not equal_up_to_scalar(evaluate(d, budget), evaluate(res, budget),
-                                  corr):
+        if not equal_on_webs(res, d, corr):
             raise IdealRegionError(
                 f"ideal-region rewrite {rule.name} changed the diagram"
                 f" semantics")
-        if rule.check_total and not is_total(res, budget):
+        if rule.check_total and not FaultClasses(res).total:
             raise IdealRegionError(
                 f"rewrite {rule.name} made an outcome non-deterministic"
                 f" (totality lost)")
@@ -1054,10 +1055,12 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
     """Replay a derivation and report per-step and claim-level verdicts.
 
     The claim (source ~ final diagram at the stated weight, under the stated
-    correspondence) is checked end to end against the oracle whenever the
-    fault enumeration is small enough; otherwise it is carried by the chain of
-    per-step guarantees, which requires every step to be fault-equivalent (or
-    w-fault-equivalent at a weight at least the claimed one)."""
+    correspondence) is checked end to end by :func:`verify_step` whenever
+    the fault enumeration is small enough; otherwise it is carried by the
+    chain of per-step guarantees, which requires every step to be
+    fault-equivalent (or w-fault-equivalent at a weight at least the claimed
+    one).  A target's semantics is compared on the webs
+    (:func:`~zxfault.feq.equal_on_webs`)."""
     if isinstance(script, str):
         script = ProofScript.parse(script)
     src = _resolve_directive(script, "source", base_dir)
@@ -1080,7 +1083,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
         if rule.w is not None:
             entry["guarantee-w"] = rule.w
         try:
-            d2, log = apply_rule(d, rule, st.binding, st.vars, st.new, budget)
+            d2, log = apply_rule(d, rule, st.binding, st.vars, st.new)
         except (RuleBindingError, IdealRegionError) as exc:
             entry["error"] = str(exc)
             report_steps.append(entry)
@@ -1128,8 +1131,7 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
                 f" {sorted(d.variables)}")
         corr = OutcomeMap.parse(d.variables, tgt.variables,
                                 {v: v for v in tgt.variables})
-        report["target_semantics_match"] = equal_up_to_scalar(
-            evaluate(tgt, budget), evaluate(d, budget), corr)
+        report["target_semantics_match"] = equal_on_webs(d, tgt, corr)
 
     claim = report["claim"]
     rows = {v: script.claim_corr.get(v, v) for v in src.variables}

@@ -39,6 +39,14 @@
   dense contractions (:func:`is_trivial`), which the zero rule and the web
   syndromes of :class:`zxfault.webs.FaultClasses` replaced in the circuit
   distance and the push-out.
+* A tensor family scaled to a largest magnitude of 1 (:func:`normalised`).
+* Whether a diagram's tensor is nonzero on exactly the outcome
+  assignments that meet its constraints, by one dense contraction
+  (:func:`is_total`), which the support fact of
+  :attr:`zxfault.webs.FaultClasses.total` replaced.
+* The direct check of a web against the per-spider rules
+  (:func:`check_web`), which rechecked every solution of the web system
+  until :func:`zxfault.webs.web_basis` trusted its one elimination.
 * Graph isomorphism of diagrams with their ports fixed, and a spider's
   degree (:func:`degree`).
 * The binding of a rule's inverse that undoes one rewrite step.
@@ -96,6 +104,62 @@ def is_trivial(d: ZxDiagram, f: PauliString,
     if base is None:
         base = oracle.evaluate(d)
     return oracle.equal_up_to_scalar(base, oracle.evaluate(apply_fault(d, f)))
+
+
+def is_total(d: ZxDiagram, budget: int = DEFAULT_BUDGET) -> bool:
+    """Tensor nonzero exactly on constraint-satisfying outcome assignments."""
+    t = oracle.evaluate(d, budget)
+    m = t.max_abs()
+    arr = t.array / m if m else t.array
+    for b in t.assignments():
+        vals = dict(zip(d.variables, b))
+        sat = all(sum(vals[v] for v in vs) % 2 == rhs for vs, rhs in d.constraints)
+        nz = bool(np.max(np.abs(arr[b])) > TOL)
+        if nz != sat:
+            return False
+    return True
+
+
+def normalised(t: OutcomeTensor) -> OutcomeTensor:
+    """The family divided by its largest magnitude, unless it is 0.0: the
+    comparison of :func:`zxfault.oracle.equal_up_to_scalar` then reads a
+    family of any scale, where its absolute zero test calls every family
+    below 1e-9 zero, such as steane-optimised's, of entries about 3.8e-20.
+    A zero family with rounding noise becomes noise of magnitude 1, so this
+    suits only pairs that the zero rule calls nonzero or exactly zero."""
+    m = t.max_abs()
+    return OutcomeTensor(t.variables, t.n_in, t.n_out, t.array / m) if m \
+        else t
+
+
+def check_web(d: ZxDiagram, w: PauliWeb) -> bool:
+    """Direct (non-linear-algebra) check of the defining per-spider rules."""
+    inc = d.incidence()
+    hl = w.edges
+    for sid, s in d.spiders.items():
+        own_is_green = s.colour == "Z"
+        own = 0
+        opp_bits = []
+        for eid, ep in inc[sid]:
+            e = d.edges[eid]
+            h = hl.get(eid)
+            g = h in ("green", "both")
+            r = h in ("red", "both")
+            if e.had and ep == e.b:
+                g, r = r, g
+            own += g if own_is_green else r
+            opp_bits.append(r if own_is_green else g)
+        all_or_none = all(opp_bits) or not any(opp_bits)
+        if s.phase.is_pauli():
+            if own % 2 != 0 or not all_or_none:
+                return False
+        else:
+            if opp_bits and not all_or_none:
+                return False
+            fired = bool(opp_bits and all(opp_bits))
+            if own % 2 != (1 if fired else 0):
+                return False
+    return True
 
 
 def least_weights(steps: dict[int, int], max_weight: int):

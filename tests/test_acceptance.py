@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from reference import is_trivial, isomorphic
+from reference import is_total, is_trivial, isomorphic
 from test_webs import brute_force_webs, span_highlights
 
 from zxfault import samples
@@ -19,7 +19,7 @@ from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.feq import (EquivalenceSpec, Side, check_w_fault_equivalence,
                          circuit_distance, find_equivalent_fault)
 from zxfault.noise import edge_flip_atoms, x_flip_atoms
-from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate, is_total
+from zxfault.oracle import OutcomeMap, equal_up_to_scalar, evaluate
 from zxfault.pauli import PauliString
 from zxfault.rewrite import (RULES, check_boundary_pushout, make_rule,
                              rule_certificate, run_proof_script)

@@ -1,8 +1,8 @@
 import pytest
 
+from reference import is_total
 from zxfault.builders import BUILDERS, build_gadget
 from zxfault.feq import check_w_fault_equivalence
-from zxfault.oracle import is_total
 
 PARAMS = {
     "recursive-cat": {"n": 4},

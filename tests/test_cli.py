@@ -7,6 +7,7 @@ import pytest
 
 from test_rewrite import BAD_WEIGHT_SCRIPTS, bad_weight_script
 from zxfault import cli, oracle, samples
+from zxfault.builders import build_gadget
 from zxfault.cli import main
 from zxfault.diagram import Phase, Spider
 from zxfault.rewrite import resolve_ref
@@ -254,6 +255,33 @@ def test_prove_file_target(capsys, tmp_path, qturns, matches):
     code, out, _ = run(capsys, "prove", str(script))
     assert json.loads(out)["target_semantics_match"] is matches
     assert code == (0 if matches else 1)
+
+
+def test_prove_file_target_below_the_dense_tolerance(capsys, tmp_path):
+    """Every tensor entry of steane-optimised's implementation is about
+    3.8e-20, below the dense oracle's zero tolerance, under which any two
+    families of that scale read as equal; a pi on spider 0 changes the
+    diagram, and the proof fails."""
+    d = build_gadget("steane-optimised").implementation_diagram()[0]
+    assert oracle.evaluate(d).max_abs() < oracle.TOL
+    (tmp_path / "source.json").write_text(d.dumps())
+    s = d.spiders[0]
+    d.spiders[0] = Spider(s.colour, s.phase + Phase(2))
+    (tmp_path / "target.json").write_text(d.dumps())
+    script = tmp_path / "probe.fzx"
+    script.write_text("name probe\nsource file:source.json\n"
+                      "target file:target.json\nclaim w=1\n")
+    code, out, _ = run(capsys, "prove", str(script))
+    assert json.loads(out)["target_semantics_match"] is False
+    assert code == 1
+
+
+def test_prove_target_of_another_shape_is_exit_2(capsys, tmp_path):
+    script = tmp_path / "probe.fzx"
+    script.write_text("name probe\nsource sample:wire\n"
+                      "target sample:cat_spec:4\nclaim w=1\n")
+    assert run(capsys, "prove", str(script)) == \
+        (2, "", "error: incompatible shapes\n")
 
 
 def test_repro_passes_and_is_byte_identical(capsys):

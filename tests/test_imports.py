@@ -1,8 +1,8 @@
 """Every module of the package and of its tests reads each name it
 imports, every module of the package reads each private name it defines,
-every public name of the package is read outside its definition, and no
-module of the package imports numpy.ma on a check or a proof
-script."""
+every public name of the package is read outside its definition, no
+module of the package imports numpy.ma on a check or a proof script, and
+only the syndrome map's guards and ``zxfault eval`` read dense tensors."""
 
 import ast
 import os
@@ -167,3 +167,30 @@ def test_a_check_and_a_proof_script_do_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=300,
                           check=True)
     assert done.stdout.split() == ["False"]
+
+
+def dense_readers() -> dict:
+    """Per module of the package, the dense checks it imports or reads
+    as an attribute, ``evaluate`` and ``equal_up_to_scalar``."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {a.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) for a in n.names}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
+        if dense := sorted(names & {"evaluate", "equal_up_to_scalar"}):
+            out[path.name] = dense
+    return out
+
+
+def test_only_the_guards_and_eval_read_tensors():
+    # the syndrome map's two guards, which the benchmark's traced pass
+    # requires, and `zxfault eval`; every other semantic fact is read on
+    # the webs, and the dense checks that it replaced live in the tests
+    assert dense_readers() == {"cli.py": ["evaluate"],
+                               "feq.py": ["equal_up_to_scalar", "evaluate"]}
+    defined = {n.name for path in PACKAGE.glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"is_total", "check_web", "WebBasisError"}

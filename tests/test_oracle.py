@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import (Contraction as ReferenceContraction, map_assignment,
-                       on_open_legs, spider_leaf)
+from reference import (Contraction as ReferenceContraction, is_total,
+                       map_assignment, on_open_legs, spider_leaf)
 from test_circuit import DEFAULT_BUILDERS
 from test_feq import random_spec, syndrome_specs
 from zxfault import samples
@@ -14,8 +14,7 @@ from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.oracle import (_LEAF_CAP, DEFAULT_BUDGET, OracleBudgetError,
                             OutcomeMap, OutcomeTensor, _build_leaf,
                             _leaf_table, _leaves, _plan, _spider_leaf,
-                            equal_up_to_scalar, evaluate, is_total,
-                            port_masks)
+                            equal_up_to_scalar, evaluate, port_masks)
 from zxfault.pauli import LETTERS, PauliString
 from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import web_basis

@@ -1,21 +1,29 @@
+import dataclasses
 import inspect
 import itertools
+import random
+import time
 
 import pytest
 
-from reference import _branch_canons, inverse_binding, isomorphic
+from reference import (_branch_canons, inverse_binding, is_total, isomorphic,
+                       normalised)
 from test_feq import forbid_contractions
+from test_webs import SOLVE_GROUPS
 from zxfault import samples, webs
+from zxfault.builders import build_gadget
 from zxfault.diagram import ZxDiagram, apply_fault
+from zxfault.feq import equal_on_webs
 from zxfault.noise import AtomicFault, NoiseModel, enumerate_faults
 from zxfault.oracle import (OracleBudgetError, OutcomeMap, equal_up_to_scalar,
                             evaluate)
 from zxfault.pauli import LETTERS, PauliString
-from zxfault.rewrite import (RULES, IdealRegionError, ProofScript,
-                             PushoutReport, RuleBindingError, ScriptError,
-                             ScriptStep, apply_rule, check_boundary_pushout,
-                             make_rule, resolve_ref, rule_certificate,
-                             run_proof_script, verify_step)
+from zxfault.rewrite import (FAULT_EQUIVALENT, RULES, IdealRegionError,
+                             ProofScript, PushoutReport, RewriteRule,
+                             RuleBindingError, ScriptError, ScriptStep,
+                             apply_rule, check_boundary_pushout, make_rule,
+                             resolve_ref, rule_certificate, run_proof_script,
+                             verify_step)
 from zxfault.webs import detecting_region_basis, is_detectable
 
 # -- rule certificates -----------------------------------------------------------
@@ -179,6 +187,69 @@ def test_flag_taps_nondeterministic_flag_rejected():
         apply_rule(d, make_rule("flag-taps", m=3),
                    {"e1": eids[0], "e2": eids[1], "e3": eids[2]},
                    new={"v0": "k"})
+
+
+def unchecked(name: str, **params) -> RewriteRule:
+    """The rule with its ideal-region guarantee switched off, so that
+    apply_rule splices it with no check."""
+    return dataclasses.replace(make_rule(name, **params),
+                               guarantee=FAULT_EQUIVALENT)
+
+
+def rule_applications():
+    """(name, host, rewritten host): expose on up to three plain ideal
+    edges of each host, and flag-taps in both colours on a random triple
+    of them, in the builders' sides, the random sides, the rule sides and
+    the web corpus."""
+    rng = random.Random(5)
+    for group in ("builder-sides", "random-sides", "rule-sides",
+                  "web-corpus"):
+        for name, d in SOLVE_GROUPS[group]():
+            plain = [eid for eid, e in sorted(d.edges.items())
+                     if e.ideal and not e.had]
+            for eid in plain[:3]:
+                yield f"{name} expose {eid}", d, apply_rule(
+                    d, unchecked("expose"), {"e1": eid})[0]
+            for colour in "ZX" if len(plain) >= 3 else "":
+                triple = rng.sample(plain, 3)
+                yield f"{name} flag-taps {colour} {triple}", d, apply_rule(
+                    d, unchecked("flag-taps", colour=colour),
+                    dict(zip(("e1", "e2", "e3"), triple)),
+                    new={"v0": "flag"})[0]
+
+
+def test_rule_applications_match_the_oracle():
+    """apply_rule's two checks, on the webs, against the dense ones on
+    each family normalised by its own largest magnitude: the builders'
+    sides include steane-optimised's, whose entries of about 3.8e-20 the
+    dense zero tolerance would call zero."""
+    seen = set()
+    for name, d, res in rule_applications():
+        corr = OutcomeMap.parse(res.variables, d.variables,
+                                {v: v for v in d.variables})
+        same = equal_on_webs(res, d, corr)
+        total = webs.FaultClasses(res).total
+        assert same == equal_up_to_scalar(normalised(evaluate(d)),
+                                          normalised(evaluate(res)), corr), \
+            name
+        assert total == is_total(res), name
+        seen.add((same, total))
+    # a flag that changes the semantics here also loses totality
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_expose_on_a_host_too_large_to_contract(monkeypatch):
+    # the [[7,1,3]] Steane extraction host, 402 spiders and 30 outcome
+    # variables, whose dense tensor would need 32 GiB
+    forbid_contractions(monkeypatch)
+    h = [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]]
+    host = build_gadget("steane", hx=h, hz=h).implementation_diagram()[0]
+    eid = next(eid for eid, e in sorted(host.edges.items())
+               if e.ideal and not e.had and e.a[0] == e.b[0] == "s")
+    start = time.perf_counter()
+    res, _ = apply_rule(host, make_rule("expose"), {"e1": eid})
+    assert time.perf_counter() - start < 1
+    assert not res.edges[eid].ideal
 
 
 def test_encoder_expansion_matches_frame():

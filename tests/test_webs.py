@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 import reference
-from reference import anticommutes, syndrome
+from reference import anticommutes, check_web, syndrome
 from test_builders import PARAMS
 from test_feq import WIRE_POOL, random_spec
 from test_gf2 import reference_nullspace
 from zxfault import gf2, samples, webs
 from zxfault.builders import BUILDERS, build_gadget
-from zxfault.cli import main
 from zxfault.diagram import ZxDiagram, apply_fault, compose
 from zxfault.noise import (AtomicFault, NoiseModel, edge_flip_atoms,
                            enumerate_faults, fault_weight, x_flip_atoms)
 from zxfault.oracle import TOL, OutcomeMap, evaluate, port_masks
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
-from zxfault.webs import (PauliWeb, check_web, detecting_region_basis,
-                          is_detectable, local_sign, region_sign, web_basis)
+from zxfault.webs import (PauliWeb, detecting_region_basis, is_detectable,
+                          local_sign, region_sign, web_basis)
 
 HLS = [None, "green", "red", "both"]
 
@@ -315,20 +314,6 @@ def test_bases_match_reference_solver(group, monkeypatch):
         assert got == (web_basis(d), detecting_region_basis(d)), name
 
 
-def test_rejected_web_solution_is_an_error(monkeypatch, capsys):
-    """A solution of the web system that check_web rejects makes the basis
-    an error, not a shorter basis; the CLI reports it as exit 2."""
-    d = samples.two_zz_measurements()
-    n = len(web_basis(d))
-    monkeypatch.setattr(webs, "check_web", lambda d, w, inc=None: False)
-    with pytest.raises(webs.WebBasisError, match=f"check_web rejected {n} "):
-        web_basis(d)
-    assert main(["webs", "two-zz"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: check_web rejected") and err.count("\n") == 1
-
-
 def builder_sides():
     """(name, diagram): every builder's specification and implementation."""
     for name in sorted(BUILDERS):
@@ -346,6 +331,14 @@ SOLVE_GROUPS = {
                              for seed in range(40)
                              for side in ("side_a", "side_b")],
 }
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_every_basis_web_meets_the_spider_rules(group):
+    """Each solution of the web system that web_basis returns, unchecked,
+    meets the per-spider rules as the direct check reads them."""
+    for name, d in SOLVE_GROUPS[group]():
+        assert all(check_web(d, w) for w in web_basis(d)), name
 
 
 @pytest.mark.parametrize("group", SOLVE_GROUPS)
@@ -450,6 +443,38 @@ def test_the_support_is_cut_out_by_the_bare_sums(group):
             support, name
         assert len(support) == 2 ** (len(d.variables) - len(classes.support))
         assert np.allclose(mags[support], mags.max(), rtol=0, atol=TOL), name
+
+
+def constrained(d, rng) -> list:
+    """``d``, ``d`` with 1-3 random extra constraints three times over,
+    and ``d`` with its support rows, each with its count parity, as
+    constraints, which makes a nonzero diagram with no other constraint
+    total."""
+    out = [d]
+    for _ in range(3):
+        e = d.copy()
+        for _ in range(rng.randint(1, 3)):
+            e.add_constraint([v for v in d.variables if rng.random() < 0.5],
+                             rng.randrange(2))
+        out.append(e)
+    classes, n, e = webs.FaultClasses(d), len(d.variables), d.copy()
+    for r in classes._bare[0]:
+        e.add_constraint([v for i, v in enumerate(d.variables)
+                          if r >> n - 1 - i & 1], classes.count(r >> n))
+    return out + [e]
+
+
+@pytest.mark.parametrize("group", SOLVE_GROUPS)
+def test_totality_matches_the_oracle(group):
+    """FaultClasses.total, read from the support fact and the zero rule,
+    against the dense check, on each diagram under extra constraints."""
+    rng, seen = random.Random(group), set()
+    for name, d in SOLVE_GROUPS[group]():
+        for e in constrained(d, rng):
+            total = webs.FaultClasses(e).total
+            assert total == reference.is_total(e), name
+            seen.add(total)
+    assert seen == {False, True}
 
 
 def test_the_regions_alone_miss_the_support():
