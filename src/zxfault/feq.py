@@ -176,17 +176,18 @@ def _offset(a: FaultClasses, b: FaultClasses, stabilisers: list,
     return offset
 
 
-def equal_on_webs(da: ZxDiagram, db: ZxDiagram, corr: OutcomeMap) -> bool:
-    """Whether the two diagrams are equal, up to a global magnitude and
-    per-outcome phases, under ``corr`` (side-a variables to side-b ones),
-    as the exact comparison of their tensor families would say, with no
-    tensor: two diagrams that the zero rule calls zero are equal, a zero
-    and a nonzero one are not, and two nonzero ones are equal exactly when
-    the offset of side a's noise-free diagram (:func:`_offset` at origin 0)
-    is 0.  Boundaries of other shapes are a ValueError."""
-    if list(map(len, da.boundary())) != list(map(len, db.boundary())):
+def equal_on_webs(a: FaultClasses, b: FaultClasses, corr: OutcomeMap) -> bool:
+    """Whether the two diagrams, given by their web facts, are equal, up to
+    a global magnitude and per-outcome phases, under ``corr`` (side-a
+    variables to side-b ones), as the exact comparison of their tensor
+    families would say, with no tensor: two diagrams that the zero rule
+    calls zero are equal, a zero and a nonzero one are not, and two
+    nonzero ones are equal exactly when the offset of side a's noise-free
+    diagram (:func:`_offset` at origin 0) is 0.  Boundaries of other
+    shapes are a ValueError."""
+    if list(map(len, a.diagram.boundary())) != \
+            list(map(len, b.diagram.boundary())):
         raise ValueError("incompatible shapes")
-    a, b = FaultClasses(da), FaultClasses(db)
     if a.alive or b.alive:
         return bool(a.alive and b.alive)
     return _offset(a, b, _stabilisers(b, corr), corr, 0) == 0

@@ -6,9 +6,11 @@ of boundary ports, together with a guarantee:
 * ``fault-equivalent``      -- the sides are fault-equivalent at every weight;
 * ``w-fault-equivalent``    -- fault-equivalence holds up to the stated weight;
 * ``ideal-region``          -- the rule is only sound inside a fault-free
-  region; applying it checks on the webs that the whole diagram keeps its
-  semantics (:func:`~zxfault.feq.equal_on_webs`), and, for a rule that
-  asks, that it stays total (:attr:`~zxfault.webs.FaultClasses.total`).
+  region; applying it checks on the webs of one
+  :class:`~zxfault.webs.FaultClasses` of the result that the whole
+  diagram keeps its semantics (:func:`~zxfault.feq.equal_on_webs`), and,
+  for a rule that asks, that it stays total
+  (:attr:`~zxfault.webs.FaultClasses.total`).
 
 ``apply_rule`` splices the rhs into a host diagram at an explicit binding of
 the lhs shape and returns the rewritten diagram plus a :class:`StepLog` that
@@ -774,11 +776,12 @@ def apply_rule(d: ZxDiagram, rule: RewriteRule, binding: dict,
     if rule.guarantee == IDEAL_REGION:
         rows = {v: v for v in d.variables}
         corr = OutcomeMap.parse(res.variables, d.variables, rows)
-        if not equal_on_webs(res, d, corr):
+        after = FaultClasses(res)
+        if not equal_on_webs(after, FaultClasses(d), corr):
             raise IdealRegionError(
                 f"ideal-region rewrite {rule.name} changed the diagram"
                 f" semantics")
-        if rule.check_total and not FaultClasses(res).total:
+        if rule.check_total and not after.total:
             raise IdealRegionError(
                 f"rewrite {rule.name} made an outcome non-deterministic"
                 f" (totality lost)")
@@ -1131,7 +1134,8 @@ def run_proof_script(script: ProofScript | str, base_dir: str | None = None,
                 f" {sorted(d.variables)}")
         corr = OutcomeMap.parse(d.variables, tgt.variables,
                                 {v: v for v in tgt.variables})
-        report["target_semantics_match"] = equal_on_webs(d, tgt, corr)
+        report["target_semantics_match"] = equal_on_webs(
+            FaultClasses(d), FaultClasses(tgt), corr)
 
     claim = report["claim"]
     rows = {v: script.claim_corr.get(v, v) for v in src.variables}

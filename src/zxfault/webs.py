@@ -1,5 +1,8 @@
 """Pauli webs, detecting regions, signs and per-diagram fault classes.
 
+Each diagram's web facts belong to one :class:`FaultClasses`: one solve of
+its web system and one of its bare-boundary web sums.
+
 A fault's class is its web syndrome, the set of basis webs it anticommutes
 with, which is linear in the fault.  :class:`ClassTable` holds, per class
 up to a weight, the least weight, a least-weight fault and the detection
@@ -96,14 +99,6 @@ def _build_system(d: ZxDiagram) -> tuple[list[int], int, dict, dict]:
     return rows, 2 * len(edge_order) + len(spider_order), edge_order, spider_order
 
 
-def _solve(d: ZxDiagram) -> tuple[list[int], dict, dict]:
-    """The one elimination of the diagram's web system: the basis vectors
-    of its solution space (:func:`~zxfault.gf2.nullspace`), with the
-    variable index maps of :func:`_build_system`."""
-    rows, n_vars, edge_order, spider_order = _build_system(d)
-    return gf2.nullspace(rows, n_vars), edge_order, spider_order
-
-
 def _vector_to_web(v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     hl = []
     for eid, i in edge_order.items():
@@ -115,12 +110,10 @@ def _vector_to_web(v: int, edge_order: dict, spider_order: dict) -> PauliWeb:
     return PauliWeb(tuple(sorted(hl)), tuple(sorted(ind)))
 
 
-def web_basis(d: ZxDiagram, space: tuple | None = None) -> list[PauliWeb]:
+def web_basis(d: ZxDiagram) -> list[PauliWeb]:
     """A basis of the diagram's Pauli webs: every basis solution of the web
-    system (``space``, the diagram's :func:`_solve`, solved here when not
-    given)."""
-    vectors, edge_order, spider_order = space or _solve(d)
-    return [_vector_to_web(v, edge_order, spider_order) for v in vectors]
+    system, as one :class:`FaultClasses` solves it."""
+    return FaultClasses(d).webs
 
 
 def local_sign(colour: str, qturns: int, both_legs: int) -> int:
@@ -162,54 +155,26 @@ def sign_count(d: ZxDiagram, w: PauliWeb, inc: dict) -> int:
                        if h == "both" and not d.edges[eid].had)
 
 
-def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
-    """(expected_parity, detecting_set) of a detecting region: the parity
-    of its :func:`sign_count` and :func:`flipped_by`."""
-    hl = w.edges
-    if any(eid in hl for eid in d.boundary_edges()):
-        raise ValueError("web touches boundary; not a detecting region")
-    return sign_count(d, w, d.incidence()) % 2, flipped_by(d, w)
-
-
-def detecting_region_basis(d: ZxDiagram,
-                           space: tuple | None = None) -> list[DetectingRegion]:
-    """A basis of the diagram's detecting regions: the sums of basis webs
-    (``space`` as in :func:`web_basis`) that leave the boundary bare
-    (:func:`_bare_masks`), less those with no highlight, the leg-less Pauli
-    spiders'.  It is the basis, in order, of the web system eliminated
-    with the boundary bits zeroed: each basis web is 1 at its own free
-    column and 0 at the others, and its highest bit is that column; so a
-    sum is 1 exactly at its terms' columns and its highest bit is its
-    highest term's, and the sums, each 1 at its own column of the small
-    solve and 0 at the others', are the region space's echelon basis
-    reduced by highest bits, as :func:`~zxfault.gf2.nullspace` gives it."""
-    regions, space = [], space or _solve(d)
-    for w in (_web_sum(space, m) for m in _bare_masks(d, space)):
+def detecting_region_basis(d: ZxDiagram, classes: FaultClasses | None = None
+                           ) -> list[DetectingRegion]:
+    """A basis of the diagram's detecting regions: the bare-boundary sums
+    of ``classes`` (:attr:`FaultClasses.bare_masks`; built here when not
+    given) less those with no highlight, the leg-less Pauli spiders', each
+    with its :meth:`~FaultClasses.count` parity and :func:`flipped_by`.
+    It is the basis, in order, of the web system eliminated with the
+    boundary bits zeroed: each basis web is 1 at its own free column and 0
+    at the others, and its highest bit is that column; so a sum is 1
+    exactly at its terms' columns and its highest bit is its highest
+    term's, and the sums, each 1 at its own column of the small solve and
+    0 at the others', are the region space's echelon basis reduced by
+    highest bits, as :func:`~zxfault.gf2.nullspace` gives it."""
+    classes, regions = classes or FaultClasses(d), []
+    for m in classes.bare_masks:
+        w = classes.web_sum(m)
         if w.highlight:
-            parity, det = region_sign(d, w)
-            regions.append(DetectingRegion(w, det, parity))
+            regions.append(DetectingRegion(w, flipped_by(d, w),
+                                           classes.count(m) & 1))
     return regions
-
-
-def _bare_masks(d: ZxDiagram, space: tuple):
-    """The masks (bit j takes web j) of a basis of the sums of the basis
-    webs of ``space`` that leave the boundary bare: one small solve, with a
-    row per boundary edge bit of the webs that highlight it."""
-    vectors, edge_order, _ = space
-    return gf2.nullspace([sum((v >> 2 * edge_order[eid] + k & 1) << j
-                              for j, v in enumerate(vectors))
-                          for eid in d.boundary_edges() for k in (0, 1)],
-                         len(vectors))
-
-
-def _web_sum(space: tuple, mask: int) -> PauliWeb:
-    """The sum of the basis webs of ``space`` that ``mask`` takes."""
-    vectors, edge_order, spider_order = space
-    v = 0
-    for j, u in enumerate(vectors):
-        if mask >> j & 1:
-            v ^= u
-    return _vector_to_web(v, edge_order, spider_order)
 
 
 def _check_locations(d: ZxDiagram, f: PauliString) -> None:
@@ -237,10 +202,11 @@ def is_detectable(d: ZxDiagram, f: PauliString,
 
 
 class FaultClasses:
-    """One diagram's web basis, from one solve of its web system
-    (:func:`_solve`), its regions, zero rule and totality, read off the
-    basis by small solves, and the classes of the faults a noise model
-    generates.
+    """One diagram's web facts, from two solves: its web system's, whose
+    basis solutions are the basis webs (``webs``), and, when first read,
+    the bare-boundary sums' (:attr:`bare_masks`), which its regions,
+    support, totality and zero rule read; and the classes of the faults a
+    noise model generates.
 
     A fault's class is its :meth:`syndrome`, which is linear in the fault.
     So the least weight of a class is its distance from 0 in the graph on
@@ -255,19 +221,39 @@ class FaultClasses:
 
     def __init__(self, d: ZxDiagram):
         self.diagram = d
-        self._space = _solve(d)
-        self.webs = web_basis(d, self._space)
-        self.regions = detecting_region_basis(d, self._space)
+        rows, n_vars, self._edge_order, self._spider_order = _build_system(d)
+        self._vectors = gf2.nullspace(rows, n_vars)
+        self.webs = [_vector_to_web(v, self._edge_order, self._spider_order)
+                     for v in self._vectors]
         self._incidence = d.incidence()
-        # bit i of a fault's x mask flips the webs whose z mask has bit i,
-        # and bit i of its z mask those whose x mask has it
-        self._rows: tuple[dict, dict] = ({}, {})
+
+    @cached_property
+    def bare_masks(self) -> list[int]:
+        """The masks (bit j takes web j) of a basis of the sums of the basis
+        webs that leave the boundary bare: one small solve, with a row per
+        boundary edge bit of the webs that highlight it."""
+        return gf2.nullspace([sum((v >> 2 * self._edge_order[eid] + k & 1)
+                                  << j for j, v in enumerate(self._vectors))
+                              for eid in self.diagram.boundary_edges()
+                              for k in (0, 1)], len(self._vectors))
+
+    @cached_property
+    def regions(self) -> list[DetectingRegion]:
+        """The detecting regions (:func:`detecting_region_basis`)."""
+        return detecting_region_basis(self.diagram, self)
+
+    @cached_property
+    def _rows(self) -> tuple[dict, dict]:
+        """Bit i of a fault's x mask flips the webs whose z mask has bit i,
+        and bit i of its z mask those whose x mask has it."""
+        out: tuple[dict, dict] = ({}, {})
         for j, web in enumerate(self.webs):
-            for rows, mask in zip(self._rows, web.pauli.xz[::-1]):
+            for rows, mask in zip(out, web.pauli.xz[::-1]):
                 while mask:
                     i = (mask & -mask).bit_length() - 1
                     rows[i] = rows.get(i, 0) ^ 1 << j
                     mask &= mask - 1
+        return out
 
     @cached_property
     def outcome_flips(self) -> list[int]:
@@ -296,13 +282,13 @@ class FaultClasses:
 
     @cached_property
     def _bare(self) -> tuple[list[int], list[int]]:
-        """One echelon of the bare-boundary sums' (:func:`_bare_masks`)
+        """One echelon of the bare-boundary sums' (:attr:`bare_masks`)
         :meth:`outcome_mask`, each tagged by its mask above the n outcome
         bits: the rows pivoted below n, tagged, echelon the outcome masks,
         and the tags of the rest span the constant sums, whose is empty."""
         n = len(self.diagram.variables)
         pivots = gf2.echelon(self.outcome_mask(m) | m << n
-                             for m in _bare_masks(self.diagram, self._space))
+                             for m in self.bare_masks)
         return ([r for c, r in pivots.items() if c < n],
                 [r >> n for c, r in pivots.items() if c >= n])
 
@@ -336,11 +322,19 @@ class FaultClasses:
             r & (1 << n) - 1 | (self.count(r >> n) & 1) << n
             for r in self._bare[0])
 
+    def web_sum(self, mask: int) -> PauliWeb:
+        """The sum of the basis webs in ``mask``."""
+        if mask.bit_count() == 1:
+            return self.webs[mask.bit_length() - 1]
+        v = 0
+        for j, u in enumerate(self._vectors):
+            if mask >> j & 1:
+                v ^= u
+        return _vector_to_web(v, self._edge_order, self._spider_order)
+
     def count(self, mask: int) -> int:
         """The :func:`sign_count` of the sum of the basis webs in ``mask``."""
-        w = self.webs[mask.bit_length() - 1] if mask.bit_count() == 1 \
-            else _web_sum(self._space, mask)
-        return sign_count(self.diagram, w, self._incidence)
+        return sign_count(self.diagram, self.web_sum(mask), self._incidence)
 
     @cached_property
     def _constant(self) -> list[tuple[int, int]]:

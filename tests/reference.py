@@ -31,10 +31,11 @@
   :class:`zxfault.feq.SyndromeMap` replaced.
 * The second elimination of the web system, with the boundary bits
   zeroed, that found the detecting regions
-  (:func:`detecting_region_basis`), and the zero rule's constant sums
-  built from those regions and the leg-less Pauli spiders as Paulis
-  (:func:`constant_sums`), which the small solves over the basis webs of
-  :class:`zxfault.webs.FaultClasses` replaced.
+  (:func:`detecting_region_basis`), each signed from its own web and the
+  diagram's incidence (:func:`region_sign`), and the zero rule's constant
+  sums built from those regions and the leg-less Pauli spiders as Paulis
+  (:func:`constant_sums`), which the one small solve over the basis webs
+  of :class:`zxfault.webs.FaultClasses` and its sign counts replaced.
 * Whether a fault leaves a diagram's tensor family unchanged, by two
   dense contractions (:func:`is_trivial`), which the zero rule and the web
   syndromes of :class:`zxfault.webs.FaultClasses` replaced in the circuit
@@ -74,7 +75,7 @@ from zxfault.oracle import (DEFAULT_BUDGET, TOL, OracleBudgetError,
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RewriteRule, _edge_kind
 from zxfault.webs import (DetectingRegion, PauliWeb, _build_system,
-                          _vector_to_web, flipped_by, region_sign)
+                          _vector_to_web, flipped_by, sign_count)
 
 
 def enumerate_faults(m: NoiseModel, max_weight: int):
@@ -444,6 +445,17 @@ def replay_read(read, syndrome_map, f: PauliString) -> int | None:
     eigenvector for: M at f's class as one replay per class read it,
     before the push-out generators."""
     return read(syndrome_map.replay("a", f))
+
+
+def region_sign(d: ZxDiagram, w: PauliWeb) -> tuple[int, frozenset]:
+    """(expected_parity, detecting_set) of a detecting region: the parity
+    of its :func:`~zxfault.webs.sign_count` and
+    :func:`~zxfault.webs.flipped_by`, from the diagram's incidence; a web
+    that highlights a boundary edge is a ValueError."""
+    hl = w.edges
+    if any(eid in hl for eid in d.boundary_edges()):
+        raise ValueError("web touches boundary; not a detecting region")
+    return sign_count(d, w, d.incidence()) % 2, flipped_by(d, w)
 
 
 def detecting_region_basis(d: ZxDiagram) -> list[DetectingRegion]:

@@ -181,6 +181,18 @@ def test_flag_taps_adds_constrained_flag():
     assert not res.validate()
 
 
+def test_flag_taps_builds_one_fault_classes_of_its_result(monkeypatch):
+    # the ideal-region check and the totality check read one FaultClasses
+    built, real = [], webs.FaultClasses.__init__
+    monkeypatch.setattr(webs.FaultClasses, "__init__",
+                        lambda self, d: built.append(d) or real(self, d))
+    d, eids = three_ideal_wires("X")
+    res, _ = apply_rule(d, make_rule("flag-taps", m=3),
+                        {"e1": eids[0], "e2": eids[1], "e3": eids[2]},
+                        new={"v0": "k"})
+    assert sorted(map(id, built)) == sorted([id(d), id(res)])
+
+
 def test_flag_taps_nondeterministic_flag_rejected():
     d, eids = three_ideal_wires("Z")  # |+> caps reveal nothing in Z basis
     with pytest.raises(IdealRegionError):
@@ -227,8 +239,9 @@ def test_rule_applications_match_the_oracle():
     for name, d, res in rule_applications():
         corr = OutcomeMap.parse(res.variables, d.variables,
                                 {v: v for v in d.variables})
-        same = equal_on_webs(res, d, corr)
-        total = webs.FaultClasses(res).total
+        after = webs.FaultClasses(res)
+        same = equal_on_webs(after, webs.FaultClasses(d), corr)
+        total = after.total
         assert same == equal_up_to_scalar(normalised(evaluate(d)),
                                           normalised(evaluate(res)), corr), \
             name

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import reference
-from reference import anticommutes, check_web, syndrome
+from reference import anticommutes, check_web, region_sign, syndrome
 from test_builders import PARAMS
-from test_feq import WIRE_POOL, random_spec
+from test_feq import WIRE_POOL, random_spec, web_sum
 from test_gf2 import reference_nullspace
 from zxfault import gf2, samples, webs
 from zxfault.builders import BUILDERS, build_gadget
@@ -19,7 +19,7 @@ from zxfault.oracle import TOL, OutcomeMap, evaluate, port_masks
 from zxfault.pauli import PauliString
 from zxfault.rewrite import RULES, make_rule
 from zxfault.webs import (PauliWeb, detecting_region_basis, is_detectable,
-                          local_sign, region_sign, web_basis)
+                          local_sign, web_basis)
 
 HLS = [None, "green", "red", "both"]
 
@@ -123,9 +123,10 @@ def test_region_sign_rejects_boundary_web():
 
 
 def legs_region_sign(d, w):
-    """Reference for :func:`webs.flipped_by` and :func:`region_sign`: the
-    region sign loop that decided a spider is fired when all its legs are
-    opposite-colour highlighted (leg-less spiders never fire)."""
+    """Reference for :func:`webs.flipped_by` and
+    :func:`reference.region_sign`: the region sign loop that decided a
+    spider is fired when all its legs are opposite-colour highlighted
+    (leg-less spiders never fire)."""
     hl = w.edges
     inc = d.incidence()
     n_const = 0
@@ -353,19 +354,19 @@ def test_regions_match_the_second_solve(group):
 @pytest.mark.parametrize("group", ["web-corpus", "rule-sides",
                                    "builder-sides"])
 def test_the_web_system_is_eliminated_once(group, monkeypatch):
-    """FaultClasses, its zero rule included, eliminates the web system
-    once; its other solves are over the basis webs."""
+    """FaultClasses, its regions, support, totality and zero rule read,
+    makes two solves: one elimination of the web system and one
+    bare-boundary solve over the basis webs."""
     real, calls = gf2.nullspace, []
     monkeypatch.setattr(gf2, "nullspace", lambda rows, n: calls.append(
         (list(rows), n)) or real(rows, n))
     for name, d in SOLVE_GROUPS[group]():
         calls.clear()
         classes = webs.FaultClasses(d)
-        classes.alive
+        classes.alive, classes.regions, classes.support, classes.total
         rows, n_vars, _, _ = webs._build_system(d)
-        assert calls.count((rows, n_vars)) == 1, name
-        assert [n for r, n in calls if (r, n) != (rows, n_vars)] == \
-            [len(classes.webs)] * (len(calls) - 1), name
+        assert [n for _, n in calls] == [n_vars, len(classes.webs)], name
+        assert calls[0] == (rows, n_vars), name
 
 
 def nonzero_classes(group) -> list:
@@ -382,20 +383,23 @@ def test_web_signs_are_local_counts(group):
     """The sign fact: on a nonzero diagram each basis web's stabiliser,
     its port Paulis and outcome signs, and each sum of them, has
     eigenvalue (-1)^count times i per port Y on the diagram's own tensor,
-    the count that region_sign makes for a region (webs.sign_count)."""
+    the count that a region's parity reads (FaultClasses.count, the
+    webs.sign_count of the sum)."""
     rng = random.Random(group)
     for name, classes in nonzero_classes(group):
         d, n = classes.diagram, len(classes.webs)
         masks = [1 << j for j in range(n)] + \
             [rng.getrandbits(n) for _ in range(8)]
-        sums = [webs._web_sum(classes._space, m) for m in masks]
+        sums = [classes.web_sum(m) for m in masks]
+        assert all(w == web_sum([u for j, u in enumerate(classes.webs)
+                                 if m >> j & 1])
+                   for m, w in zip(masks, sums) if m), name
         got = reference.dense_read(d, sums, evaluate(d),
                                    OutcomeMap.identity(d.variables))
         assert got is not None, name
-        inc = d.incidence()
-        want = [(-1) ** webs.sign_count(d, w, inc) * 1j ** (x & z).bit_count()
-                for w, (x, z) in zip(sums, port_masks(d, [w.pauli
-                                                          for w in sums]))]
+        want = [(-1) ** classes.count(m) * 1j ** (x & z).bit_count()
+                for m, (x, z) in zip(masks, port_masks(d, [w.pauli
+                                                           for w in sums]))]
         assert np.allclose(got[0], want, rtol=0, atol=TOL), name
 
 
@@ -439,8 +443,7 @@ def test_the_support_is_cut_out_by_the_bare_sums(group):
         d = classes.diagram
         mags = branch_magnitudes(d)
         support = list(np.flatnonzero(mags > TOL * mags.max()))
-        assert cut_out(classes, webs._bare_masks(d, classes._space)) == \
-            support, name
+        assert cut_out(classes, classes.bare_masks) == support, name
         assert len(support) == 2 ** (len(d.variables) - len(classes.support))
         assert np.allclose(mags[support], mags.max(), rtol=0, atol=TOL), name
 
@@ -488,9 +491,8 @@ def test_the_regions_alone_miss_the_support():
             if classes.alive:
                 continue
             mags = branch_magnitudes(side.diagram)
-            regions = [m for m in webs._bare_masks(side.diagram,
-                                                   classes._space)
-                       if webs._web_sum(classes._space, m).highlight]
+            regions = [m for m in classes.bare_masks
+                       if classes.web_sum(m).highlight]
             if cut_out(classes, regions) != \
                     list(np.flatnonzero(mags > TOL * mags.max())):
                 missed.add(seed)
